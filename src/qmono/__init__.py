@@ -9,9 +9,7 @@ from .algebra import (
     Polynomial,
     TruncatedSeries,
     frac_eq,
-    poly_mul,
     series_expand,
-    substitute,
 )
 from .errors import (
     InternalConsistencyError,
@@ -42,9 +40,7 @@ __all__ = [
     "Polynomial",
     "TruncatedSeries",
     "frac_eq",
-    "poly_mul",
     "series_expand",
-    "substitute",
     "QmonoError",
     "UsageError",
     "InvalidValueError",

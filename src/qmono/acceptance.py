@@ -1,20 +1,27 @@
-"""The package's exit criteria as callable checks.
+"""The package's exit criteria as callable checks, and the identity
+families of ``qmono verify``.
 
 Every check is exact (zero tolerance): each instance either verifies as an
 identity of polynomials/fractions or is reported as a failure.  The CLI
-``selftest`` command and the acceptance test module both run this list.
+``selftest`` command and the acceptance test module both run the criteria;
+``verify`` and criteria 6-8 both run the families in ``VERIFY_FAMILIES``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Callable
 
 from .algebra import FactoredFraction, Polynomial, frac_eq
+from .errors import ResourceLimitError
 from .identities import (
     SIDE_CYCLE,
     SIDE_LEFT,
     SIDE_RIGHT,
+    SYMMETRIZED_CAP,
     appendix_step,
     constant_identity,
     prop5_expected,
@@ -87,11 +94,11 @@ class CriterionResult:
         }
 
 
-def criterion_1_two_forms(max_weight: int = 8) -> CriterionResult:
+def criterion_1_two_forms() -> CriterionResult:
     """Both closed forms of the monomial specialization agree."""
     r = CriterionResult(1, "two closed forms agree")
     t0 = time.time()
-    for mu in partitions_up_to(max_weight):
+    for mu in partitions_up_to(8):
         z = monomial_spec(mu, "theorem1").value
         w = monomial_spec(mu, "theorem3").value
         r.check(frac_eq(z, w), f"mu={mu}")
@@ -99,11 +106,11 @@ def criterion_1_two_forms(max_weight: int = 8) -> CriterionResult:
     return r
 
 
-def criterion_2_powersum_oracle(max_weight: int = 7) -> CriterionResult:
+def criterion_2_powersum_oracle() -> CriterionResult:
     """The closed form equals the cycle-expansion oracle."""
     r = CriterionResult(2, "power-sum oracle equivalence")
     t0 = time.time()
-    for mu in partitions_up_to(max_weight):
+    for mu in partitions_up_to(7):
         z = monomial_spec(mu).value
         o = oracle_powersum(mu).value
         r.check(frac_eq(z, o), f"mu={mu}")
@@ -111,15 +118,15 @@ def criterion_2_powersum_oracle(max_weight: int = 7) -> CriterionResult:
     return r
 
 
-def criterion_3_evaluation_oracle(max_weight: int = 6, max_N: int = 5) -> CriterionResult:
+def criterion_3_evaluation_oracle() -> CriterionResult:
     """Substituting a = 1, b = q^N matches direct evaluation on
     {1, q, ..., q^(N-1)}."""
     r = CriterionResult(3, "finite-alphabet evaluation oracle")
     t0 = time.time()
     q = Polynomial.variable(UNIVERSE_ABQ, "q")
-    for mu in partitions_up_to(max_weight):
+    for mu in partitions_up_to(6):
         z = monomial_spec(mu).value
-        for N in range(mu.length, max_N + 1):
+        for N in range(mu.length, 6):
             got = z.substitute({"a": 1, "b": q ** N})
             expected = oracle_direct(mu, N).value
             r.check(frac_eq(got, expected), f"mu={mu} N={N}")
@@ -127,14 +134,14 @@ def criterion_3_evaluation_oracle(max_weight: int = 6, max_N: int = 5) -> Criter
     return r
 
 
-def criterion_4_gauss_polynomials(max_N: int = 6) -> CriterionResult:
+def criterion_4_gauss_polynomials() -> CriterionResult:
     """The elementary generator at a = 1, b = q^N is q^(k(k-1)/2) times the
     q-binomial product."""
     r = CriterionResult(4, "Gauss polynomial specialization")
     t0 = time.time()
     one = Polynomial.one(UNIVERSE_ABQ)
     q = Polynomial.variable(UNIVERSE_ABQ, "q")
-    for N in range(1, max_N + 1):
+    for N in range(1, 7):
         for k in range(1, N + 1):
             got = generator_spec("elementary", k).value.substitute(
                 {"a": 1, "b": q ** N}
@@ -149,7 +156,7 @@ def criterion_4_gauss_polynomials(max_N: int = 6) -> CriterionResult:
     return r
 
 
-def criterion_5_recurrences(max_weight: int = 8) -> CriterionResult:
+def criterion_5_recurrences() -> CriterionResult:
     """Weight-peeling recurrences for both closed forms, generic and at the
     one-letter specializations."""
     r = CriterionResult(5, "peeling recurrences")
@@ -158,7 +165,7 @@ def criterion_5_recurrences(max_weight: int = 8) -> CriterionResult:
     one_qt = Polynomial.one(UNIVERSE_QT)
     t = Polynomial.variable(UNIVERSE_QT, "t")
     qa = Polynomial.monomial(UNIVERSE_ABQ, {"q": 1, "a": 1})
-    for mu in partitions_up_to(max_weight):
+    for mu in partitions_up_to(8):
         w = mu.weight
         peel = one - Polynomial.variable(UNIVERSE_ABQ, "q", w)
         peel_qt = one_qt - Polynomial.variable(UNIVERSE_QT, "q", w)
@@ -214,6 +221,132 @@ def criterion_5_recurrences(max_weight: int = 8) -> CriterionResult:
     return r
 
 
+# -- the verify families -------------------------------------------------------
+#
+# An instance is a plain tuple of ints and strings, so a worker process can
+# take it; a check is a module-level function of one instance that builds its
+# own expected value and returns whether the identity holds.
+
+
+@dataclass(frozen=True)
+class Family:
+    """One ``verify --identity`` family.
+
+    ``size_flag`` names the flag that sizes a run (``n`` or ``max_weight``).
+    ``instances(size, cap)`` lists the instances up to that size.  For the
+    families sized by ``--n``, ``cap`` is the largest alphabet allowed
+    (``--max-n`` overrides it) and a larger size is refused before any check
+    runs; for the partition sweeps it is the longest partition checked."""
+
+    size_flag: str
+    cap: int
+    instances: Callable[[int, int], list]
+    label: Callable[[tuple], str]
+    check: Callable[[tuple], bool]
+
+
+def _sizes(n: int, cap: int) -> list:
+    """Sizes 1..n, each carrying the cap; a size over the cap is refused
+    here, before any instance is checked."""
+    if n > cap:
+        raise ResourceLimitError(f"symmetrized sum size {n} exceeds cap {cap}")
+    return [(k, cap) for k in range(1, n + 1)]
+
+
+def _appendix_instances(n: int, cap: int) -> list:
+    return [
+        (k, relation, side, cap)
+        for k, _ in _sizes(n, cap)[1:]
+        for relation in (13, 14)
+        for side in ("L", "R")
+    ]
+
+
+def _short_partitions(max_weight: int, max_length: int) -> list:
+    """Partitions of weight 1..max_weight with at most max_length parts."""
+    return [
+        tuple(mu.parts)
+        for mu in partitions_up_to(max_weight)
+        if mu.length <= max_length
+    ]
+
+
+def _n_label(task) -> str:
+    return f"n={task[0]}"
+
+
+def _appendix_label(task) -> str:
+    n, relation, side, _ = task
+    return f"n={n} relation={relation} side={side}"
+
+
+def _mu_label(parts) -> str:
+    return f"mu={list(parts)}"
+
+
+def _thm6(task) -> bool:
+    n, cap = task
+    left = symmetrized_side(n, SIDE_LEFT, cap=cap).value
+    return frac_eq(left, symmetrized_side(n, SIDE_RIGHT, cap=cap).value)
+
+
+def _thm7(task) -> bool:
+    n, cap = task
+    left = symmetrized_side(n, SIDE_LEFT, cap=cap).value
+    return frac_eq(left, symmetrized_side(n, SIDE_CYCLE, cap=cap).value)
+
+
+def _prop5(parts) -> bool:
+    mu = Partition(parts)
+    return frac_eq(constant_identity(mu, "prop5"), prop5_expected(mu))
+
+
+def _prop6(parts) -> bool:
+    mu = Partition(parts)
+    expected = FactoredFraction.constant((), Fraction(1, z_of(mu)))
+    return frac_eq(constant_identity(mu, "littlewood"), expected)
+
+
+def _prop7(task) -> bool:
+    n, cap = task
+    expected = FactoredFraction.constant(x_only_universe(n), math.factorial(n))
+    return frac_eq(symmetrized_constant(n, "prop7", cap=cap), expected)
+
+
+def _prop8(task) -> bool:
+    n, cap = task
+    uni = x_only_universe(n)
+    expected = FactoredFraction(
+        Polynomial.one(uni),
+        [Polynomial.variable(uni, f"x{i}") for i in range(1, n + 1)],
+    )
+    return frac_eq(symmetrized_constant(n, "prop8", cap=cap), expected)
+
+
+def _appendix(task) -> bool:
+    n, relation, side, cap = task
+    return appendix_step(n, relation, side, cap=cap)
+
+
+VERIFY_FAMILIES = {
+    "thm6": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm6),
+    "thm7": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm7),
+    "prop5": Family("max_weight", 6, _short_partitions, _mu_label, _prop5),
+    "prop6": Family("max_weight", 7, _short_partitions, _mu_label, _prop6),
+    "prop7": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _prop7),
+    "prop8": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _prop8),
+    "appendix": Family("n", SYMMETRIZED_CAP, _appendix_instances, _appendix_label, _appendix),
+}
+
+
+def _check_families(r: CriterionResult, runs) -> None:
+    """Check every instance of each (family name, size) at the family's cap."""
+    for name, size in runs:
+        family = VERIFY_FAMILIES[name]
+        for task in family.instances(size, family.cap):
+            r.check(family.check(task), f"{name} {family.label(task)}")
+
+
 def _display_example_n2() -> dict:
     """The three displayed size-2 sums, written out term by term."""
     uni = xy_universe(2)
@@ -247,89 +380,44 @@ def _display_example_n2() -> dict:
     return {SIDE_LEFT: left, SIDE_RIGHT: right, SIDE_CYCLE: cycle}
 
 
-def criterion_6_symmetrized(max_n: int = 4) -> CriterionResult:
+def criterion_6_symmetrized() -> CriterionResult:
     """Three-way agreement of the symmetrized sums, pinning the size-2 case
     to its written-out form."""
     r = CriterionResult(6, "three-way symmetrized identity")
     t0 = time.time()
-    for n in range(1, max_n + 1):
-        left = symmetrized_side(n, SIDE_LEFT).value
-        right = symmetrized_side(n, SIDE_RIGHT).value
-        cycle = symmetrized_side(n, SIDE_CYCLE).value
-        r.check(frac_eq(left, right), f"n={n} left=right")
-        r.check(frac_eq(left, cycle), f"n={n} left=cycle")
-        if n == 2:
-            for side, displayed in _display_example_n2().items():
-                computed = symmetrized_side(2, side).value
-                r.check(frac_eq(computed, displayed), f"n=2 display {side}")
+    _check_families(r, (("thm6", 4), ("thm7", 4)))
+    for side, displayed in _display_example_n2().items():
+        computed = symmetrized_side(2, side).value
+        r.check(frac_eq(computed, displayed), f"n=2 display {side}")
     r.elapsed = time.time() - t0
     return r
 
 
-def criterion_7_constants(
-    prop5_weight: int = 9,
-    prop5_length: int = 6,
-    littlewood_weight: int = 10,
-    littlewood_length: int = 7,
-    max_n: int = 5,
-) -> CriterionResult:
+def criterion_7_constants() -> CriterionResult:
     """Constant-valued symmetrizations."""
-    from fractions import Fraction
-
     r = CriterionResult(7, "constant-valued identities")
     t0 = time.time()
-    for mu in partitions_up_to(prop5_weight):
-        if mu.length > prop5_length:
-            continue
-        got = constant_identity(mu, "prop5")
-        r.check(frac_eq(got, prop5_expected(mu)), f"prop5 mu={mu}")
-    for mu in partitions_up_to(littlewood_weight):
-        if mu.length > littlewood_length:
-            continue
-        got = constant_identity(mu, "littlewood")
-        expected = FactoredFraction.constant((), Fraction(1, z_of(mu)))
-        r.check(frac_eq(got, expected), f"littlewood mu={mu}")
-    import math
-
-    for n in range(1, max_n + 1):
-        uni = x_only_universe(n)
-        got = symmetrized_constant(n, "prop7")
-        r.check(
-            frac_eq(got, FactoredFraction.constant(uni, math.factorial(n))),
-            f"prop7 n={n}",
-        )
-        got = symmetrized_constant(n, "prop8")
-        expected = FactoredFraction(
-            Polynomial.one(uni),
-            [Polynomial.variable(uni, f"x{i}") for i in range(1, n + 1)],
-        )
-        r.check(frac_eq(got, expected), f"prop8 n={n}")
+    _check_families(r, (("prop5", 9), ("prop6", 10), ("prop7", 5), ("prop8", 5)))
     r.elapsed = time.time() - t0
     return r
 
 
-def criterion_8_appendix(max_n: int = 4) -> CriterionResult:
+def criterion_8_appendix() -> CriterionResult:
     """Substitution recurrences for both sides and both relations."""
     r = CriterionResult(8, "substitution recurrences")
     t0 = time.time()
-    for n in range(2, max_n + 1):
-        for relation in (13, 14):
-            for side in ("L", "R"):
-                r.check(
-                    appendix_step(n, relation, side),
-                    f"n={n} relation={relation} side={side}",
-                )
+    _check_families(r, (("appendix", 4),))
     r.elapsed = time.time() - t0
     return r
 
 
-def criterion_9_positivity(max_weight: int = 8, max_length: int = 5) -> CriterionResult:
+def criterion_9_positivity() -> CriterionResult:
     """Positivity polynomial: coefficients, the q -> 1/q companion, the
     factorization identity, the two-row closed form."""
     r = CriterionResult(9, "positivity polynomial")
     t0 = time.time()
-    for mu in partitions_up_to(max_weight):
-        if mu.length > max_length:
+    for mu in partitions_up_to(8):
+        if mu.length > 5:
             continue
         report = positivity_report(mu)
         r.check(
@@ -352,12 +440,13 @@ def criterion_9_positivity(max_weight: int = 8, max_length: int = 5) -> Criterio
     return r
 
 
-def criterion_10_macdonald(max_n: int = 5, N: int = 3) -> CriterionResult:
+def criterion_10_macdonald() -> CriterionResult:
     """Row Macdonald polynomial suite: expansions, eigen-equation,
     coefficient identities, series identities, omega, inverse expansions."""
     r = CriterionResult(10, "row Macdonald polynomial suite")
     t0 = time.time()
-    for n in range(max_n + 1):
+    N = 3
+    for n in range(6):
         r.check(expansion_agreement(n, N), f"six-way expansion n={n}")
     for NN in (2, 3):
         r.check(eigenvalue_at_zero_matches(NN), f"degree-0 eigenvalue N={NN}")
@@ -367,7 +456,7 @@ def criterion_10_macdonald(max_n: int = 5, N: int = 3) -> CriterionResult:
         r.check(coefficient_sum_identities(NN), f"coefficient sums N={NN}")
     r.check(generating_shift_check(N, 5), "degree-marker shift series")
     r.check(alphabet_shift_check(N, 5), "alphabet shift series")
-    for n in range(1, max_n + 1):
+    for n in range(1, 6):
         r.check(omega_row_is_elementary(n), f"omega image n={n}")
     for n in range(1, 5):
         r.check(inverse_expansions_check(n, N), f"inverse expansions n={n}")
@@ -387,8 +476,3 @@ ALL_CRITERIA = (
     criterion_9_positivity,
     criterion_10_macdonald,
 )
-
-
-def run_all() -> list:
-    """Run every criterion at its default caps."""
-    return [fn() for fn in ALL_CRITERIA]

@@ -131,14 +131,9 @@ class Polynomial:
         return not self.terms or set(self.terms) == {(0,) * len(self.universe)}
 
     def constant_value(self) -> Coeff:
-        if not self.terms:
-            return 0
-        return self.terms[(0,) * len(self.universe)]
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        if not self.is_constant():
+            raise InvalidValueError(f"{self.text()} is not a constant")
+        return self.terms.get((0,) * len(self.universe), 0)
 
     def degree_of(self, name: str) -> int:
         if name not in self.universe:
@@ -336,11 +331,6 @@ class Polynomial:
         return f"Polynomial({self.text()!r})"
 
 
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact product of two polynomials over the same universe."""
-    return p * q
-
-
 def _sign_normalized(f: Polynomial):
     """Return (g, flipped) with g = +/-f such that the first term of g in
     canonical order has a positive coefficient."""
@@ -401,10 +391,6 @@ class FactoredFraction:
     @property
     def universe(self):
         return self.numerator.universe
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "FactoredFraction":
-        return cls(p)
 
     @classmethod
     def constant(cls, universe, c: Coeff) -> "FactoredFraction":
@@ -663,11 +649,6 @@ def frac_eq(f: FactoredFraction, g: FactoredFraction) -> bool:
     return f.eq(g)
 
 
-def substitute(f: FactoredFraction, bindings: Mapping[str, object], universe=None) -> FactoredFraction:
-    """Exact substitution into a fraction; see :meth:`FactoredFraction.substitute`."""
-    return f.substitute(bindings, universe)
-
-
 class TruncatedSeries:
     """Truncated power series in one distinguished variable, with exact
     fraction coefficients over the full universe (the expansion variable does
@@ -860,8 +841,3 @@ def geometric_sum(universe, name: str, n: int) -> Polynomial:
     for k in range(n):
         out = out + Polynomial.variable(universe, name, k)
     return out
-
-
-def one_minus_power(universe, name: str, n: int) -> Polynomial:
-    """1 - v^n."""
-    return Polynomial.one(universe) - Polynomial.variable(universe, name, n)

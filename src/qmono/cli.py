@@ -11,29 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import acceptance
-from .algebra import FactoredFraction, Polynomial, frac_eq
+from .algebra import Polynomial
 from .errors import QmonoError, ResourceLimitError, UsageError
-from .identities import (
-    SIDE_CYCLE,
-    SIDE_LEFT,
-    SIDE_RIGHT,
-    appendix_step,
-    constant_identity,
-    prop5_expected,
-    symmetrized_constant,
-    symmetrized_side,
-    x_only_universe,
-)
 from .macdonald import eigencheck, row_expansion_table
-from .partitions import Partition, partitions_up_to, z_of
+from .partitions import Partition, partitions_up_to
 from .positivity import positivity_report
 from .specialize import UNIVERSE_ABQ, monomial_spec, spec_oracle
 
@@ -100,12 +87,16 @@ def thread_count() -> int:
 
 
 def _parallel_map(fn, items: list) -> list:
+    """``[fn(item) for item in items]``, on a process pool when
+    ``QMONO_THREADS`` asks for one; the pool is no larger than the thread
+    count, the item count or the CPU count."""
     threads = thread_count()
     items = list(items)
-    if threads > 1 and len(items) > 1:
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(min(threads, len(items))) as pool:
+        with multiprocessing.Pool(workers) as pool:
             return pool.map(fn, items)
     return [fn(item) for item in items]
 
@@ -182,101 +173,19 @@ def cmd_specialize(args) -> RunReport:
 # -- verify ------------------------------------------------------------------
 
 
-def _verify_thm6(task):
-    n, cap = task
-    left = symmetrized_side(n, SIDE_LEFT, cap=cap).value
-    right = symmetrized_side(n, SIDE_RIGHT, cap=cap).value
-    return {"instance": f"n={n}", "ok": frac_eq(left, right)}
-
-
-def _verify_thm7(task):
-    n, cap = task
-    left = symmetrized_side(n, SIDE_LEFT, cap=cap).value
-    cycle = symmetrized_side(n, SIDE_CYCLE, cap=cap).value
-    return {"instance": f"n={n}", "ok": frac_eq(left, cycle)}
-
-
-def _verify_prop5(task):
-    parts = task
-    mu = Partition(parts)
-    ok = frac_eq(constant_identity(mu, "prop5"), prop5_expected(mu))
-    return {"instance": f"mu={list(parts)}", "ok": ok}
-
-
-def _verify_prop6(task):
-    parts = task
-    mu = Partition(parts)
-    got = constant_identity(mu, "littlewood")
-    ok = got.numerator.constant_value() == Fraction(1, z_of(mu))
-    return {"instance": f"mu={list(parts)}", "ok": ok}
-
-
-def _verify_prop7(task):
-    n, cap = task
-    got = symmetrized_constant(n, "prop7", cap=cap)
-    expected = FactoredFraction.constant(x_only_universe(n), math.factorial(n))
-    return {"instance": f"n={n}", "ok": frac_eq(got, expected)}
-
-
-def _verify_prop8(task):
-    n, cap = task
-    got = symmetrized_constant(n, "prop8", cap=cap)
-    uni = x_only_universe(n)
-    expected = FactoredFraction(
-        Polynomial.one(uni),
-        [Polynomial.variable(uni, f"x{i}") for i in range(1, n + 1)],
-    )
-    return {"instance": f"n={n}", "ok": frac_eq(got, expected)}
-
-
-def _verify_appendix(task):
-    n, relation, side, cap = task
-    ok = appendix_step(n, relation, side, cap=cap)
-    return {"instance": f"n={n} relation={relation} side={side}", "ok": ok}
-
-
-_VERIFY_DISPATCH = {
-    "thm6": _verify_thm6,
-    "thm7": _verify_thm7,
-    "prop5": _verify_prop5,
-    "prop6": _verify_prop6,
-    "prop7": _verify_prop7,
-    "prop8": _verify_prop8,
-    "appendix": _verify_appendix,
-}
-
-
-def _verify_tasks(identity: str, args) -> list:
-    from .identities import SYMMETRIZED_CAP
-
-    cap = args.max_n if args.max_n is not None else SYMMETRIZED_CAP
-    if identity in ("thm6", "thm7", "prop7", "prop8"):
-        return [(n, cap) for n in range(1, args.n + 1)]
-    if identity == "appendix":
-        return [
-            (n, relation, side, cap)
-            for n in range(2, args.n + 1)
-            for relation in (13, 14)
-            for side in ("L", "R")
-        ]
-    if identity in ("prop5", "prop6"):
-        max_length = 6 if identity == "prop5" else 7
-        return [
-            tuple(mu.parts)
-            for mu in partitions_up_to(args.max_weight)
-            if mu.length <= max_length
-        ]
-    raise UsageError(f"unknown identity {identity!r}")
-
-
 def cmd_verify(args) -> RunReport:
     report = RunReport("verify")
     t0 = time.time()
-    fn = _VERIFY_DISPATCH.get(args.identity)
-    if fn is None:
-        raise UsageError(f"unknown identity {args.identity!r}")
-    tasks = _verify_tasks(args.identity, args)
-    results = _parallel_map(fn, tasks)
+    family = acceptance.VERIFY_FAMILIES[args.identity]
+    size = getattr(args, family.size_flag)
+    cap = family.cap
+    if family.size_flag == "n" and args.max_n is not None:
+        cap = args.max_n
+    tasks = family.instances(size, cap)
+    if not tasks:
+        raise UsageError(f"{args.identity} has no instance up to size {size}")
+    oks = _parallel_map(family.check, tasks)
+    results = [{"instance": family.label(t), "ok": ok} for t, ok in zip(tasks, oks)]
     for res in results:
         report.record(res["instance"], res["ok"])
     report.elapsed = time.time() - t0
@@ -351,6 +260,8 @@ def cmd_positivity(args) -> RunReport:
     else:
         partitions = partitions_up_to(args.max_weight)
     tasks = [tuple(mu.parts) for mu in partitions]
+    if not tasks:
+        raise UsageError(f"positivity has no partition up to weight {args.max_weight}")
     results = _parallel_map(_positivity_instance, tasks)
     for res in results:
         report.record(f"mu={res['mu']}", res["ok"])
@@ -446,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--identity",
         required=True,
-        choices=sorted(_VERIFY_DISPATCH),
+        choices=sorted(acceptance.VERIFY_FAMILIES),
     )
     p.add_argument("--n", type=int, default=4, help="largest alphabet/sum size")
     p.add_argument("--max-weight", type=int, default=9, help="partition sweep bound")

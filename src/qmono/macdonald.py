@@ -203,12 +203,6 @@ class SymmetricPolynomial:
                 coeffs[_strip(key)] = s
         return SymmetricPolynomial(self.N, coeffs)
 
-    def truncate(self, max_degree: int) -> "SymmetricPolynomial":
-        return SymmetricPolynomial(
-            self.N,
-            {k: f for k, f in self.coeffs.items() if sum(k) <= max_degree},
-        )
-
     def homogeneous_part(self, n: int) -> "SymmetricPolynomial":
         return SymmetricPolynomial(
             self.N, {k: f for k, f in self.coeffs.items() if sum(k) == n}
@@ -284,9 +278,6 @@ class ExpansionTable:
     n: int
     basis: str
     entries: tuple
-
-    def as_dict(self) -> dict:
-        return {mu: f for mu, f in self.entries}
 
     def coefficient(self, mu: Partition) -> FactoredFraction:
         for m, f in self.entries:

@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import multiprocessing
 
 import pytest
 
+from qmono import acceptance, cli
 from qmono.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -39,6 +42,31 @@ class TestParsing:
             parse_substitutions("z=1")
         with pytest.raises(UsageError):
             parse_substitutions("a")
+
+    def test_pool_is_clamped_to_cpu_count(self, monkeypatch):
+        asked = []
+
+        class FakePool:
+            def __init__(self, size):
+                asked.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setenv("QMONO_THREADS", "64")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert cli._parallel_map(abs, range(-10, 0)) == list(range(10, 0, -1))
+        assert asked == [3]
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._parallel_map(abs, [-1, -2]) == [1, 2]
+        assert asked == [3]
 
     def test_thread_count(self, monkeypatch):
         monkeypatch.delenv("QMONO_THREADS", raising=False)
@@ -108,6 +136,71 @@ class TestVerifyCommand:
         assert exc.value.code == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "identity, flag, size, labels",
+        [
+            ("thm6", "--n", 2, ["n=1", "n=2"]),
+            ("thm7", "--n", 2, ["n=1", "n=2"]),
+            ("prop5", "--max-weight", 3,
+             ["mu=[1]", "mu=[2]", "mu=[1, 1]", "mu=[3]", "mu=[2, 1]", "mu=[1, 1, 1]"]),
+            ("prop6", "--max-weight", 3,
+             ["mu=[1]", "mu=[2]", "mu=[1, 1]", "mu=[3]", "mu=[2, 1]", "mu=[1, 1, 1]"]),
+            ("prop7", "--n", 3, ["n=1", "n=2", "n=3"]),
+            ("prop8", "--n", 3, ["n=1", "n=2", "n=3"]),
+            ("appendix", "--n", 2,
+             [f"n=2 relation={r} side={s}" for r in (13, 14) for s in ("L", "R")]),
+        ],
+        ids=["thm6", "thm7", "prop5", "prop6", "prop7", "prop8", "appendix"],
+    )
+    def test_every_identity(self, capsys, identity, flag, size, labels):
+        code, out, _ = run(
+            capsys, "verify", "--identity", identity, flag, str(size), "--format", "json"
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["instances_checked"] > 0
+        assert [res["instance"] for res in doc["results"]] == labels
+        assert all(res["ok"] for res in doc["results"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--identity", "thm6", "--n", "0"],
+            ["--identity", "appendix", "--n", "1"],
+            ["--identity", "prop5", "--max-weight", "0"],
+        ],
+        ids=["thm6", "appendix", "prop5"],
+    )
+    def test_zero_instances_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "no instance" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--identity", "prop8", "--n", "6"],
+            ["--identity", "thm6", "--n", "6"],
+            ["--identity", "appendix", "--n", "6"],
+            ["--identity", "thm7", "--n", "3", "--max-n", "2"],
+        ],
+        ids=["prop8", "thm6", "appendix", "thm7-max-n"],
+    )
+    def test_cap_is_checked_before_any_work(self, capsys, monkeypatch, argv):
+        identity = argv[1]
+        calls = []
+        family = acceptance.VERIFY_FAMILIES[identity]
+        monkeypatch.setitem(
+            acceptance.VERIFY_FAMILIES,
+            identity,
+            dataclasses.replace(family, check=lambda task: calls.append(task) or True),
+        )
+        code, _, err = run(capsys, "verify", *argv)
+        assert code == EXIT_RESOURCE
+        assert "cap" in err
+        assert calls == []
+
     def test_parallel_matches_sequential(self, capsys, monkeypatch):
         code, seq, _ = run(
             capsys, "verify", "--identity", "prop5", "--max-weight", "4",
@@ -162,6 +255,12 @@ class TestPositivityCommand:
         code, out, _ = run(capsys, "positivity", "--max-weight", "4")
         assert code == EXIT_OK
         assert "0 failures" in out
+
+    def test_zero_instances_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "positivity", "--max-weight", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "no partition" in err
 
 
 class TestEigencheckCommand:
