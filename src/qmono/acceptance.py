@@ -97,24 +97,24 @@ class CriterionResult:
 def criterion_1_two_forms() -> CriterionResult:
     """Both closed forms of the monomial specialization agree."""
     r = CriterionResult(1, "two closed forms agree")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for mu in partitions_up_to(8):
         z = monomial_spec(mu, "theorem1").value
         w = monomial_spec(mu, "theorem3").value
         r.check(frac_eq(z, w), f"mu={mu}")
-    r.elapsed = time.time() - t0
+    r.elapsed = time.perf_counter() - t0
     return r
 
 
 def criterion_2_powersum_oracle() -> CriterionResult:
     """The closed form equals the cycle-expansion oracle."""
     r = CriterionResult(2, "power-sum oracle equivalence")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for mu in partitions_up_to(7):
         z = monomial_spec(mu).value
         o = oracle_powersum(mu).value
         r.check(frac_eq(z, o), f"mu={mu}")
-    r.elapsed = time.time() - t0
+    r.elapsed = time.perf_counter() - t0
     return r
 
 
@@ -122,7 +122,7 @@ def criterion_3_evaluation_oracle() -> CriterionResult:
     """Substituting a = 1, b = q^N matches direct evaluation on
     {1, q, ..., q^(N-1)}."""
     r = CriterionResult(3, "finite-alphabet evaluation oracle")
-    t0 = time.time()
+    t0 = time.perf_counter()
     q = Polynomial.variable(UNIVERSE_ABQ, "q")
     for mu in partitions_up_to(6):
         z = monomial_spec(mu).value
@@ -130,7 +130,7 @@ def criterion_3_evaluation_oracle() -> CriterionResult:
             got = z.substitute({"a": 1, "b": q ** N})
             expected = oracle_direct(mu, N).value
             r.check(frac_eq(got, expected), f"mu={mu} N={N}")
-    r.elapsed = time.time() - t0
+    r.elapsed = time.perf_counter() - t0
     return r
 
 
@@ -138,7 +138,7 @@ def criterion_4_gauss_polynomials() -> CriterionResult:
     """The elementary generator at a = 1, b = q^N is q^(k(k-1)/2) times the
     q-binomial product."""
     r = CriterionResult(4, "Gauss polynomial specialization")
-    t0 = time.time()
+    t0 = time.perf_counter()
     one = Polynomial.one(UNIVERSE_ABQ)
     q = Polynomial.variable(UNIVERSE_ABQ, "q")
     for N in range(1, 7):
@@ -152,7 +152,7 @@ def criterion_4_gauss_polynomials() -> CriterionResult:
                 num = num * (one - q ** (N - i + 1))
                 den.append(one - q ** i)
             r.check(frac_eq(got, FactoredFraction(num, den)), f"k={k} N={N}")
-    r.elapsed = time.time() - t0
+    r.elapsed = time.perf_counter() - t0
     return r
 
 
@@ -160,7 +160,7 @@ def criterion_5_recurrences() -> CriterionResult:
     """Weight-peeling recurrences for both closed forms, generic and at the
     one-letter specializations."""
     r = CriterionResult(5, "peeling recurrences")
-    t0 = time.time()
+    t0 = time.perf_counter()
     one = Polynomial.one(UNIVERSE_ABQ)
     one_qt = Polynomial.one(UNIVERSE_QT)
     t = Polynomial.variable(UNIVERSE_QT, "t")
@@ -217,7 +217,7 @@ def criterion_5_recurrences() -> CriterionResult:
             frac_eq(m_spec * peel_qt, FactoredFraction.sum(rhs, universe=UNIVERSE_QT)),
             f"shifted-alphabet recurrence mu={mu}",
         )
-    r.elapsed = time.time() - t0
+    r.elapsed = time.perf_counter() - t0
     return r
 
 
@@ -384,30 +384,30 @@ def criterion_6_symmetrized() -> CriterionResult:
     """Three-way agreement of the symmetrized sums, pinning the size-2 case
     to its written-out form."""
     r = CriterionResult(6, "three-way symmetrized identity")
-    t0 = time.time()
+    t0 = time.perf_counter()
     _check_families(r, (("thm6", 4), ("thm7", 4)))
     for side, displayed in _display_example_n2().items():
         computed = symmetrized_side(2, side).value
         r.check(frac_eq(computed, displayed), f"n=2 display {side}")
-    r.elapsed = time.time() - t0
+    r.elapsed = time.perf_counter() - t0
     return r
 
 
 def criterion_7_constants() -> CriterionResult:
     """Constant-valued symmetrizations."""
     r = CriterionResult(7, "constant-valued identities")
-    t0 = time.time()
+    t0 = time.perf_counter()
     _check_families(r, (("prop5", 9), ("prop6", 10), ("prop7", 5), ("prop8", 5)))
-    r.elapsed = time.time() - t0
+    r.elapsed = time.perf_counter() - t0
     return r
 
 
 def criterion_8_appendix() -> CriterionResult:
     """Substitution recurrences for both sides and both relations."""
     r = CriterionResult(8, "substitution recurrences")
-    t0 = time.time()
+    t0 = time.perf_counter()
     _check_families(r, (("appendix", 4),))
-    r.elapsed = time.time() - t0
+    r.elapsed = time.perf_counter() - t0
     return r
 
 
@@ -415,7 +415,7 @@ def criterion_9_positivity() -> CriterionResult:
     """Positivity polynomial: coefficients, the q -> 1/q companion, the
     factorization identity, the two-row closed form."""
     r = CriterionResult(9, "positivity polynomial")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for mu in partitions_up_to(8):
         if mu.length > 5:
             continue
@@ -426,7 +426,7 @@ def criterion_9_positivity() -> CriterionResult:
         )
         r.check(report.Hbar is not None, f"inverted polynomial mu={mu}")
         r.check(report.identity_holds, f"factorization mu={mu}")
-        r.check(auxiliary_identity_check(mu), f"auxiliary identity mu={mu}")
+        r.check(auxiliary_identity_check(report), f"auxiliary identity mu={mu}")
     h21 = positivity_polynomial(Partition((2, 1)))
     expected = Polynomial(UNIVERSE_QT, {(0, 0): 1, (1, 0): 2, (0, 1): 2, (1, 1): 1})
     r.check(h21 == expected, "closed value for (2,1)")
@@ -436,7 +436,7 @@ def criterion_9_positivity() -> CriterionResult:
                 two_row_closed_form(n, k) == positivity_polynomial(Partition((n, k))),
                 f"two-row closed form n={n} k={k}",
             )
-    r.elapsed = time.time() - t0
+    r.elapsed = time.perf_counter() - t0
     return r
 
 
@@ -444,7 +444,7 @@ def criterion_10_macdonald() -> CriterionResult:
     """Row Macdonald polynomial suite: expansions, eigen-equation,
     coefficient identities, series identities, omega, inverse expansions."""
     r = CriterionResult(10, "row Macdonald polynomial suite")
-    t0 = time.time()
+    t0 = time.perf_counter()
     N = 3
     for n in range(6):
         r.check(expansion_agreement(n, N), f"six-way expansion n={n}")
@@ -460,7 +460,7 @@ def criterion_10_macdonald() -> CriterionResult:
         r.check(omega_row_is_elementary(n), f"omega image n={n}")
     for n in range(1, 5):
         r.check(inverse_expansions_check(n, N), f"inverse expansions n={n}")
-    r.elapsed = time.time() - t0
+    r.elapsed = time.perf_counter() - t0
     return r
 
 

@@ -45,6 +45,37 @@ def _term_key(exps):
     return (sum(exps), tuple(-e for e in exps))
 
 
+def _mul_terms(a: dict, b: dict, out: dict) -> dict:
+    """Add the product of two term maps into ``out`` and return it."""
+    if len(a) > len(b):
+        a, b = b, a
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def _power_terms(cache: dict, e: int) -> dict:
+    """The e-th power of the term map ``cache[1]``; ``cache`` holds the
+    powers 1..k computed so far."""
+    while e not in cache:
+        top = len(cache)
+        cache[top + 1] = _mul_terms(cache[top], cache[1], {})
+    return cache[e]
+
+
+def _sparse_monomial(terms: dict):
+    """A one-term map as ((slot, exponent) pairs of its nonzero exponents,
+    coefficient)."""
+    (exps, c), = terms.items()
+    return tuple((j, k) for j, k in enumerate(exps) if k), c
+
+
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
@@ -189,19 +220,7 @@ class Polynomial:
                 self.universe, {e: c * other for e, c in self.terms.items()}
             )
         self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Polynomial._raw(self.universe, out)
+        return Polynomial._raw(self.universe, _mul_terms(self.terms, other.terms, {}))
 
     __rmul__ = __mul__
 
@@ -234,67 +253,65 @@ class Polynomial:
     # -- substitution ------------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, object], universe=None) -> "Polynomial":
-        """Substitute polynomial values for variables, optionally retargeting
-        the result onto a new universe.  Every variable of the current
-        universe must either appear in ``bindings`` or exist in the target
-        universe (where it maps to itself)."""
+        """Substitute polynomial values for variables, optionally onto a new
+        universe.  An unbound variable maps to itself; it is an error only if
+        it occurs in a term and is absent from the target universe.  With no
+        bindings this re-expresses the polynomial over ``universe``."""
         target = tuple(universe) if universe is not None else self.universe
-        values = {}
-        for name, v in bindings.items():
+        width = len(target)
+        for name in bindings:
             if name not in self.universe:
                 raise UsageError(f"binding for unknown variable {name!r}")
-            if isinstance(v, (int, Fraction)):
-                v = Polynomial.constant(target, v)
-            if not isinstance(v, Polynomial):
-                raise UsageError("bindings must be Polynomial, int or Fraction")
-            if v.universe != target:
-                raise UsageError("binding value not over the target universe")
-            values[name] = v
+        images = []
         for name in self.universe:
-            if name not in values:
-                if name not in target:
-                    raise UsageError(
-                        f"variable {name!r} unbound and absent from target universe"
-                    )
-                values[name] = Polynomial.variable(target, name)
-        order = [values[name] for name in self.universe]
-        powers = [{0: Polynomial.one(target)} for _ in order]
-        result = Polynomial.zero(target)
-        for exps, c in self.terms.items():
-            term = Polynomial.constant(target, c)
-            for i, e in enumerate(exps):
-                if e:
-                    cache = powers[i]
-                    if e not in cache:
-                        top = max(cache)
-                        p = cache[top]
-                        while top < e:
-                            p = p * order[i]
-                            top += 1
-                            cache[top] = p
-                    term = term * cache[e]
-            result = result + term
-        return result
-
-    def retarget(self, universe) -> "Polynomial":
-        """Re-express over another universe; dropped variables must not occur."""
-        target = tuple(universe)
-        if target == self.universe:
-            return self
-        pos = {name: i for i, name in enumerate(target)}
-        width = len(target)
+            if name in bindings:
+                v = bindings[name]
+                if isinstance(v, (int, Fraction)):
+                    v = Polynomial.constant(target, v)
+                if not isinstance(v, Polynomial):
+                    raise UsageError("bindings must be Polynomial, int or Fraction")
+                if v.universe != target:
+                    raise UsageError("binding value not over the target universe")
+                images.append(v.terms)
+            elif name in target:
+                images.append(Polynomial.variable(target, name).terms)
+            else:
+                images.append(None)
+        # A one-term image shifts the exponent vector and scales the
+        # coefficient; longer images are multiplied in from cached powers.
+        shifts = [
+            _sparse_monomial(img) if img and len(img) == 1 else None for img in images
+        ]
+        powers = [{1: img} for img in images]
+        unit = {(0,) * width: 1}
         out = {}
         for exps, c in self.terms.items():
-            new = [0] * width
-            for name, e in zip(self.universe, exps):
-                if e == 0:
+            mono = [0] * width
+            factors = []
+            for i, e in enumerate(exps):
+                if not e:
                     continue
-                if name not in pos:
+                img = images[i]
+                if img is None:
                     raise UsageError(
-                        f"variable {name!r} occurs but is absent from {target}"
+                        f"variable {self.universe[i]!r} occurs but is absent from {target}"
                     )
-                new[pos[name]] = e
-            out[tuple(new)] = c
+                if not img:
+                    break  # a zero image kills the term
+                if shifts[i] is None:
+                    factors.append(_power_terms(powers[i], e))
+                    continue
+                slots, vc = shifts[i]
+                for j, k in slots:
+                    mono[j] += e * k
+                if vc != 1:
+                    c = c * vc ** e
+            else:
+                *rest, last = factors or [unit]
+                head = {tuple(mono): c}
+                for f in rest:
+                    head = _mul_terms(head, f, {})
+                _mul_terms(head, last, out)
         return Polynomial._raw(target, out)
 
     # -- canonical text ----------------------------------------------------
@@ -585,15 +602,6 @@ class FactoredFraction:
             result = result * nf.inverse() ** m
         return result
 
-    def retarget(self, universe) -> "FactoredFraction":
-        target = tuple(universe)
-        if target == self.universe:
-            return self
-        return FactoredFraction(
-            self.numerator.retarget(target),
-            ((f.retarget(target), m) for f, m in self.denominator),
-        )
-
     # -- canonical text ----------------------------------------------------
 
     def text(self) -> str:
@@ -622,20 +630,23 @@ class FactoredFraction:
 
 
 def _substitute_to_fraction(p: Polynomial, fracs, target) -> FactoredFraction:
-    for name in p.universe:
-        if name not in fracs:
-            if name not in target:
-                raise UsageError(
-                    f"variable {name!r} unbound and absent from target universe"
-                )
-            fracs[name] = FactoredFraction(Polynomial.variable(target, name))
-    order = [fracs[name] for name in p.universe]
-    caches = [{0: FactoredFraction.one(target)} for _ in order]
+    # Unbound variables follow the rule of Polynomial.substitute.
+    order = [
+        fracs[name] if name in fracs
+        else FactoredFraction(Polynomial.variable(target, name)) if name in target
+        else None
+        for name in p.universe
+    ]
+    caches = [{} for _ in order]
     terms = []
     for exps, c in p.terms.items():
         term = FactoredFraction.constant(target, c)
         for i, e in enumerate(exps):
             if e:
+                if order[i] is None:
+                    raise UsageError(
+                        f"variable {p.universe[i]!r} occurs but is absent from {target}"
+                    )
                 cache = caches[i]
                 if e not in cache:
                     cache[e] = order[i] ** e
@@ -700,18 +711,10 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction, Polynomial, FactoredFraction)):
             return self.scale(other)
         self._check(other)
-        buckets = [[] for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coefficients):
-            if a.is_zero:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coefficients[j]
-                if not b.is_zero:
-                    buckets[i + j].append(a * b)
         return TruncatedSeries(
             self.variable,
             self.order,
-            [FactoredFraction.sum(b, universe=self.universe) for b in buckets],
+            _series_product(self.coefficients, other.coefficients, self.order),
         )
 
     __rmul__ = __mul__
@@ -732,8 +735,8 @@ class TruncatedSeries:
 
     def mul_polynomial(self, p: Polynomial) -> "TruncatedSeries":
         """Multiply by a polynomial in the expansion variable (truncated)."""
-        coeffs = _series_mul_poly(
-            list(self.coefficients), p, self.variable, self.order
+        coeffs = _series_product(
+            self.coefficients, _coefficients_in(p, self.variable), self.order
         )
         return TruncatedSeries(self.variable, self.order, coeffs)
 
@@ -756,18 +759,28 @@ def _split_in_var(p: Polynomial, var: str):
     return {k: Polynomial._raw(p.universe, t) for k, t in parts.items()}
 
 
-def _series_mul_poly(coeffs, p: Polynomial, var: str, order: int):
+def _coefficients_in(p: Polynomial, var: str) -> list:
+    """The coefficients of ``var``^0, ^1, ... up to the degree of ``p``."""
     parts = _split_in_var(p, var)
-    uni = p.universe
+    zero = FactoredFraction.zero(p.universe)
+    return [
+        FactoredFraction(parts[k]) if k in parts else zero
+        for k in range(max(parts, default=0) + 1)
+    ]
+
+
+def _series_product(a: Sequence, b: Sequence, order: int) -> list:
+    """The Cauchy product of two nonempty coefficient lists, cut off at
+    ``order``."""
+    universe = a[0].universe
     buckets = [[] for _ in range(order + 1)]
-    for k, pk in parts.items():
-        if k > order:
+    for i, x in enumerate(a[: order + 1]):
+        if x.is_zero:
             continue
-        for j in range(order + 1 - k):
-            a = coeffs[j]
-            if not a.is_zero:
-                buckets[j + k].append(a * pk)
-    return [FactoredFraction.sum(b, universe=uni) for b in buckets]
+        for j, y in enumerate(b[: order + 1 - i]):
+            if not y.is_zero:
+                buckets[i + j].append(x * y)
+    return [FactoredFraction.sum(bk, universe=universe) for bk in buckets]
 
 
 def _series_inverse(d: Polynomial, var: str, order: int):
@@ -816,20 +829,11 @@ def series_expand(
             raise UsageError("variable universes differ")
     if var not in universe:
         raise UsageError(f"{var!r} not in universe {universe}")
-    coeffs = [FactoredFraction.one(universe)] + [
-        FactoredFraction.zero(universe) for _ in range(order)
-    ]
+    coeffs = TruncatedSeries.one(universe, var, order).coefficients
     for f in numerator_factors:
-        coeffs = _series_mul_poly(coeffs, f, var, order)
+        coeffs = _series_product(coeffs, _coefficients_in(f, var), order)
     for f in denominator_factors:
-        inv = _series_inverse(f, var, order)
-        buckets = [[] for _ in range(order + 1)]
-        for i, a in enumerate(coeffs):
-            if a.is_zero:
-                continue
-            for j in range(order + 1 - i):
-                buckets[i + j].append(a * inv[j])
-        coeffs = [FactoredFraction.sum(b, universe=universe) for b in buckets]
+        coeffs = _series_product(coeffs, _series_inverse(f, var, order), order)
     return TruncatedSeries(var, order, coeffs)
 
 

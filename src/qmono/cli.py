@@ -149,7 +149,7 @@ def parse_substitutions(text: str) -> dict:
 
 def cmd_specialize(args) -> RunReport:
     report = RunReport("specialize")
-    t0 = time.time()
+    t0 = time.perf_counter()
     mu = parse_partition(args.mu)
     if args.form == "oracle-powersum":
         result = spec_oracle(mu, "powersum")
@@ -166,21 +166,27 @@ def cmd_specialize(args) -> RunReport:
     record = {"partition": mu.to_json(), **value.to_json()}
     print(dumps(record))
     report.instances_checked = 1
-    report.elapsed = time.time() - t0
+    report.elapsed = time.perf_counter() - t0
     return report
 
 
 # -- verify ------------------------------------------------------------------
 
+# The size of a verify run when its family's size flag is omitted.
+_VERIFY_SIZE_DEFAULTS = {"n": 4, "max_weight": 9}
+
 
 def cmd_verify(args) -> RunReport:
     report = RunReport("verify")
-    t0 = time.time()
+    t0 = time.perf_counter()
     family = acceptance.VERIFY_FAMILIES[args.identity]
+    for flag in ("max_weight",) if family.size_flag == "n" else ("n", "max_n"):
+        if getattr(args, flag) is not None:
+            raise UsageError(f"--{flag.replace('_', '-')} does not apply to {args.identity}")
     size = getattr(args, family.size_flag)
-    cap = family.cap
-    if family.size_flag == "n" and args.max_n is not None:
-        cap = args.max_n
+    if size is None:
+        size = _VERIFY_SIZE_DEFAULTS[family.size_flag]
+    cap = args.max_n if args.max_n is not None else family.cap
     tasks = family.instances(size, cap)
     if not tasks:
         raise UsageError(f"{args.identity} has no instance up to size {size}")
@@ -188,7 +194,7 @@ def cmd_verify(args) -> RunReport:
     results = [{"instance": family.label(t), "ok": ok} for t, ok in zip(tasks, oks)]
     for res in results:
         report.record(res["instance"], res["ok"])
-    report.elapsed = time.time() - t0
+    report.elapsed = time.perf_counter() - t0
     doc = {
         "identity": args.identity,
         "results": results,
@@ -211,13 +217,13 @@ def cmd_verify(args) -> RunReport:
 
 def cmd_expand(args) -> RunReport:
     report = RunReport("expand")
-    t0 = time.time()
+    t0 = time.perf_counter()
     basis = _CLI_BASES.get(args.basis)
     if basis is None:
         raise UsageError(f"unknown basis {args.basis!r}")
     table = row_expansion_table(args.n, basis)
     report.instances_checked = len(table.entries)
-    report.elapsed = time.time() - t0
+    report.elapsed = time.perf_counter() - t0
     if args.format == "json":
         doc = {
             "n": args.n,
@@ -254,7 +260,7 @@ def _positivity_instance(task):
 
 def cmd_positivity(args) -> RunReport:
     report = RunReport("positivity")
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.mu:
         partitions = [parse_partition(args.mu)]
     else:
@@ -265,7 +271,7 @@ def cmd_positivity(args) -> RunReport:
     results = _parallel_map(_positivity_instance, tasks)
     for res in results:
         report.record(f"mu={res['mu']}", res["ok"])
-    report.elapsed = time.time() - t0
+    report.elapsed = time.perf_counter() - t0
     if args.format == "json":
         print(dumps({"results": results, **report.to_json()}))
     else:
@@ -284,13 +290,13 @@ def cmd_positivity(args) -> RunReport:
 
 def cmd_eigencheck(args) -> RunReport:
     report = RunReport("eigencheck")
-    t0 = time.time()
+    t0 = time.perf_counter()
     from .macdonald import OPERATOR_N_CAP
 
     cap = args.max_N if args.max_N is not None else OPERATOR_N_CAP
     ok = eigencheck(args.n, args.N, cap=cap)
     report.record(f"n={args.n} N={args.N}", ok)
-    report.elapsed = time.time() - t0
+    report.elapsed = time.perf_counter() - t0
     doc = {"n": args.n, "N": args.N, "ok": ok, **report.to_json()}
     if args.format == "json":
         print(dumps(doc))
@@ -304,7 +310,7 @@ def cmd_eigencheck(args) -> RunReport:
 
 def cmd_selftest(args) -> RunReport:
     report = RunReport("selftest")
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = []
     for criterion in acceptance.ALL_CRITERIA:
         res = criterion()
@@ -317,7 +323,7 @@ def cmd_selftest(args) -> RunReport:
                 {"instance": f"criterion {res.number}: {failure}",
                  "expected": "pass", "actual": "fail"}
             )
-    report.elapsed = time.time() - t0
+    report.elapsed = time.perf_counter() - t0
     if args.format == "json":
         print(dumps({"criteria": [r.to_json() for r in results], **report.to_json()}))
     else:
@@ -359,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=sorted(acceptance.VERIFY_FAMILIES),
     )
-    p.add_argument("--n", type=int, default=4, help="largest alphabet/sum size")
-    p.add_argument("--max-weight", type=int, default=9, help="partition sweep bound")
+    p.add_argument("--n", type=int, help="largest alphabet/sum size (default 4)")
+    p.add_argument("--max-weight", type=int, help="partition sweep bound (default 9)")
     p.add_argument("--max-n", type=int, default=None, help="override the symmetrized-sum cap")
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(fn=cmd_verify)

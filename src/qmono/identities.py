@@ -120,16 +120,16 @@ def symmetrized_side(n: int, side: str, cap: int = SYMMETRIZED_CAP) -> Symmetriz
     return SymmetrizedSum(n, side, solve(tuple(range(1, n + 1))))
 
 
-def symmetrized_side_enumerated(n: int, side: str, cap: int = SYMMETRIZED_CAP) -> SymmetrizedSum:
+def symmetrized_side_enumerated(n: int, side: str) -> SymmetrizedSum:
     """The definitional permutation-by-permutation sum; used as a reference
     against the peeled assembly."""
     if side not in SIDES:
         raise UsageError(f"unknown side {side!r}")
-    _check_size(n, cap)
+    _check_size(n, SYMMETRIZED_CAP)
     uni = xy_universe(n)
     one = Polynomial.one(uni)
     terms = []
-    for perm in permutations_with_cycles(n, cap=cap):
+    for perm in permutations_with_cycles(n):
         sigma = perm.mapping
         if side == SIDE_CYCLE:
             num = one
@@ -230,15 +230,15 @@ def symmetrized_constant(n: int, kind: str, cap: int = SYMMETRIZED_CAP) -> Facto
     return solve(tuple(range(1, n + 1)))
 
 
-def symmetrized_constant_enumerated(n: int, kind: str, cap: int = SYMMETRIZED_CAP) -> FactoredFraction:
+def symmetrized_constant_enumerated(n: int, kind: str) -> FactoredFraction:
     """Reference permutation-by-permutation form of symmetrized_constant."""
     if kind not in ("prop7", "prop8"):
         raise UsageError(f"unknown symmetrized constant {kind!r}")
-    _check_size(n, cap)
+    _check_size(n, SYMMETRIZED_CAP)
     uni = x_only_universe(n)
     one = Polynomial.one(uni)
     terms = []
-    for perm in permutations_with_cycles(n, cap=cap):
+    for perm in permutations_with_cycles(n):
         sigma = perm.mapping
         if kind == "prop7":
             num = one
@@ -292,7 +292,7 @@ def appendix_step(n: int, relation: int, side: str, cap: int = SYMMETRIZED_CAP) 
         rhs = FactoredFraction.sum(rhs_terms, universe=uni)
     else:
         lhs = f_n.substitute({f"y{n}": 1})
-        rhs_terms = [f_prev.retarget(uni)]
+        rhs_terms = [f_prev.substitute({}, universe=uni)]
         for i in range(1, n):
             bindings = {
                 f"x{i}": Polynomial.monomial(uni, {f"x{i}": 1, f"x{n}": 1}),

@@ -19,6 +19,7 @@ from .algebra import (
     FactoredFraction,
     Polynomial,
     frac_eq,
+    geometric_sum,
     series_expand,
 )
 from .errors import InternalConsistencyError, ResourceLimitError, UsageError
@@ -231,7 +232,7 @@ class SymmetricPolynomial:
                 orbit = orbit + Polynomial.monomial(
                     universe, {f"x{i + 1}": e for i, e in enumerate(exps) if e}
                 )
-            terms.append(f.retarget(universe) * orbit)
+            terms.append(f.substitute({}, universe=universe) * orbit)
         return FactoredFraction.sum(terms, universe=universe)
 
 
@@ -466,7 +467,7 @@ def deformed_basis(kind: str, n: int, N: int) -> SymmetricPolynomial:
     if coeff.denominator:
         raise InternalConsistencyError("generating series coefficient not polynomial")
     from_series = _sp_from_polynomial(
-        coeff.numerator.retarget(x_universe(N)), N
+        coeff.numerator.substitute({}, universe=x_universe(N)), N
     )
 
     table = row_expansion_table(n, BASIS_MONOMIAL)
@@ -538,42 +539,39 @@ def eigencheck(n: int, N: int, cap: int = OPERATOR_N_CAP) -> bool:
         )
         terms.append(operator_coefficient(i, N, uni) * shifted)
     lhs = FactoredFraction.sum(terms, universe=uni)
-    eigen = Polynomial.monomial(uni, {"q": n, "t": N - 1})
-    for k in range(N - 1):
-        eigen = eigen + Polynomial.variable(uni, "t", k)
-    rhs = g * eigen
-    return frac_eq(lhs, rhs)
+    return frac_eq(lhs, g * _eigenvalue(uni, n, N))
+
+
+def _eigenvalue(uni, n: int, N: int) -> Polynomial:
+    """q^n t^(N-1) + 1 + t + ... + t^(N-2)."""
+    return Polynomial.monomial(uni, {"q": n, "t": N - 1}) + geometric_sum(uni, "t", N - 1)
 
 
 def eigenvalue_at_zero_matches(N: int) -> bool:
     """Analytic anchor: the n = 0 eigenvalue equals (1 - t^N)/(1 - t)."""
     uni = x_universe(N)
-    eigen = Polynomial.monomial(uni, {"q": 0, "t": N - 1})
-    for k in range(N - 1):
-        eigen = eigen + Polynomial.variable(uni, "t", k)
     one = Polynomial.one(uni)
     return frac_eq(
-        FactoredFraction(eigen),
+        FactoredFraction(_eigenvalue(uni, 0, N)),
         FactoredFraction(one - Polynomial.variable(uni, "t", N), [one - Polynomial.variable(uni, "t")]),
     )
 
 
-def coefficient_sum_identities(N: int, cap: int = COEFFICIENT_IDENTITY_N_CAP) -> bool:
+def coefficient_sum_identities(N: int) -> bool:
     """Two exact identities for the operator coefficients over t, x_1..x_N:
     their plain sum is 1 + t + ... + t^(N-1), and their sum weighted by
     x_i/(1 - t x_i) is t^(N-1)/(1 - t) * (1 - prod (1 - x_j)/(1 - t x_j))."""
     if N < 1:
         raise UsageError("N must be at least 1")
-    if N > cap:
-        raise ResourceLimitError(f"coefficient identity size {N} exceeds cap {cap}")
+    if N > COEFFICIENT_IDENTITY_N_CAP:
+        raise ResourceLimitError(
+            f"coefficient identity size {N} exceeds cap {COEFFICIENT_IDENTITY_N_CAP}"
+        )
     uni = ("t",) + tuple(f"x{i}" for i in range(1, N + 1))
     one = Polynomial.one(uni)
     coeffs = [operator_coefficient(i, N, uni) for i in range(1, N + 1)]
     plain = FactoredFraction.sum(coeffs, universe=uni)
-    geom = Polynomial.zero(uni)
-    for k in range(N):
-        geom = geom + Polynomial.variable(uni, "t", k)
-    if not frac_eq(plain, FactoredFraction(geom)):
+    if not frac_eq(plain, FactoredFraction(geometric_sum(uni, "t", N))):
         return False
     weighted_terms = []
     for i, A in enumerate(coeffs, start=1):
@@ -733,24 +731,17 @@ def inverse_expansions_check(n: int, N: int) -> bool:
 
 def _geometric_ratio_polynomial(N: int, degree: int) -> Polynomial:
     """prod (1 - x_i)/(1 - t x_i), expanded to total x-degree <= degree over
-    ('q', 't', x-vars)."""
+    ('q', 't', x-vars): the series in a degree marker u of
+    prod (1 - u x_i)/(1 - u t x_i), summed up to u^degree."""
     uni = x_universe(N)
-    out = Polynomial.one(uni)
+    marked = uni + ("u",)
+    one = Polynomial.one(marked)
+    num, den = [], []
     for i in range(1, N + 1):
-        factor = Polynomial.zero(uni)
-        for k in range(degree + 1):
-            factor = factor + Polynomial.monomial(uni, {"t": k, f"x{i}": k})
-            if k:
-                factor = factor - Polynomial.monomial(
-                    uni, {"t": k - 1, f"x{i}": k}
-                )
-        out = _truncate_x(out * factor, degree)
-    return out
-
-
-def _truncate_x(p: Polynomial, degree: int) -> Polynomial:
-    terms = {e: c for e, c in p.terms.items() if sum(e[2:]) <= degree}
-    return Polynomial(p.universe, terms)
+        num.append(one - Polynomial.monomial(marked, {"u": 1, f"x{i}": 1}))
+        den.append(one - Polynomial.monomial(marked, {"u": 1, "t": 1, f"x{i}": 1}))
+    series = series_expand(num, den, "u", degree)
+    return FactoredFraction.sum(series.coefficients).numerator.substitute({}, universe=uni)
 
 
 def generating_shift_check(N: int, degree: int) -> bool:

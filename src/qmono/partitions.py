@@ -143,12 +143,12 @@ def _distinct_permutations(pool: tuple) -> Iterator[tuple]:
             yield (v,) + rest
 
 
-def derangements(mu: Partition, cap: int = DERANGEMENT_LENGTH_CAP) -> list:
+def derangements(mu: Partition) -> list:
     """The distinct rearrangements of mu's parts, lexicographic order,
     each with prefix sums filled in."""
-    if mu.length > cap:
+    if mu.length > DERANGEMENT_LENGTH_CAP:
         raise ResourceLimitError(
-            f"partition length {mu.length} exceeds rearrangement cap {cap}"
+            f"partition length {mu.length} exceeds rearrangement cap {DERANGEMENT_LENGTH_CAP}"
         )
     pool = tuple(sorted(mu.parts))
     out = []
@@ -206,13 +206,13 @@ def _cycles_of(mapping: tuple) -> tuple:
     return tuple(cycles)
 
 
-def permutations_with_cycles(n: int, cap: int = PERMUTATION_CAP) -> list:
+def permutations_with_cycles(n: int) -> list:
     """All n! permutations of {1..n} in lexicographic order, decomposed into
     cycles."""
     if n < 0:
         raise UsageError("n must be non-negative")
-    if n > cap:
-        raise ResourceLimitError(f"permutation degree {n} exceeds cap {cap}")
+    if n > PERMUTATION_CAP:
+        raise ResourceLimitError(f"permutation degree {n} exceeds cap {PERMUTATION_CAP}")
     out = []
     for mapping in itertools.permutations(range(1, n + 1)):
         out.append(PermutationWithCycles(mapping, _cycles_of(mapping)))

@@ -51,10 +51,10 @@ class PositivityReport:
         )
 
 
-def _check_cap(mu: Partition, cap: int):
-    if mu.length > cap:
+def _check_cap(mu: Partition):
+    if mu.length > POSITIVITY_LENGTH_CAP:
         raise ResourceLimitError(
-            f"partition length {mu.length} exceeds positivity cap {cap}"
+            f"partition length {mu.length} exceeds positivity cap {POSITIVITY_LENGTH_CAP}"
         )
 
 
@@ -67,10 +67,10 @@ def subset_part_sums(mu: Partition) -> list:
     return sums
 
 
-def auxiliary_product(mu: Partition, cap: int = POSITIVITY_LENGTH_CAP) -> Polynomial:
+def auxiliary_product(mu: Partition) -> Polynomial:
     """P(q): product over nonempty position subsets of
     1 + q + ... + q^(part sum - 1)."""
-    _check_cap(mu, cap)
+    _check_cap(mu)
     out = Polynomial.one(UNIVERSE_Q)
     for s in subset_part_sums(mu):
         out = out * geometric_sum(UNIVERSE_Q, "q", s)
@@ -87,11 +87,11 @@ def _homogeneous_quotient(x_power: int, c: int) -> Polynomial:
     return Polynomial(UNIVERSE_QT, terms)
 
 
-def positivity_polynomial(mu: Partition, cap: int = POSITIVITY_LENGTH_CAP) -> Polynomial:
+def positivity_polynomial(mu: Partition) -> Polynomial:
     """H(q, t), assembled with each prefix-sum factor cancelled against one
     subset factor of P with the same part sum (only the multiset of part
     sums matters, so any valid matching gives the same polynomial)."""
-    _check_cap(mu, cap)
+    _check_cap(mu)
     length = mu.length
     pool = {}
     for s in subset_part_sums(mu):
@@ -133,15 +133,14 @@ def has_nonnegative_integer_coefficients(p: Polynomial) -> bool:
     )
 
 
-def positivity_report(mu: Partition, cap: int = POSITIVITY_LENGTH_CAP) -> PositivityReport:
+def positivity_report(mu: Partition) -> PositivityReport:
     """Full check: coefficient positivity, polynomiality of the q -> 1/q
     companion, and the factorization identity against the monomial
     specialization at a = 1, b = t."""
     from .specialize import monomial_spec
 
-    _check_cap(mu, cap)
-    P = auxiliary_product(mu, cap=cap)
-    H = positivity_polynomial(mu, cap=cap)
+    P = auxiliary_product(mu)
+    H = positivity_polynomial(mu)
     length = mu.length
     weight = mu.weight
     Hbar = inverted_polynomial(H, weight - length)
@@ -159,22 +158,20 @@ def positivity_report(mu: Partition, cap: int = POSITIVITY_LENGTH_CAP) -> Positi
                 Polynomial.one(UNIVERSE_QT) - Polynomial.variable(UNIVERSE_QT, "q", i)
             )
         num = num * H
-        den.append(Hbar.retarget(UNIVERSE_QT))
+        den.append(Hbar.substitute({}, universe=UNIVERSE_QT))
         identity = frac_eq(lhs, FactoredFraction(num, den))
     return PositivityReport(mu, P, H, Hbar, nonneg, identity)
 
 
-def auxiliary_identity_check(mu: Partition, cap: int = POSITIVITY_LENGTH_CAP) -> bool:
+def auxiliary_identity_check(report: PositivityReport) -> bool:
     """(length!/prod m_i!) * P(q) equals
-    prod_{i<=l} (1 + ... + q^(i-1)) times the shifted q -> 1/q companion."""
-    _check_cap(mu, cap)
-    P = auxiliary_product(mu, cap=cap)
-    H = positivity_polynomial(mu, cap=cap)
-    Hbar = inverted_polynomial(H, mu.weight - mu.length)
-    if Hbar is None:
+    prod_{i<=l} (1 + ... + q^(i-1)) times the shifted q -> 1/q companion,
+    both read from a positivity report."""
+    mu = report.partition
+    if report.Hbar is None:
         return False
-    lhs = P * Fraction(math.factorial(mu.length), mu.repetition_factor())
-    rhs = Hbar
+    lhs = report.P * Fraction(math.factorial(mu.length), mu.repetition_factor())
+    rhs = report.Hbar
     for i in range(1, mu.length + 1):
         rhs = rhs * geometric_sum(UNIVERSE_Q, "q", i)
     return lhs == rhs
@@ -188,12 +185,7 @@ def two_row_closed_form(n: int, k: int) -> Polynomial:
         raise NotApplicableError("the closed form needs two distinct parts")
     if not (n > k >= 1):
         raise NotApplicableError("parts must satisfy n > k >= 1")
-    t_geom = lambda m: Polynomial(
-        UNIVERSE_QT, {(0, j): 1 for j in range(m)}
-    )
-    q_geom = lambda m: Polynomial(
-        UNIVERSE_QT, {(j, 0): 1 for j in range(m)}
-    )
-    return _homogeneous_quotient(1, n) * t_geom(k) * q_geom(k) + _homogeneous_quotient(
-        1, k
-    ) * t_geom(n) * q_geom(n)
+    def geom(m):
+        return geometric_sum(UNIVERSE_QT, "t", m) * geometric_sum(UNIVERSE_QT, "q", m)
+
+    return _homogeneous_quotient(1, n) * geom(k) + _homogeneous_quotient(1, k) * geom(n)

@@ -26,8 +26,6 @@ from fractions import Fraction
 from .algebra import FactoredFraction, Polynomial
 from .errors import UsageError
 from .partitions import (
-    DERANGEMENT_LENGTH_CAP,
-    PERMUTATION_CAP,
     Partition,
     derangements,
     permutations_with_cycles,
@@ -84,9 +82,7 @@ _NUMERATORS = {
 }
 
 
-def monomial_spec(
-    mu: Partition, form: str = FORM_THEOREM1, cap: int = DERANGEMENT_LENGTH_CAP
-) -> SpecResult:
+def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
     """The monomial symmetric function of shape mu on (a - b)/(1 - q), as a
     single fraction over the common denominator."""
     if form not in _NUMERATORS:
@@ -94,7 +90,7 @@ def monomial_spec(
     numerator_of = _NUMERATORS[form]
     length = mu.length
     terms = []
-    for d in derangements(mu, cap=cap):
+    for d in derangements(mu):
         num = Polynomial.one(UNIVERSE_ABQ)
         den = []
         for i, c in enumerate(d.entries, start=1):
@@ -138,7 +134,7 @@ def generator_spec(kind: str, n: int) -> SpecResult:
     raise UsageError(f"unknown generator kind {kind!r}")
 
 
-def oracle_powersum(mu: Partition, cap: int = PERMUTATION_CAP) -> SpecResult:
+def oracle_powersum(mu: Partition) -> SpecResult:
     """Independent oracle: expand the monomial function over the cycle
     decompositions of the symmetric group on its positions.
 
@@ -148,7 +144,7 @@ def oracle_powersum(mu: Partition, cap: int = PERMUTATION_CAP) -> SpecResult:
     length = mu.length
     parts = mu.parts
     terms = []
-    for perm in permutations_with_cycles(length, cap=cap):
+    for perm in permutations_with_cycles(length):
         sign = -1 if (length - len(perm.cycles)) % 2 else 1
         num = Polynomial.constant(UNIVERSE_ABQ, sign)
         den = []
@@ -176,10 +172,10 @@ def oracle_direct(mu: Partition, N: int) -> SpecResult:
     return SpecResult(mu, FactoredFraction(total), FORM_ORACLE_DIRECT)
 
 
-def spec_oracle(mu: Partition, mode: str, N: int | None = None, cap: int = PERMUTATION_CAP) -> SpecResult:
+def spec_oracle(mu: Partition, mode: str, N: int | None = None) -> SpecResult:
     """Dispatch helper matching the CLI's oracle names."""
     if mode == "powersum":
-        return oracle_powersum(mu, cap=cap)
+        return oracle_powersum(mu)
     if mode == "direct":
         if N is None:
             raise UsageError("direct oracle needs an alphabet size N")

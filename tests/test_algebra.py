@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmono.algebra import (
@@ -156,7 +156,7 @@ class TestSubstitute:
     def test_retarget(self, abq):
         one, a, b, q = abq
         f = FactoredFraction(one - q, [one - q ** 2])
-        g = f.retarget(QT)
+        g = f.substitute({}, universe=QT)
         assert g.universe == QT
         assert frac_eq(
             g, FactoredFraction(Polynomial.one(QT) - var(QT, "q"),
@@ -300,3 +300,77 @@ def _x_constant_term(p):
     from qmono.algebra import _split_in_var
 
     return _split_in_var(p, "x").get(0, Polynomial.zero(p.universe))
+
+
+def _substitute_reference(p, bindings, target):
+    """Sum of c * prod v_i^e_i, built with the ring operations."""
+    total = Polynomial.zero(target)
+    for exps, c in p.terms.items():
+        term = Polynomial.constant(target, c)
+        for name, e in zip(p.universe, exps):
+            image = bindings[name] if name in bindings else var(target, name)
+            term = term * image ** e
+        total = total + term
+    return total
+
+
+WIDE = ("a", "q", "t")
+
+
+@st.composite
+def polynomial_bindings(draw):
+    names = draw(st.lists(st.sampled_from(("a", "q")), unique=True))
+    return {name: draw(small_polys(WIDE, max_degree=2, max_terms=3)) for name in names}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), polynomial_bindings())
+@example(
+    Polynomial(("a", "q"), {(3, 1): 1}), {"a": Polynomial(WIDE, {(0, 0, 1): 2})}
+)
+def test_substitute_matches_ring_operations(p, bindings):
+    assert p.substitute(bindings, universe=WIDE) == _substitute_reference(
+        p, bindings, WIDE
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys())
+def test_substitute_round_trips_through_a_wider_universe(p):
+    wide = p.substitute({}, universe=("t",) + WIDE)
+    assert wide.universe == ("t",) + WIDE
+    assert wide.substitute({}, universe=p.universe) == p
+
+
+def test_substitute_drops_only_absent_variables(abq):
+    one, a, b, q = abq
+    assert (a * q + 2).substitute({}, universe=("q", "a")) == Polynomial(
+        ("q", "a"), {(1, 1): 1, (0, 0): 2}
+    )
+    with pytest.raises(UsageError):
+        (a * b).substitute({}, universe=("q", "a"))
+    # The fraction-valued path follows the same rule.
+    inverse_t = FactoredFraction(Polynomial.one(QT), [var(QT, "t")])
+    got = FactoredFraction(a, [one - q]).substitute({"a": inverse_t}, universe=QT)
+    expected = FactoredFraction(
+        Polynomial.one(QT), [var(QT, "t"), Polynomial.one(QT) - var(QT, "q")]
+    )
+    assert frac_eq(got, expected)
+    with pytest.raises(UsageError):
+        FactoredFraction(a * b, [one - q]).substitute({"a": inverse_t}, universe=QT)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(small_polys(("t", "x")), min_size=0, max_size=3))
+def test_series_expand_without_denominators_splits_the_product(nums):
+    uni = ("t", "x")
+    order = 4
+    product = Polynomial.one(uni)
+    for p in nums:
+        product = product * p
+    series = series_expand(nums, [], "x", order, universe=uni)
+    for k in range(order + 1):
+        part = Polynomial(
+            uni, {(e[0], 0): c for e, c in product.terms.items() if e[1] == k}
+        )
+        assert series.coefficient(k) == FactoredFraction(part)

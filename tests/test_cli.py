@@ -180,6 +180,35 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["--identity", "prop5", "--n", "3"],
+            ["--identity", "thm6", "--max-weight", "2"],
+            ["--identity", "prop6", "--max-n", "1"],
+        ],
+        ids=["prop5-n", "thm6-max-weight", "prop6-max-n"],
+    )
+    def test_flag_the_family_does_not_read_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "does not apply" in err
+
+    @pytest.mark.parametrize(
+        "identity, count", [("thm6", 4), ("prop5", 89)], ids=["n", "max-weight"]
+    )
+    def test_omitted_size_flag_takes_its_default(self, capsys, monkeypatch, identity, count):
+        family = acceptance.VERIFY_FAMILIES[identity]
+        monkeypatch.setitem(
+            acceptance.VERIFY_FAMILIES,
+            identity,
+            dataclasses.replace(family, check=lambda task: True),
+        )
+        code, out, _ = run(capsys, "verify", "--identity", identity, "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["instances_checked"] == count
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["--identity", "prop8", "--n", "6"],
             ["--identity", "thm6", "--n", "6"],
             ["--identity", "appendix", "--n", "6"],

@@ -90,8 +90,9 @@ class TestReports:
         for mu in partitions_up_to(w):
             if mu.length > 4:
                 continue
-            assert positivity_report(mu).passed(), mu
-            assert auxiliary_identity_check(mu), mu
+            report = positivity_report(mu)
+            assert report.passed(), mu
+            assert auxiliary_identity_check(report), mu
 
 
 class TestTwoRowClosedForm:
