@@ -7,7 +7,6 @@ one-row Macdonald polynomial g_n(X; q, t)."""
 from .algebra import (
     FactoredFraction,
     Polynomial,
-    TruncatedSeries,
     frac_eq,
     series_expand,
 )
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FactoredFraction",
     "Polynomial",
-    "TruncatedSeries",
     "frac_eq",
     "series_expand",
     "QmonoError",

@@ -22,6 +22,7 @@ from .identities import (
     SIDE_LEFT,
     SIDE_RIGHT,
     SYMMETRIZED_CAP,
+    _CONSTANT_CAP,
     appendix_step,
     constant_identity,
     prop5_expected,
@@ -333,8 +334,8 @@ VERIFY_FAMILIES = {
     "thm7": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm7),
     "prop5": Family("max_weight", 6, _short_partitions, _mu_label, _prop5),
     "prop6": Family("max_weight", 7, _short_partitions, _mu_label, _prop6),
-    "prop7": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _prop7),
-    "prop8": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _prop8),
+    "prop7": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop7),
+    "prop8": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop8),
     "appendix": Family("n", SYMMETRIZED_CAP, _appendix_instances, _appendix_label, _appendix),
 }
 

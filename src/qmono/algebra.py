@@ -1,5 +1,5 @@
 """Exact arithmetic kernel: sparse multivariate polynomials over the
-rationals, factored fractions, and truncated power series.
+rationals, factored fractions, and truncated power-series expansion.
 
 A variable universe is declared once per computation as an ordered tuple of
 names, e.g. ``("a", "b", "q")``.  Exponent vectors are dense over that
@@ -165,14 +165,6 @@ class Polynomial:
         if not self.is_constant():
             raise InvalidValueError(f"{self.text()} is not a constant")
         return self.terms.get((0,) * len(self.universe), 0)
-
-    def degree_of(self, name: str) -> int:
-        if name not in self.universe:
-            raise UsageError(f"variable {name!r} not in universe {self.universe}")
-        i = self.universe.index(name)
-        if not self.terms:
-            return 0
-        return max(e[i] for e in self.terms)
 
     def is_homogeneous_in(self, names: Iterable[str], degree: int) -> bool:
         idx = [self.universe.index(n) for n in names]
@@ -660,93 +652,6 @@ def frac_eq(f: FactoredFraction, g: FactoredFraction) -> bool:
     return f.eq(g)
 
 
-class TruncatedSeries:
-    """Truncated power series in one distinguished variable, with exact
-    fraction coefficients over the full universe (the expansion variable does
-    not occur inside coefficients)."""
-
-    __slots__ = ("variable", "order", "coefficients")
-
-    def __init__(self, variable: str, order: int, coefficients: Sequence[FactoredFraction]):
-        coefficients = tuple(coefficients)
-        if order < 0:
-            raise UsageError("truncation order must be non-negative")
-        if len(coefficients) != order + 1:
-            raise UsageError("coefficient count must equal order + 1")
-        for c in coefficients:
-            if variable not in c.universe:
-                raise UsageError(f"{variable!r} not in coefficient universe")
-        self.variable = variable
-        self.order = order
-        self.coefficients = coefficients
-
-    @classmethod
-    def one(cls, universe, variable: str, order: int) -> "TruncatedSeries":
-        coeffs = [FactoredFraction.one(universe)]
-        coeffs += [FactoredFraction.zero(universe) for _ in range(order)]
-        return cls(variable, order, coeffs)
-
-    @property
-    def universe(self):
-        return self.coefficients[0].universe
-
-    def coefficient(self, k: int) -> FactoredFraction:
-        return self.coefficients[k]
-
-    def _check(self, other: "TruncatedSeries"):
-        if self.variable != other.variable or self.order != other.order:
-            raise UsageError("series mismatch: variable or order differ")
-        if self.universe != other.universe:
-            raise UsageError("variable universes differ")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(
-            self.variable,
-            self.order,
-            [a + b for a, b in zip(self.coefficients, other.coefficients)],
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial, FactoredFraction)):
-            return self.scale(other)
-        self._check(other)
-        return TruncatedSeries(
-            self.variable,
-            self.order,
-            _series_product(self.coefficients, other.coefficients, self.order),
-        )
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "TruncatedSeries":
-        """Multiply every coefficient by a value free of the expansion
-        variable (use :meth:`mul_polynomial` otherwise)."""
-        if isinstance(c, Polynomial) and c.degree_of(self.variable) > 0:
-            raise UsageError("scalar involves the expansion variable")
-        if isinstance(c, FactoredFraction):
-            if c.numerator.degree_of(self.variable) > 0 or any(
-                f.degree_of(self.variable) > 0 for f, _ in c.denominator
-            ):
-                raise UsageError("scalar involves the expansion variable")
-        return TruncatedSeries(
-            self.variable, self.order, [a * c for a in self.coefficients]
-        )
-
-    def mul_polynomial(self, p: Polynomial) -> "TruncatedSeries":
-        """Multiply by a polynomial in the expansion variable (truncated)."""
-        coeffs = _series_product(
-            self.coefficients, _coefficients_in(p, self.variable), self.order
-        )
-        return TruncatedSeries(self.variable, self.order, coeffs)
-
-    def eq(self, other: "TruncatedSeries") -> bool:
-        self._check(other)
-        return all(
-            a.eq(b) for a, b in zip(self.coefficients, other.coefficients)
-        )
-
-
 def _split_in_var(p: Polynomial, var: str):
     """Split a polynomial by the exponent of ``var``; the coefficient
     polynomials keep the full universe with the var slot zeroed."""
@@ -808,9 +713,11 @@ def series_expand(
     var: str,
     order: int,
     universe=None,
-) -> TruncatedSeries:
+) -> list:
     """Expand a finite product of polynomial factors (and inverted factors)
-    as a truncated series in ``var``.
+    as a truncated series in ``var``: the list of its ``order + 1``
+    coefficients, exact fractions over the full universe in which ``var``
+    does not occur.
 
     Every denominator factor must have a nonzero constant term in ``var``;
     infinite product inputs must be reduced to the finitely many factors that
@@ -829,12 +736,13 @@ def series_expand(
             raise UsageError("variable universes differ")
     if var not in universe:
         raise UsageError(f"{var!r} not in universe {universe}")
-    coeffs = TruncatedSeries.one(universe, var, order).coefficients
+    coeffs = [FactoredFraction.one(universe)]
+    coeffs += [FactoredFraction.zero(universe) for _ in range(order)]
     for f in numerator_factors:
         coeffs = _series_product(coeffs, _coefficients_in(f, var), order)
     for f in denominator_factors:
         coeffs = _series_product(coeffs, _series_inverse(f, var, order), order)
-    return TruncatedSeries(var, order, coeffs)
+    return coeffs
 
 
 def geometric_sum(universe, name: str, n: int) -> Polynomial:

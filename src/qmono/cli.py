@@ -2,9 +2,10 @@
 
 Subcommands: specialize, verify, expand, positivity, eigencheck, selftest.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-cap exceeded.  Set QMONO_THREADS to a positive integer to let sweep
-commands dispatch independent instances to a worker pool; output order is
-by instance descriptor, never by completion time.
+cap exceeded, 141 (128 + SIGPIPE) stdout closed by its reader.  Set
+QMONO_THREADS to a positive integer to let sweep commands dispatch
+independent instances to a worker pool; output order is by instance
+descriptor, never by completion time.
 """
 
 from __future__ import annotations
@@ -408,6 +409,14 @@ def execute(argv) -> RunReport:
 def main(argv=None) -> int:
     try:
         report = execute(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``qmono ... | head``).  Point stdout at
+        # the null device so the flush at interpreter exit does not fail
+        # again, and exit as a process killed by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except ResourceLimitError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -8,13 +8,14 @@ denominators.  Their specializations yield a family of constant-valued
 symmetrizations (the prop5/prop7 constants, the prop8 reciprocal prefix
 sums, and the Littlewood rational identity for 1/z).
 
-The production assembly peels the last position (or, for the cycle form,
-the cycle through the smallest label) and memoizes on the remaining
-variable subset: an exact regrouping of the permutation sum that costs
-2^n fraction merges instead of n! cofactor assemblies and lands on the
-same common-denominator form.  The literal permutation-by-permutation sums
-are kept alongside as the definitional reference and are compared against
-the fast route in the tests.
+Each of the five sums over the symmetric group (thm6-left, thm6-right,
+thm7-right, prop7, prop8) has its summand defined once, and that summand is
+summed two ways.  The production route peels the last position (or, for the
+cycle form, the cycle through the smallest label) and memoizes on the
+remaining label subset: an exact regrouping of the permutation sum that
+costs 2^n fraction merges instead of n! cofactor assemblies and lands on the
+same common-denominator form.  The literal permutation-by-permutation sum is
+kept as the definitional reference, and the tests compare the two routes.
 """
 
 from __future__ import annotations
@@ -28,12 +29,17 @@ from .algebra import FactoredFraction, Polynomial, frac_eq
 from .errors import ResourceLimitError, UsageError
 from .partitions import Partition, derangements, permutations_with_cycles
 
-SYMMETRIZED_CAP = 5
+# Largest n of the three-way sides (thm6, thm7, appendix): one side at n = 5
+# has 3,383,040 numerator terms and takes minutes and more than a gigabyte.
+SYMMETRIZED_CAP = 4
+# Largest n of the constant symmetrizations prop7 and prop8.
+_CONSTANT_CAP = 5
 
 SIDE_LEFT = "thm6-left"
 SIDE_RIGHT = "thm6-right"
 SIDE_CYCLE = "thm7-right"
 SIDES = (SIDE_LEFT, SIDE_RIGHT, SIDE_CYCLE)
+_CONSTANT_KINDS = ("prop7", "prop8")
 
 
 def xy_universe(n: int) -> tuple:
@@ -68,56 +74,96 @@ def _check_size(n: int, cap: int):
         raise ResourceLimitError(f"symmetrized sum size {n} exceeds cap {cap}")
 
 
+# -- the five summands and the two ways to sum them --------------------------
+
+
+def _numerator(form: str, n: int, uni: tuple, k: int, prefix: tuple) -> Polynomial:
+    """The numerator of a prefix form (thm6-left, thm6-right, prop7, prop8)
+    at position i = len(prefix), which holds label k; ``prefix`` holds the
+    labels of positions 1..i.  A permutation's summand is the product over
+    its n positions of numerator / denominator."""
+    if form == SIDE_LEFT:
+        return Polynomial.variable(uni, f"y{k}") - _x_product(uni, prefix)
+    if form == "prop8":
+        return Polynomial.one(uni)
+    top = Polynomial.one(uni) if form == "prop7" else Polynomial.variable(uni, f"y{k}")
+    return top - Polynomial.variable(uni, f"x{k}", n - len(prefix) + 1)
+
+
+def _denominator(form: str, uni: tuple, prefix: tuple) -> Polynomial:
+    """The denominator of a prefix form at position len(prefix)."""
+    if form == "prop8":
+        return sum((Polynomial.variable(uni, f"x{j}") for j in prefix), Polynomial.zero(uni))
+    return Polynomial.one(uni) - _x_product(uni, prefix)
+
+
+def _cycle_weight(uni: tuple, cycle: tuple) -> FactoredFraction:
+    """The factor of one cycle in the cycle form (thm7-right).  A
+    permutation's summand is the product over its cycles."""
+    x_cycle = _x_product(uni, cycle)
+    return FactoredFraction(_y_product(uni, cycle) - x_cycle, [Polynomial.one(uni) - x_cycle])
+
+
+def _peels(form: str, n: int, uni: tuple, subset: tuple):
+    """The (rest, factor) pairs with value(subset) = sum of value(rest) *
+    factor.  A prefix form peels its last position, which may hold any label
+    of the subset; the cycle form peels the cycle through the smallest label,
+    whose (size - 1)! cyclic orders share one weight."""
+    if form == SIDE_CYCLE:
+        anchor, others = subset[0], subset[1:]
+        for size in range(len(others) + 1):
+            for extra in itertools.combinations(others, size):
+                rest = tuple(k for k in others if k not in extra)
+                yield rest, _cycle_weight(uni, (anchor,) + extra) * math.factorial(size)
+    else:
+        den = [_denominator(form, uni, subset)]
+        for k in subset:
+            factor = FactoredFraction(_numerator(form, n, uni, k, subset), den)
+            yield tuple(j for j in subset if j != k), factor
+
+
+def _peeled(form: str, n: int, uni: tuple) -> FactoredFraction:
+    """The sum over all n! permutations, memoized on the label subset still
+    to place: value(()) = 1, value(S) = sum of value(rest) * factor."""
+    memo = {(): FactoredFraction.one(uni)}
+
+    def value(subset: tuple) -> FactoredFraction:
+        if subset not in memo:
+            memo[subset] = FactoredFraction.sum(
+                [value(rest) * factor for rest, factor in _peels(form, n, uni, subset)],
+                universe=uni,
+            )
+        return memo[subset]
+
+    return value(tuple(range(1, n + 1)))
+
+
+def _enumerated(form: str, n: int, uni: tuple) -> FactoredFraction:
+    """The same sum, one permutation at a time: the definitional reference
+    for :func:`_peeled`."""
+    terms = []
+    for perm in permutations_with_cycles(n):
+        if form == SIDE_CYCLE:
+            factors = [_cycle_weight(uni, cycle) for cycle in perm.cycles]
+        else:
+            sigma = perm.mapping
+            factors = [
+                FactoredFraction(
+                    _numerator(form, n, uni, k, sigma[:i]), [_denominator(form, uni, sigma[:i])]
+                )
+                for i, k in enumerate(sigma, start=1)
+            ]
+        terms.append(math.prod(factors, start=FactoredFraction.one(uni)))
+    return FactoredFraction.sum(terms, universe=uni)
+
+
 def symmetrized_side(n: int, side: str, cap: int = SYMMETRIZED_CAP) -> SymmetrizedSum:
     """One side of the three-way identity over all n! permutations, as a
     single fraction over the common subset-product denominator."""
     if side not in SIDES:
         raise UsageError(f"unknown side {side!r}")
     _check_size(n, cap)
-    uni = xy_universe(n)
-    one = Polynomial.one(uni)
-    memo: dict = {}
-
-    def solve(subset: tuple) -> FactoredFraction:
-        if not subset:
-            return FactoredFraction.one(uni)
-        if subset in memo:
-            return memo[subset]
-        if side == SIDE_CYCLE:
-            anchor, rest = subset[0], subset[1:]
-            terms = []
-            for size in range(len(rest) + 1):
-                for extra in itertools.combinations(rest, size):
-                    cycle = (anchor,) + extra
-                    xprod = _x_product(uni, cycle)
-                    weight = math.factorial(len(cycle) - 1)
-                    factor = FactoredFraction(
-                        (_y_product(uni, cycle) - xprod) * weight, [one - xprod]
-                    )
-                    remaining = tuple(k for k in rest if k not in extra)
-                    terms.append(factor * solve(remaining))
-            value = FactoredFraction.sum(terms, universe=uni)
-        else:
-            # Peeling the last position: its prefix product covers the whole
-            # remaining subset, and its numerator exponent is n - |subset| + 1.
-            power = n - len(subset) + 1
-            prefix = _x_product(uni, subset)
-            total = []
-            for k in subset:
-                rest = tuple(j for j in subset if j != k)
-                y = Polynomial.variable(uni, f"y{k}")
-                if side == SIDE_LEFT:
-                    num = y - prefix
-                else:
-                    num = y - Polynomial.variable(uni, f"x{k}", power)
-                total.append(solve(rest) * num)
-            value = FactoredFraction.sum(total, universe=uni) * FactoredFraction(
-                one, [one - prefix]
-            )
-        memo[subset] = value
-        return value
-
-    return SymmetrizedSum(n, side, solve(tuple(range(1, n + 1))))
+    return SymmetrizedSum(n, side, _peeled(side, n, xy_universe(n)))
 
 
 def symmetrized_side_enumerated(n: int, side: str) -> SymmetrizedSum:
@@ -126,33 +172,7 @@ def symmetrized_side_enumerated(n: int, side: str) -> SymmetrizedSum:
     if side not in SIDES:
         raise UsageError(f"unknown side {side!r}")
     _check_size(n, SYMMETRIZED_CAP)
-    uni = xy_universe(n)
-    one = Polynomial.one(uni)
-    terms = []
-    for perm in permutations_with_cycles(n):
-        sigma = perm.mapping
-        if side == SIDE_CYCLE:
-            num = one
-            den = []
-            for cyc in perm.cycles:
-                xprod = _x_product(uni, cyc)
-                num = num * (_y_product(uni, cyc) - xprod)
-                den.append(one - xprod)
-            terms.append(FactoredFraction(num, den))
-            continue
-        num = one
-        den = []
-        for i in range(1, n + 1):
-            k = sigma[i - 1]
-            prefix = _x_product(uni, sigma[:i])
-            y = Polynomial.variable(uni, f"y{k}")
-            if side == SIDE_LEFT:
-                num = num * (y - prefix)
-            else:
-                num = num * (y - Polynomial.variable(uni, f"x{k}", n - i + 1))
-            den.append(one - prefix)
-        terms.append(FactoredFraction(num, den))
-    return SymmetrizedSum(n, side, FactoredFraction.sum(terms, universe=uni))
+    return SymmetrizedSum(n, side, _enumerated(side, n, xy_universe(n)))
 
 
 def constant_identity(mu: Partition, kind: str) -> FactoredFraction:
@@ -187,76 +207,25 @@ def constant_identity(mu: Partition, kind: str) -> FactoredFraction:
     raise UsageError(f"unknown constant identity {kind!r}")
 
 
-def symmetrized_constant(n: int, kind: str, cap: int = SYMMETRIZED_CAP) -> FactoredFraction:
+def symmetrized_constant(n: int, kind: str, cap: int = _CONSTANT_CAP) -> FactoredFraction:
     """Symmetrizations over x_1..x_n with closed constant or monomial value,
     assembled by the same last-position peeling as the two-alphabet sums.
 
     * "prop7": numerators 1 - x_(sigma(i))^(n - i + 1) over prefix-product
       denominators; equals n!.
     * "prop8": reciprocal prefix sums; equals prod_i 1/x_i."""
-    if kind not in ("prop7", "prop8"):
+    if kind not in _CONSTANT_KINDS:
         raise UsageError(f"unknown symmetrized constant {kind!r}")
     _check_size(n, cap)
-    uni = x_only_universe(n)
-    one = Polynomial.one(uni)
-    memo: dict = {}
-
-    def solve(subset: tuple) -> FactoredFraction:
-        if not subset:
-            return FactoredFraction.one(uni)
-        if subset in memo:
-            return memo[subset]
-        if kind == "prop7":
-            power = n - len(subset) + 1
-            den = one - _x_product(uni, subset)
-        else:
-            den = Polynomial.zero(uni)
-            for k in subset:
-                den = den + Polynomial.variable(uni, f"x{k}")
-        total = []
-        for k in subset:
-            rest = tuple(j for j in subset if j != k)
-            if kind == "prop7":
-                num = one - Polynomial.variable(uni, f"x{k}", power)
-                total.append(solve(rest) * num)
-            else:
-                total.append(solve(rest))
-        value = FactoredFraction.sum(total, universe=uni) * FactoredFraction(
-            one, [den]
-        )
-        memo[subset] = value
-        return value
-
-    return solve(tuple(range(1, n + 1)))
+    return _peeled(kind, n, x_only_universe(n))
 
 
 def symmetrized_constant_enumerated(n: int, kind: str) -> FactoredFraction:
     """Reference permutation-by-permutation form of symmetrized_constant."""
-    if kind not in ("prop7", "prop8"):
+    if kind not in _CONSTANT_KINDS:
         raise UsageError(f"unknown symmetrized constant {kind!r}")
-    _check_size(n, SYMMETRIZED_CAP)
-    uni = x_only_universe(n)
-    one = Polynomial.one(uni)
-    terms = []
-    for perm in permutations_with_cycles(n):
-        sigma = perm.mapping
-        if kind == "prop7":
-            num = one
-            den = []
-            for i in range(1, n + 1):
-                num = num * (
-                    one - Polynomial.variable(uni, f"x{sigma[i - 1]}", n - i + 1)
-                )
-                den.append(one - _x_product(uni, sigma[:i]))
-            terms.append(FactoredFraction(num, den))
-        else:
-            den = []
-            acc = Polynomial.zero(uni)
-            for k in sigma:
-                acc = acc + Polynomial.variable(uni, f"x{k}")
-                den.append(acc)
-            terms.append(FactoredFraction(one, den))
-    return FactoredFraction.sum(terms, universe=uni)
+    _check_size(n, _CONSTANT_CAP)
+    return _enumerated(kind, n, x_only_universe(n))
 
 
 _APPENDIX_SIDES = {"L": SIDE_LEFT, "R": SIDE_CYCLE}

@@ -462,8 +462,7 @@ def deformed_basis(kind: str, n: int, N: int) -> SymmetricPolynomial:
         else:
             num.append(one - utx)
             den.append(one - ux)
-    series = series_expand(num, den, "u", n)
-    coeff = series.coefficient(n)
+    coeff = series_expand(num, den, "u", n)[n]
     if coeff.denominator:
         raise InternalConsistencyError("generating series coefficient not polynomial")
     from_series = _sp_from_polynomial(
@@ -741,7 +740,7 @@ def _geometric_ratio_polynomial(N: int, degree: int) -> Polynomial:
         num.append(one - Polynomial.monomial(marked, {"u": 1, f"x{i}": 1}))
         den.append(one - Polynomial.monomial(marked, {"u": 1, "t": 1, f"x{i}": 1}))
     series = series_expand(num, den, "u", degree)
-    return FactoredFraction.sum(series.coefficients).numerator.substitute({}, universe=uni)
+    return FactoredFraction.sum(series).numerator.substitute({}, universe=uni)
 
 
 def generating_shift_check(N: int, degree: int) -> bool:

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import FactoredFraction, Polynomial
-from .errors import UsageError
+from .errors import ResourceLimitError, UsageError
 from .partitions import (
+    PERMUTATION_CAP,
     Partition,
     derangements,
     permutations_with_cycles,
@@ -160,9 +161,13 @@ def oracle_powersum(mu: Partition) -> SpecResult:
 
 def oracle_direct(mu: Partition, N: int) -> SpecResult:
     """Independent oracle: evaluate the monomial function on the explicit
-    alphabet {1, q, ..., q^(N-1)} as a polynomial in q (empty denominator)."""
+    alphabet {1, q, ..., q^(N-1)} as a polynomial in q (empty denominator).
+    It enumerates all N! orderings, so N is capped like the other
+    symmetric-group sums."""
     if N < mu.length:
         raise UsageError("alphabet size must be at least the partition length")
+    if N > PERMUTATION_CAP:
+        raise ResourceLimitError(f"alphabet size {N} exceeds cap {PERMUTATION_CAP}")
     padded = tuple(mu.parts) + (0,) * (N - mu.length)
     total = Polynomial.zero(UNIVERSE_ABQ)
     # Small N only; set-dedup of full permutations is plenty here.

@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qmono import acceptance, cli
+from qmono.algebra import Polynomial
 from qmono.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -17,6 +22,7 @@ from qmono.cli import (
 )
 from qmono.errors import UsageError
 from qmono.partitions import Partition
+from qmono.specialize import UNIVERSE_ABQ
 
 
 def run(capsys, *argv):
@@ -37,7 +43,7 @@ class TestParsing:
     def test_substitutions(self):
         subs = parse_substitutions("a=1,b=q^4")
         assert subs["a"].is_constant()
-        assert subs["b"].degree_of("q") == 4
+        assert subs["b"] == Polynomial.variable(UNIVERSE_ABQ, "q", 4)
         with pytest.raises(UsageError):
             parse_substitutions("z=1")
         with pytest.raises(UsageError):
@@ -112,6 +118,14 @@ class TestSpecializeCommand:
             capsys, "specialize", "--mu", "1,1,1,1,1,1,1,1,1"
         )
         assert code == EXIT_RESOURCE
+
+    def test_oracle_direct_alphabet_cap(self, capsys):
+        code, out, err = run(
+            capsys, "specialize", "--mu", "2,1", "--form", "oracle-direct", "--oracle-N", "9"
+        )
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "cap" in err
 
 
 class TestVerifyCommand:
@@ -213,8 +227,10 @@ class TestVerifyCommand:
             ["--identity", "thm6", "--n", "6"],
             ["--identity", "appendix", "--n", "6"],
             ["--identity", "thm7", "--n", "3", "--max-n", "2"],
+            ["--identity", "thm6", "--n", "5"],
+            ["--identity", "appendix", "--n", "5"],
         ],
-        ids=["prop8", "thm6", "appendix", "thm7-max-n"],
+        ids=["prop8", "thm6", "appendix", "thm7-max-n", "thm6-n5", "appendix-n5"],
     )
     def test_cap_is_checked_before_any_work(self, capsys, monkeypatch, argv):
         identity = argv[1]
@@ -308,6 +324,30 @@ class TestEigencheckCommand:
             capsys, "eigencheck", "--n", "0", "--N", "4", "--max-N", "4"
         )
         assert code == EXIT_OK
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize(
+        "argv",
+        # Two lines, written at the final flush; about 14 kB, written mid-run.
+        [["specialize", "--mu", "2,1"], ["positivity", "--max-weight", "6"]],
+        ids=["final-flush", "mid-run"],
+    )
+    def test_closed_stdout_exits_141_quietly(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qmono.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
 
 class TestArgparseBehavior:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmono.acceptance import _display_example_n2
 from qmono.algebra import FactoredFraction, Polynomial, frac_eq
 from qmono.errors import ResourceLimitError, UsageError
 from qmono.identities import (
@@ -41,34 +42,12 @@ class TestSymmetrizedSides:
             assert frac_eq(symmetrized_side(1, side).value, expected)
 
     def test_size_two_written_out(self):
-        uni, one, x, y = _vars(2)
-        x1x2 = x[1] * x[2]
-        left = FactoredFraction.sum(
-            [
-                FactoredFraction((y[1] - x[1]) * (y[2] - x1x2), [one - x[1], one - x1x2]),
-                FactoredFraction((y[2] - x[2]) * (y[1] - x1x2), [one - x[2], one - x1x2]),
-            ],
-            universe=uni,
-        )
-        right = FactoredFraction.sum(
-            [
-                FactoredFraction((y[1] - x[1] ** 2) * (y[2] - x[2]), [one - x[1], one - x1x2]),
-                FactoredFraction((y[2] - x[2] ** 2) * (y[1] - x[1]), [one - x[2], one - x1x2]),
-            ],
-            universe=uni,
-        )
-        cycle = FactoredFraction.sum(
-            [
-                FactoredFraction((y[1] - x[1]) * (y[2] - x[2]), [one - x[1], one - x[2]]),
-                FactoredFraction(y[1] * y[2] - x1x2, [one - x1x2]),
-            ],
-            universe=uni,
-        )
-        assert frac_eq(symmetrized_side(2, SIDE_LEFT).value, left)
-        assert frac_eq(symmetrized_side(2, SIDE_RIGHT).value, right)
-        assert frac_eq(symmetrized_side(2, SIDE_CYCLE).value, cycle)
-        assert frac_eq(left, right)
-        assert frac_eq(left, cycle)
+        displayed = _display_example_n2()
+        for side, written_out in displayed.items():
+            assert frac_eq(symmetrized_side(2, side).value, written_out)
+        left = displayed[SIDE_LEFT]
+        assert frac_eq(left, displayed[SIDE_RIGHT])
+        assert frac_eq(left, displayed[SIDE_CYCLE])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_peeled_assembly_matches_enumeration(self, n):
@@ -96,6 +75,12 @@ class TestSymmetrizedSides:
     def test_cap_and_usage(self):
         with pytest.raises(ResourceLimitError):
             symmetrized_side(6, SIDE_LEFT)
+        with pytest.raises(ResourceLimitError):
+            symmetrized_side(5, SIDE_LEFT)
+        with pytest.raises(ResourceLimitError):
+            appendix_step(5, 13, "L")
+        with pytest.raises(ResourceLimitError):
+            symmetrized_constant(6, "prop7")
         with pytest.raises(UsageError):
             symmetrized_side(2, "thm8-left")
         with pytest.raises(UsageError):

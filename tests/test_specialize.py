@@ -2,7 +2,7 @@ import pytest
 
 from qmono.algebra import FactoredFraction, Polynomial, frac_eq
 from qmono.errors import ResourceLimitError, UsageError
-from qmono.partitions import Partition, partitions_up_to
+from qmono.partitions import PERMUTATION_CAP, Partition, partitions_up_to
 from qmono.specialize import (
     UNIVERSE_ABQ,
     generator_spec,
@@ -170,6 +170,13 @@ class TestOracles:
     def test_permutation_cap(self):
         with pytest.raises(ResourceLimitError):
             oracle_powersum(Partition((1,) * 9))
+
+    def test_direct_alphabet_cap(self):
+        # The largest alphabet allowed: m_1 on {1, q, ..., q^7}.
+        got = oracle_direct(Partition((1,)), PERMUTATION_CAP).value
+        assert got == FactoredFraction(sum((Q ** i for i in range(1, PERMUTATION_CAP)), ONE))
+        with pytest.raises(ResourceLimitError):
+            oracle_direct(Partition((1,)), PERMUTATION_CAP + 1)
 
 
 class TestProperties:
