@@ -22,7 +22,7 @@ from .algebra import Polynomial
 from .errors import QmonoError, ResourceLimitError, UsageError
 from .macdonald import eigencheck, row_expansion_table
 from .partitions import Partition, partitions_up_to
-from .positivity import positivity_report
+from .positivity import POSITIVITY_LENGTH_CAP, positivity_report
 from .specialize import UNIVERSE_ABQ, monomial_spec, spec_oracle
 
 EXIT_OK = 0
@@ -127,6 +127,8 @@ def parse_substitutions(text: str) -> dict:
         value = value.strip()
         if name not in UNIVERSE_ABQ:
             raise UsageError(f"unknown substitution variable {name!r}")
+        if name in out:
+            raise UsageError(f"substitution variable {name!r} is bound twice")
         try:
             out[name] = Polynomial.constant(UNIVERSE_ABQ, int(value))
             continue
@@ -152,6 +154,9 @@ def cmd_specialize(args) -> RunReport:
     report = RunReport("specialize")
     t0 = time.perf_counter()
     mu = parse_partition(args.mu)
+    if args.oracle_N is not None and args.form != "oracle-direct":
+        raise UsageError(f"--oracle-N does not apply to {args.form}")
+    bindings = parse_substitutions(args.subst) if args.subst else None
     if args.form == "oracle-powersum":
         result = spec_oracle(mu, "powersum")
     elif args.form == "oracle-direct":
@@ -161,8 +166,8 @@ def cmd_specialize(args) -> RunReport:
     else:
         result = monomial_spec(mu, args.form)
     value = result.value
-    if args.subst:
-        value = value.substitute(parse_substitutions(args.subst))
+    if bindings:
+        value = value.substitute(bindings)
     print(value.text())
     record = {"partition": mu.to_json(), **value.to_json()}
     print(dumps(record))
@@ -263,12 +268,21 @@ def cmd_positivity(args) -> RunReport:
     report = RunReport("positivity")
     t0 = time.perf_counter()
     if args.mu:
+        if args.max_weight is not None:
+            raise UsageError("--max-weight does not apply with --mu")
         partitions = [parse_partition(args.mu)]
     else:
-        partitions = partitions_up_to(args.max_weight)
+        max_weight = 8 if args.max_weight is None else args.max_weight
+        # (1^w) has length w, so a weight over the length cap is refused
+        # before any partition is built.
+        if max_weight > POSITIVITY_LENGTH_CAP:
+            raise ResourceLimitError(
+                f"partition length {max_weight} exceeds positivity cap {POSITIVITY_LENGTH_CAP}"
+            )
+        partitions = partitions_up_to(max_weight)
+        if not partitions:
+            raise UsageError(f"positivity has no partition up to weight {max_weight}")
     tasks = [tuple(mu.parts) for mu in partitions]
-    if not tasks:
-        raise UsageError(f"positivity has no partition up to weight {args.max_weight}")
     results = _parallel_map(_positivity_instance, tasks)
     for res in results:
         report.record(f"mu={res['mu']}", res["ok"])
@@ -379,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("positivity", help="positivity polynomial reports")
-    p.add_argument("--max-weight", type=int, default=8)
+    p.add_argument("--max-weight", type=int, help="partition sweep bound (default 8)")
     p.add_argument("--mu", default=None, help="single partition instead of a sweep")
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(fn=cmd_positivity)

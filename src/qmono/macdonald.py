@@ -6,7 +6,9 @@ coefficient identities that drive the operator computation.
 
 Symmetric polynomials on a finite alphabet are stored one coefficient per
 monomial orbit (partition-shaped exponent vector), which keeps symmetry
-structural and the n <= 5, N = 3 sizes trivial.
+structural and the n <= 5, N = 3 sizes trivial.  Every basis element comes
+from ``_basis_element`` and every product over the letters of a one-letter
+series from ``_letter_product``.
 """
 
 from __future__ import annotations
@@ -96,64 +98,6 @@ class SymmetricPolynomial:
             return cls.zero(N)
         return cls(N, {tuple(mu.parts): _qt_one()})
 
-    @classmethod
-    def complete_single(cls, n: int, N: int) -> "SymmetricPolynomial":
-        return cls(
-            N,
-            {
-                tuple(lam.parts): _qt_one()
-                for lam in partitions_of(n)
-                if lam.length <= N
-            },
-        )
-
-    @classmethod
-    def elementary_single(cls, n: int, N: int) -> "SymmetricPolynomial":
-        if n > N:
-            return cls.zero(N)
-        return cls(N, {(1,) * n: _qt_one()} if n else {(): _qt_one()})
-
-    @classmethod
-    def power_single(cls, n: int, N: int) -> "SymmetricPolynomial":
-        return cls(N, {(n,): _qt_one()} if n else {(): _qt_one()})
-
-    @classmethod
-    def deformed_h_single(cls, n: int, N: int, param: str) -> "SymmetricPolynomial":
-        """h_n evaluated on (1 - param) X: coefficient (1 - param)^length on
-        each monomial orbit of weight n."""
-        one = Polynomial.one(UNIVERSE_QT)
-        coeffs = {}
-        for lam in partitions_of(n):
-            if lam.length > N:
-                continue
-            coeffs[tuple(lam.parts)] = FactoredFraction(
-                (one - _qt_var(param)) ** lam.length
-            )
-        return cls(N, coeffs)
-
-    @classmethod
-    def deformed_e_single(cls, n: int, N: int, param: str) -> "SymmetricPolynomial":
-        """e_n evaluated on (1 - param) X: coefficient
-        (-param)^(n - length) (1 - param)^length per orbit."""
-        one = Polynomial.one(UNIVERSE_QT)
-        coeffs = {}
-        for lam in partitions_of(n):
-            if lam.length > N:
-                continue
-            l = lam.length
-            poly = _qt_var(param, n - l, (-1) ** (n - l)) if n > l else one
-            coeffs[tuple(lam.parts)] = FactoredFraction(
-                poly * (one - _qt_var(param)) ** l
-            )
-        return cls(N, coeffs)
-
-    @classmethod
-    def basis_product(cls, single, mu: Partition, N: int) -> "SymmetricPolynomial":
-        out = cls.one(N)
-        for part in mu.parts:
-            out = out.mul(single(part, N))
-        return out
-
     # -- arithmetic --------------------------------------------------------
 
     def add(self, other: "SymmetricPolynomial") -> "SymmetricPolynomial":
@@ -224,46 +168,18 @@ class SymmetricPolynomial:
     def to_fraction(self, universe) -> FactoredFraction:
         """The full polynomial as one fraction over a universe containing
         q, t and the alphabet."""
-        terms = []
-        for key, f in self.coeffs.items():
-            padded = tuple(key) + (0,) * (self.N - len(key))
-            orbit = Polynomial.zero(universe)
-            for exps in set(itertools.permutations(padded)):
-                orbit = orbit + Polynomial.monomial(
-                    universe, {f"x{i + 1}": e for i, e in enumerate(exps) if e}
-                )
-            terms.append(f.substitute({}, universe=universe) * orbit)
+        terms = [
+            f.substitute({}, universe=universe)
+            * Polynomial.monomial(
+                universe, {f"x{i}": e for i, e in enumerate(exps, start=1) if e}
+            )
+            for exps, f in self._expand_full().items()
+        ]
         return FactoredFraction.sum(terms, universe=universe)
 
 
 def _strip(key: tuple) -> tuple:
     return tuple(k for k in key if k)
-
-
-def _sp_from_polynomial(p: Polynomial, N: int) -> SymmetricPolynomial:
-    """Read a symmetric polynomial over ('q', 't', x-vars) into orbit form,
-    verifying that monomials in one orbit carry identical coefficients."""
-    groups = {}
-    for exps, c in p.terms.items():
-        qt_part = exps[:2]
-        x_part = exps[2:]
-        key = _strip(tuple(sorted(x_part, reverse=True)))
-        groups.setdefault(key, {}).setdefault(x_part, {})[qt_part] = c
-    coeffs = {}
-    for key, members in groups.items():
-        padded = tuple(key) + (0,) * (N - len(key))
-        expected = set(itertools.permutations(padded))
-        polys = {
-            x_part: Polynomial(UNIVERSE_QT, qt_terms)
-            for x_part, qt_terms in members.items()
-        }
-        values = list(polys.values())
-        if set(polys) != expected or any(v != values[0] for v in values[1:]):
-            raise InternalConsistencyError(
-                f"polynomial is not symmetric on orbit {key}"
-            )
-        coeffs[key] = FactoredFraction(values[0])
-    return SymmetricPolynomial(N, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +211,14 @@ def spec_value_at(mu: Partition, a_value, b_value) -> FactoredFraction:
     )
 
 
-def _pochhammer_ratio(m: int) -> FactoredFraction:
-    """Product over j = 1..m of (1 - t q^(j-1)) / (1 - q^j)."""
+def heine_coefficient(k: int) -> FactoredFraction:
+    """Coefficient of x^k in the one-letter generating product
+    (t x; q)_inf / (x; q)_inf: product over j = 1..k of
+    (1 - t q^(j-1))/(1 - q^j)."""
     one = Polynomial.one(UNIVERSE_QT)
     num = one
     den = []
-    for j in range(1, m + 1):
+    for j in range(1, k + 1):
         num = num * (one - Polynomial.monomial(UNIVERSE_QT, {"t": 1, "q": j - 1}))
         den.append(one - _qt_var("q", j))
     return FactoredFraction(num, den)
@@ -326,7 +244,7 @@ def row_expansion_table(n: int, basis: str) -> ExpansionTable:
         elif basis == BASIS_MONOMIAL:
             coeff = _qt_one()
             for part in mu.parts:
-                coeff = coeff * _pochhammer_ratio(part)
+                coeff = coeff * heine_coefficient(part)
         elif basis == BASIS_COMPLETE:
             coeff = spec_value_at(mu, 1, t)
         elif basis == BASIS_ELEMENTARY:
@@ -339,92 +257,110 @@ def row_expansion_table(n: int, basis: str) -> ExpansionTable:
     return ExpansionTable(n, basis, tuple(entries))
 
 
-_BASIS_ELEMENT_BUILDERS = {
-    BASIS_POWER: lambda mu, N: SymmetricPolynomial.basis_product(
-        SymmetricPolynomial.power_single, mu, N
-    ),
-    BASIS_MONOMIAL: lambda mu, N: SymmetricPolynomial.monomial(mu, N),
-    BASIS_COMPLETE: lambda mu, N: SymmetricPolynomial.basis_product(
-        SymmetricPolynomial.complete_single, mu, N
-    ),
-    BASIS_ELEMENTARY: lambda mu, N: SymmetricPolynomial.basis_product(
-        SymmetricPolynomial.elementary_single, mu, N
-    ),
-    BASIS_DEFORMED_COMPLETE: lambda mu, N: SymmetricPolynomial.basis_product(
-        lambda n, NN: SymmetricPolynomial.deformed_h_single(n, NN, "t"), mu, N
-    ),
-    BASIS_DEFORMED_ELEMENTARY: lambda mu, N: SymmetricPolynomial.basis_product(
-        lambda n, NN: SymmetricPolynomial.deformed_e_single(n, NN, "t"), mu, N
-    ),
-}
+# ---------------------------------------------------------------------------
+# Basis elements and generating products on a finite alphabet
+
+
+def _basis_element(basis: str, mu: Partition, N: int, param: str = "t") -> SymmetricPolynomial:
+    """The element of a named basis indexed by mu on x_1..x_N.  Every basis
+    but the monomial one multiplies one generator per part of mu; the
+    generator of degree n carries, on the orbit of each partition lam of n
+    with length l:
+    power 1 if l = 1; complete 1; elementary 1 if l = n;
+    deformed complete (h_n on (1 - param) X) (1 - param)^l;
+    deformed elementary (e_n on (1 - param) X) (-param)^(n - l) (1 - param)^l;
+    and 0 otherwise."""
+    if basis == BASIS_MONOMIAL:
+        return SymmetricPolynomial.monomial(mu, N)
+    one = Polynomial.one(UNIVERSE_QT)
+    zero = Polynomial.zero(UNIVERSE_QT)
+    deform = one - _qt_var(param)
+    out = SymmetricPolynomial.one(N)
+    for n in mu.parts:
+        coeffs = {}
+        for lam in partitions_of(n, N):
+            l = lam.length
+            if basis == BASIS_POWER:
+                c = one if l == 1 else zero
+            elif basis == BASIS_COMPLETE:
+                c = one
+            elif basis == BASIS_ELEMENTARY:
+                c = one if l == n else zero
+            elif basis == BASIS_DEFORMED_COMPLETE:
+                c = deform ** l
+            else:
+                c = _qt_var(param, n - l, (-1) ** (n - l)) * deform ** l
+            coeffs[tuple(lam.parts)] = FactoredFraction(c)
+        out = out.mul(SymmetricPolynomial(N, coeffs))
+    return out
+
+
+def _linear_combination(basis: str, entries, N: int, param: str = "t") -> SymmetricPolynomial:
+    """Sum of coefficient * basis element over (mu, coefficient) pairs."""
+    out = SymmetricPolynomial.zero(N)
+    for mu, coeff in entries:
+        if not coeff.is_zero:
+            out = out.add(_basis_element(basis, mu, N, param).scale(coeff))
+    return out
 
 
 def table_to_polynomial(table: ExpansionTable, N: int) -> SymmetricPolynomial:
-    build = _BASIS_ELEMENT_BUILDERS[table.basis]
-    out = SymmetricPolynomial.zero(N)
-    for mu, coeff in table.entries:
-        if coeff.is_zero:
-            continue
-        out = out.add(build(mu, N).scale(coeff))
-    return out
+    return _linear_combination(table.basis, table.entries, N)
+
+
+# One letter y of the alphabet, for one-letter series.
+_UNIVERSE_QTY = ("q", "t", "y")
+_ONE_Y = Polynomial.one(_UNIVERSE_QTY)
+_Y = Polynomial.variable(_UNIVERSE_QTY, "y")
+_TY = Polynomial.monomial(_UNIVERSE_QTY, {"t": 1, "y": 1})
+
+
+def _letter_series(numerator, denominator, degree: int) -> list:
+    """Coefficients of y^0..y^degree in the product of the numerator
+    factors over the denominator factors, polynomials in (q, t, y);
+    re-expressed over (q, t)."""
+    return [
+        c.substitute({}, universe=UNIVERSE_QT)
+        for c in series_expand(numerator, denominator, "y", degree, _UNIVERSE_QTY)
+    ]
+
+
+def _letter_product(coeffs, N: int) -> SymmetricPolynomial:
+    """The product over x_1..x_N of sum_k coeffs[k] x_i^k, cut at total
+    degree len(coeffs) - 1.  The monomial with exponents lam (padded with
+    zeros) takes coeffs[lam_i] from letter i, so the orbit of lam carries
+    coeffs[0]^(N - length) times the product of coeffs[part]."""
+    out = {}
+    for n in range(len(coeffs)):
+        for lam in partitions_of(n, N):
+            f = coeffs[0] ** (N - lam.length)
+            for part in lam.parts:
+                f = f * coeffs[part]
+            out[tuple(lam.parts)] = f
+    return SymmetricPolynomial(N, out)
 
 
 # ---------------------------------------------------------------------------
 # g_n as a polynomial on a finite alphabet
 
 
-_HEINE_CACHE: dict = {}
-
-
-def heine_coefficient(k: int) -> FactoredFraction:
-    """Coefficient of x^k in the single-variable expansion of the generating
-    product: product over j = 1..k of (1 - t q^(j-1))/(1 - q^j)."""
-    if k not in _HEINE_CACHE:
-        _HEINE_CACHE[k] = _pochhammer_ratio(k)
-    return _HEINE_CACHE[k]
-
-
-def row_polynomial(n: int, N: int, method: str = "from-basis") -> SymmetricPolynomial:
-    """g_n on N variables, either assembled from the monomial-basis table or
-    by multiplying the N single-variable series and extracting degree n."""
+def row_polynomial(n: int, N: int) -> SymmetricPolynomial:
+    """g_n on N variables, read off its monomial-basis table."""
     if N < 1 or n < 0:
         raise UsageError("need N >= 1 and n >= 0")
-    if method == "from-basis":
-        table = row_expansion_table(n, BASIS_MONOMIAL)
-        coeffs = {
-            tuple(mu.parts): f for mu, f in table.entries if mu.length <= N
-        }
-        return SymmetricPolynomial(N, coeffs)
-    if method == "heine-product":
-        cur = {(0,) * N: _qt_one()}
-        for i in range(N):
-            buckets = {}
-            for k in range(n + 1):
-                ck = heine_coefficient(k)
-                for e, f in cur.items():
-                    if sum(e) + k > n:
-                        continue
-                    e2 = e[:i] + (e[i] + k,) + e[i + 1:]
-                    buckets.setdefault(e2, []).append(f * ck)
-            cur = {
-                e: FactoredFraction.sum(items, universe=UNIVERSE_QT)
-                for e, items in buckets.items()
-            }
-        coeffs = {}
-        for e, f in cur.items():
-            if sum(e) != n or f.is_zero:
-                continue
-            key = tuple(sorted(e, reverse=True))
-            if key == e:
-                coeffs[_strip(key)] = f
-        return SymmetricPolynomial(N, coeffs)
-    raise UsageError(f"unknown method {method!r}")
+    table = row_expansion_table(n, BASIS_MONOMIAL)
+    return SymmetricPolynomial(
+        N, {tuple(mu.parts): f for mu, f in table.entries if mu.length <= N}
+    )
 
 
 def expansion_agreement(n: int, N: int) -> bool:
-    """All six basis tables and the product expansion give the same
-    polynomial."""
-    target = row_polynomial(n, N, "heine-product")
+    """All six basis tables give the degree-n part of the generating
+    product over the letters of sum_k heine_coefficient(k) x_i^k."""
+    if N < 1 or n < 0:
+        raise UsageError("need N >= 1 and n >= 0")
+    heine = [heine_coefficient(k) for k in range(n + 1)]
+    target = _letter_product(heine, N).homogeneous_part(n)
     for basis in BASES:
         sp = table_to_polynomial(row_expansion_table(n, basis), N)
         if not sp.eq(target):
@@ -436,59 +372,41 @@ def expansion_agreement(n: int, N: int) -> bool:
 # Deformed generators three ways
 
 
+_DEFORMED_KINDS = {"E": BASIS_DEFORMED_ELEMENTARY, "H": BASIS_DEFORMED_COMPLETE}
+
+
 def deformed_basis(kind: str, n: int, N: int) -> SymmetricPolynomial:
     """The deformed generator (elementary kind "E" or complete kind "H") on
     N variables, computed three ways and checked for agreement:
 
-    1. coefficient of u^n in the generating product
-       (E: prod (1 + u x_i)/(1 + u t x_i); H: prod (1 - u t x_i)/(1 - u x_i)),
+    1. degree-n part of the generating product over the letters
+       (E: prod (1 + x_i)/(1 + t x_i); H: prod (1 - t x_i)/(1 - x_i)),
     2. substitution q -> 0 into the monomial table of g_n
        (E also flips t -> 1/t and scales by (-t)^n),
     3. the closed monomial-orbit expansion.
     """
-    if kind not in ("E", "H"):
+    if kind not in _DEFORMED_KINDS:
         raise UsageError(f"unknown deformed kind {kind!r}")
     if n < 1 or N < 1:
         raise UsageError("need n >= 1 and N >= 1")
-    uni = ("q", "t", "u") + tuple(f"x{i}" for i in range(1, N + 1))
-    one = Polynomial.one(uni)
-    num, den = [], []
-    for i in range(1, N + 1):
-        ux = Polynomial.monomial(uni, {"u": 1, f"x{i}": 1})
-        utx = Polynomial.monomial(uni, {"u": 1, "t": 1, f"x{i}": 1})
-        if kind == "E":
-            num.append(one + ux)
-            den.append(one + utx)
-        else:
-            num.append(one - utx)
-            den.append(one - ux)
-    coeff = series_expand(num, den, "u", n)[n]
-    if coeff.denominator:
-        raise InternalConsistencyError("generating series coefficient not polynomial")
-    from_series = _sp_from_polynomial(
-        coeff.numerator.substitute({}, universe=x_universe(N)), N
-    )
+    if kind == "E":
+        num, den = _ONE_Y + _Y, _ONE_Y + _TY
+    else:
+        num, den = _ONE_Y - _TY, _ONE_Y - _Y
+    from_series = _letter_product(_letter_series([num], [den], n), N).homogeneous_part(n)
 
-    table = row_expansion_table(n, BASIS_MONOMIAL)
-    coeffs = {}
     t = _qt_var("t")
     inv_t = FactoredFraction(Polynomial.one(UNIVERSE_QT), [t])
     scale = Polynomial.variable(UNIVERSE_QT, "t", n, (-1) ** n)
-    for mu, f in table.entries:
-        if mu.length > N:
-            continue
+    coeffs = {}
+    for key, f in row_polynomial(n, N).coeffs.items():
         if kind == "H":
-            coeffs[tuple(mu.parts)] = f.substitute({"q": 0})
+            coeffs[key] = f.substitute({"q": 0})
         else:
-            coeffs[tuple(mu.parts)] = f.substitute({"q": 0, "t": inv_t}) * scale
+            coeffs[key] = f.substitute({"q": 0, "t": inv_t}) * scale
     from_substitution = SymmetricPolynomial(N, coeffs)
 
-    single = (
-        SymmetricPolynomial.deformed_e_single
-        if kind == "E"
-        else SymmetricPolynomial.deformed_h_single
-    )
-    closed = single(n, N, "t")
+    closed = _basis_element(_DEFORMED_KINDS[kind], Partition((n,)), N)
 
     if not (from_series.eq(closed) and from_substitution.eq(closed)):
         raise InternalConsistencyError(
@@ -530,7 +448,7 @@ def eigencheck(n: int, N: int, cap: int = OPERATOR_N_CAP) -> bool:
     if n < 0:
         raise UsageError("degree must be non-negative")
     uni = x_universe(N)
-    g = row_polynomial(n, N, "from-basis").to_fraction(uni)
+    g = row_polynomial(n, N).to_fraction(uni)
     terms = []
     for i in range(1, N + 1):
         shifted = g.substitute(
@@ -687,74 +605,52 @@ def inverse_expansions_check(n: int, N: int) -> bool:
     parameter q, plus the t = q collapse of g_n."""
     if n < 1 or N < 1:
         raise UsageError("need n >= 1 and N >= 1")
-    h = SymmetricPolynomial.complete_single(n, N)
-    e = SymmetricPolynomial.elementary_single(n, N)
+    h = _basis_element(BASIS_COMPLETE, Partition((n,)), N)
+    e = _basis_element(BASIS_ELEMENTARY, Partition((n,)), N)
     q = _qt_var("q")
 
     collapsed = SymmetricPolynomial(
-        N,
-        {
-            tuple(mu.parts): f.substitute({"t": q})
-            for mu, f in row_expansion_table(n, BASIS_MONOMIAL).entries
-            if mu.length <= N
-        },
+        N, {key: f.substitute({"t": q}) for key, f in row_polynomial(n, N).coeffs.items()}
     )
     if not collapsed.eq(h):
         return False
 
-    def deformed_q(kind, lam):
-        single = (
-            SymmetricPolynomial.deformed_e_single
-            if kind == "E"
-            else SymmetricPolynomial.deformed_h_single
-        )
-        return SymmetricPolynomial.basis_product(
-            lambda m, NN: single(m, NN, "q"), lam, N
-        )
-
-    sign = -1 if n % 2 else 1
+    # h_n has g_n's deformed coefficients on the same deformed basis, e_n
+    # on the other one.
+    tables = {
+        basis: row_expansion_table(n, basis).entries
+        for basis in (BASIS_DEFORMED_COMPLETE, BASIS_DEFORMED_ELEMENTARY)
+    }
     checks = [
-        (h, "H", lambda mu: spec_value_at(mu, 1, 0)),
-        (h, "E", lambda mu: spec_value_at(mu, 0, 1) * sign),
-        (e, "E", lambda mu: spec_value_at(mu, 1, 0)),
-        (e, "H", lambda mu: spec_value_at(mu, 0, 1) * sign),
+        (h, BASIS_DEFORMED_COMPLETE, BASIS_DEFORMED_COMPLETE),
+        (h, BASIS_DEFORMED_ELEMENTARY, BASIS_DEFORMED_ELEMENTARY),
+        (e, BASIS_DEFORMED_ELEMENTARY, BASIS_DEFORMED_COMPLETE),
+        (e, BASIS_DEFORMED_COMPLETE, BASIS_DEFORMED_ELEMENTARY),
     ]
-    for target, kind, coeff_fn in checks:
-        acc = SymmetricPolynomial.zero(N)
-        for mu in partitions_of(n):
-            acc = acc.add(deformed_q(kind, mu).scale(coeff_fn(mu)))
-        if not acc.eq(target):
+    for target, basis, table in checks:
+        if not _linear_combination(basis, tables[table], N, "q").eq(target):
             return False
     return True
 
 
-def _geometric_ratio_polynomial(N: int, degree: int) -> Polynomial:
-    """prod (1 - x_i)/(1 - t x_i), expanded to total x-degree <= degree over
-    ('q', 't', x-vars): the series in a degree marker u of
-    prod (1 - u x_i)/(1 - u t x_i), summed up to u^degree."""
-    uni = x_universe(N)
-    marked = uni + ("u",)
-    one = Polynomial.one(marked)
-    num, den = [], []
-    for i in range(1, N + 1):
-        num.append(one - Polynomial.monomial(marked, {"u": 1, f"x{i}": 1}))
-        den.append(one - Polynomial.monomial(marked, {"u": 1, "t": 1, f"x{i}": 1}))
-    series = series_expand(num, den, "u", degree)
-    return FactoredFraction.sum(series).numerator.substitute({}, universe=uni)
+def _row_sum(N: int, degree: int) -> SymmetricPolynomial:
+    """g_0 + g_1 + ... + g_degree on N variables."""
+    total = SymmetricPolynomial.zero(N)
+    for n in range(degree + 1):
+        total = total.add(row_polynomial(n, N))
+    return total
 
 
 def generating_shift_check(N: int, degree: int) -> bool:
     """Scaling the degree marker by q multiplies the generating function by
     prod (1 - x_i)/(1 - t x_i); checked to total x-degree <= degree."""
-    g_parts = [row_polynomial(n, N, "from-basis") for n in range(degree + 1)]
-    total = SymmetricPolynomial.zero(N)
     shifted = SymmetricPolynomial.zero(N)
-    for n, g in enumerate(g_parts):
-        total = total.add(g)
-        shifted = shifted.add(g.scale(_qt_var("q", n)))
-    ratio = _sp_from_polynomial(_geometric_ratio_polynomial(N, degree), N)
-    rhs = ratio.mul(total, max_degree=degree)
-    return shifted.eq(rhs)
+    for n in range(degree + 1):
+        shifted = shifted.add(row_polynomial(n, N).scale(_qt_var("q", n)))
+    ratio = _letter_product(
+        _letter_series([_ONE_Y - _Y], [_ONE_Y - _TY], degree), N
+    )
+    return shifted.eq(ratio.mul(_row_sum(N, degree), max_degree=degree))
 
 
 def alphabet_shift_check(N: int, degree: int) -> bool:
@@ -763,22 +659,10 @@ def alphabet_shift_check(N: int, degree: int) -> bool:
     degree."""
     q = _qt_var("q")
     t = _qt_var("t")
-    lhs = SymmetricPolynomial.zero(N)
-    for n in range(degree + 1):
-        for mu in partitions_of(n):
-            coeff = spec_value_at(mu, q, t)
-            lhs = lhs.add(
-                SymmetricPolynomial.basis_product(
-                    SymmetricPolynomial.complete_single, mu, N
-                ).scale(coeff)
-            )
-    total = SymmetricPolynomial.zero(N)
-    for n in range(degree + 1):
-        total = total.add(row_polynomial(n, N, "from-basis"))
-    alternating = SymmetricPolynomial.zero(N)
-    for k in range(N + 1):
-        alternating = alternating.add(
-            SymmetricPolynomial.elementary_single(k, N).scale((-1) ** k)
-        )
-    rhs = alternating.mul(total, max_degree=degree)
-    return lhs.eq(rhs)
+    lhs = _linear_combination(
+        BASIS_COMPLETE,
+        [(mu, spec_value_at(mu, q, t)) for n in range(degree + 1) for mu in partitions_of(n)],
+        N,
+    )
+    alternating = _letter_product(_letter_series([_ONE_Y - _Y], [], degree), N)
+    return lhs.eq(alternating.mul(_row_sum(N, degree), max_degree=degree))

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -192,19 +193,32 @@ class TestVerifyCommand:
         assert "no instance" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["--identity", "prop5", "--n", "3"],
-            ["--identity", "thm6", "--max-weight", "2"],
-            ["--identity", "prop6", "--max-n", "1"],
+            (["verify", "--identity", "prop5", "--n", "3"], "does not apply"),
+            (["verify", "--identity", "thm6", "--max-weight", "2"], "does not apply"),
+            (["verify", "--identity", "prop6", "--max-n", "1"], "does not apply"),
+            (
+                ["specialize", "--mu", "2,1", "--form", "theorem1", "--oracle-N", "50"],
+                "does not apply",
+            ),
+            (["positivity", "--mu", "2,1", "--max-weight", "0"], "does not apply"),
+            (["specialize", "--mu", "2,1", "--subst", "a=1,a=2"], "bound twice"),
         ],
-        ids=["prop5-n", "thm6-max-weight", "prop6-max-n"],
+        ids=[
+            "prop5-n",
+            "thm6-max-weight",
+            "prop6-max-n",
+            "specialize-oracle-N",
+            "positivity-mu-max-weight",
+            "specialize-subst-twice",
+        ],
     )
-    def test_flag_the_family_does_not_read_is_usage_error(self, capsys, argv):
-        code, out, err = run(capsys, "verify", *argv)
+    def test_flag_the_family_does_not_read_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
-        assert "does not apply" in err
+        assert message in err
 
     @pytest.mark.parametrize(
         "identity, count", [("thm6", 4), ("prop5", 89)], ids=["n", "max-weight"]
@@ -306,6 +320,25 @@ class TestPositivityCommand:
         assert code == EXIT_USAGE
         assert out == ""
         assert "no partition" in err
+
+    def test_weight_over_length_cap_is_refused_before_any_work(self, capsys, monkeypatch):
+        # (1^9) is longer than the positivity cap, so weight 9 is refused
+        # before partitions are enumerated or any report is built.
+        calls = []
+        monkeypatch.setattr(cli, "positivity_report", lambda mu: calls.append(mu))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "positivity", "--max-weight", "9")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "cap" in err
+        assert calls == []
+
+    def test_omitted_max_weight_means_eight(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_positivity_instance", lambda task: {"mu": list(task), "ok": True})
+        code, out, _ = run(capsys, "positivity", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["instances_checked"] == 66
 
 
 class TestEigencheckCommand:

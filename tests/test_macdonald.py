@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmono.algebra import FactoredFraction, Polynomial, frac_eq
 from qmono.errors import ResourceLimitError, UsageError
@@ -14,7 +16,9 @@ from qmono.macdonald import (
     BASIS_POWER,
     SymmetricPolynomial,
     UNIVERSE_QT,
+    _basis_element,
     _deformed_power_table,
+    _letter_product,
     apply_omega,
     coefficient_sum_identities,
     deformed_basis,
@@ -29,6 +33,7 @@ from qmono.macdonald import (
     row_expansion_table,
     row_polynomial,
     table_to_polynomial,
+    x_universe,
 )
 from qmono.partitions import Partition, partitions_of, z_of
 
@@ -95,17 +100,13 @@ class TestRowPolynomial:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_methods_agree(self, n):
-        a = row_polynomial(n, 2, "from-basis")
-        b = row_polynomial(n, 2, "heine-product")
-        assert a.eq(b)
+        heine = [heine_coefficient(k) for k in range(n + 1)]
+        b = _letter_product(heine, 2).homogeneous_part(n)
+        assert row_polynomial(n, 2).eq(b)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_six_way_agreement_small(self, n):
         assert expansion_agreement(n, 3)
-
-    def test_unknown_method(self):
-        with pytest.raises(UsageError):
-            row_polynomial(2, 2, "interpolation")
 
 
 class TestDeformedBases:
@@ -232,7 +233,7 @@ class TestInverseExpansions:
 
 class TestSymmetricPolynomial:
     def test_multiplication_collects_orbits(self):
-        e1 = SymmetricPolynomial.elementary_single(1, 2)
+        e1 = _basis_element(BASIS_ELEMENTARY, Partition((1,)), 2)
         sq = e1.mul(e1)
         # (x1 + x2)^2 = m_2 + 2 m_11.
         assert frac_eq(sq.coeffs[(2,)], FactoredFraction.one(UNIVERSE_QT))
@@ -246,17 +247,36 @@ class TestSymmetricPolynomial:
             assert sp.eq(row_polynomial(2, 2)), basis
 
     def test_vanishing_above_alphabet(self):
-        assert SymmetricPolynomial.elementary_single(3, 2).coeffs == {}
+        assert _basis_element(BASIS_ELEMENTARY, Partition((3,)), 2).coeffs == {}
         assert SymmetricPolynomial.monomial(Partition((1, 1, 1)), 2).coeffs == {}
 
-    def test_heine_coefficient_cache_stable(self):
-        a = heine_coefficient(3)
-        b = heine_coefficient(3)
-        assert a is b
-
     def test_homogeneous_part(self):
-        total = SymmetricPolynomial.complete_single(2, 2).add(
-            SymmetricPolynomial.elementary_single(1, 2)
+        total = _basis_element(BASIS_COMPLETE, Partition((2,)), 2).add(
+            _basis_element(BASIS_ELEMENTARY, Partition((1,)), 2)
         )
         assert set(total.homogeneous_part(1).coeffs) == {(1,)}
         assert set(total.homogeneous_part(2).coeffs) == {(2,), (1, 1)}
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_rationals, min_size=1, max_size=4), st.integers(min_value=1, max_value=3))
+def test_letter_product_matches_polynomial_product(constants, N):
+    # The product over the letters of sum_k c_k x_i^k, built with
+    # Polynomial.__mul__ and cut at the same x-degree, is the orbit-form
+    # letter product.
+    uni = x_universe(N)
+    degree = len(constants) - 1
+    product = Polynomial.one(uni)
+    for i in range(1, N + 1):
+        letter = Polynomial.zero(uni)
+        for k, c in enumerate(constants):
+            letter = letter + Polynomial.variable(uni, f"x{i}", k, c)
+        product = product * letter
+    cut = Polynomial(
+        uni, {e: c for e, c in product.terms.items() if sum(e[2:]) <= degree}
+    )
+    coeffs = [FactoredFraction.constant(UNIVERSE_QT, c) for c in constants]
+    assert frac_eq(_letter_product(coeffs, N).to_fraction(uni), FactoredFraction(cut))
