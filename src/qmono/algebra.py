@@ -9,13 +9,18 @@ by descending exponent tuple in the declared variable order.
 
 Fractions are never reduced by multivariate gcd.  They stay in factored form
 (numerator polynomial over a multiset of denominator factors) and equality is
-decided by cross-multiplication.  All values are immutable after construction
-and every operation is a pure function, so values can be shared freely
-between threads.
+decided by cross-multiplication.  The one reduction the kernel offers is exact
+division by a known factor (:meth:`Polynomial.exact_quotient`), which callers
+use to cancel a denominator factor they know; :meth:`Polynomial.residue`
+evaluates a polynomial modulo the prime ``RESIDUE_MODULUS`` so that a caller
+can rule a division out cheaply first.  All values are immutable after
+construction and every operation is a pure function, so values can be shared
+freely between threads.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -28,6 +33,9 @@ from .errors import (
 
 Coeff = Union[int, Fraction]
 Universe = tuple
+
+# The Mersenne prime 2^61 - 1: the modulus of Polynomial.residue.
+RESIDUE_MODULUS = 2 ** 61 - 1
 
 
 def _norm_coeff(c):
@@ -215,6 +223,64 @@ class Polynomial:
         return Polynomial._raw(self.universe, _mul_terms(self.terms, other.terms, {}))
 
     __rmul__ = __mul__
+
+    def exact_quotient(self, d: "Polynomial"):
+        """The polynomial q with q * d == self, or None when d does not
+        divide self.
+
+        Leading-term division in lex order (the declared variable order), with
+        the remainder's terms kept in a heap as in Monagan and Pearce,
+        "Polynomial division using dynamic arrays, heaps, and packed exponent
+        vectors" (CASC 2007): each step cancels the remainder's leading term,
+        and the division fails as soon as the leading term of d does not
+        divide it."""
+        self._check(d)
+        if d.is_zero:
+            raise InvalidValueError("division by the zero polynomial")
+        lead = max(d.terms)
+        lc = d.terms[lead]
+        tail = [(e, c) for e, c in d.terms.items() if e != lead]
+        rem = dict(self.terms)
+        heap = [tuple(-x for x in e) for e in rem]
+        heapq.heapify(heap)
+        quot = {}
+        while heap:
+            e = tuple(-x for x in heapq.heappop(heap))
+            c = rem.pop(e, None)
+            if c is None:
+                continue  # cancelled after it was queued
+            qe = tuple(x - y for x, y in zip(e, lead))
+            if min(qe, default=0) < 0:
+                return None
+            qc = c if lc == 1 else -c if lc == -1 else _norm_coeff(Fraction(c) / lc)
+            quot[qe] = qc
+            # Every term of qe * tail is lex-smaller than e, so the heap only
+            # ever receives terms below the one just cancelled.
+            for te, tc in tail:
+                m = tuple(x + y for x, y in zip(qe, te))
+                s = rem.get(m, 0) - qc * tc
+                if s == 0:
+                    del rem[m]
+                else:
+                    if m not in rem:
+                        heapq.heappush(heap, tuple(-x for x in m))
+                    rem[m] = s
+        return Polynomial._raw(self.universe, quot)
+
+    def residue(self, point: Sequence[int]) -> int:
+        """The value modulo ``RESIDUE_MODULUS`` at ``point``, one integer per
+        variable of the universe.  Coefficient denominators must be prime to
+        the modulus."""
+        p = RESIDUE_MODULUS
+        total = 0
+        for exps, c in self.terms.items():
+            if isinstance(c, Fraction):
+                c = c.numerator * pow(c.denominator, -1, p)
+            for x, e in zip(point, exps):
+                if e:
+                    c = c * pow(x, e, p) % p
+            total += c
+        return total % p
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

@@ -25,12 +25,15 @@ from .algebra import (
     series_expand,
 )
 from .errors import InternalConsistencyError, ResourceLimitError, UsageError
-from .partitions import Partition, partitions_of, z_of
+from .partitions import DERANGEMENT_LENGTH_CAP, Partition, partitions_of, z_of
 from .specialize import monomial_spec
 
 UNIVERSE_QT = ("q", "t")
 
 OPERATOR_N_CAP = 3
+# Largest degree n of eigencheck: n = 8 on N = 3 letters takes one to two seconds
+# and 42 MB, and the cost grows quickly with n.
+EIGENCHECK_DEGREE_CAP = 8
 COEFFICIENT_IDENTITY_N_CAP = 4
 
 BASIS_POWER = "power"
@@ -230,6 +233,12 @@ def row_expansion_table(n: int, basis: str) -> ExpansionTable:
         raise UsageError(f"unknown basis {basis!r}")
     if n < 0:
         raise UsageError("degree must be non-negative")
+    # Every basis but the power and monomial ones evaluates the rearrangement
+    # sum of each partition, and (1^n) is the longest, so refuse before any.
+    if basis not in (BASIS_POWER, BASIS_MONOMIAL) and n > DERANGEMENT_LENGTH_CAP:
+        raise ResourceLimitError(
+            f"partition length {n} exceeds rearrangement cap {DERANGEMENT_LENGTH_CAP}"
+        )
     t = _qt_var("t")
     sign = -1 if n % 2 else 1
     one = Polynomial.one(UNIVERSE_QT)
@@ -447,6 +456,8 @@ def eigencheck(n: int, N: int, cap: int = OPERATOR_N_CAP) -> bool:
         raise ResourceLimitError(f"operator alphabet size {N} exceeds cap {cap}")
     if n < 0:
         raise UsageError("degree must be non-negative")
+    if n > EIGENCHECK_DEGREE_CAP:
+        raise ResourceLimitError(f"degree {n} exceeds eigencheck cap {EIGENCHECK_DEGREE_CAP}")
     uni = x_universe(N)
     g = row_polynomial(n, N).to_fraction(uni)
     terms = []

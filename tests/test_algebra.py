@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmono.algebra import (
+    RESIDUE_MODULUS,
     FactoredFraction,
     Polynomial,
     _coefficients_in,
@@ -79,6 +80,43 @@ class TestPolynomial:
         assert q ** 0 == one
         assert q ** 3 == var(ABQ, "q", 3)
         assert (one + q) ** 2 == one + 2 * q + q ** 2
+
+
+class TestExactQuotient:
+    def test_by_hand(self, abq):
+        one, a, b, q = abq
+        assert (a ** 2 - b ** 2).exact_quotient(a - b) == a + b
+        assert (one - q ** 3).exact_quotient(one - q) == one + q + q ** 2
+        assert Polynomial.zero(ABQ).exact_quotient(a - b) == Polynomial.zero(ABQ)
+
+    def test_rational_leading_coefficient(self, abq):
+        one, a, b, q = abq
+        d = 3 * a - b
+        p = (a * Fraction(1, 2) + q) * d
+        assert p.exact_quotient(d) == a * Fraction(1, 2) + q
+        assert (p * 2).exact_quotient(d * Fraction(2, 3)) == (a * Fraction(1, 2) + q) * 3
+
+    def test_not_divisible(self, abq):
+        one, a, b, q = abq
+        assert (a ** 2 + b ** 2).exact_quotient(a - b) is None
+        assert (a * b + one).exact_quotient(a) is None
+        assert one.exact_quotient(one - q) is None
+
+    def test_zero_divisor(self, abq):
+        one, a, b, q = abq
+        with pytest.raises(InvalidValueError):
+            a.exact_quotient(Polynomial.zero(ABQ))
+
+
+class TestResidue:
+    def test_by_hand(self, abq):
+        one, a, b, q = abq
+        p = 3 * a ** 2 * b - q + 5
+        assert p.residue([2, 7, 11]) == 3 * 4 * 7 - 11 + 5
+        assert (a - b).residue([1, 2, 0]) == RESIDUE_MODULUS - 1
+        half = one * Fraction(1, 2)
+        assert (half.residue([0, 0, 0]) * 2) % RESIDUE_MODULUS == 1
+        assert Polynomial.zero(ABQ).residue([1, 2, 3]) == 0
 
 
 class TestFactoredFraction:
@@ -263,6 +301,34 @@ def test_ring_laws(p, q, r):
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), nonzero_polys())
+def test_exact_quotient_inverts_multiplication(p, d):
+    assert (p * d).exact_quotient(d) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), nonzero_polys(), st.integers(min_value=1, max_value=5))
+def test_exact_quotient_refuses_a_remainder(p, d, c):
+    # A nonzero constant remainder is never a multiple of a non-constant d.
+    if d.is_constant():
+        d = d + Polynomial.variable(d.universe, "q")
+    assert (p * d + c).exact_quotient(d) is None
+
+
+_points = st.lists(
+    st.integers(min_value=-(2 ** 64), max_value=2 ** 64), min_size=2, max_size=2
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), small_polys(), _points)
+def test_residue_is_a_ring_homomorphism(p, q, point):
+    m = RESIDUE_MODULUS
+    assert (p + q).residue(point) == (p.residue(point) + q.residue(point)) % m
+    assert (p * q).residue(point) == p.residue(point) * q.residue(point) % m
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qmono import acceptance, cli
+from qmono import acceptance, cli, macdonald
 from qmono.algebra import Polynomial
 from qmono.cli import (
     EXIT_OK,
@@ -298,6 +298,26 @@ class TestExpandCommand:
         assert code == EXIT_OK
         assert out.strip() == "(1)  (1 - t) / (1 - q)"
 
+    @pytest.mark.parametrize("basis", ["complete", "elementary", "deformed-h", "deformed-e"])
+    def test_length_over_cap_is_refused_before_any_work(self, capsys, monkeypatch, basis):
+        # (1^9) is longer than the rearrangement cap, so degree 9 is refused
+        # before the first coefficient is evaluated.
+        calls = []
+        monkeypatch.setattr(macdonald, "spec_value_at", lambda *a: calls.append(a))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "expand", "--n", "9", "--basis", basis)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "cap" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("basis", ["power", "monomial"])
+    def test_bases_without_rearrangement_sums_stay_uncapped(self, capsys, basis):
+        code, out, _ = run(capsys, "expand", "--n", "9", "--basis", basis)
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 30  # the partitions of 9
+
 
 class TestPositivityCommand:
     def test_single_partition(self, capsys):
@@ -357,6 +377,17 @@ class TestEigencheckCommand:
             capsys, "eigencheck", "--n", "0", "--N", "4", "--max-N", "4"
         )
         assert code == EXIT_OK
+
+    def test_degree_over_cap_is_refused_before_any_work(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(macdonald, "row_polynomial", lambda *a: calls.append(a))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "eigencheck", "--n", "9", "--N", "3")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "cap" in err
+        assert calls == []
 
 
 class TestClosedPipe:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -71,6 +72,24 @@ class TestSymmetrizedSides:
         sigma[i], sigma[j] = sigma[j], sigma[i]
         for side in SIDES:
             assert relabeling_invariant(symmetrized_side(n, side), tuple(sigma))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_factor_cancels(self, n):
+        # The three-way sides keep one factor 1 - x_S per nonempty label
+        # subset S: the peel's exact division never applies to them.
+        uni = xy_universe(n)
+        one = Polynomial.one(uni)
+        expected = FactoredFraction(
+            one,
+            [
+                one - Polynomial.monomial(uni, {f"x{k}": 1 for k in subset})
+                for size in range(1, n + 1)
+                for subset in itertools.combinations(range(1, n + 1), size)
+            ],
+        ).denominator
+        assert len(expected) == 2 ** n - 1
+        for side in SIDES:
+            assert symmetrized_side(n, side).value.denominator == expected
 
     def test_cap_and_usage(self):
         with pytest.raises(ResourceLimitError):
@@ -151,6 +170,19 @@ class TestSymmetrizedConstants:
                 [Polynomial.variable(uni, f"x{i}") for i in range(1, n + 1)],
             )
             assert frac_eq(symmetrized_constant(n, "prop8"), expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_entering_factor_cancels(self, n):
+        # The peel divides each level's new factor out, so the values come
+        # out structurally reduced: the bare constant n! and 1/(x1...xn).
+        uni = x_only_universe(n)
+        assert symmetrized_constant(n, "prop7") == FactoredFraction.constant(
+            uni, math.factorial(n)
+        )
+        assert symmetrized_constant(n, "prop8") == FactoredFraction(
+            Polynomial.one(uni),
+            [Polynomial.variable(uni, f"x{i}") for i in range(1, n + 1)],
+        )
 
 
 class TestAppendixRecurrences:
