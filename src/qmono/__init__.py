@@ -30,7 +30,13 @@ from .partitions import (
     permutations_with_cycles,
     z_of,
 )
-from .specialize import SpecResult, generator_spec, monomial_spec, spec_oracle
+from .specialize import (
+    SpecResult,
+    generator_spec,
+    monomial_spec,
+    oracle_direct,
+    oracle_powersum,
+)
 
 __version__ = "0.1.0"
 
@@ -58,6 +64,7 @@ __all__ = [
     "SpecResult",
     "monomial_spec",
     "generator_spec",
-    "spec_oracle",
+    "oracle_powersum",
+    "oracle_direct",
     "__version__",
 ]

@@ -287,14 +287,14 @@ def _mu_label(parts) -> str:
 
 def _thm6(task) -> bool:
     n, cap = task
-    left = symmetrized_side(n, SIDE_LEFT, cap=cap).value
-    return frac_eq(left, symmetrized_side(n, SIDE_RIGHT, cap=cap).value)
+    left = symmetrized_side(n, SIDE_LEFT, cap=cap)
+    return frac_eq(left, symmetrized_side(n, SIDE_RIGHT, cap=cap))
 
 
 def _thm7(task) -> bool:
     n, cap = task
-    left = symmetrized_side(n, SIDE_LEFT, cap=cap).value
-    return frac_eq(left, symmetrized_side(n, SIDE_CYCLE, cap=cap).value)
+    left = symmetrized_side(n, SIDE_LEFT, cap=cap)
+    return frac_eq(left, symmetrized_side(n, SIDE_CYCLE, cap=cap))
 
 
 def _prop5(parts) -> bool:
@@ -388,8 +388,7 @@ def criterion_6_symmetrized() -> CriterionResult:
     t0 = time.perf_counter()
     _check_families(r, (("thm6", 4), ("thm7", 4)))
     for side, displayed in _display_example_n2().items():
-        computed = symmetrized_side(2, side).value
-        r.check(frac_eq(computed, displayed), f"n=2 display {side}")
+        r.check(frac_eq(symmetrized_side(2, side), displayed), f"n=2 display {side}")
     r.elapsed = time.perf_counter() - t0
     return r
 

@@ -174,10 +174,6 @@ class Polynomial:
             raise InvalidValueError(f"{self.text()} is not a constant")
         return self.terms.get((0,) * len(self.universe), 0)
 
-    def is_homogeneous_in(self, names: Iterable[str], degree: int) -> bool:
-        idx = [self.universe.index(n) for n in names]
-        return all(sum(e[i] for i in idx) == degree for e in self.terms)
-
     def _check(self, other: "Polynomial"):
         if self.universe != other.universe:
             raise UsageError(

@@ -19,15 +19,16 @@ peel divides it out of the level's numerator exactly whenever it divides,
 after a residue screen has failed to rule the division out.  That reduces
 prop7 to the bare constant n! and prop8 to 1/(x_1...x_n), while the
 three-way sides, where nothing cancels, keep their common-denominator form.
-No gcd is ever taken.  The literal permutation-by-permutation sum is kept as
-the definitional reference, and the tests compare the two routes.
+No gcd is ever taken.  ``symmetrized_side`` and ``symmetrized_constant``
+return the peeled sum as a ``FactoredFraction``; ``symmetrized_enumerated``
+is the literal permutation-by-permutation sum of any of the five forms, kept
+as the definitional reference that the tests compare the peel against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import RESIDUE_MODULUS, FactoredFraction, Polynomial, frac_eq
@@ -37,8 +38,9 @@ from .partitions import Partition, derangements, permutations_with_cycles
 # Largest n of the three-way sides (thm6, thm7, appendix): one side at n = 5
 # has 3,383,040 numerator terms and takes minutes and more than a gigabyte.
 SYMMETRIZED_CAP = 4
-# Largest n of the constant symmetrizations prop7 and prop8.
-_CONSTANT_CAP = 5
+# Largest n of the constant symmetrizations prop7 and prop8: with the peel's
+# cancellation, prop7 at n = 7 takes under a second and about 20 MB.
+_CONSTANT_CAP = 7
 
 SIDE_LEFT = "thm6-left"
 SIDE_RIGHT = "thm6-right"
@@ -55,13 +57,6 @@ def xy_universe(n: int) -> tuple:
 
 def x_only_universe(n: int) -> tuple:
     return tuple(f"x{i}" for i in range(1, n + 1))
-
-
-@dataclass(frozen=True)
-class SymmetrizedSum:
-    n: int
-    side: str
-    value: FactoredFraction
 
 
 def _x_product(universe, subset) -> Polynomial:
@@ -223,9 +218,14 @@ def _may_divide(peels, subset: tuple, total: FactoredFraction, d: Polynomial) ->
     return residue % p == 0
 
 
-def _enumerated(form: str, n: int, uni: tuple) -> FactoredFraction:
-    """The same sum, one permutation at a time: the definitional reference
-    for :func:`_peeled`."""
+def symmetrized_enumerated(n: int, form: str) -> FactoredFraction:
+    """Any of the five sums, one permutation at a time: the definitional
+    reference for the peel behind :func:`symmetrized_side` and
+    :func:`symmetrized_constant`."""
+    if form not in SIDES + _CONSTANT_KINDS:
+        raise UsageError(f"unknown symmetrized sum {form!r}")
+    _check_size(n, SYMMETRIZED_CAP)
+    uni = xy_universe(n) if form in SIDES else x_only_universe(n)
     terms = []
     for perm in permutations_with_cycles(n):
         if form == SIDE_CYCLE:
@@ -242,22 +242,13 @@ def _enumerated(form: str, n: int, uni: tuple) -> FactoredFraction:
     return FactoredFraction.sum(terms, universe=uni)
 
 
-def symmetrized_side(n: int, side: str, cap: int = SYMMETRIZED_CAP) -> SymmetrizedSum:
+def symmetrized_side(n: int, side: str, cap: int = SYMMETRIZED_CAP) -> FactoredFraction:
     """One side of the three-way identity over all n! permutations, as a
     single fraction over the common subset-product denominator."""
     if side not in SIDES:
         raise UsageError(f"unknown side {side!r}")
     _check_size(n, cap)
-    return SymmetrizedSum(n, side, _peeled(side, n, xy_universe(n)))
-
-
-def symmetrized_side_enumerated(n: int, side: str) -> SymmetrizedSum:
-    """The definitional permutation-by-permutation sum; used as a reference
-    against the peeled assembly."""
-    if side not in SIDES:
-        raise UsageError(f"unknown side {side!r}")
-    _check_size(n, SYMMETRIZED_CAP)
-    return SymmetrizedSum(n, side, _enumerated(side, n, xy_universe(n)))
+    return _peeled(side, n, xy_universe(n))
 
 
 def constant_identity(mu: Partition, kind: str) -> FactoredFraction:
@@ -305,14 +296,6 @@ def symmetrized_constant(n: int, kind: str, cap: int = _CONSTANT_CAP) -> Factore
     return _peeled(kind, n, x_only_universe(n))
 
 
-def symmetrized_constant_enumerated(n: int, kind: str) -> FactoredFraction:
-    """Reference permutation-by-permutation form of symmetrized_constant."""
-    if kind not in _CONSTANT_KINDS:
-        raise UsageError(f"unknown symmetrized constant {kind!r}")
-    _check_size(n, _CONSTANT_CAP)
-    return _enumerated(kind, n, x_only_universe(n))
-
-
 _APPENDIX_SIDES = {"L": SIDE_LEFT, "R": SIDE_CYCLE}
 
 
@@ -330,41 +313,29 @@ def appendix_step(n: int, relation: int, side: str, cap: int = SYMMETRIZED_CAP) 
     if n < 2:
         raise UsageError("the recurrences need n at least 2")
     tag = _APPENDIX_SIDES[side]
-    f_n = symmetrized_side(n, tag, cap=cap).value
-    f_prev = symmetrized_side(n - 1, tag, cap=cap).value
+    f_n = symmetrized_side(n, tag, cap=cap)
+    f_prev = symmetrized_side(n - 1, tag, cap=cap)
     uni = xy_universe(n)
-    x_n = Polynomial.variable(uni, f"x{n}")
-    if relation == 13:
-        lhs = f_n.substitute({f"y{n}": x_n})
-        rhs_terms = []
-        for i in range(1, n):
-            bindings = {
-                f"x{i}": Polynomial.monomial(uni, {f"x{i}": 1, f"x{n}": 1}),
-                f"y{i}": Polynomial.monomial(uni, {f"y{i}": 1, f"x{n}": 1}),
-            }
-            rhs_terms.append(f_prev.substitute(bindings, universe=uni))
-        rhs = FactoredFraction.sum(rhs_terms, universe=uni)
-    else:
-        lhs = f_n.substitute({f"y{n}": 1})
-        rhs_terms = [f_prev.substitute({}, universe=uni)]
-        for i in range(1, n):
-            bindings = {
-                f"x{i}": Polynomial.monomial(uni, {f"x{i}": 1, f"x{n}": 1}),
-            }
-            rhs_terms.append(f_prev.substitute(bindings, universe=uni))
-        rhs = FactoredFraction.sum(rhs_terms, universe=uni)
-    return frac_eq(lhs, rhs)
+    lhs = f_n.substitute({f"y{n}": Polynomial.variable(uni, f"x{n}") if relation == 13 else 1})
+    # Relation 14 keeps f_(n-1) itself as one more term on the right.
+    rhs_terms = [] if relation == 13 else [f_prev.substitute({}, universe=uni)]
+    for i in range(1, n):
+        bindings = {f"x{i}": Polynomial.monomial(uni, {f"x{i}": 1, f"x{n}": 1})}
+        if relation == 13:
+            bindings[f"y{i}"] = Polynomial.monomial(uni, {f"y{i}": 1, f"x{n}": 1})
+        rhs_terms.append(f_prev.substitute(bindings, universe=uni))
+    return frac_eq(lhs, FactoredFraction.sum(rhs_terms, universe=uni))
 
 
-def relabeling_invariant(s: SymmetrizedSum, sigma: tuple) -> bool:
+def relabeling_invariant(s: FactoredFraction, sigma: tuple) -> bool:
     """Invariance of a symmetrized sum under the simultaneous relabeling
     (x_i, y_i) -> (x_sigma(i), y_sigma(i))."""
-    uni = s.value.universe
+    uni = s.universe
     bindings = {}
     for i, k in enumerate(sigma, start=1):
         bindings[f"x{i}"] = Polynomial.variable(uni, f"x{k}")
         bindings[f"y{i}"] = Polynomial.variable(uni, f"y{k}")
-    return frac_eq(s.value, s.value.substitute(bindings))
+    return frac_eq(s, s.substitute(bindings))
 
 
 def specialization_chain_check(mu: Partition) -> bool:
@@ -395,8 +366,7 @@ def specialization_chain_check(mu: Partition) -> bool:
         (SIDE_RIGHT, monomial_spec(mu, "theorem3").value),
     )
     for side, expected in pairs:
-        s = symmetrized_side(n, side)
-        specialized = s.value.substitute(bindings, universe=UNIVERSE_ABQ) * scale
+        specialized = symmetrized_side(n, side).substitute(bindings, universe=UNIVERSE_ABQ) * scale
         if not frac_eq(specialized, expected):
             return False
     return True
@@ -404,5 +374,4 @@ def specialization_chain_check(mu: Partition) -> bool:
 
 def prop5_expected(mu: Partition) -> FactoredFraction:
     """The constant length!/prod(multiplicities!) over the q universe."""
-    value = Fraction(math.factorial(mu.length), mu.repetition_factor())
-    return FactoredFraction.constant(("q",), value)
+    return FactoredFraction.constant(("q",), mu.rearrangement_count())

@@ -65,6 +65,11 @@ class Partition:
             out *= math.factorial(m)
         return out
 
+    def rearrangement_count(self) -> int:
+        """The number of distinct rearrangements of the parts,
+        length! / prod(multiplicity!), without enumerating them."""
+        return math.factorial(self.length) // self.repetition_factor()
+
     def to_json(self) -> list:
         return list(self.parts)
 
@@ -183,9 +188,6 @@ class PermutationWithCycles:
     @property
     def n(self) -> int:
         return len(self.mapping)
-
-    def cycle_type(self) -> Partition:
-        return Partition(sorted((len(c) for c in self.cycles), reverse=True))
 
 
 def _cycles_of(mapping: tuple) -> tuple:

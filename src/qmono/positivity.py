@@ -16,7 +16,6 @@ exact factorization identity.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +28,9 @@ from .errors import (
 from .partitions import Partition, derangements
 
 POSITIVITY_LENGTH_CAP = 8
+# Most distinct rearrangements H sums over: (4,3,2,1,1), with 60, takes about
+# four seconds; five distinct parts (120) take half a minute.
+POSITIVITY_REARRANGEMENT_CAP = 60
 
 UNIVERSE_Q = ("q",)
 UNIVERSE_QT = ("q", "t")
@@ -55,6 +57,11 @@ def _check_cap(mu: Partition):
     if mu.length > POSITIVITY_LENGTH_CAP:
         raise ResourceLimitError(
             f"partition length {mu.length} exceeds positivity cap {POSITIVITY_LENGTH_CAP}"
+        )
+    count = mu.rearrangement_count()
+    if count > POSITIVITY_REARRANGEMENT_CAP:
+        raise ResourceLimitError(
+            f"{count} rearrangements of {mu} exceed positivity cap {POSITIVITY_REARRANGEMENT_CAP}"
         )
 
 
@@ -149,8 +156,7 @@ def positivity_report(mu: Partition) -> PositivityReport:
     if Hbar is not None and not Hbar.is_zero:
         t = Polynomial.variable(UNIVERSE_QT, "t")
         lhs = monomial_spec(mu).value.substitute({"a": 1, "b": t}, universe=UNIVERSE_QT)
-        constant = Fraction(math.factorial(length), mu.repetition_factor())
-        num = Polynomial.constant(UNIVERSE_QT, constant)
+        num = Polynomial.constant(UNIVERSE_QT, mu.rearrangement_count())
         den = []
         for i in range(1, length + 1):
             num = num * (Polynomial.variable(UNIVERSE_QT, "q", i - 1) - t)
@@ -170,7 +176,7 @@ def auxiliary_identity_check(report: PositivityReport) -> bool:
     mu = report.partition
     if report.Hbar is None:
         return False
-    lhs = report.P * Fraction(math.factorial(mu.length), mu.repetition_factor())
+    lhs = report.P * mu.rearrangement_count()
     rhs = report.Hbar
     for i in range(1, mu.length + 1):
         rhs = rhs * geometric_sum(UNIVERSE_Q, "q", i)

@@ -3,18 +3,22 @@ geometric alphabet (a - b)/(1 - q), together with the generator
 specializations and two independent brute-force oracles.
 
 Both closed forms sum over the distinct rearrangements c of the partition's
-parts, one product of fractions per rearrangement:
+parts, one product of fractions per rearrangement, with the numerator
+a^c_i * q^e - b^c_i over the denominator 1 - q^(prefix sum through i) at
+position i.  Only the exponent e depends on the form:
 
-* form "theorem1" uses numerators  a^c_i * q^(prefix sum before i) - b^c_i,
-* form "theorem3" uses numerators  a^c_i * q^((length - i) * c_i) - b^c_i,
+* form "theorem1" takes e = the prefix sum before i,
+* form "theorem3" takes e = (length - i) * c_i.
 
-each over the denominator 1 - q^(prefix sum through i).  The two forms are
-equal as rational functions; verifying that equality across partitions is
-one of the package's main jobs.
+The two forms are equal as rational functions; verifying that equality
+across partitions is one of the package's main jobs.  A partition with more
+than REARRANGEMENT_CAP distinct rearrangements is refused before any is
+enumerated.
 
-The power-sum oracle expands the monomial function over symmetric-group
-cycle decompositions, and the direct oracle evaluates on the explicit finite
-alphabet {1, q, ..., q^(N-1)}; both are independent of the closed forms.
+The power-sum oracle (``oracle_powersum``) expands the monomial function
+over symmetric-group cycle decompositions, and the direct oracle
+(``oracle_direct``) evaluates on the explicit finite alphabet
+{1, q, ..., q^(N-1)}; both are independent of the closed forms.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ FORM_ORACLE_POWERSUM = "oracle-powersum"
 FORM_ORACLE_DIRECT = "oracle-direct"
 FORM_GENERATOR = "generator"
 
+# Most distinct rearrangements a closed form sums: five distinct parts (120)
+# take about a second; six (720) take most of a minute.
+REARRANGEMENT_CAP = 120
+
 
 @dataclass(frozen=True)
 class SpecResult:
@@ -49,53 +57,31 @@ class SpecResult:
     value: FactoredFraction
     formula: str
 
-    def is_ab_homogeneous(self) -> bool:
-        """Degree check: with denominators cleared (they involve q only),
-        every numerator term has joint (a, b)-degree equal to the weight."""
-        return self.value.numerator.is_homogeneous_in(
-            ("a", "b"), self.partition.weight
-        )
-
 
 def _one_minus_q_power(m: int) -> Polynomial:
     return Polynomial.one(UNIVERSE_ABQ) - Polynomial.variable(UNIVERSE_ABQ, "q", m)
 
 
-def _numerator_theorem1(c: int, i: int, length: int, before: int) -> Polynomial:
-    # a^c q^(prefix before) - b^c
-    return Polynomial(
-        UNIVERSE_ABQ,
-        {(c, 0, before): 1, (0, c, 0): -1},
-    )
-
-
-def _numerator_theorem3(c: int, i: int, length: int, before: int) -> Polynomial:
-    # a^c q^((length - i) c) - b^c, with i counted from 1
-    return Polynomial(
-        UNIVERSE_ABQ,
-        {(c, 0, (length - i) * c): 1, (0, c, 0): -1},
-    )
-
-
-_NUMERATORS = {
-    FORM_THEOREM1: _numerator_theorem1,
-    FORM_THEOREM3: _numerator_theorem3,
-}
-
-
 def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
     """The monomial symmetric function of shape mu on (a - b)/(1 - q), as a
-    single fraction over the common denominator."""
-    if form not in _NUMERATORS:
+    single fraction over the common denominator.  Partitions with more than
+    REARRANGEMENT_CAP distinct rearrangements are refused before any is
+    enumerated."""
+    if form not in (FORM_THEOREM1, FORM_THEOREM3):
         raise UsageError(f"unknown form {form!r}")
-    numerator_of = _NUMERATORS[form]
+    count = mu.rearrangement_count()
+    if count > REARRANGEMENT_CAP:
+        raise ResourceLimitError(
+            f"{count} rearrangements of {mu} exceed cap {REARRANGEMENT_CAP}"
+        )
     length = mu.length
     terms = []
     for d in derangements(mu):
         num = Polynomial.one(UNIVERSE_ABQ)
         den = []
         for i, c in enumerate(d.entries, start=1):
-            num = num * numerator_of(c, i, length, d.prefix_sum(i - 1))
+            e = d.prefix_sum(i - 1) if form == FORM_THEOREM1 else (length - i) * c
+            num = num * Polynomial(UNIVERSE_ABQ, {(c, 0, e): 1, (0, c, 0): -1})
             den.append(_one_minus_q_power(d.prefix_sum(i)))
         terms.append(FactoredFraction(num, den))
     return SpecResult(
@@ -175,14 +161,3 @@ def oracle_direct(mu: Partition, N: int) -> SpecResult:
         power = sum(i * e for i, e in enumerate(exps))
         total = total + Polynomial.variable(UNIVERSE_ABQ, "q", power)
     return SpecResult(mu, FactoredFraction(total), FORM_ORACLE_DIRECT)
-
-
-def spec_oracle(mu: Partition, mode: str, N: int | None = None) -> SpecResult:
-    """Dispatch helper matching the CLI's oracle names."""
-    if mode == "powersum":
-        return oracle_powersum(mu)
-    if mode == "direct":
-        if N is None:
-            raise UsageError("direct oracle needs an alphabet size N")
-        return oracle_direct(mu, N)
-    raise UsageError(f"unknown oracle mode {mode!r}")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qmono import acceptance, cli, macdonald
+from qmono import acceptance, cli, macdonald, positivity, specialize
 from qmono.algebra import Polynomial
 from qmono.cli import (
     EXIT_OK,
@@ -119,6 +119,16 @@ class TestSpecializeCommand:
             capsys, "specialize", "--mu", "1,1,1,1,1,1,1,1,1"
         )
         assert code == EXIT_RESOURCE
+
+    def test_rearrangements_over_cap_are_refused_before_any_work(self, capsys, monkeypatch):
+        # Six distinct parts have 720 rearrangements, over the cap of 120.
+        calls = []
+        monkeypatch.setattr(specialize, "derangements", lambda mu: calls.append(mu))
+        code, out, err = run(capsys, "specialize", "--mu", "6,5,4,3,2,1")
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "cap" in err
+        assert calls == []
 
     def test_oracle_direct_alphabet_cap(self, capsys):
         code, out, err = run(
@@ -237,7 +247,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--identity", "prop8", "--n", "6"],
+            ["--identity", "prop8", "--n", "8"],
             ["--identity", "thm6", "--n", "6"],
             ["--identity", "appendix", "--n", "6"],
             ["--identity", "thm7", "--n", "3", "--max-n", "2"],
@@ -349,6 +359,16 @@ class TestPositivityCommand:
         t0 = time.perf_counter()
         code, out, err = run(capsys, "positivity", "--max-weight", "9")
         assert time.perf_counter() - t0 < 1.0
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "cap" in err
+        assert calls == []
+
+    def test_rearrangements_over_cap_are_refused_before_any_work(self, capsys, monkeypatch):
+        # Five distinct parts have 120 rearrangements, over the cap of 60.
+        calls = []
+        monkeypatch.setattr(positivity, "derangements", lambda mu: calls.append(mu))
+        code, out, err = run(capsys, "positivity", "--mu", "5,4,3,2,1")
         assert code == EXIT_RESOURCE
         assert out == ""
         assert "cap" in err

@@ -19,9 +19,8 @@ from qmono.identities import (
     relabeling_invariant,
     specialization_chain_check,
     symmetrized_constant,
-    symmetrized_constant_enumerated,
+    symmetrized_enumerated,
     symmetrized_side,
-    symmetrized_side_enumerated,
     x_only_universe,
     xy_universe,
 )
@@ -40,12 +39,12 @@ class TestSymmetrizedSides:
         uni, one, x, y = _vars(1)
         expected = FactoredFraction(y[1] - x[1], [one - x[1]])
         for side in SIDES:
-            assert frac_eq(symmetrized_side(1, side).value, expected)
+            assert frac_eq(symmetrized_side(1, side), expected)
 
     def test_size_two_written_out(self):
         displayed = _display_example_n2()
         for side, written_out in displayed.items():
-            assert frac_eq(symmetrized_side(2, side).value, written_out)
+            assert frac_eq(symmetrized_side(2, side), written_out)
         left = displayed[SIDE_LEFT]
         assert frac_eq(left, displayed[SIDE_RIGHT])
         assert frac_eq(left, displayed[SIDE_CYCLE])
@@ -53,16 +52,13 @@ class TestSymmetrizedSides:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_peeled_assembly_matches_enumeration(self, n):
         for side in SIDES:
-            assert frac_eq(
-                symmetrized_side(n, side).value,
-                symmetrized_side_enumerated(n, side).value,
-            )
+            assert frac_eq(symmetrized_side(n, side), symmetrized_enumerated(n, side))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_three_way(self, n):
-        left = symmetrized_side(n, SIDE_LEFT).value
-        assert frac_eq(left, symmetrized_side(n, SIDE_RIGHT).value)
-        assert frac_eq(left, symmetrized_side(n, SIDE_CYCLE).value)
+        left = symmetrized_side(n, SIDE_LEFT)
+        assert frac_eq(left, symmetrized_side(n, SIDE_RIGHT))
+        assert frac_eq(left, symmetrized_side(n, SIDE_CYCLE))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_relabeling_invariance(self, n):
@@ -89,7 +85,7 @@ class TestSymmetrizedSides:
         ).denominator
         assert len(expected) == 2 ** n - 1
         for side in SIDES:
-            assert symmetrized_side(n, side).value.denominator == expected
+            assert symmetrized_side(n, side).denominator == expected
 
     def test_cap_and_usage(self):
         with pytest.raises(ResourceLimitError):
@@ -99,7 +95,11 @@ class TestSymmetrizedSides:
         with pytest.raises(ResourceLimitError):
             appendix_step(5, 13, "L")
         with pytest.raises(ResourceLimitError):
-            symmetrized_constant(6, "prop7")
+            symmetrized_constant(8, "prop7")
+        with pytest.raises(ResourceLimitError):
+            symmetrized_enumerated(5, "prop7")
+        with pytest.raises(UsageError):
+            symmetrized_enumerated(2, "prop9")
         with pytest.raises(UsageError):
             symmetrized_side(2, "thm8-left")
         with pytest.raises(UsageError):
@@ -159,7 +159,7 @@ class TestSymmetrizedConstants:
         for kind in ("prop7", "prop8"):
             assert frac_eq(
                 symmetrized_constant(n, kind),
-                symmetrized_constant_enumerated(n, kind),
+                symmetrized_enumerated(n, kind),
             )
 
     def test_prop8_value(self):
@@ -171,7 +171,7 @@ class TestSymmetrizedConstants:
             )
             assert frac_eq(symmetrized_constant(n, "prop8"), expected)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
     def test_every_entering_factor_cancels(self, n):
         # The peel divides each level's new factor out, so the values come
         # out structurally reduced: the bare constant n! and 1/(x1...xn).
@@ -189,7 +189,7 @@ class TestAppendixRecurrences:
     def test_size_two_left_relation_14_by_hand(self):
         # f_2(x1, x2; y1, 1) = (y1 - x1)/(1 - x1) + (y1 - x1 x2)/(1 - x1 x2).
         uni, one, x, y = _vars(2)
-        f2 = symmetrized_side(2, SIDE_LEFT).value.substitute({"y2": 1})
+        f2 = symmetrized_side(2, SIDE_LEFT).substitute({"y2": 1})
         expected = FactoredFraction.sum(
             [
                 FactoredFraction(y[1] - x[1], [one - x[1]]),

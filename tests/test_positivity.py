@@ -1,5 +1,6 @@
 import pytest
 
+from qmono import positivity
 from qmono.algebra import Polynomial, geometric_sum
 from qmono.errors import NotApplicableError, ResourceLimitError
 from qmono.partitions import Partition, partitions_up_to
@@ -42,6 +43,17 @@ class TestAuxiliaryProduct:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             auxiliary_product(Partition((1,) * 9))
+
+    def test_rearrangement_cap(self, monkeypatch):
+        # (4,3,2,1,1) has 60 rearrangements and is admitted; five distinct
+        # parts (120) are refused before any rearrangement is enumerated.
+        calls = []
+        monkeypatch.setattr(positivity, "derangements", lambda mu: calls.append(mu) or [])
+        assert positivity_polynomial(Partition((4, 3, 2, 1, 1))).is_zero
+        assert calls == [Partition((4, 3, 2, 1, 1))]
+        with pytest.raises(ResourceLimitError):
+            positivity_polynomial(Partition((5, 4, 3, 2, 1)))
+        assert len(calls) == 1
 
 
 class TestPositivityPolynomial:

@@ -1,5 +1,6 @@
 import pytest
 
+from qmono import specialize
 from qmono.algebra import FactoredFraction, Polynomial, frac_eq
 from qmono.errors import ResourceLimitError, UsageError
 from qmono.partitions import PERMUTATION_CAP, Partition, partitions_up_to
@@ -9,7 +10,6 @@ from qmono.specialize import (
     monomial_spec,
     oracle_direct,
     oracle_powersum,
-    spec_oracle,
 )
 
 ONE = Polynomial.one(UNIVERSE_ABQ)
@@ -68,6 +68,17 @@ class TestPrefixForm:
     def test_length_cap(self):
         with pytest.raises(ResourceLimitError):
             monomial_spec(Partition((1,) * 9))
+
+    def test_rearrangement_cap(self, monkeypatch):
+        # Five distinct parts (120 rearrangements) are admitted, six (720)
+        # refused before any rearrangement is enumerated.
+        calls = []
+        monkeypatch.setattr(specialize, "derangements", lambda mu: calls.append(mu) or [])
+        monomial_spec(Partition((5, 4, 3, 2, 1)))
+        assert calls == [Partition((5, 4, 3, 2, 1))]
+        with pytest.raises(ResourceLimitError):
+            monomial_spec(Partition((6, 5, 4, 3, 2, 1)))
+        assert len(calls) == 1
 
 
 class TestTriangularForm:
@@ -159,14 +170,6 @@ class TestOracles:
         with pytest.raises(UsageError):
             oracle_direct(Partition((2, 1)), 1)
 
-    def test_dispatch(self):
-        assert spec_oracle(Partition((2,)), "powersum").formula == "oracle-powersum"
-        assert spec_oracle(Partition((2,)), "direct", N=2).formula == "oracle-direct"
-        with pytest.raises(UsageError):
-            spec_oracle(Partition((2,)), "direct")
-        with pytest.raises(UsageError):
-            spec_oracle(Partition((2,)), "interpolation")
-
     def test_permutation_cap(self):
         with pytest.raises(ResourceLimitError):
             oracle_powersum(Partition((1,) * 9))
@@ -195,9 +198,13 @@ class TestProperties:
                 assert frac_eq(got, oracle_direct(mu, N).value), (mu, N)
 
     def test_homogeneity(self):
+        # With denominators cleared (they involve q only), every numerator
+        # term has joint (a, b)-degree equal to the weight.
         for mu in partitions_up_to(6):
             for form in ("theorem1", "theorem3"):
-                assert monomial_spec(mu, form).is_ab_homogeneous(), (mu, form)
+                numerator = monomial_spec(mu, form).value.numerator
+                degrees = {a + b for a, b, _ in numerator.terms}
+                assert degrees == {mu.weight}, (mu, form)
 
     def test_prefix_recurrence_small(self):
         # (1 - q^w) Z = sum over distinct parts i of (a^i q^(w-i) - b^i) Z'.
