@@ -13,10 +13,10 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .algebra import FactoredFraction, Polynomial, frac_eq
-from .errors import ResourceLimitError
 from .identities import (
     SIDE_CYCLE,
     SIDE_LEFT,
@@ -224,40 +224,35 @@ def criterion_5_recurrences() -> CriterionResult:
 
 # -- the verify families -------------------------------------------------------
 #
-# An instance is a plain tuple of ints and strings, so a worker process can
-# take it; a check is a module-level function of one instance that builds its
-# own expected value and returns whether the identity holds.
+# An instance is an int or a plain tuple of ints and strings, so a worker
+# process can take it; a check is a module-level function of one instance
+# that builds its own expected value and returns whether the identity holds.
 
 
 @dataclass(frozen=True)
 class Family:
     """One ``verify --identity`` family.
 
-    ``size_flag`` names the flag that sizes a run (``n`` or ``max_weight``).
-    ``instances(size, cap)`` lists the instances up to that size.  For the
-    families sized by ``--n``, ``cap`` is the largest alphabet allowed
-    (``--max-n`` overrides it) and a larger size is refused before any check
-    runs; for the partition sweeps it is the longest partition checked."""
+    ``size_flag`` names the flag that sizes a run (``n`` or ``max_weight``),
+    and ``cap`` is the largest value of it that ``verify`` admits; a larger
+    one is refused before any instance is built.  ``instances(size)`` lists
+    the instances up to that size."""
 
     size_flag: str
     cap: int
-    instances: Callable[[int, int], list]
-    label: Callable[[tuple], str]
-    check: Callable[[tuple], bool]
+    instances: Callable[[int], list]
+    label: Callable[[object], str]
+    check: Callable[[object], bool]
 
 
-def _sizes(n: int, cap: int) -> list:
-    """Sizes 1..n, each carrying the cap; a size over the cap is refused
-    here, before any instance is checked."""
-    if n > cap:
-        raise ResourceLimitError(f"symmetrized sum size {n} exceeds cap {cap}")
-    return [(k, cap) for k in range(1, n + 1)]
+def _sizes(n: int) -> list:
+    return list(range(1, n + 1))
 
 
-def _appendix_instances(n: int, cap: int) -> list:
+def _appendix_instances(n: int) -> list:
     return [
-        (k, relation, side, cap)
-        for k, _ in _sizes(n, cap)[1:]
+        (k, relation, side)
+        for k in range(2, n + 1)
         for relation in (13, 14)
         for side in ("L", "R")
     ]
@@ -272,12 +267,12 @@ def _short_partitions(max_weight: int, max_length: int) -> list:
     ]
 
 
-def _n_label(task) -> str:
-    return f"n={task[0]}"
+def _n_label(n) -> str:
+    return f"n={n}"
 
 
 def _appendix_label(task) -> str:
-    n, relation, side, _ = task
+    n, relation, side = task
     return f"n={n} relation={relation} side={side}"
 
 
@@ -285,16 +280,12 @@ def _mu_label(parts) -> str:
     return f"mu={list(parts)}"
 
 
-def _thm6(task) -> bool:
-    n, cap = task
-    left = symmetrized_side(n, SIDE_LEFT, cap=cap)
-    return frac_eq(left, symmetrized_side(n, SIDE_RIGHT, cap=cap))
+def _thm6(n) -> bool:
+    return frac_eq(symmetrized_side(n, SIDE_LEFT), symmetrized_side(n, SIDE_RIGHT))
 
 
-def _thm7(task) -> bool:
-    n, cap = task
-    left = symmetrized_side(n, SIDE_LEFT, cap=cap)
-    return frac_eq(left, symmetrized_side(n, SIDE_CYCLE, cap=cap))
+def _thm7(n) -> bool:
+    return frac_eq(symmetrized_side(n, SIDE_LEFT), symmetrized_side(n, SIDE_CYCLE))
 
 
 def _prop5(parts) -> bool:
@@ -308,32 +299,31 @@ def _prop6(parts) -> bool:
     return frac_eq(constant_identity(mu, "littlewood"), expected)
 
 
-def _prop7(task) -> bool:
-    n, cap = task
+def _prop7(n) -> bool:
     expected = FactoredFraction.constant(x_only_universe(n), math.factorial(n))
-    return frac_eq(symmetrized_constant(n, "prop7", cap=cap), expected)
+    return frac_eq(symmetrized_constant(n, "prop7"), expected)
 
 
-def _prop8(task) -> bool:
-    n, cap = task
+def _prop8(n) -> bool:
     uni = x_only_universe(n)
     expected = FactoredFraction(
         Polynomial.one(uni),
         [Polynomial.variable(uni, f"x{i}") for i in range(1, n + 1)],
     )
-    return frac_eq(symmetrized_constant(n, "prop8", cap=cap), expected)
+    return frac_eq(symmetrized_constant(n, "prop8"), expected)
 
 
 def _appendix(task) -> bool:
-    n, relation, side, cap = task
-    return appendix_step(n, relation, side, cap=cap)
+    return appendix_step(*task)
 
 
+# Weight caps: prop5 (at most 6 parts) up to weight 12 takes 1-2 s and 14
+# five; prop6 (at most 7 parts) up to weight 20 takes under 2 s.
 VERIFY_FAMILIES = {
     "thm6": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm6),
     "thm7": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm7),
-    "prop5": Family("max_weight", 6, _short_partitions, _mu_label, _prop5),
-    "prop6": Family("max_weight", 7, _short_partitions, _mu_label, _prop6),
+    "prop5": Family("max_weight", 12, partial(_short_partitions, max_length=6), _mu_label, _prop5),
+    "prop6": Family("max_weight", 20, partial(_short_partitions, max_length=7), _mu_label, _prop6),
     "prop7": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop7),
     "prop8": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop8),
     "appendix": Family("n", SYMMETRIZED_CAP, _appendix_instances, _appendix_label, _appendix),
@@ -341,10 +331,10 @@ VERIFY_FAMILIES = {
 
 
 def _check_families(r: CriterionResult, runs) -> None:
-    """Check every instance of each (family name, size) at the family's cap."""
+    """Check every instance of each (family name, size)."""
     for name, size in runs:
         family = VERIFY_FAMILIES[name]
-        for task in family.instances(size, family.cap):
+        for task in family.instances(size):
             r.check(family.check(task), f"{name} {family.label(task)}")
 
 

@@ -2,10 +2,10 @@
 
 Subcommands: specialize, verify, expand, positivity, eigencheck, selftest.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-cap exceeded, 141 (128 + SIGPIPE) stdout closed by its reader.  Set
-QMONO_THREADS to a positive integer to let sweep commands dispatch
-independent instances to a worker pool; output order is by instance
-descriptor, never by completion time.
+cap exceeded, 141 (128 + SIGPIPE) stdout closed by its reader.  No flag
+lifts a cap.  Set QMONO_THREADS to a positive integer to let sweep commands
+dispatch independent instances to a worker pool; output order is by
+instance descriptor, never by completion time.
 """
 
 from __future__ import annotations
@@ -186,14 +186,16 @@ def cmd_verify(args) -> RunReport:
     report = RunReport("verify")
     t0 = time.perf_counter()
     family = acceptance.VERIFY_FAMILIES[args.identity]
-    for flag in ("max_weight",) if family.size_flag == "n" else ("n", "max_n"):
-        if getattr(args, flag) is not None:
-            raise UsageError(f"--{flag.replace('_', '-')} does not apply to {args.identity}")
+    unread = "max_weight" if family.size_flag == "n" else "n"
+    if getattr(args, unread) is not None:
+        raise UsageError(f"--{unread.replace('_', '-')} does not apply to {args.identity}")
     size = getattr(args, family.size_flag)
     if size is None:
         size = _VERIFY_SIZE_DEFAULTS[family.size_flag]
-    cap = args.max_n if args.max_n is not None else family.cap
-    tasks = family.instances(size, cap)
+    if size > family.cap:
+        flag = family.size_flag.replace("_", "-")
+        raise ResourceLimitError(f"{args.identity} --{flag} {size} exceeds cap {family.cap}")
+    tasks = family.instances(size)
     if not tasks:
         raise UsageError(f"{args.identity} has no instance up to size {size}")
     oks = _parallel_map(family.check, tasks)
@@ -306,10 +308,7 @@ def cmd_positivity(args) -> RunReport:
 def cmd_eigencheck(args) -> RunReport:
     report = RunReport("eigencheck")
     t0 = time.perf_counter()
-    from .macdonald import OPERATOR_N_CAP
-
-    cap = args.max_N if args.max_N is not None else OPERATOR_N_CAP
-    ok = eigencheck(args.n, args.N, cap=cap)
+    ok = eigencheck(args.n, args.N)
     report.record(f"n={args.n} N={args.N}", ok)
     report.elapsed = time.perf_counter() - t0
     doc = {"n": args.n, "N": args.N, "ok": ok, **report.to_json()}
@@ -382,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, help="largest alphabet/sum size (default 4)")
     p.add_argument("--max-weight", type=int, help="partition sweep bound (default 9)")
-    p.add_argument("--max-n", type=int, default=None, help="override the symmetrized-sum cap")
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(fn=cmd_verify)
 
@@ -401,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigencheck", help="difference-operator eigen-equation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--max-N", type=int, default=None, help="override the operator cap")
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(fn=cmd_eigencheck)
 

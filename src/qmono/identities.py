@@ -242,12 +242,12 @@ def symmetrized_enumerated(n: int, form: str) -> FactoredFraction:
     return FactoredFraction.sum(terms, universe=uni)
 
 
-def symmetrized_side(n: int, side: str, cap: int = SYMMETRIZED_CAP) -> FactoredFraction:
+def symmetrized_side(n: int, side: str) -> FactoredFraction:
     """One side of the three-way identity over all n! permutations, as a
     single fraction over the common subset-product denominator."""
     if side not in SIDES:
         raise UsageError(f"unknown side {side!r}")
-    _check_size(n, cap)
+    _check_size(n, SYMMETRIZED_CAP)
     return _peeled(side, n, xy_universe(n))
 
 
@@ -283,7 +283,7 @@ def constant_identity(mu: Partition, kind: str) -> FactoredFraction:
     raise UsageError(f"unknown constant identity {kind!r}")
 
 
-def symmetrized_constant(n: int, kind: str, cap: int = _CONSTANT_CAP) -> FactoredFraction:
+def symmetrized_constant(n: int, kind: str) -> FactoredFraction:
     """Symmetrizations over x_1..x_n with closed constant or monomial value,
     assembled by the same last-position peeling as the two-alphabet sums.
 
@@ -292,14 +292,14 @@ def symmetrized_constant(n: int, kind: str, cap: int = _CONSTANT_CAP) -> Factore
     * "prop8": reciprocal prefix sums; equals prod_i 1/x_i."""
     if kind not in _CONSTANT_KINDS:
         raise UsageError(f"unknown symmetrized constant {kind!r}")
-    _check_size(n, cap)
+    _check_size(n, _CONSTANT_CAP)
     return _peeled(kind, n, x_only_universe(n))
 
 
 _APPENDIX_SIDES = {"L": SIDE_LEFT, "R": SIDE_CYCLE}
 
 
-def appendix_step(n: int, relation: int, side: str, cap: int = SYMMETRIZED_CAP) -> bool:
+def appendix_step(n: int, relation: int, side: str) -> bool:
     """Substitution recurrences satisfied by both sides of the three-way
     identity, stepping from size n to size n - 1.
 
@@ -313,8 +313,8 @@ def appendix_step(n: int, relation: int, side: str, cap: int = SYMMETRIZED_CAP) 
     if n < 2:
         raise UsageError("the recurrences need n at least 2")
     tag = _APPENDIX_SIDES[side]
-    f_n = symmetrized_side(n, tag, cap=cap)
-    f_prev = symmetrized_side(n - 1, tag, cap=cap)
+    f_n = symmetrized_side(n, tag)
+    f_prev = symmetrized_side(n - 1, tag)
     uni = xy_universe(n)
     lhs = f_n.substitute({f"y{n}": Polynomial.variable(uni, f"x{n}") if relation == 13 else 1})
     # Relation 14 keeps f_(n-1) itself as one more term on the right.

@@ -34,6 +34,9 @@ OPERATOR_N_CAP = 3
 # Largest degree n of eigencheck: n = 8 on N = 3 letters takes one to two seconds
 # and 42 MB, and the cost grows quickly with n.
 EIGENCHECK_DEGREE_CAP = 8
+# Largest degree of the power and monomial expansions: monomial at n = 20
+# (627 partitions) takes about 5 s and 60 MB, at n = 25 over half a minute.
+EXPANSION_DEGREE_CAP = 20
 COEFFICIENT_IDENTITY_N_CAP = 4
 
 BASIS_POWER = "power"
@@ -233,12 +236,11 @@ def row_expansion_table(n: int, basis: str) -> ExpansionTable:
         raise UsageError(f"unknown basis {basis!r}")
     if n < 0:
         raise UsageError("degree must be non-negative")
-    # Every basis but the power and monomial ones evaluates the rearrangement
-    # sum of each partition, and (1^n) is the longest, so refuse before any.
-    if basis not in (BASIS_POWER, BASIS_MONOMIAL) and n > DERANGEMENT_LENGTH_CAP:
-        raise ResourceLimitError(
-            f"partition length {n} exceeds rearrangement cap {DERANGEMENT_LENGTH_CAP}"
-        )
+    # Every basis but power and monomial evaluates each partition's rearrangement
+    # sum, and (1^n) is the longest; either cap is checked before any partition.
+    cap = EXPANSION_DEGREE_CAP if basis in (BASIS_POWER, BASIS_MONOMIAL) else DERANGEMENT_LENGTH_CAP
+    if n > cap:
+        raise ResourceLimitError(f"degree {n} exceeds the {basis} expansion cap {cap}")
     t = _qt_var("t")
     sign = -1 if n % 2 else 1
     one = Polynomial.one(UNIVERSE_QT)
@@ -446,14 +448,14 @@ def operator_coefficient(i: int, N: int, universe) -> FactoredFraction:
     return FactoredFraction(num, den)
 
 
-def eigencheck(n: int, N: int, cap: int = OPERATOR_N_CAP) -> bool:
+def eigencheck(n: int, N: int) -> bool:
     """Apply the difference operator sum_i A_i T_i (T_i scales x_i by q) to
     g_n and compare with the eigenvalue q^n t^(N-1) + 1 + t + ... + t^(N-2)
     times g_n."""
     if N < 1:
         raise UsageError("N must be at least 1")
-    if N > cap:
-        raise ResourceLimitError(f"operator alphabet size {N} exceeds cap {cap}")
+    if N > OPERATOR_N_CAP:
+        raise ResourceLimitError(f"operator alphabet size {N} exceeds cap {OPERATOR_N_CAP}")
     if n < 0:
         raise UsageError("degree must be non-negative")
     if n > EIGENCHECK_DEGREE_CAP:

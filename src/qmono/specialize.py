@@ -12,8 +12,8 @@ position i.  Only the exponent e depends on the form:
 
 The two forms are equal as rational functions; verifying that equality
 across partitions is one of the package's main jobs.  A partition with more
-than REARRANGEMENT_CAP distinct rearrangements is refused before any is
-enumerated.
+than REARRANGEMENT_CAP distinct rearrangements is refused, by the closed
+forms and the power-sum oracle alike, before any work.
 
 The power-sum oracle (``oracle_powersum``) expands the monomial function
 over symmetric-group cycle decompositions, and the direct oracle
@@ -45,7 +45,8 @@ FORM_ORACLE_DIRECT = "oracle-direct"
 FORM_GENERATOR = "generator"
 
 # Most distinct rearrangements a closed form sums: five distinct parts (120)
-# take about a second; six (720) take most of a minute.
+# take about a second; six (720) take most of a minute.  The power-sum oracle
+# obeys it too: its slowest admitted inputs, of length 8, take about 4 s.
 REARRANGEMENT_CAP = 120
 
 
@@ -62,6 +63,12 @@ def _one_minus_q_power(m: int) -> Polynomial:
     return Polynomial.one(UNIVERSE_ABQ) - Polynomial.variable(UNIVERSE_ABQ, "q", m)
 
 
+def _check_rearrangements(mu: Partition):
+    count = mu.rearrangement_count()
+    if count > REARRANGEMENT_CAP:
+        raise ResourceLimitError(f"{count} rearrangements of {mu} exceed cap {REARRANGEMENT_CAP}")
+
+
 def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
     """The monomial symmetric function of shape mu on (a - b)/(1 - q), as a
     single fraction over the common denominator.  Partitions with more than
@@ -69,11 +76,7 @@ def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
     enumerated."""
     if form not in (FORM_THEOREM1, FORM_THEOREM3):
         raise UsageError(f"unknown form {form!r}")
-    count = mu.rearrangement_count()
-    if count > REARRANGEMENT_CAP:
-        raise ResourceLimitError(
-            f"{count} rearrangements of {mu} exceed cap {REARRANGEMENT_CAP}"
-        )
+    _check_rearrangements(mu)
     length = mu.length
     terms = []
     for d in derangements(mu):
@@ -127,7 +130,8 @@ def oracle_powersum(mu: Partition) -> SpecResult:
 
     (1 / prod m_i!) * sum over permutations of (-1)^(length - #cycles)
     * product over cycles of (a^s - b^s)/(1 - q^s), where s is the sum of
-    the parts whose positions the cycle contains."""
+    the parts whose positions the cycle contains; capped like the closed forms."""
+    _check_rearrangements(mu)
     length = mu.length
     parts = mu.parts
     terms = []

@@ -1,7 +1,9 @@
+import argparse
 import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -129,6 +131,15 @@ class TestSpecializeCommand:
         assert out == ""
         assert "cap" in err
         assert calls == []
+        # The power-sum oracle holds seven distinct parts (5,040) to the same cap.
+        monkeypatch.setattr(specialize, "permutations_with_cycles", lambda n: calls.append(n))
+        code, out, err = run(
+            capsys, "specialize", "--mu", "7,6,5,4,3,2,1", "--form", "oracle-powersum"
+        )
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "cap" in err
+        assert calls == []
 
     def test_oracle_direct_alphabet_cap(self, capsys):
         code, out, err = run(
@@ -207,7 +218,6 @@ class TestVerifyCommand:
         [
             (["verify", "--identity", "prop5", "--n", "3"], "does not apply"),
             (["verify", "--identity", "thm6", "--max-weight", "2"], "does not apply"),
-            (["verify", "--identity", "prop6", "--max-n", "1"], "does not apply"),
             (
                 ["specialize", "--mu", "2,1", "--form", "theorem1", "--oracle-N", "50"],
                 "does not apply",
@@ -218,7 +228,6 @@ class TestVerifyCommand:
         ids=[
             "prop5-n",
             "thm6-max-weight",
-            "prop6-max-n",
             "specialize-oracle-N",
             "positivity-mu-max-weight",
             "specialize-subst-twice",
@@ -250,11 +259,12 @@ class TestVerifyCommand:
             ["--identity", "prop8", "--n", "8"],
             ["--identity", "thm6", "--n", "6"],
             ["--identity", "appendix", "--n", "6"],
-            ["--identity", "thm7", "--n", "3", "--max-n", "2"],
             ["--identity", "thm6", "--n", "5"],
             ["--identity", "appendix", "--n", "5"],
+            ["--identity", "prop5", "--max-weight", "13"],
+            ["--identity", "prop6", "--max-weight", "21"],
         ],
-        ids=["prop8", "thm6", "appendix", "thm7-max-n", "thm6-n5", "appendix-n5"],
+        ids=["prop8", "thm6", "appendix", "thm6-n5", "appendix-n5", "prop5-w13", "prop6-w21"],
     )
     def test_cap_is_checked_before_any_work(self, capsys, monkeypatch, argv):
         identity = argv[1]
@@ -263,10 +273,15 @@ class TestVerifyCommand:
         monkeypatch.setitem(
             acceptance.VERIFY_FAMILIES,
             identity,
-            dataclasses.replace(family, check=lambda task: calls.append(task) or True),
+            dataclasses.replace(
+                family,
+                instances=lambda size: calls.append(size) or family.instances(size),
+                check=lambda task: calls.append(task) or True,
+            ),
         )
-        code, _, err = run(capsys, "verify", *argv)
+        code, out, err = run(capsys, "verify", *argv)
         assert code == EXIT_RESOURCE
+        assert out == ""
         assert "cap" in err
         assert calls == []
 
@@ -323,10 +338,21 @@ class TestExpandCommand:
         assert calls == []
 
     @pytest.mark.parametrize("basis", ["power", "monomial"])
-    def test_bases_without_rearrangement_sums_stay_uncapped(self, capsys, basis):
+    def test_bases_without_rearrangement_sums_skip_the_length_cap(self, capsys, basis):
         code, out, _ = run(capsys, "expand", "--n", "9", "--basis", basis)
         assert code == EXIT_OK
         assert len(out.splitlines()) == 30  # the partitions of 9
+
+    @pytest.mark.parametrize("basis", ["power", "monomial"])
+    def test_degree_over_cap_is_refused_before_any_work(self, capsys, monkeypatch, basis):
+        # These bases are capped at degree 20, checked before any partition.
+        calls = []
+        monkeypatch.setattr(macdonald, "partitions_of", lambda n: calls.append(n) or [])
+        code, out, err = run(capsys, "expand", "--n", "21", "--basis", basis)
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "cap" in err
+        assert calls == []
 
 
 class TestPositivityCommand:
@@ -392,12 +418,6 @@ class TestEigencheckCommand:
         assert code == EXIT_RESOURCE
         assert "cap" in err
 
-    def test_cap_override(self, capsys):
-        code, _, _ = run(
-            capsys, "eigencheck", "--n", "0", "--N", "4", "--max-N", "4"
-        )
-        assert code == EXIT_OK
-
     def test_degree_over_cap_is_refused_before_any_work(self, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(macdonald, "row_polynomial", lambda *a: calls.append(a))
@@ -442,7 +462,27 @@ class TestArgparseBehavior:
         capsys.readouterr()
 
     def test_unknown_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["expand", "--n", "2", "--basis", "power", "--frob"])
-        assert exc.value.code == EXIT_USAGE
+        # No flag lifts a cap: --max-n and --max-N are unknown too.
+        for argv in (
+            ["expand", "--n", "2", "--basis", "power", "--frob"],
+            ["verify", "--identity", "thm6", "--n", "2", "--max-n", "2"],
+            ["eigencheck", "--n", "0", "--N", "4", "--max-N", "4"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_USAGE
         capsys.readouterr()
+
+    def test_every_flag_in_the_readme_exists(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        mentioned = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme))
+        subparsers = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        known = {
+            option
+            for command in subparsers.choices.values()
+            for option in command._option_string_actions
+        }
+        assert mentioned, "README.md mentions no flag"
+        assert sorted(mentioned - known) == []
