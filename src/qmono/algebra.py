@@ -2,10 +2,25 @@
 rationals, factored fractions, and truncated power-series expansion.
 
 A variable universe is declared once per computation as an ordered tuple of
-names, e.g. ``("a", "b", "q")``.  Exponent vectors are dense over that
-universe, and the single canonical term order used for printing, JSON and
-factor ordering is graded lexicographic: ascending total degree, ties broken
-by descending exponent tuple in the declared variable order.
+names, e.g. ``("a", "b", "q")``.  A monomial is stored as one packed int key
+(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007): its total degree in the top field,
+then one field of ``w`` bits per variable in declared order, the first
+variable highest.  So the product of two monomials is the sum of their keys,
+and int order is a monomial order (graded lexicographic).  The single
+canonical term order used for printing, JSON and factor ordering is:
+ascending total degree, ties broken by descending exponent tuple in the
+declared variable order, which is ascending ``key ^ (2^(n w) - 1)``.
+
+The field width ``w`` of a polynomial is a function of its content alone:
+the narrowest of 16, 32, 64, ... bits that holds its total degree below
+``2^(w - 1)``, the top bit of each field being a guard bit for division.
+Almost every polynomial is 16 bits wide.  An operation whose result could
+outgrow its operands' width packs them wider first, and one whose result
+shrank (a cancellation) repacks it narrower, so equal polynomials have equal
+keys and hash equally.  Exponent tuples exist only at the boundary: the
+constructor takes dense tuples, and :meth:`Polynomial.items` and the text
+give them back.
 
 Fractions are never reduced by multivariate gcd.  They stay in factored form
 (numerator polynomial over a multiset of denominator factors) and equality is
@@ -37,9 +52,14 @@ Universe = tuple
 # The Mersenne prime 2^61 - 1: the modulus of Polynomial.residue.
 RESIDUE_MODULUS = 2 ** 61 - 1
 
+# The narrowest field width, in bits, of a packed monomial key.
+_NARROW = 16
+
 
 def _norm_coeff(c):
     # Integral Fractions collapse to int so hot loops stay on int arithmetic.
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         if c.denominator == 1:
             return c.numerator
@@ -49,22 +69,54 @@ def _norm_coeff(c):
     raise UsageError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
-def _term_key(exps):
-    return (sum(exps), tuple(-e for e in exps))
+def _check_exponent(e):
+    if not isinstance(e, int):
+        raise UsageError(f"exponent must be an int, got {type(e).__name__}")
+    if e < 0:
+        raise UsageError(f"negative exponent {e}")
+
+
+def _width_for(degree: int) -> int:
+    """The field width of a polynomial of this total degree."""
+    w = _NARROW
+    while degree >> (w - 1):
+        w *= 2
+    return w
+
+
+def _pack(exps, w: int) -> int:
+    k = sum(exps)
+    for e in exps:
+        k = (k << w) | e
+    return k
+
+
+def _unpack(k: int, n: int, w: int) -> tuple:
+    mask = (1 << w) - 1
+    return tuple((k >> (w * i)) & mask for i in range(n - 1, -1, -1))
+
+
+def _repacked(terms: dict, n: int, w: int, to: int) -> dict:
+    if w == to:
+        return terms
+    return {_pack(_unpack(k, n, w), to): c for k, c in terms.items()}
 
 
 def _mul_terms(a: dict, b: dict, out: dict) -> dict:
-    """Add the product of two term maps into ``out`` and return it."""
+    """Add the product of two term maps of one width into ``out`` and
+    return it; the caller has made the width hold the product."""
     if len(a) > len(b):
         a, b = b, a
+    get = out.get
+    b = b.items()
     for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s == 0:
-                out.pop(e, None)
-            else:
+        for e2, c2 in b:
+            e = e1 + e2
+            s = get(e, 0) + c1 * c2
+            if s:
                 out[e] = s
+            else:
+                del out[e]
     return out
 
 
@@ -77,51 +129,60 @@ def _power_terms(cache: dict, e: int) -> dict:
     return cache[e]
 
 
-def _sparse_monomial(terms: dict):
-    """A one-term map as ((slot, exponent) pairs of its nonzero exponents,
-    coefficient)."""
-    (exps, c), = terms.items()
-    return tuple((j, k) for j, k in enumerate(exps) if k), c
-
-
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    ``terms`` maps dense exponent tuples to nonzero coefficients; no zero
-    coefficient is ever stored.  Two polynomials are equal iff they share the
-    universe and the term map.
+    ``terms`` maps packed monomial keys (see the module docstring) to nonzero
+    coefficients; no zero coefficient is ever stored.  Two polynomials are
+    equal iff they share the universe and the term map.  Only this module
+    reads ``terms``; :meth:`items` gives the terms with dense exponent
+    tuples.
     """
 
-    __slots__ = ("universe", "terms", "_hash")
+    __slots__ = ("universe", "terms", "_width", "_degree", "_hash")
 
     def __init__(self, universe: Sequence[str], terms: Mapping[tuple, Coeff]):
         universe = tuple(universe)
-        width = len(universe)
+        n = len(universe)
         clean = {}
         for exps, c in terms.items():
-            c = _norm_coeff(c)
-            if c == 0:
-                continue
             exps = tuple(exps)
-            if len(exps) != width:
+            if len(exps) != n:
                 raise UsageError(
                     f"exponent vector {exps} does not match universe {universe}"
                 )
-            if any(e < 0 for e in exps):
-                raise UsageError(f"negative exponent in {exps}")
-            clean[exps] = c
+            for e in exps:
+                if not isinstance(e, int) or e < 0:
+                    _check_exponent(e)
+            c = _norm_coeff(c)
+            if c != 0:
+                clean[exps] = c
+        w = _width_for(max(map(sum, clean), default=0))
         self.universe = universe
-        self.terms = clean
+        self.terms = {_pack(exps, w): c for exps, c in clean.items()}
+        self._width = w
+        self._degree = None
         self._hash = None
 
     @classmethod
-    def _raw(cls, universe, terms):
-        # Internal fast path; callers guarantee clean terms.
+    def _raw(cls, universe, terms, w=_NARROW, degree=None):
+        # Internal fast path; callers guarantee clean terms packed at the
+        # width their content calls for.
         p = cls.__new__(cls)
         p.universe = universe
         p.terms = terms
+        p._width = w
+        p._degree = degree
         p._hash = None
         return p
+
+    @classmethod
+    def _narrowest(cls, universe, terms, w):
+        # Terms packed at width w, which holds them but may be wider than
+        # their content calls for.
+        n = len(universe)
+        to = _width_for(max(terms) >> (n * w)) if terms and w > _NARROW else _NARROW
+        return cls._raw(universe, _repacked(terms, n, w, to), to)
 
     @classmethod
     def zero(cls, universe) -> "Polynomial":
@@ -133,7 +194,7 @@ class Polynomial:
         c = _norm_coeff(c)
         if c == 0:
             return cls._raw(universe, {})
-        return cls._raw(universe, {(0,) * len(universe): c})
+        return cls._raw(universe, {0: c}, _NARROW, 0)
 
     @classmethod
     def one(cls, universe) -> "Polynomial":
@@ -144,8 +205,7 @@ class Polynomial:
         universe = tuple(universe)
         if name not in universe:
             raise UsageError(f"variable {name!r} not in universe {universe}")
-        if power < 0:
-            raise UsageError("negative power")
+        _check_exponent(power)
         return cls.monomial(universe, {name: power}, coeff)
 
     @classmethod
@@ -155,8 +215,7 @@ class Polynomial:
         for name, e in powers.items():
             if name not in universe:
                 raise UsageError(f"variable {name!r} not in universe {universe}")
-            if e < 0:
-                raise UsageError("negative power")
+            _check_exponent(e)
             exps[universe.index(name)] += e
         return cls(universe, {tuple(exps): coeff})
 
@@ -167,12 +226,34 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0,) * len(self.universe)}
+        t = self.terms
+        return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self) -> Coeff:
         if not self.is_constant():
             raise InvalidValueError(f"{self.text()} is not a constant")
-        return self.terms.get((0,) * len(self.universe), 0)
+        return self.terms.get(0, 0)
+
+    def items(self):
+        """The (dense exponent tuple, coefficient) pairs in canonical order."""
+        n, w = len(self.universe), self._width
+        return [(_unpack(k, n, w), self.terms[k]) for k in self._canonical()]
+
+    def _canonical(self) -> list:
+        """The keys in canonical term order."""
+        return sorted(self.terms, key=((1 << (len(self.universe) * self._width)) - 1).__xor__)
+
+    def _total_degree(self) -> int:
+        d = self._degree
+        if d is None:
+            d = self._degree = max(self.terms) >> (len(self.universe) * self._width)
+        return d
+
+    def _at(self, w: int) -> dict:
+        """The term map packed at width ``w``, at least this polynomial's."""
+        if w == self._width:
+            return self.terms
+        return _repacked(self.terms, len(self.universe), self._width, w)
 
     def _check(self, other: "Polynomial"):
         if self.universe != other.universe:
@@ -186,19 +267,25 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.universe, other)
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
+        a, b = self, other
+        if len(a.terms) < len(b.terms):
+            a, b = b, a
+        w = max(a._width, b._width)
+        terms = dict(a._at(w))
+        for e, c in b._at(w).items():
             s = terms.get(e, 0) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
+            if s:
                 terms[e] = s
-        return Polynomial._raw(self.universe, terms)
+            else:
+                del terms[e]
+        return Polynomial._narrowest(self.universe, terms, w)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self.universe, {e: -c for e, c in self.terms.items()})
+        return Polynomial._raw(
+            self.universe, {e: -c for e, c in self.terms.items()}, self._width, self._degree
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -213,10 +300,20 @@ class Polynomial:
             if other == 0:
                 return Polynomial._raw(self.universe, {})
             return Polynomial._raw(
-                self.universe, {e: c * other for e, c in self.terms.items()}
+                self.universe,
+                {e: c * other for e, c in self.terms.items()},
+                self._width,
+                self._degree,
             )
         self._check(other)
-        return Polynomial._raw(self.universe, _mul_terms(self.terms, other.terms, {}))
+        if not self.terms or not other.terms:
+            return Polynomial._raw(self.universe, {})
+        # Over the rationals the degree of a product is the sum of degrees.
+        degree = self._total_degree() + other._total_degree()
+        w = _width_for(degree)
+        return Polynomial._raw(
+            self.universe, _mul_terms(self._at(w), other._at(w), {}), w, degree
+        )
 
     __rmul__ = __mul__
 
@@ -224,55 +321,70 @@ class Polynomial:
         """The polynomial q with q * d == self, or None when d does not
         divide self.
 
-        Leading-term division in lex order (the declared variable order), with
-        the remainder's terms kept in a heap as in Monagan and Pearce,
-        "Polynomial division using dynamic arrays, heaps, and packed exponent
-        vectors" (CASC 2007): each step cancels the remainder's leading term,
-        and the division fails as soon as the leading term of d does not
-        divide it."""
+        Leading-term division in the graded order of the packed keys, with
+        the remainder's terms kept in a heap as in Monagan and Pearce: each
+        step cancels the remainder's leading term, and the division fails as
+        soon as the leading term of d does not divide it.  Divisibility of
+        two keys is one subtraction: with the guard bit of every field set
+        in the dividend, a field of the difference keeps its guard bit
+        exactly when it did not go negative."""
         self._check(d)
         if d.is_zero:
             raise InvalidValueError("division by the zero polynomial")
-        lead = max(d.terms)
-        lc = d.terms[lead]
-        tail = [(e, c) for e, c in d.terms.items() if e != lead]
+        if not self.terms:
+            return Polynomial._raw(self.universe, {})
+        if d._total_degree() > self._total_degree():
+            return None
+        n, w = len(self.universe), self._width
+        dterms = d._at(w)
+        lead = max(dterms)
+        lc = dterms[lead]
+        tail = [(e, c) for e, c in dterms.items() if e != lead]
+        # The top bit of each variable field.
+        guard = ((1 << (n * w)) - 1) // ((1 << w) - 1) << (w - 1)
         rem = dict(self.terms)
-        heap = [tuple(-x for x in e) for e in rem]
+        heap = [-e for e in rem]
         heapq.heapify(heap)
         quot = {}
         while heap:
-            e = tuple(-x for x in heapq.heappop(heap))
+            e = -heapq.heappop(heap)
             c = rem.pop(e, None)
             if c is None:
                 continue  # cancelled after it was queued
-            qe = tuple(x - y for x, y in zip(e, lead))
-            if min(qe, default=0) < 0:
+            qe = (e | guard) - lead
+            if qe & guard != guard:
                 return None
+            qe ^= guard
             qc = c if lc == 1 else -c if lc == -1 else _norm_coeff(Fraction(c) / lc)
             quot[qe] = qc
-            # Every term of qe * tail is lex-smaller than e, so the heap only
-            # ever receives terms below the one just cancelled.
+            # Every term of qe * tail is below e, so the heap only ever
+            # receives terms below the one just cancelled.
             for te, tc in tail:
-                m = tuple(x + y for x, y in zip(qe, te))
+                m = qe + te
                 s = rem.get(m, 0) - qc * tc
                 if s == 0:
                     del rem[m]
                 else:
                     if m not in rem:
-                        heapq.heappush(heap, tuple(-x for x in m))
+                        heapq.heappush(heap, -m)
                     rem[m] = s
-        return Polynomial._raw(self.universe, quot)
+        return Polynomial._narrowest(self.universe, quot, w)
 
     def residue(self, point: Sequence[int]) -> int:
         """The value modulo ``RESIDUE_MODULUS`` at ``point``, one integer per
         variable of the universe.  Coefficient denominators must be prime to
         the modulus."""
         p = RESIDUE_MODULUS
+        w = self._width
+        mask = (1 << w) - 1
+        n = len(self.universe)
+        slots = [(x, w * (n - 1 - i)) for i, x in enumerate(point)]
         total = 0
-        for exps, c in self.terms.items():
+        for k, c in self.terms.items():
             if isinstance(c, Fraction):
                 c = c.numerator * pow(c.denominator, -1, p)
-            for x, e in zip(point, exps):
+            for x, s in slots:
+                e = (k >> s) & mask
                 if e:
                     c = c * pow(x, e, p) % p
             total += c
@@ -312,7 +424,6 @@ class Polynomial:
         it occurs in a term and is absent from the target universe.  With no
         bindings this re-expresses the polynomial over ``universe``."""
         target = tuple(universe) if universe is not None else self.universe
-        width = len(target)
         for name in bindings:
             if name not in self.universe:
                 raise UsageError(f"binding for unknown variable {name!r}")
@@ -326,23 +437,36 @@ class Polynomial:
                     raise UsageError("bindings must be Polynomial, int or Fraction")
                 if v.universe != target:
                     raise UsageError("binding value not over the target universe")
-                images.append(v.terms)
+                images.append(v)
             elif name in target:
-                images.append(Polynomial.variable(target, name).terms)
+                images.append(Polynomial.variable(target, name))
             else:
                 images.append(None)
-        # A one-term image shifts the exponent vector and scales the
+        if not self.terms:
+            return Polynomial._raw(target, {})
+        # Every term of the result, and of every partial product on the way,
+        # has at most this degree.
+        bound = self._total_degree() * max(
+            (v._total_degree() for v in images if v is not None and v.terms), default=0
+        )
+        w = _width_for(bound)
+        images = [v if v is None else v._at(w) for v in images]
+        # A one-term image adds a multiple of its key and scales the
         # coefficient; longer images are multiplied in from cached powers.
         shifts = [
-            _sparse_monomial(img) if img and len(img) == 1 else None for img in images
+            next(iter(img.items())) if img and len(img) == 1 else None for img in images
         ]
         powers = [{1: img} for img in images]
-        unit = {(0,) * width: 1}
+        unit = {0: 1}
+        n, sw = len(self.universe), self._width
+        mask = (1 << sw) - 1
+        slots = [sw * (n - 1 - i) for i in range(n)]
         out = {}
-        for exps, c in self.terms.items():
-            mono = [0] * width
+        for k, c in self.terms.items():
+            mono = 0
             factors = []
-            for i, e in enumerate(exps):
+            for i, s in enumerate(slots):
+                e = (k >> s) & mask
                 if not e:
                     continue
                 img = images[i]
@@ -355,36 +479,48 @@ class Polynomial:
                 if shifts[i] is None:
                     factors.append(_power_terms(powers[i], e))
                     continue
-                slots, vc = shifts[i]
-                for j, k in slots:
-                    mono[j] += e * k
+                key, vc = shifts[i]
+                mono += e * key
                 if vc != 1:
                     c = c * vc ** e
             else:
                 *rest, last = factors or [unit]
-                head = {tuple(mono): c}
+                head = {mono: c}
                 for f in rest:
                     head = _mul_terms(head, f, {})
                 _mul_terms(head, last, out)
-        return Polynomial._raw(target, out)
+        return Polynomial._narrowest(target, out, w)
 
     # -- canonical text ----------------------------------------------------
 
     def sort_key(self):
-        return tuple(
-            (_term_key(e), e, Fraction(c).numerator, Fraction(c).denominator)
-            for e, c in sorted(self.terms.items(), key=lambda kv: _term_key(kv[0]))
-        )
+        """A key ordering polynomials term by term in canonical order: each
+        term gives its degree, its key negated and its coefficient.  A term
+        is keyed at the width of its own degree, so that terms of equal
+        degree compare alike in polynomials of different widths."""
+        n, w = len(self.universe), self._width
+        shift = n * w
+        out = []
+        for k in self._canonical():
+            c = Fraction(self.terms[k])
+            degree = k >> shift
+            if w > _NARROW:
+                k = _pack(_unpack(k, n, w), _width_for(degree))
+            out.append((degree, -k, c.numerator, c.denominator))
+        return tuple(out)
 
     def text(self) -> str:
         if not self.terms:
             return "0"
+        n, w = len(self.universe), self._width
         pieces = []
-        for e, c in sorted(self.terms.items(), key=lambda kv: _term_key(kv[0])):
+        for k in self._canonical():
+            c = self.terms[k]
+            e = _unpack(k, n, w)
             neg = c < 0
             mag = -c if neg else c
             body = []
-            if mag != 1 or not any(e):
+            if mag != 1 or not k:
                 body.append(str(mag))
             for name, x in zip(self.universe, e):
                 if x == 1:
@@ -405,8 +541,12 @@ class Polynomial:
 def _sign_normalized(f: Polynomial):
     """Return (g, flipped) with g = +/-f such that the first term of g in
     canonical order has a positive coefficient."""
-    first = min(f.terms, key=_term_key)
-    if f.terms[first] < 0:
+    terms = f.terms
+    shift = len(f.universe) * f._width
+    # The first term: the largest key of the lowest degree.
+    below = ((min(terms) >> shift) + 1) << shift
+    first = max(k for k in terms if k < below)
+    if terms[first] < 0:
         return -f, True
     return f, False
 
@@ -693,7 +833,7 @@ def _substitute_to_fraction(p: Polynomial, fracs, target) -> FactoredFraction:
     ]
     caches = [{} for _ in order]
     terms = []
-    for exps, c in p.terms.items():
+    for exps, c in p.items():
         term = FactoredFraction.constant(target, c)
         for i, e in enumerate(exps):
             if e:
@@ -717,13 +857,15 @@ def frac_eq(f: FactoredFraction, g: FactoredFraction) -> bool:
 def _split_in_var(p: Polynomial, var: str):
     """Split a polynomial by the exponent of ``var``; the coefficient
     polynomials keep the full universe with the var slot zeroed."""
-    vi = p.universe.index(var)
+    n, w = len(p.universe), p._width
+    slot = w * (n - 1 - p.universe.index(var))
+    mask = (1 << w) - 1
     parts = {}
     for e, c in p.terms.items():
-        k = e[vi]
-        e2 = e[:vi] + (0,) + e[vi + 1:]
-        parts.setdefault(k, {})[e2] = c
-    return {k: Polynomial._raw(p.universe, t) for k, t in parts.items()}
+        k = (e >> slot) & mask
+        # Zero the var field and take k off the degree field.
+        parts.setdefault(k, {})[e - (k << slot) - (k << (n * w))] = c
+    return {k: Polynomial._narrowest(p.universe, t, w) for k, t in parts.items()}
 
 
 def _coefficients_in(p: Polynomial, var: str) -> list:

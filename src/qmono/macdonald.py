@@ -14,6 +14,7 @@ series from ``_letter_product``.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,32 +127,32 @@ class SymmetricPolynomial:
     def _expand_full(self) -> dict:
         full = {}
         for key, f in self.coeffs.items():
-            padded = tuple(key) + (0,) * (self.N - len(key))
-            for exps in set(itertools.permutations(padded)):
+            for exps in _orbit(key, self.N):
                 full[exps] = f
         return full
 
     def mul(self, other: "SymmetricPolynomial", max_degree: int | None = None) -> "SymmetricPolynomial":
         if self.N != other.N:
             raise UsageError("alphabet sizes differ")
-        a = self._expand_full()
-        b = other._expand_full()
         buckets = {}
-        for e1, f1 in a.items():
-            d1 = sum(e1)
-            for e2, f2 in b.items():
-                if max_degree is not None and d1 + sum(e2) > max_degree:
+        for mu, f in self.coeffs.items():
+            for nu, g in other.coeffs.items():
+                if max_degree is not None and sum(mu) + sum(nu) > max_degree:
                     continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                key = tuple(sorted(e, reverse=True))
-                if key != e:
-                    continue
-                buckets.setdefault(key, []).append(f1 * f2)
+                # Each weakly decreasing sum of a vector of the orbit of mu
+                # and one of the orbit of nu adds f * g to that orbit.
+                fg = f * g
+                betas = _orbit(nu, self.N)
+                for alpha in _orbit(mu, self.N):
+                    for beta in betas:
+                        lam = tuple(map(operator.add, alpha, beta))
+                        if lam == tuple(sorted(lam, reverse=True)):
+                            buckets.setdefault(_strip(lam), []).append(fg)
         coeffs = {}
         for key, items in buckets.items():
             s = FactoredFraction.sum(items, universe=UNIVERSE_QT)
             if not s.is_zero:
-                coeffs[_strip(key)] = s
+                coeffs[key] = s
         return SymmetricPolynomial(self.N, coeffs)
 
     def homogeneous_part(self, n: int) -> "SymmetricPolynomial":
@@ -186,6 +187,11 @@ class SymmetricPolynomial:
 
 def _strip(key: tuple) -> tuple:
     return tuple(k for k in key if k)
+
+
+def _orbit(key: tuple, N: int) -> set:
+    """The exponent vectors on N letters of the monomial orbit ``key``."""
+    return set(itertools.permutations(tuple(key) + (0,) * (N - len(key))))
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def inverted_polynomial(H: Polynomial, shift: int) -> Polynomial | None:
     """q^shift * H(q, 1/q) as a polynomial in q, or None when a negative
     exponent survives the shift."""
     terms = {}
-    for (eq, et), c in H.terms.items():
+    for (eq, et), c in H.items():
         e = eq - et + shift
         if e < 0:
             return None
@@ -136,7 +136,7 @@ def inverted_polynomial(H: Polynomial, shift: int) -> Polynomial | None:
 
 def has_nonnegative_integer_coefficients(p: Polynomial) -> bool:
     return all(
-        Fraction(c).denominator == 1 and c > 0 for c in p.terms.values()
+        Fraction(c).denominator == 1 and c > 0 for _, c in p.items()
     )
 
 

@@ -67,6 +67,21 @@ class TestPolynomial:
         assert (a - a).terms == {}
         assert ((one + q) - q) == one
 
+    def test_exponents_must_be_ints(self):
+        for make in (
+            lambda: Polynomial.variable(("a", "b"), "a", 2.0),
+            lambda: Polynomial(("a", "b"), {(1.5, 0): 1}),
+            lambda: Polynomial(("a", "b"), {(Fraction(2), 0): 1}),
+            lambda: Polynomial.monomial(("a", "b"), {"b": 1.0}),
+        ):
+            with pytest.raises(UsageError):
+                make()
+
+    def test_items_gives_dense_exponent_tuples_in_canonical_order(self):
+        p = Polynomial(QT, {(0, 2): 3, (1, 0): -1, (0, 0): 5, (2, 0): 1})
+        assert p.items() == [((0, 0), 5), ((1, 0), -1), ((2, 0), 1), ((0, 2), 3)]
+        assert p.text() == "5 - q + q^2 + 3 * t^2"
+
     def test_canonical_text(self):
         one = Polynomial.one(QT)
         q, t = var(QT, "q"), var(QT, "t")
@@ -375,7 +390,7 @@ def _x_constant_term(p):
 def _substitute_reference(p, bindings, target):
     """Sum of c * prod v_i^e_i, built with the ring operations."""
     total = Polynomial.zero(target)
-    for exps, c in p.terms.items():
+    for exps, c in p.items():
         term = Polynomial.constant(target, c)
         for name, e in zip(p.universe, exps):
             image = bindings[name] if name in bindings else var(target, name)
@@ -441,6 +456,152 @@ def test_series_expand_without_denominators_splits_the_product(nums):
     series = series_expand(nums, [], "x", order, universe=uni)
     for k in range(order + 1):
         part = Polynomial(
-            uni, {(e[0], 0): c for e, c in product.terms.items() if e[1] == k}
+            uni, {(e[0], 0): c for e, c in product.items() if e[1] == k}
         )
         assert series[k] == FactoredFraction(part)
+
+
+# -- packed keys at the field boundary ---------------------------------------
+#
+# The kernel packs each monomial into one int with 16-bit fields and widens
+# to 32, 64, ... bits once a degree reaches 2^15.  These tests compare it
+# with a dense-tuple reference on exponents drawn around those widths.
+
+
+def _dense_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def _dense_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out = _dense_add(out, {tuple(x + y for x, y in zip(e1, e2)): c1 * c2})
+    return out
+
+
+def _dense_pow(a, e, width):
+    if not a:
+        return {} if e else {(0,) * width: 1}
+    if len(a) == 1:
+        ((exps, c),) = a.items()
+        return {tuple(x * e for x in exps): c ** e}
+    out = {(0,) * width: 1}
+    for _ in range(e):
+        out = _dense_mul(out, a)
+    return out
+
+
+def _dense_substitute(p, images, width):
+    out = {}
+    for exps, c in p.items():
+        term = {(0,) * width: c}
+        for image, e in zip(images, exps):
+            term = _dense_mul(term, _dense_pow(image, e, width))
+        out = _dense_add(out, term)
+    return out
+
+
+_boundary_exponents = st.one_of(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=2 ** 15 - 3, max_value=2 ** 15 + 2),
+    st.integers(min_value=2 ** 16 - 3, max_value=2 ** 16 + 2),
+    st.integers(min_value=2 ** 31 - 2, max_value=2 ** 31 + 1),
+)
+
+
+@st.composite
+def boundary_polys(draw, universe=("a", "q"), max_terms=3, coeffs=_coeffs):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        terms[tuple(draw(_boundary_exponents) for _ in universe)] = draw(coeffs)
+    return Polynomial(universe, terms)
+
+
+def _same(p, dense):
+    # Equal to the polynomial built from dense tuples, with the same hash:
+    # a result that widened and shrank back keys like a fresh one.
+    fresh = Polynomial(p.universe, dense)
+    return p == fresh and hash(p) == hash(fresh) and dict(p.items()) == dense
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_polys(), boundary_polys())
+def test_packed_sum_and_product_match_dense_tuples(p, q):
+    a, b = dict(p.items()), dict(q.items())
+    assert _same(p + q, _dense_add(a, b))
+    assert _same(p - q, _dense_add(a, {e: -c for e, c in b.items()}))
+    assert _same(p * q, _dense_mul(a, b))
+    assert _same((p + q) - q, a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_polys(), boundary_polys())
+def test_packed_quotient_matches_dense_tuples(p, d):
+    if d.is_zero:
+        d = d + 1
+    product = Polynomial(p.universe, _dense_mul(dict(p.items()), dict(d.items())))
+    assert _same(product.exact_quotient(d), dict(p.items()))
+    if not d.is_constant():
+        assert (product + 1).exact_quotient(d) is None
+
+
+def _dense_sort_key(p):
+    return tuple(
+        (sum(e), tuple(-x for x in e), Fraction(c).numerator, Fraction(c).denominator)
+        for e, c in p.items()
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_polys(), boundary_polys())
+@example(
+    Polynomial(("a", "q"), {(0, 1): 1, (40000, 0): 1}), Polynomial(("a", "q"), {(1, 0): 1})
+)
+def test_packed_sort_key_orders_like_dense_tuples(p, q):
+    # Denominator factors are sorted by sort_key, also across widths.
+    assert (p.sort_key() < q.sort_key()) == (_dense_sort_key(p) < _dense_sort_key(q))
+
+
+@st.composite
+def boundary_substitutions(draw):
+    # Either images of one term at any exponent, or longer images raised to
+    # small powers: the reference expands every power by repeated products.
+    # A one-term image has coefficient +-1, lest c^(2^31) be computed.
+    if draw(st.booleans()):
+        p = draw(boundary_polys())
+        image = boundary_polys(WIDE, max_terms=1, coeffs=st.sampled_from((1, -1)))
+    else:
+        p = draw(small_polys())
+        image = boundary_polys(WIDE)
+    return p, {name: draw(image) for name in draw(st.sets(st.sampled_from(("a", "q"))))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_substitutions())
+def test_packed_substitution_matches_dense_tuples(case):
+    p, bindings = case
+    images = [
+        dict(bindings[name].items()) if name in bindings else {
+            tuple(int(v == name) for v in WIDE): 1
+        }
+        for name in p.universe
+    ]
+    assert _same(p.substitute(bindings, universe=WIDE), _dense_substitute(p, images, len(WIDE)))
+
+
+def test_cancellation_shrinks_the_width_back():
+    x = var(("x",), "x", 40000)
+    one = Polynomial.one(("x",))
+    assert (x + 1) - x == one
+    assert hash((x + 1) - x) == hash(one)
+    assert ((x + 1) * (x - 1)).exact_quotient(x + 1) == x - 1
+    assert ((x + 1) * (x - 1)).exact_quotient(x + 1).text() == "-1 + x^40000"
+    assert (x * x).substitute({"x": var(("x",), "x", 2)}).text() == "x^160000"

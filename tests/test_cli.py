@@ -109,6 +109,22 @@ class TestSpecializeCommand:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "(1 - q^3) / (1 - q)"
 
+    def test_substitution_past_the_narrow_field_width(self, capsys):
+        # Degrees up to 210,003 take the kernel past its 16-bit field width;
+        # the text is the one the tuple-keyed kernel printed.
+        code, out, _ = run(
+            capsys, "specialize", "--mu", "2,1", "--subst", "a=1,b=q^70000"
+        )
+        assert code == EXIT_OK
+        assert out == (
+            "(q + q^2 - 2 * q^3 - q^70000 + q^70003 - q^140000 + q^140003"
+            " + 2 * q^210000 - q^210001 - q^210002)"
+            " / ((1 - q) * (1 - q^2) * (1 - q^3))\n"
+            '{"denominator_factors": [["1 - q", 1], ["1 - q^2", 1], ["1 - q^3", 1]],'
+            ' "numerator": "q + q^2 - 2 * q^3 - q^70000 + q^70003 - q^140000 + q^140003'
+            ' + 2 * q^210000 - q^210001 - q^210002", "partition": [2, 1]}\n'
+        )
+
     def test_oracle_direct_requires_N(self, capsys):
         code, _, err = run(
             capsys, "specialize", "--mu", "1", "--form", "oracle-direct"

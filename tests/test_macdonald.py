@@ -275,7 +275,7 @@ def test_letter_product_matches_polynomial_product(constants, N):
             letter = letter + Polynomial.variable(uni, f"x{i}", k, c)
         product = product * letter
     cut = Polynomial(
-        uni, {e: c for e, c in product.terms.items() if sum(e[2:]) <= degree}
+        uni, {e: c for e, c in product.items() if sum(e[2:]) <= degree}
     )
     coeffs = [FactoredFraction.constant(UNIVERSE_QT, c) for c in constants]
     assert frac_eq(_letter_product(coeffs, N).to_fraction(uni), FactoredFraction(cut))

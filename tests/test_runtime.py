@@ -22,3 +22,18 @@ def test_runtime_imports_only_the_standard_library(path):
 
 def test_the_package_sources_are_found():
     assert "__init__.py" in {p.name for p in SOURCES}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "algebra.py"], ids=lambda p: p.name
+)
+def test_only_the_kernel_reads_the_term_map(path):
+    # Polynomial.terms is keyed by packed monomials; every other module
+    # reads a polynomial's terms through Polynomial.items().
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "terms"
+    ]
+    assert reads == []

@@ -203,7 +203,7 @@ class TestProperties:
         for mu in partitions_up_to(6):
             for form in ("theorem1", "theorem3"):
                 numerator = monomial_spec(mu, form).value.numerator
-                degrees = {a + b for a, b, _ in numerator.terms}
+                degrees = {a + b for (a, b, _), _ in numerator.items()}
                 assert degrees == {mu.weight}, (mu, form)
 
     def test_prefix_recurrence_small(self):
