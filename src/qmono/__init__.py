@@ -4,17 +4,11 @@ symmetrized rational identities they are equivalent to, the positivity
 polynomial attached to each partition, and the basis expansions of the
 one-row Macdonald polynomial g_n(X; q, t)."""
 
-from .algebra import (
-    FactoredFraction,
-    Polynomial,
-    frac_eq,
-    series_expand,
-)
+from .algebra import FactoredFraction, Polynomial, frac_eq
 from .errors import (
     InternalConsistencyError,
     InvalidValueError,
     NotApplicableError,
-    NotInvertibleError,
     PoleError,
     QmonoError,
     ResourceLimitError,
@@ -44,12 +38,10 @@ __all__ = [
     "FactoredFraction",
     "Polynomial",
     "frac_eq",
-    "series_expand",
     "QmonoError",
     "UsageError",
     "InvalidValueError",
     "PoleError",
-    "NotInvertibleError",
     "ResourceLimitError",
     "InternalConsistencyError",
     "NotApplicableError",

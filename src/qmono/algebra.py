@@ -1,5 +1,5 @@
 """Exact arithmetic kernel: sparse multivariate polynomials over the
-rationals, factored fractions, and truncated power-series expansion.
+rationals and factored fractions.
 
 A variable universe is declared once per computation as an ordered tuple of
 names, e.g. ``("a", "b", "q")``.  A monomial is stored as one packed int key
@@ -39,12 +39,7 @@ import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import (
-    InvalidValueError,
-    NotInvertibleError,
-    PoleError,
-    UsageError,
-)
+from .errors import InvalidValueError, PoleError, UsageError
 
 Coeff = Union[int, Fraction]
 Universe = tuple
@@ -264,7 +259,9 @@ class Polynomial:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Polynomial.constant(self.universe, other)
         self._check(other)
         a, b = self, other
@@ -296,7 +293,9 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if other == 0:
                 return Polynomial._raw(self.universe, {})
             return Polynomial._raw(
@@ -852,101 +851,6 @@ def _substitute_to_fraction(p: Polynomial, fracs, target) -> FactoredFraction:
 def frac_eq(f: FactoredFraction, g: FactoredFraction) -> bool:
     """True iff the two fractions have equal values (cross-multiplication)."""
     return f.eq(g)
-
-
-def _split_in_var(p: Polynomial, var: str):
-    """Split a polynomial by the exponent of ``var``; the coefficient
-    polynomials keep the full universe with the var slot zeroed."""
-    n, w = len(p.universe), p._width
-    slot = w * (n - 1 - p.universe.index(var))
-    mask = (1 << w) - 1
-    parts = {}
-    for e, c in p.terms.items():
-        k = (e >> slot) & mask
-        # Zero the var field and take k off the degree field.
-        parts.setdefault(k, {})[e - (k << slot) - (k << (n * w))] = c
-    return {k: Polynomial._narrowest(p.universe, t, w) for k, t in parts.items()}
-
-
-def _coefficients_in(p: Polynomial, var: str) -> list:
-    """The coefficients of ``var``^0, ^1, ... up to the degree of ``p``."""
-    parts = _split_in_var(p, var)
-    zero = FactoredFraction.zero(p.universe)
-    return [
-        FactoredFraction(parts[k]) if k in parts else zero
-        for k in range(max(parts, default=0) + 1)
-    ]
-
-
-def _series_product(a: Sequence, b: Sequence, order: int) -> list:
-    """The Cauchy product of two nonempty coefficient lists, cut off at
-    ``order``."""
-    universe = a[0].universe
-    buckets = [[] for _ in range(order + 1)]
-    for i, x in enumerate(a[: order + 1]):
-        if x.is_zero:
-            continue
-        for j, y in enumerate(b[: order + 1 - i]):
-            if not y.is_zero:
-                buckets[i + j].append(x * y)
-    return [FactoredFraction.sum(bk, universe=universe) for bk in buckets]
-
-
-def _series_inverse(d: Polynomial, var: str, order: int):
-    parts = _split_in_var(d, var)
-    d0 = parts.get(0)
-    if d0 is None or d0.is_zero:
-        raise NotInvertibleError(
-            f"factor {d.text()} has zero constant term in {var!r}"
-        )
-    uni = d.universe
-    inv0 = FactoredFraction(Polynomial.one(uni), [(d0, 1)])
-    inv = [inv0]
-    for k in range(1, order + 1):
-        acc = [
-            inv[k - j] * pj for j, pj in parts.items() if 1 <= j <= k
-        ]
-        s = FactoredFraction.sum(acc, universe=uni)
-        inv.append(-s * inv0)
-    return inv
-
-
-def series_expand(
-    numerator_factors: Sequence[Polynomial],
-    denominator_factors: Sequence[Polynomial],
-    var: str,
-    order: int,
-    universe=None,
-) -> list:
-    """Expand a finite product of polynomial factors (and inverted factors)
-    as a truncated series in ``var``: the list of its ``order + 1``
-    coefficients, exact fractions over the full universe in which ``var``
-    does not occur.
-
-    Every denominator factor must have a nonzero constant term in ``var``;
-    infinite product inputs must be reduced to the finitely many factors that
-    matter for the requested order before calling."""
-    numerator_factors = list(numerator_factors)
-    denominator_factors = list(denominator_factors)
-    if order < 0:
-        raise UsageError("truncation order must be non-negative")
-    if universe is None:
-        if not numerator_factors and not denominator_factors:
-            raise UsageError("empty factor lists need an explicit universe")
-        universe = (numerator_factors + denominator_factors)[0].universe
-    universe = tuple(universe)
-    for f in numerator_factors + denominator_factors:
-        if f.universe != universe:
-            raise UsageError("variable universes differ")
-    if var not in universe:
-        raise UsageError(f"{var!r} not in universe {universe}")
-    coeffs = [FactoredFraction.one(universe)]
-    coeffs += [FactoredFraction.zero(universe) for _ in range(order)]
-    for f in numerator_factors:
-        coeffs = _series_product(coeffs, _coefficients_in(f, var), order)
-    for f in denominator_factors:
-        coeffs = _series_product(coeffs, _series_inverse(f, var, order), order)
-    return coeffs
 
 
 def geometric_sum(universe, name: str, n: int) -> Polynomial:

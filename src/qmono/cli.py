@@ -134,11 +134,11 @@ def parse_substitutions(text: str) -> dict:
             continue
         except ValueError:
             pass
-        base, _, power = value.partition("^")
+        base, caret, power = value.partition("^")
         if base not in UNIVERSE_ABQ:
             raise UsageError(f"cannot parse substitution value {value!r}")
         exponent = 1
-        if power:
+        if caret:
             try:
                 exponent = int(power)
             except ValueError:
@@ -269,7 +269,7 @@ def _positivity_instance(task):
 def cmd_positivity(args) -> RunReport:
     report = RunReport("positivity")
     t0 = time.perf_counter()
-    if args.mu:
+    if args.mu is not None:
         if args.max_weight is not None:
             raise UsageError("--max-weight does not apply with --mu")
         partitions = [parse_partition(args.mu)]

@@ -17,10 +17,6 @@ class PoleError(QmonoError):
     """A substitution made a denominator factor identically zero."""
 
 
-class NotInvertibleError(QmonoError):
-    """A factor has no inverse as a power series in the expansion variable."""
-
-
 class ResourceLimitError(QmonoError):
     """An enumeration exceeded its configured cap."""
 

@@ -8,7 +8,8 @@ Symmetric polynomials on a finite alphabet are stored one coefficient per
 monomial orbit (partition-shaped exponent vector), which keeps symmetry
 structural and the n <= 5, N = 3 sizes trivial.  Every basis element comes
 from ``_basis_element`` and every product over the letters of a one-letter
-series from ``_letter_product``.
+series from ``_letter_product``.  The one-letter ratios are expanded by
+``_letter_series`` as a polynomial times a geometric sum.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .algebra import (
     Polynomial,
     frac_eq,
     geometric_sum,
-    series_expand,
 )
 from .errors import InternalConsistencyError, ResourceLimitError, UsageError
 from .partitions import DERANGEMENT_LENGTH_CAP, Partition, partitions_of, z_of
@@ -329,17 +329,22 @@ def table_to_polynomial(table: ExpansionTable, N: int) -> SymmetricPolynomial:
 _UNIVERSE_QTY = ("q", "t", "y")
 _ONE_Y = Polynomial.one(_UNIVERSE_QTY)
 _Y = Polynomial.variable(_UNIVERSE_QTY, "y")
-_TY = Polynomial.monomial(_UNIVERSE_QTY, {"t": 1, "y": 1})
+_T = Polynomial.variable(_UNIVERSE_QTY, "t")
 
 
-def _letter_series(numerator, denominator, degree: int) -> list:
-    """Coefficients of y^0..y^degree in the product of the numerator
-    factors over the denominator factors, polynomials in (q, t, y);
-    re-expressed over (q, t)."""
-    return [
-        c.substitute({}, universe=UNIVERSE_QT)
-        for c in series_expand(numerator, denominator, "y", degree, _UNIVERSE_QTY)
-    ]
+def _letter_series(numerator: Polynomial, c, degree: int) -> list:
+    """Coefficients of y^0..y^degree in numerator / (1 - c y), fractions
+    over (q, t); the numerator is a polynomial in (q, t, y) and ``c`` a
+    y-free one (or an int; a missing denominator is c = 0).
+
+    Every denominator the callers expand has y-free part 1, so its inverse
+    is the geometric sum of (c y)^k, here cut at k = degree."""
+    geometric = geometric_sum(_UNIVERSE_QTY, "y", degree + 1).substitute({"y": c * _Y})
+    parts = [{} for _ in range(degree + 1)]
+    for (i, j, k), coeff in (numerator * geometric).items():
+        if k <= degree:
+            parts[k][i, j] = coeff
+    return [FactoredFraction(Polynomial(UNIVERSE_QT, p)) for p in parts]
 
 
 def _letter_product(coeffs, N: int) -> SymmetricPolynomial:
@@ -407,10 +412,10 @@ def deformed_basis(kind: str, n: int, N: int) -> SymmetricPolynomial:
     if n < 1 or N < 1:
         raise UsageError("need n >= 1 and N >= 1")
     if kind == "E":
-        num, den = _ONE_Y + _Y, _ONE_Y + _TY
+        series = _letter_series(_ONE_Y + _Y, -_T, n)
     else:
-        num, den = _ONE_Y - _TY, _ONE_Y - _Y
-    from_series = _letter_product(_letter_series([num], [den], n), N).homogeneous_part(n)
+        series = _letter_series(_ONE_Y - _T * _Y, 1, n)
+    from_series = _letter_product(series, N).homogeneous_part(n)
 
     t = _qt_var("t")
     inv_t = FactoredFraction(Polynomial.one(UNIVERSE_QT), [t])
@@ -666,9 +671,7 @@ def generating_shift_check(N: int, degree: int) -> bool:
     shifted = SymmetricPolynomial.zero(N)
     for n in range(degree + 1):
         shifted = shifted.add(row_polynomial(n, N).scale(_qt_var("q", n)))
-    ratio = _letter_product(
-        _letter_series([_ONE_Y - _Y], [_ONE_Y - _TY], degree), N
-    )
+    ratio = _letter_product(_letter_series(_ONE_Y - _Y, _T, degree), N)
     return shifted.eq(ratio.mul(_row_sum(N, degree), max_degree=degree))
 
 
@@ -683,5 +686,5 @@ def alphabet_shift_check(N: int, degree: int) -> bool:
         [(mu, spec_value_at(mu, q, t)) for n in range(degree + 1) for mu in partitions_of(n)],
         N,
     )
-    alternating = _letter_product(_letter_series([_ONE_Y - _Y], [], degree), N)
+    alternating = _letter_product(_letter_series(_ONE_Y - _Y, 0, degree), N)
     return lhs.eq(alternating.mul(_row_sum(N, degree), max_degree=degree))

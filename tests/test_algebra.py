@@ -4,21 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmono.algebra import (
-    RESIDUE_MODULUS,
-    FactoredFraction,
-    Polynomial,
-    _coefficients_in,
-    _series_product,
-    frac_eq,
-    series_expand,
-)
-from qmono.errors import (
-    InvalidValueError,
-    NotInvertibleError,
-    PoleError,
-    UsageError,
-)
+from qmono.algebra import RESIDUE_MODULUS, FactoredFraction, Polynomial, frac_eq
+from qmono.errors import InvalidValueError, PoleError, UsageError
 
 ABQ = ("a", "b", "q")
 QT = ("q", "t")
@@ -164,6 +151,22 @@ class TestFactoredFraction:
         assert f == g
         assert f.denominator[0][0] == one - q
 
+    def test_mixed_arithmetic_in_both_orders(self, abq):
+        # A Polynomial operand defers to FactoredFraction's reflected
+        # operators instead of reading the fraction as a polynomial.
+        one, a, b, q = abq
+        f = FactoredFraction(q, [one + q])
+        assert frac_eq(q * f, f * q)
+        assert frac_eq(q * f, FactoredFraction(q ** 2, [one + q]))
+        assert frac_eq(q + f, f + q)
+        assert frac_eq(q + f, FactoredFraction(2 * q + q ** 2, [one + q]))
+        assert frac_eq(q - f, -(f - q))
+        assert frac_eq(q - f, FactoredFraction(q ** 2, [one + q]))
+        with pytest.raises(TypeError):
+            q * "q"
+        with pytest.raises(TypeError):
+            q + "q"
+
     def test_constant_factors_fold(self, abq):
         one, a, b, q = abq
         f = FactoredFraction(a, [Polynomial.constant(ABQ, 2)])
@@ -216,71 +219,6 @@ class TestSubstitute:
             g, FactoredFraction(Polynomial.one(QT) - var(QT, "q"),
                                 [Polynomial.one(QT) - var(QT, "q", 2)])
         )
-
-
-class TestSeriesExpand:
-    def test_geometric_series(self):
-        uni = ("t", "x")
-        one = Polynomial.one(uni)
-        x = var(uni, "x")
-        s = series_expand([], [one - x], "x", 3)
-        assert [c.text() for c in s] == ["1", "1", "1", "1"]
-
-    def test_one_factor_ratio(self):
-        uni = ("t", "x")
-        one = Polynomial.one(uni)
-        x, t = var(uni, "x"), var(uni, "t")
-        s = series_expand([one - t * x], [one - x], "x", 2)
-        assert frac_eq(s[0], FactoredFraction(one))
-        assert frac_eq(s[1], FactoredFraction(one - t))
-        assert frac_eq(s[2], FactoredFraction(one - t))
-
-    def test_not_invertible(self):
-        uni = ("t", "x")
-        x = var(uni, "x")
-        with pytest.raises(NotInvertibleError):
-            series_expand([], [x], "x", 2)
-
-    def test_nontrivial_constant_term_inverts(self):
-        # 1/(1 - t - x): coefficients 1/(1-t), 1/(1-t)^2, ...
-        uni = ("t", "x")
-        one = Polynomial.one(uni)
-        x, t = var(uni, "x"), var(uni, "t")
-        s = series_expand([], [one - t - x], "x", 2)
-        for k in range(3):
-            assert frac_eq(
-                s[k], FactoredFraction(one, [(one - t, k + 1)])
-            )
-
-    def test_heine_coefficients(self):
-        # The quotient of shifted geometric products expands with coefficient
-        # k equal to prod_{j<=k} (1 - t q^(j-1))/(1 - q^j).  Any finite
-        # sub-product truncates those denominators, so the claimed
-        # coefficients are pinned here and then verified independently via
-        # the first-order q-difference equation (1 - x) F(x) = (1 - tx) F(qx).
-        from qmono.macdonald import heine_coefficient
-
-        uni = ("q", "t")
-        one = Polynomial.one(uni)
-        q, t = var(uni, "q"), var(uni, "t")
-        assert frac_eq(heine_coefficient(0), FactoredFraction(one))
-        assert frac_eq(
-            heine_coefficient(1), FactoredFraction(one - t, [one - q])
-        )
-        assert frac_eq(
-            heine_coefficient(2),
-            FactoredFraction(
-                (one - t) * (one - t * q), [one - q, one - q ** 2]
-            ),
-        )
-        order = 5
-        for k in range(1, order + 1):
-            # c_k - c_{k-1} must equal q^k c_k - t q^(k-1) c_{k-1}.
-            lhs = heine_coefficient(k) - heine_coefficient(k - 1)
-            rhs = heine_coefficient(k) * q ** k - heine_coefficient(k - 1) * (
-                t * q ** (k - 1)
-            )
-            assert frac_eq(lhs, rhs)
 
 
 # -- property tests ----------------------------------------------------------
@@ -358,35 +296,6 @@ def test_frac_eq_is_an_equivalence(num, den, s, t):
     assert frac_eq(g, h) and frac_eq(f, h)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(small_polys(("t", "x")), min_size=0, max_size=2),
-    st.lists(nonzero_polys(("t", "x")), min_size=0, max_size=2),
-)
-def test_series_expand_is_multiplicative(nums, dens):
-    uni = ("t", "x")
-    one = Polynomial.one(uni)
-    # Force invertibility in x: add 1 to kill zero constant terms.
-    dens = [d + one if _x_constant_term(d).is_zero else d for d in dens]
-    order = 4
-    combined = series_expand(nums, dens, "x", order, universe=uni)
-    product = [FactoredFraction.one(uni)] + [FactoredFraction.zero(uni)] * order
-    for p in nums:
-        product = _series_product(product, _coefficients_in(p, "x"), order)
-    for d in dens:
-        product = _series_product(
-            product, series_expand([], [d], "x", order, universe=uni), order
-        )
-    assert len(combined) == len(product) == order + 1
-    assert all(frac_eq(a, b) for a, b in zip(combined, product))
-
-
-def _x_constant_term(p):
-    from qmono.algebra import _split_in_var
-
-    return _split_in_var(p, "x").get(0, Polynomial.zero(p.universe))
-
-
 def _substitute_reference(p, bindings, target):
     """Sum of c * prod v_i^e_i, built with the ring operations."""
     total = Polynomial.zero(target)
@@ -443,22 +352,6 @@ def test_substitute_drops_only_absent_variables(abq):
     assert frac_eq(got, expected)
     with pytest.raises(UsageError):
         FactoredFraction(a * b, [one - q]).substitute({"a": inverse_t}, universe=QT)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(small_polys(("t", "x")), min_size=0, max_size=3))
-def test_series_expand_without_denominators_splits_the_product(nums):
-    uni = ("t", "x")
-    order = 4
-    product = Polynomial.one(uni)
-    for p in nums:
-        product = product * p
-    series = series_expand(nums, [], "x", order, universe=uni)
-    for k in range(order + 1):
-        part = Polynomial(
-            uni, {(e[0], 0): c for e, c in product.items() if e[1] == k}
-        )
-        assert series[k] == FactoredFraction(part)
 
 
 # -- packed keys at the field boundary ---------------------------------------

@@ -239,14 +239,18 @@ class TestVerifyCommand:
                 "does not apply",
             ),
             (["positivity", "--mu", "2,1", "--max-weight", "0"], "does not apply"),
+            (["positivity", "--mu", "", "--max-weight", "2"], "does not apply"),
             (["specialize", "--mu", "2,1", "--subst", "a=1,a=2"], "bound twice"),
+            (["specialize", "--mu", "2,1", "--subst", "a=q^"], "cannot parse exponent"),
         ],
         ids=[
             "prop5-n",
             "thm6-max-weight",
             "specialize-oracle-N",
             "positivity-mu-max-weight",
+            "positivity-empty-mu-max-weight",
             "specialize-subst-twice",
+            "specialize-subst-empty-exponent",
         ],
     )
     def test_flag_the_family_does_not_read_is_usage_error(self, capsys, argv, message):
@@ -381,6 +385,15 @@ class TestPositivityCommand:
         res = doc["results"][0]
         assert res["H"] == "1 + 2 * q + 2 * t + q * t"
         assert res["identity_holds"] is True
+
+    def test_empty_mu_is_the_empty_partition(self, capsys):
+        # As in specialize, --mu "" names the empty partition, not a sweep.
+        code, out, _ = run(capsys, "positivity", "--mu", "", "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["instances_checked"] == 1
+        assert [res["mu"] for res in doc["results"]] == [[]]
+        assert doc["failures"] == []
 
     def test_sweep(self, capsys):
         code, out, _ = run(capsys, "positivity", "--max-weight", "4")

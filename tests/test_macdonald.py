@@ -19,6 +19,7 @@ from qmono.macdonald import (
     _basis_element,
     _deformed_power_table,
     _letter_product,
+    _letter_series,
     apply_omega,
     coefficient_sum_identities,
     deformed_basis,
@@ -279,3 +280,69 @@ def test_letter_product_matches_polynomial_product(constants, N):
     )
     coeffs = [FactoredFraction.constant(UNIVERSE_QT, c) for c in constants]
     assert frac_eq(_letter_product(coeffs, N).to_fraction(uni), FactoredFraction(cut))
+
+
+def test_heine_coefficients():
+    # The quotient of shifted geometric products expands with coefficient
+    # k equal to prod_{j<=k} (1 - t q^(j-1))/(1 - q^j).  Any finite
+    # sub-product truncates those denominators, so the claimed
+    # coefficients are pinned here and then verified independently via
+    # the first-order q-difference equation (1 - x) F(x) = (1 - tx) F(qx).
+    uni = ("q", "t")
+    one = Polynomial.one(uni)
+    q, t = Polynomial.variable(uni, "q"), Polynomial.variable(uni, "t")
+    assert frac_eq(heine_coefficient(0), FactoredFraction(one))
+    assert frac_eq(
+        heine_coefficient(1), FactoredFraction(one - t, [one - q])
+    )
+    assert frac_eq(
+        heine_coefficient(2),
+        FactoredFraction(
+            (one - t) * (one - t * q), [one - q, one - q ** 2]
+        ),
+    )
+    order = 5
+    for k in range(1, order + 1):
+        # c_k - c_{k-1} must equal q^k c_k - t q^(k-1) c_{k-1}.
+        lhs = heine_coefficient(k) - heine_coefficient(k - 1)
+        rhs = heine_coefficient(k) * q ** k - heine_coefficient(k - 1) * (
+            t * q ** (k - 1)
+        )
+        assert frac_eq(lhs, rhs)
+
+
+# One letter y: each ratio numerator / (1 - c y) the module expands.
+QTY = ("q", "t", "y")
+_Y = Polynomial.variable(QTY, "y")
+_T = Polynomial.variable(QTY, "t")
+_ONE_Y = Polynomial.one(QTY)
+LETTER_RATIOS = {
+    "(1 + y)/(1 + t y)": (_ONE_Y + _Y, -_T),
+    "(1 - t y)/(1 - y)": (_ONE_Y - _T * _Y, 1),
+    "(1 - y)/(1 - t y)": (_ONE_Y - _Y, _T),
+    "1 - y": (_ONE_Y - _Y, 0),
+}
+
+
+@pytest.mark.parametrize("ratio", list(LETTER_RATIOS))
+def test_letter_series_times_its_denominator_is_the_numerator(ratio):
+    numerator, c = LETTER_RATIOS[ratio]
+    degree = 5
+    coeffs = _letter_series(numerator, c, degree)
+    assert len(coeffs) == degree + 1
+    series = Polynomial.zero(QTY)
+    for k, f in enumerate(coeffs):
+        assert f.universe == UNIVERSE_QT and f.denominator == ()
+        series = series + f.numerator.substitute({}, universe=QTY) * _Y ** k
+    product = series * (_ONE_Y - c * _Y)
+    cut = Polynomial(QTY, {e: v for e, v in product.items() if e[2] <= degree})
+    assert cut == numerator
+
+
+def test_letter_series_pinned_values():
+    # (1 - t y)/(1 - y) = 1 + (1 - t) y + (1 - t) y^2 + ...
+    t = Polynomial.variable(UNIVERSE_QT, "t")
+    coeffs = _letter_series(_ONE_Y - _T * _Y, 1, 2)
+    assert frac_eq(coeffs[0], FactoredFraction(ONE))
+    assert frac_eq(coeffs[1], FactoredFraction(ONE - t))
+    assert frac_eq(coeffs[2], FactoredFraction(ONE - t))

@@ -37,3 +37,34 @@ def test_only_the_kernel_reads_the_term_map(path):
         if isinstance(node, ast.Attribute) and node.attr == "terms"
     ]
     assert reads == []
+
+
+def test_every_exported_name_resolves():
+    import qmono
+
+    assert [name for name in qmono.__all__ if not hasattr(qmono, name)] == []
+
+
+def _classes_in(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def _raised_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            for sub in ast.walk(node.exc):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+    return names
+
+
+def test_every_error_class_is_raised():
+    # An error class that no module raises is dead public API.
+    errors = next(p for p in SOURCES if p.name == "errors.py")
+    raised = set().union(*(_raised_names(p) for p in SOURCES if p != errors))
+    assert sorted(_classes_in(errors) - {"QmonoError"} - raised) == []
