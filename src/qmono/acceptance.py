@@ -41,7 +41,7 @@ from .macdonald import (
     inverse_expansions_check,
     omega_row_is_elementary,
 )
-from .partitions import Partition, partitions_up_to, z_of
+from .partitions import Partition, derangements, partitions_up_to, z_of
 from .positivity import (
     auxiliary_identity_check,
     positivity_polynomial,
@@ -157,67 +157,65 @@ def criterion_4_gauss_polynomials() -> CriterionResult:
     return r
 
 
+def rearrangement_sum(mu: Partition, form: str) -> FactoredFraction:
+    """m_mu[(a - b)/(1 - q)] as Theorems 1 and 3 state it, one product per
+    distinct rearrangement.  ``monomial_spec`` sums the same terms by the
+    peeling recurrence, so criterion 5 takes its left sides from here."""
+    one = Polynomial.one(UNIVERSE_ABQ)
+    terms = []
+    for d in derangements(mu):
+        num, den = one, []
+        for i, c in enumerate(d.entries, start=1):
+            e = d.prefix_sum(i - 1) if form == "theorem1" else (mu.length - i) * c
+            num = num * Polynomial(UNIVERSE_ABQ, {(c, 0, e): 1, (0, c, 0): -1})
+            den.append(one - Polynomial.variable(UNIVERSE_ABQ, "q", d.prefix_sum(i)))
+        terms.append(FactoredFraction(num, den))
+    return FactoredFraction.sum(terms, universe=UNIVERSE_ABQ)
+
+
 def criterion_5_recurrences() -> CriterionResult:
     """Weight-peeling recurrences for both closed forms, generic and at the
-    one-letter specializations."""
+    one-letter specializations: the literal rearrangement sum of mu against
+    the peeled values of mu less one part, so no recurrence holds by
+    construction."""
     r = CriterionResult(5, "peeling recurrences")
     t0 = time.perf_counter()
     one = Polynomial.one(UNIVERSE_ABQ)
     one_qt = Polynomial.one(UNIVERSE_QT)
+    q_qt = Polynomial.variable(UNIVERSE_QT, "q")
     t = Polynomial.variable(UNIVERSE_QT, "t")
     qa = Polynomial.monomial(UNIVERSE_ABQ, {"q": 1, "a": 1})
+
+    def check(name, mu, lhs, rhs):
+        total = FactoredFraction.sum(rhs, universe=lhs.universe)
+        r.check(frac_eq(lhs, total), f"{name} recurrence mu={mu}")
+
     for mu in partitions_up_to(8):
         w = mu.weight
         peel = one - Polynomial.variable(UNIVERSE_ABQ, "q", w)
+        parts = set(mu.parts)
+        rest1 = {i: monomial_spec(mu.remove_part(i), "theorem1").value for i in parts}
+        rest3 = {i: monomial_spec(mu.remove_part(i), "theorem3").value for i in parts}
+        z = rearrangement_sum(mu, "theorem1")
+        check("prefix", mu, z * peel, [
+            rest1[i] * Polynomial(UNIVERSE_ABQ, {(i, 0, w - i): 1, (0, i, 0): -1}) for i in parts
+        ])
+        check("shifted", mu, rearrangement_sum(mu, "theorem3") * peel, [
+            rest3[i].substitute({"a": qa}) * Polynomial(UNIVERSE_ABQ, {(i, 0, 0): 1, (0, i, 0): -1})
+            for i in parts
+        ])
         peel_qt = one_qt - Polynomial.variable(UNIVERSE_QT, "q", w)
-
-        z = monomial_spec(mu, "theorem1").value
-        rhs = [
-            monomial_spec(mu.remove_part(i), "theorem1").value
-            * Polynomial(UNIVERSE_ABQ, {(i, 0, w - i): 1, (0, i, 0): -1})
-            for i in set(mu.parts)
-        ]
-        r.check(
-            frac_eq(z * peel, FactoredFraction.sum(rhs, universe=UNIVERSE_ABQ)),
-            f"prefix recurrence mu={mu}",
-        )
-
-        wv = monomial_spec(mu, "theorem3").value
-        rhs = [
-            monomial_spec(mu.remove_part(i), "theorem3").value.substitute({"a": qa})
-            * Polynomial(UNIVERSE_ABQ, {(i, 0, 0): 1, (0, i, 0): -1})
-            for i in set(mu.parts)
-        ]
-        r.check(
-            frac_eq(wv * peel, FactoredFraction.sum(rhs, universe=UNIVERSE_ABQ)),
-            f"shifted recurrence mu={mu}",
-        )
-
-        m_spec = z.substitute({"a": 1, "b": t}, universe=UNIVERSE_QT)
-        rhs = [
-            monomial_spec(mu.remove_part(i)).value.substitute(
-                {"a": 1, "b": t}, universe=UNIVERSE_QT
-            )
+        m_spec = z.substitute({"a": 1, "b": t}, universe=UNIVERSE_QT) * peel_qt
+        check("one-letter", mu, m_spec, [
+            rest1[i].substitute({"a": 1, "b": t}, universe=UNIVERSE_QT)
             * Polynomial(UNIVERSE_QT, {(w - i, 0): 1, (0, i): -1})
-            for i in set(mu.parts)
-        ]
-        r.check(
-            frac_eq(m_spec * peel_qt, FactoredFraction.sum(rhs, universe=UNIVERSE_QT)),
-            f"one-letter recurrence mu={mu}",
-        )
-
-        q_qt = Polynomial.variable(UNIVERSE_QT, "q")
-        rhs = [
-            monomial_spec(mu.remove_part(i)).value.substitute(
-                {"a": q_qt, "b": t}, universe=UNIVERSE_QT
-            )
+            for i in parts
+        ])
+        check("shifted-alphabet", mu, m_spec, [
+            rest1[i].substitute({"a": q_qt, "b": t}, universe=UNIVERSE_QT)
             * (one_qt - Polynomial.variable(UNIVERSE_QT, "t", i))
-            for i in set(mu.parts)
-        ]
-        r.check(
-            frac_eq(m_spec * peel_qt, FactoredFraction.sum(rhs, universe=UNIVERSE_QT)),
-            f"shifted-alphabet recurrence mu={mu}",
-        )
+            for i in parts
+        ])
     r.elapsed = time.perf_counter() - t0
     return r
 

@@ -287,10 +287,12 @@ class Polynomial:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.universe, other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -673,7 +675,12 @@ class FactoredFraction:
             other = FactoredFraction.constant(self.universe, other)
         if isinstance(other, Polynomial):
             other = FactoredFraction(other)
+        if not isinstance(other, FactoredFraction):
+            return NotImplemented
         return FactoredFraction.sum([self, -other])
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     @staticmethod
     def sum(items: Iterable["FactoredFraction"], universe=None) -> "FactoredFraction":
@@ -857,7 +864,9 @@ def geometric_sum(universe, name: str, n: int) -> Polynomial:
     """1 + v + ... + v^(n-1) over the given universe."""
     if n < 0:
         raise UsageError("length must be non-negative")
-    out = Polynomial.zero(universe)
-    for k in range(n):
-        out = out + Polynomial.variable(universe, name, k)
-    return out
+    universe = tuple(universe)
+    if name not in universe:
+        raise UsageError(f"variable {name!r} not in universe {universe}")
+    at = universe.index(name)
+    zeros = (0,) * len(universe)
+    return Polynomial(universe, {zeros[:at] + (k,) + zeros[at + 1:]: 1 for k in range(n)})

@@ -156,7 +156,7 @@ def cmd_specialize(args) -> RunReport:
     mu = parse_partition(args.mu)
     if args.oracle_N is not None and args.form != "oracle-direct":
         raise UsageError(f"--oracle-N does not apply to {args.form}")
-    bindings = parse_substitutions(args.subst) if args.subst else None
+    bindings = parse_substitutions(args.subst) if args.subst is not None else None
     if args.form == "oracle-powersum":
         result = oracle_powersum(mu)
     elif args.form == "oracle-direct":

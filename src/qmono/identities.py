@@ -20,9 +20,8 @@ after a residue screen has failed to rule the division out.  That reduces
 prop7 to the bare constant n! and prop8 to 1/(x_1...x_n), while the
 three-way sides, where nothing cancels, keep their common-denominator form.
 No gcd is ever taken.  ``symmetrized_side`` and ``symmetrized_constant``
-return the peeled sum as a ``FactoredFraction``; ``symmetrized_enumerated``
-is the literal permutation-by-permutation sum of any of the five forms, kept
-as the definitional reference that the tests compare the peel against.
+return the peeled sum as a ``FactoredFraction``; the tests hold the literal
+permutation-by-permutation sums they compare the peel against.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from fractions import Fraction
 
 from .algebra import RESIDUE_MODULUS, FactoredFraction, Polynomial, frac_eq
 from .errors import ResourceLimitError, UsageError
-from .partitions import Partition, derangements, permutations_with_cycles
+from .partitions import Partition, rearrangement_peel
 
 # Largest n of the three-way sides (thm6, thm7, appendix): one side at n = 5
 # has 3,383,040 numerator terms and takes minutes and more than a gigabyte.
@@ -218,30 +217,6 @@ def _may_divide(peels, subset: tuple, total: FactoredFraction, d: Polynomial) ->
     return residue % p == 0
 
 
-def symmetrized_enumerated(n: int, form: str) -> FactoredFraction:
-    """Any of the five sums, one permutation at a time: the definitional
-    reference for the peel behind :func:`symmetrized_side` and
-    :func:`symmetrized_constant`."""
-    if form not in SIDES + _CONSTANT_KINDS:
-        raise UsageError(f"unknown symmetrized sum {form!r}")
-    _check_size(n, SYMMETRIZED_CAP)
-    uni = xy_universe(n) if form in SIDES else x_only_universe(n)
-    terms = []
-    for perm in permutations_with_cycles(n):
-        if form == SIDE_CYCLE:
-            factors = [_cycle_weight(uni, cycle) for cycle in perm.cycles]
-        else:
-            sigma = perm.mapping
-            factors = [
-                FactoredFraction(
-                    _numerator(form, n, uni, k, sigma[:i]), [_denominator(form, uni, sigma[:i])]
-                )
-                for i, k in enumerate(sigma, start=1)
-            ]
-        terms.append(math.prod(factors, start=FactoredFraction.one(uni)))
-    return FactoredFraction.sum(terms, universe=uni)
-
-
 def symmetrized_side(n: int, side: str) -> FactoredFraction:
     """One side of the three-way identity over all n! permutations, as a
     single fraction over the common subset-product denominator."""
@@ -252,34 +227,29 @@ def symmetrized_side(n: int, side: str) -> FactoredFraction:
 
 
 def constant_identity(mu: Partition, kind: str) -> FactoredFraction:
-    """Rearrangement sums with constant value.
+    """Rearrangement sums with constant value, summed by the rearrangement
+    peel over the sub-multisets of the parts.
 
     * "prop5": sum over rearrangements c of prod_i
       (1 - q^((l - i + 1) c_i)) / (1 - q^(prefix sum i)); equals
       length! / prod(multiplicity!).
     * "littlewood": sum over rearrangements of prod_i 1/(prefix sum i),
-      an exact rational equal to 1/z."""
+      an exact rational equal to 1/z; the peel runs on ints."""
     if kind == "prop5":
         uni = ("q",)
         one = Polynomial.one(uni)
         length = mu.length
-        terms = []
-        for d in derangements(mu):
-            num = one
-            den = []
-            for i, c in enumerate(d.entries, start=1):
-                num = num * (one - Polynomial.variable(uni, "q", (length - i + 1) * c))
-                den.append(one - Polynomial.variable(uni, "q", d.prefix_sum(i)))
-            terms.append(FactoredFraction(num, den))
-        return FactoredFraction.sum(terms, universe=uni)
+
+        def one_minus_q(s):
+            return one - Polynomial.variable(uni, "q", s)
+
+        num, sums = rearrangement_peel(
+            mu, lambda i, total, c: one_minus_q((length - i + 1) * c), one_minus_q
+        )
+        return FactoredFraction(one * num, [one_minus_q(s) for s in sorted(sums)])
     if kind == "littlewood":
-        total = Fraction(0)
-        for d in derangements(mu):
-            term = Fraction(1)
-            for s in d.prefix_sums:
-                term /= s
-            total += term
-        return FactoredFraction.constant((), total)
+        num, sums = rearrangement_peel(mu, lambda i, total, c: 1, int)
+        return FactoredFraction.constant((), Fraction(num, math.prod(sums)))
     raise UsageError(f"unknown constant identity {kind!r}")
 
 
@@ -325,17 +295,6 @@ def appendix_step(n: int, relation: int, side: str) -> bool:
             bindings[f"y{i}"] = Polynomial.monomial(uni, {f"y{i}": 1, f"x{n}": 1})
         rhs_terms.append(f_prev.substitute(bindings, universe=uni))
     return frac_eq(lhs, FactoredFraction.sum(rhs_terms, universe=uni))
-
-
-def relabeling_invariant(s: FactoredFraction, sigma: tuple) -> bool:
-    """Invariance of a symmetrized sum under the simultaneous relabeling
-    (x_i, y_i) -> (x_sigma(i), y_sigma(i))."""
-    uni = s.universe
-    bindings = {}
-    for i, k in enumerate(sigma, start=1):
-        bindings[f"x{i}"] = Polynomial.variable(uni, f"x{k}")
-        bindings[f"y{i}"] = Polynomial.variable(uni, f"y{k}")
-    return frac_eq(s, s.substitute(bindings))
 
 
 def specialization_chain_check(mu: Partition) -> bool:

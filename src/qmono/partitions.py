@@ -1,6 +1,7 @@
 """Partition combinatorics: enumeration, multiplicities, the centralizer
-size z, distinct rearrangements of the parts with their prefix sums, and
-full symmetric-group enumeration with cycle decompositions.
+size z, distinct rearrangements of the parts with their prefix sums, the
+sub-multiset peel that sums over those rearrangements without listing them,
+and full symmetric-group enumeration with cycle decompositions.
 
 Enumeration orders are deterministic: reverse-lexicographic for partitions,
 lexicographic for rearrangements and permutations.
@@ -8,6 +9,7 @@ lexicographic for rearrangements and permutations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -133,38 +135,77 @@ class Derangement:
         return 0 if i == 0 else self.prefix_sums[i - 1]
 
 
-def _distinct_permutations(pool: tuple) -> Iterator[tuple]:
-    # Lexicographic multiset permutations: pick the smallest unused distinct
-    # value first, recurse on the remainder.
-    if not pool:
-        yield ()
-        return
-    seen = set()
-    for i, v in enumerate(pool):
-        if v in seen:
-            continue
-        seen.add(v)
-        for rest in _distinct_permutations(pool[:i] + pool[i + 1:]):
-            yield (v,) + rest
-
-
 def derangements(mu: Partition) -> list:
     """The distinct rearrangements of mu's parts, lexicographic order,
-    each with prefix sums filled in."""
+    each with prefix sums filled in.  The sums over rearrangements go
+    through :func:`rearrangement_peel`; this list is their literal reference."""
     if mu.length > DERANGEMENT_LENGTH_CAP:
         raise ResourceLimitError(
             f"partition length {mu.length} exceeds rearrangement cap {DERANGEMENT_LENGTH_CAP}"
         )
-    pool = tuple(sorted(mu.parts))
-    out = []
-    for entries in _distinct_permutations(pool):
-        sums = []
-        acc = 0
-        for e in entries:
-            acc += e
-            sums.append(acc)
-        out.append(Derangement(entries, tuple(sums)))
-    return out
+    return [
+        Derangement(entries, tuple(itertools.accumulate(entries)))
+        for entries in sorted(set(itertools.permutations(mu.parts)))
+    ]
+
+
+def subset_part_sums(mu: Partition) -> list:
+    """Part sums of all nonempty position subsets, with multiplicity."""
+    return [
+        sum(combo) for k in range(1, mu.length + 1) for combo in itertools.combinations(mu.parts, k)
+    ]
+
+
+def check_peel_cost(mu: Partition, max_states: int, max_degree: int, what: str):
+    """Refuse mu before any work when it is longer than the length cap, or
+    when its rearrangement peel has more than ``max_states`` states,
+    prod(m_i + 1), or a common denominator of degree over ``max_degree``,
+    the sum of the distinct subset part sums."""
+    if mu.length > DERANGEMENT_LENGTH_CAP:
+        raise ResourceLimitError(
+            f"partition length {mu.length} exceeds {what} cap {DERANGEMENT_LENGTH_CAP}"
+        )
+    states = math.prod(m + 1 for m in mu.multiplicities().values())
+    if states > max_states:
+        raise ResourceLimitError(f"{states} sub-multisets of {mu} exceed {what} cap {max_states}")
+    degree = sum(set(subset_part_sums(mu)))
+    if degree > max_degree:
+        raise ResourceLimitError(
+            f"denominator degree {degree} of {mu} exceeds {what} cap {max_degree}"
+        )
+
+
+def rearrangement_peel(mu: Partition, factor, den):
+    """The sum over the distinct rearrangements c of mu's parts of
+    prod_i factor(i, s_i, c_i) / den(s_i), s_i the prefix sum through i, as
+    (N, D) with sum = N / prod_{s in D} den(s), D the distinct subset part sums.
+
+    A rearrangement of a sub-multiset M ends in some part c, after one of
+    M - c, so N(M) = sum over distinct c in M of N(M - c) * factor(|M|,
+    sum M, c) * prod den(s) over s in D(M), not in D(M - c), not sum M: the
+    paper's peeling recurrence, with prod(m_i + 1) states instead of
+    length!/prod(m_i!) terms.  The values may be polynomials, fractions or
+    ints; N of the empty partition is 1."""
+    den = functools.cache(den)
+    memo = {(): (1, frozenset())}
+
+    def state(parts: tuple):
+        if parts not in memo:
+            length, total = len(parts), sum(parts)
+            num, sums = 0, None
+            for c in dict.fromkeys(parts):
+                i = parts.index(c)
+                rest, rest_sums = state(parts[:i] + parts[i + 1:])
+                if sums is None:
+                    sums = rest_sums | {c} | {s + c for s in rest_sums}
+                term = rest * factor(length, total, c)
+                for s in sorted(sums - rest_sums - {total}):
+                    term = term * den(s)
+                num = num + term
+            memo[parts] = (num, sums)
+        return memo[parts]
+
+    return state(mu.parts)
 
 
 def z_of(mu: Partition) -> int:

@@ -5,17 +5,18 @@ all nonempty position subsets, one factor (1 - q^(subset part sum))/(1 - q)
 per subset.  The bivariate polynomial H(q, t) sums, over the distinct
 rearrangements c of the parts, the product of the homogeneous quotients
 (q^((l-i)c_i) - t^(c_i)) / (q^(l-i) - t) times the subset factors of P left
-over after cancelling one factor per prefix sum.  Every quotient is emitted
-directly as its polynomial expansion, so H is a polynomial with nonnegative
-integer coefficients by construction; the interesting content is that the
-substitution t -> 1/q (after the q^(weight - length) shift) is again a
-polynomial and that H ties back to the monomial specialization through an
-exact factorization identity.
+over after cancelling one factor per prefix sum.  The rearrangement peel sums
+it over the sub-multisets of the parts, and the leftover factors multiply in
+once.  Every quotient is emitted directly as its polynomial expansion, so H is
+a polynomial with nonnegative integer coefficients; the interesting content
+is that the substitution t -> 1/q (after the q^(weight - length) shift) is
+again a polynomial and that H ties back to the monomial specialization
+through an exact factorization identity.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,12 +26,20 @@ from .errors import (
     NotApplicableError,
     ResourceLimitError,
 )
-from .partitions import Partition, derangements
+from .partitions import (
+    DERANGEMENT_LENGTH_CAP,
+    Partition,
+    check_peel_cost,
+    rearrangement_peel,
+    subset_part_sums,
+)
 
-POSITIVITY_LENGTH_CAP = 8
-# Most distinct rearrangements H sums over: (4,3,2,1,1), with 60, takes about
-# four seconds; five distinct parts (120) take half a minute.
-POSITIVITY_REARRANGEMENT_CAP = 60
+POSITIVITY_LENGTH_CAP = DERANGEMENT_LENGTH_CAP
+# The caps of the peel behind H, and of the degree of P, which bounds the
+# cost of P, of H = N * L and of the identity check (README "Caps").
+POSITIVITY_STATE_CAP = 64
+POSITIVITY_DEGREE_CAP = 240
+POSITIVITY_P_DEGREE_CAP = 1600
 
 UNIVERSE_Q = ("q",)
 UNIVERSE_QT = ("q", "t")
@@ -54,24 +63,12 @@ class PositivityReport:
 
 
 def _check_cap(mu: Partition):
-    if mu.length > POSITIVITY_LENGTH_CAP:
+    check_peel_cost(mu, POSITIVITY_STATE_CAP, POSITIVITY_DEGREE_CAP, "positivity")
+    degree = sum(s - 1 for s in subset_part_sums(mu))
+    if degree > POSITIVITY_P_DEGREE_CAP:
         raise ResourceLimitError(
-            f"partition length {mu.length} exceeds positivity cap {POSITIVITY_LENGTH_CAP}"
+            f"degree {degree} of P for {mu} exceeds positivity cap {POSITIVITY_P_DEGREE_CAP}"
         )
-    count = mu.rearrangement_count()
-    if count > POSITIVITY_REARRANGEMENT_CAP:
-        raise ResourceLimitError(
-            f"{count} rearrangements of {mu} exceed positivity cap {POSITIVITY_REARRANGEMENT_CAP}"
-        )
-
-
-def subset_part_sums(mu: Partition) -> list:
-    """Part sums of all nonempty position subsets, with multiplicity."""
-    sums = []
-    for k in range(1, mu.length + 1):
-        for combo in itertools.combinations(range(mu.length), k):
-            sums.append(sum(mu.parts[i] for i in combo))
-    return sums
 
 
 def auxiliary_product(mu: Partition) -> Polynomial:
@@ -95,31 +92,24 @@ def _homogeneous_quotient(x_power: int, c: int) -> Polynomial:
 
 
 def positivity_polynomial(mu: Partition) -> Polynomial:
-    """H(q, t), assembled with each prefix-sum factor cancelled against one
-    subset factor of P with the same part sum (only the multiset of part
-    sums matters, so any valid matching gives the same polynomial)."""
+    """H(q, t) = N * L.  The rearrangement peel sums the quotients over the
+    [s_i]_q = 1 + ... + q^(s_i - 1) as N / prod_{s in D} [s]_q, and L is the
+    product of the subset factors of P left over after one per s in D."""
     _check_cap(mu)
     length = mu.length
-    pool = {}
-    for s in subset_part_sums(mu):
-        pool[s] = pool.get(s, 0) + 1
-    total = Polynomial.zero(UNIVERSE_QT)
-    for d in derangements(mu):
-        remaining = dict(pool)
-        for s in d.prefix_sums:
-            if remaining.get(s, 0) <= 0:
-                raise InternalConsistencyError(
-                    f"no subset factor with part sum {s} left to cancel"
-                )
-            remaining[s] -= 1
-        term = Polynomial.one(UNIVERSE_QT)
-        for i, c in enumerate(d.entries, start=1):
-            term = term * _homogeneous_quotient(length - i, c)
-        for s, m in remaining.items():
-            for _ in range(m):
-                term = term * geometric_sum(UNIVERSE_QT, "q", s)
-        total = total + term
-    return total
+    pool = Counter(subset_part_sums(mu))
+    num, sums = rearrangement_peel(
+        mu,
+        lambda i, total, c: _homogeneous_quotient(length - i, c),
+        lambda s: geometric_sum(UNIVERSE_QT, "q", s),
+    )
+    leftover = Polynomial.one(UNIVERSE_Q)
+    for s in sorted(set(pool) | sums):
+        m = pool[s] - (s in sums)
+        if m < 0:
+            raise InternalConsistencyError(f"no subset factor with part sum {s} left to cancel")
+        leftover = leftover * geometric_sum(UNIVERSE_Q, "q", s) ** m
+    return num * leftover.substitute({}, universe=UNIVERSE_QT)
 
 
 def inverted_polynomial(H: Polynomial, shift: int) -> Polynomial | None:

@@ -11,9 +11,10 @@ position i.  Only the exponent e depends on the form:
 * form "theorem3" takes e = (length - i) * c_i.
 
 The two forms are equal as rational functions; verifying that equality
-across partitions is one of the package's main jobs.  A partition with more
-than REARRANGEMENT_CAP distinct rearrangements is refused, by the closed
-forms and the power-sum oracle alike, before any work.
+across partitions is one of the package's main jobs.  Both are summed by the
+rearrangement peel over the sub-multisets of the parts, over one 1 - q^s per
+distinct subset part sum s; the peel's states and that denominator's degree
+are capped, and checked before any work.
 
 The power-sum oracle (``oracle_powersum``) expands the monomial function
 over symmetric-group cycle decompositions, and the direct oracle
@@ -32,8 +33,9 @@ from .errors import ResourceLimitError, UsageError
 from .partitions import (
     PERMUTATION_CAP,
     Partition,
-    derangements,
+    check_peel_cost,
     permutations_with_cycles,
+    rearrangement_peel,
 )
 
 UNIVERSE_ABQ = ("a", "b", "q")
@@ -44,10 +46,12 @@ FORM_ORACLE_POWERSUM = "oracle-powersum"
 FORM_ORACLE_DIRECT = "oracle-direct"
 FORM_GENERATOR = "generator"
 
-# Most distinct rearrangements a closed form sums: five distinct parts (120)
-# take about a second; six (720) take most of a minute.  The power-sum oracle
-# obeys it too: its slowest admitted inputs, of length 8, take about 4 s.
-REARRANGEMENT_CAP = 120
+# The peel's cost follows its states and its denominator degree, so the closed
+# forms cap both; the power-sum oracle sums length! permutations, so it also
+# caps the distinct rearrangements (README "Caps" has the cap-edge runs).
+PEEL_STATE_CAP = 128
+PEEL_DEGREE_CAP = 600
+ORACLE_REARRANGEMENT_CAP = 120
 
 
 @dataclass(frozen=True)
@@ -63,33 +67,24 @@ def _one_minus_q_power(m: int) -> Polynomial:
     return Polynomial.one(UNIVERSE_ABQ) - Polynomial.variable(UNIVERSE_ABQ, "q", m)
 
 
-def _check_rearrangements(mu: Partition):
-    count = mu.rearrangement_count()
-    if count > REARRANGEMENT_CAP:
-        raise ResourceLimitError(f"{count} rearrangements of {mu} exceed cap {REARRANGEMENT_CAP}")
-
-
 def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
     """The monomial symmetric function of shape mu on (a - b)/(1 - q), as a
-    single fraction over the common denominator.  Partitions with more than
-    REARRANGEMENT_CAP distinct rearrangements are refused before any is
-    enumerated."""
+    single fraction over the common denominator, summed by the rearrangement
+    peel.  Partitions over the peel caps are refused before any work."""
     if form not in (FORM_THEOREM1, FORM_THEOREM3):
         raise UsageError(f"unknown form {form!r}")
-    _check_rearrangements(mu)
+    check_peel_cost(mu, PEEL_STATE_CAP, PEEL_DEGREE_CAP, "closed-form")
     length = mu.length
-    terms = []
-    for d in derangements(mu):
-        num = Polynomial.one(UNIVERSE_ABQ)
-        den = []
-        for i, c in enumerate(d.entries, start=1):
-            e = d.prefix_sum(i - 1) if form == FORM_THEOREM1 else (length - i) * c
-            num = num * Polynomial(UNIVERSE_ABQ, {(c, 0, e): 1, (0, c, 0): -1})
-            den.append(_one_minus_q_power(d.prefix_sum(i)))
-        terms.append(FactoredFraction(num, den))
-    return SpecResult(
-        mu, FactoredFraction.sum(terms, universe=UNIVERSE_ABQ), form
+
+    def factor(i, total, c):
+        e = total - c if form == FORM_THEOREM1 else (length - i) * c
+        return Polynomial(UNIVERSE_ABQ, {(c, 0, e): 1, (0, c, 0): -1})
+
+    num, sums = rearrangement_peel(mu, factor, _one_minus_q_power)
+    value = FactoredFraction(
+        Polynomial.one(UNIVERSE_ABQ) * num, [_one_minus_q_power(s) for s in sorted(sums)]
     )
+    return SpecResult(mu, value, form)
 
 
 def generator_spec(kind: str, n: int) -> SpecResult:
@@ -130,8 +125,14 @@ def oracle_powersum(mu: Partition) -> SpecResult:
 
     (1 / prod m_i!) * sum over permutations of (-1)^(length - #cycles)
     * product over cycles of (a^s - b^s)/(1 - q^s), where s is the sum of
-    the parts whose positions the cycle contains; capped like the closed forms."""
-    _check_rearrangements(mu)
+    the parts whose positions the cycle contains.  Capped like the closed
+    forms, and to ORACLE_REARRANGEMENT_CAP distinct rearrangements."""
+    check_peel_cost(mu, PEEL_STATE_CAP, PEEL_DEGREE_CAP, "closed-form")
+    count = mu.rearrangement_count()
+    if count > ORACLE_REARRANGEMENT_CAP:
+        raise ResourceLimitError(
+            f"{count} rearrangements of {mu} exceed oracle cap {ORACLE_REARRANGEMENT_CAP}"
+        )
     length = mu.length
     parts = mu.parts
     terms = []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmono.algebra import RESIDUE_MODULUS, FactoredFraction, Polynomial, frac_eq
+from qmono.algebra import RESIDUE_MODULUS, FactoredFraction, Polynomial, frac_eq, geometric_sum
 from qmono.errors import InvalidValueError, PoleError, UsageError
 
 ABQ = ("a", "b", "q")
@@ -166,6 +166,16 @@ class TestFactoredFraction:
             q * "q"
         with pytest.raises(TypeError):
             q + "q"
+
+    @pytest.mark.parametrize("kind", [Polynomial, FactoredFraction])
+    def test_subtracting_an_unsupported_operand_is_a_type_error(self, abq, kind):
+        # The operand's type is checked before it is negated, so the error
+        # names the subtraction, in both orders.
+        value = abq[3] if kind is Polynomial else FactoredFraction(abq[3])
+        with pytest.raises(TypeError, match="for -: "):
+            value - "x"
+        with pytest.raises(TypeError, match="for -: "):
+            "x" - value
 
     def test_constant_factors_fold(self, abq):
         one, a, b, q = abq
@@ -498,3 +508,14 @@ def test_cancellation_shrinks_the_width_back():
     assert ((x + 1) * (x - 1)).exact_quotient(x + 1) == x - 1
     assert ((x + 1) * (x - 1)).exact_quotient(x + 1).text() == "-1 + x^40000"
     assert (x * x).substitute({"x": var(("x",), "x", 2)}).text() == "x^160000"
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_geometric_sum_matches_the_addition_loop(n):
+    for name in ABQ:
+        expected = Polynomial.zero(ABQ)
+        for k in range(n):
+            expected = expected + var(ABQ, name, k)
+        got = geometric_sum(ABQ, name, n)
+        assert got == expected
+        assert got.text() == expected.text()

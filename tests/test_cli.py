@@ -132,25 +132,35 @@ class TestSpecializeCommand:
         assert code == EXIT_USAGE
         assert "oracle-N" in err
 
-    def test_resource_cap_exit_code(self, capsys):
-        code, _, err = run(
-            capsys, "specialize", "--mu", "1,1,1,1,1,1,1,1,1"
-        )
-        assert code == EXIT_RESOURCE
+    def test_resource_cap_exit_code(self, capsys, monkeypatch):
+        # Over the length cap, and five distinct parts whose denominator
+        # degree 6,315 is over the degree cap: refused before any work.
+        calls = []
+        monkeypatch.setattr(specialize, "rearrangement_peel", lambda mu, *a: calls.append(mu))
+        monkeypatch.setattr(specialize, "permutations_with_cycles", lambda n: calls.append(n))
+        for form in ("theorem1", "theorem3", "oracle-powersum"):
+            for mu in ("1,1,1,1,1,1,1,1,1", "97,89,83,79,73"):
+                code, out, err = run(capsys, "specialize", "--mu", mu, "--form", form)
+                assert code == EXIT_RESOURCE
+                assert out == ""
+                assert "cap" in err
+        assert calls == []
 
     def test_rearrangements_over_cap_are_refused_before_any_work(self, capsys, monkeypatch):
-        # Six distinct parts have 720 rearrangements, over the cap of 120.
+        # Seven distinct parts and a repeated one have 192 peel states, over
+        # the cap of 128.
         calls = []
-        monkeypatch.setattr(specialize, "derangements", lambda mu: calls.append(mu))
-        code, out, err = run(capsys, "specialize", "--mu", "6,5,4,3,2,1")
+        monkeypatch.setattr(specialize, "rearrangement_peel", lambda mu, *a: calls.append(mu))
+        code, out, err = run(capsys, "specialize", "--mu", "7,6,5,4,3,2,1,1")
         assert code == EXIT_RESOURCE
         assert out == ""
         assert "cap" in err
         assert calls == []
-        # The power-sum oracle holds seven distinct parts (5,040) to the same cap.
+        # The power-sum oracle also caps distinct rearrangements at 120:
+        # six distinct parts (720) are refused.
         monkeypatch.setattr(specialize, "permutations_with_cycles", lambda n: calls.append(n))
         code, out, err = run(
-            capsys, "specialize", "--mu", "7,6,5,4,3,2,1", "--form", "oracle-powersum"
+            capsys, "specialize", "--mu", "6,5,4,3,2,1", "--form", "oracle-powersum"
         )
         assert code == EXIT_RESOURCE
         assert out == ""
@@ -242,6 +252,7 @@ class TestVerifyCommand:
             (["positivity", "--mu", "", "--max-weight", "2"], "does not apply"),
             (["specialize", "--mu", "2,1", "--subst", "a=1,a=2"], "bound twice"),
             (["specialize", "--mu", "2,1", "--subst", "a=q^"], "cannot parse exponent"),
+            (["specialize", "--mu", "2,1", "--subst", ""], "bad substitution"),
         ],
         ids=[
             "prop5-n",
@@ -251,6 +262,7 @@ class TestVerifyCommand:
             "positivity-empty-mu-max-weight",
             "specialize-subst-twice",
             "specialize-subst-empty-exponent",
+            "specialize-subst-empty",
         ],
     )
     def test_flag_the_family_does_not_read_is_usage_error(self, capsys, argv, message):
@@ -420,10 +432,10 @@ class TestPositivityCommand:
         assert calls == []
 
     def test_rearrangements_over_cap_are_refused_before_any_work(self, capsys, monkeypatch):
-        # Five distinct parts have 120 rearrangements, over the cap of 60.
+        # Seven distinct parts have 128 peel states, over the cap of 64.
         calls = []
-        monkeypatch.setattr(positivity, "derangements", lambda mu: calls.append(mu))
-        code, out, err = run(capsys, "positivity", "--mu", "5,4,3,2,1")
+        monkeypatch.setattr(positivity, "rearrangement_peel", lambda mu, *a: calls.append(mu))
+        code, out, err = run(capsys, "positivity", "--mu", "7,6,5,4,3,2,1")
         assert code == EXIT_RESOURCE
         assert out == ""
         assert "cap" in err

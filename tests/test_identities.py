@@ -9,22 +9,60 @@ from qmono.acceptance import _display_example_n2
 from qmono.algebra import FactoredFraction, Polynomial, frac_eq
 from qmono.errors import ResourceLimitError, UsageError
 from qmono.identities import (
+    _CONSTANT_KINDS,
     SIDE_CYCLE,
     SIDE_LEFT,
     SIDE_RIGHT,
     SIDES,
+    SYMMETRIZED_CAP,
+    _check_size,
+    _cycle_weight,
+    _denominator,
+    _numerator,
     appendix_step,
     constant_identity,
     prop5_expected,
-    relabeling_invariant,
     specialization_chain_check,
     symmetrized_constant,
-    symmetrized_enumerated,
     symmetrized_side,
     x_only_universe,
     xy_universe,
 )
-from qmono.partitions import Partition, partitions_up_to, z_of
+from qmono.partitions import Partition, partitions_up_to, permutations_with_cycles, z_of
+
+
+def symmetrized_enumerated(n: int, form: str) -> FactoredFraction:
+    """Any of the five sums, one permutation at a time: the definitional
+    reference for the peel behind symmetrized_side and symmetrized_constant."""
+    if form not in SIDES + _CONSTANT_KINDS:
+        raise UsageError(f"unknown symmetrized sum {form!r}")
+    _check_size(n, SYMMETRIZED_CAP)
+    uni = xy_universe(n) if form in SIDES else x_only_universe(n)
+    terms = []
+    for perm in permutations_with_cycles(n):
+        if form == SIDE_CYCLE:
+            factors = [_cycle_weight(uni, cycle) for cycle in perm.cycles]
+        else:
+            sigma = perm.mapping
+            factors = [
+                FactoredFraction(
+                    _numerator(form, n, uni, k, sigma[:i]), [_denominator(form, uni, sigma[:i])]
+                )
+                for i, k in enumerate(sigma, start=1)
+            ]
+        terms.append(math.prod(factors, start=FactoredFraction.one(uni)))
+    return FactoredFraction.sum(terms, universe=uni)
+
+
+def relabeling_invariant(s: FactoredFraction, sigma: tuple) -> bool:
+    """Invariance of a symmetrized sum under the simultaneous relabeling
+    (x_i, y_i) -> (x_sigma(i), y_sigma(i))."""
+    uni = s.universe
+    bindings = {}
+    for i, k in enumerate(sigma, start=1):
+        bindings[f"x{i}"] = Polynomial.variable(uni, f"x{k}")
+        bindings[f"y{i}"] = Polynomial.variable(uni, f"y{k}")
+    return frac_eq(s, s.substitute(bindings))
 
 
 def _vars(n):

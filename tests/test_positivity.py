@@ -45,14 +45,25 @@ class TestAuxiliaryProduct:
             auxiliary_product(Partition((1,) * 9))
 
     def test_rearrangement_cap(self, monkeypatch):
-        # (4,3,2,1,1) has 60 rearrangements and is admitted; five distinct
-        # parts (120) are refused before any rearrangement is enumerated.
+        # (6,5,4,3,2,1) is at the state cap (64) and under the degree caps
+        # and admitted; over any of the three caps is refused before the
+        # peel starts.
         calls = []
-        monkeypatch.setattr(positivity, "derangements", lambda mu: calls.append(mu) or [])
-        assert positivity_polynomial(Partition((4, 3, 2, 1, 1))).is_zero
-        assert calls == [Partition((4, 3, 2, 1, 1))]
-        with pytest.raises(ResourceLimitError):
-            positivity_polynomial(Partition((5, 4, 3, 2, 1)))
+        monkeypatch.setattr(
+            positivity, "rearrangement_peel", lambda mu, *a: calls.append(mu) or (1, frozenset())
+        )
+        positivity_polynomial(Partition((6, 5, 4, 3, 2, 1)))
+        assert calls == [Partition((6, 5, 4, 3, 2, 1))]
+        for parts, message in (
+            ((7, 6, 5, 4, 3, 2, 1), "128 sub-multisets"),
+            ((13, 11, 7, 5, 3), "degree 546"),
+            ((23, 1, 1, 1, 1, 1, 1, 1), "degree 3585 of P"),
+            ((6,) * 8, "degree 5889 of P"),
+        ):
+            with pytest.raises(ResourceLimitError, match=message):
+                positivity_polynomial(Partition(parts))
+            with pytest.raises(ResourceLimitError, match=message):
+                auxiliary_product(Partition(parts))
         assert len(calls) == 1
 
 

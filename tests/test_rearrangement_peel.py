@@ -1,0 +1,103 @@
+"""The rearrangement peel against the literal sums over distinct
+rearrangements, for every partition of weight at most 8."""
+
+from fractions import Fraction
+
+import pytest
+
+from qmono.acceptance import rearrangement_sum
+from qmono.algebra import FactoredFraction, Polynomial, frac_eq, geometric_sum
+from qmono.identities import constant_identity
+from qmono.partitions import (
+    Partition,
+    derangements,
+    partitions_of,
+    rearrangement_peel,
+    subset_part_sums,
+)
+from qmono.positivity import UNIVERSE_QT, _homogeneous_quotient, positivity_polynomial
+from qmono.specialize import monomial_spec
+
+WEIGHTS = range(9)
+
+
+def literal_positivity_polynomial(mu: Partition) -> Polynomial:
+    """H(q, t): over each rearrangement, the product of the homogeneous
+    quotients times the subset factors of P left over after one per prefix
+    sum."""
+    pool = {}
+    for s in subset_part_sums(mu):
+        pool[s] = pool.get(s, 0) + 1
+    total = Polynomial.zero(UNIVERSE_QT)
+    for d in derangements(mu):
+        remaining = dict(pool)
+        for s in d.prefix_sums:
+            remaining[s] -= 1
+        term = Polynomial.one(UNIVERSE_QT)
+        for i, c in enumerate(d.entries, start=1):
+            term = term * _homogeneous_quotient(mu.length - i, c)
+        for s, m in remaining.items():
+            term = term * geometric_sum(UNIVERSE_QT, "q", s) ** m
+        total = total + term
+    return total
+
+
+def literal_prop5(mu: Partition) -> FactoredFraction:
+    uni = ("q",)
+    one = Polynomial.one(uni)
+    terms = []
+    for d in derangements(mu):
+        num = one
+        den = []
+        for i, c in enumerate(d.entries, start=1):
+            num = num * (one - Polynomial.variable(uni, "q", (mu.length - i + 1) * c))
+            den.append(one - Polynomial.variable(uni, "q", d.prefix_sum(i)))
+        terms.append(FactoredFraction(num, den))
+    return FactoredFraction.sum(terms, universe=uni)
+
+
+def literal_littlewood(mu: Partition) -> Fraction:
+    total = Fraction(0)
+    for d in derangements(mu):
+        term = Fraction(1)
+        for s in d.prefix_sums:
+            term /= s
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("w", WEIGHTS)
+def test_closed_forms_equal_the_rearrangement_sums(w):
+    # Structurally and in text: the same numerator over the same
+    # denominator, so every printed value is unchanged.
+    for mu in partitions_of(w):
+        for form in ("theorem1", "theorem3"):
+            got = monomial_spec(mu, form).value
+            expected = rearrangement_sum(mu, form)
+            assert got == expected, (mu, form)
+            assert got.text() == expected.text(), (mu, form)
+
+
+@pytest.mark.parametrize("w", WEIGHTS)
+def test_positivity_polynomial_equals_the_rearrangement_sum(w):
+    for mu in partitions_of(w):
+        assert positivity_polynomial(mu) == literal_positivity_polynomial(mu), mu
+
+
+@pytest.mark.parametrize("w", WEIGHTS)
+def test_constants_equal_the_rearrangement_sums(w):
+    for mu in partitions_of(w):
+        assert frac_eq(constant_identity(mu, "prop5"), literal_prop5(mu)), mu
+        littlewood = constant_identity(mu, "littlewood")
+        assert littlewood == FactoredFraction.constant((), literal_littlewood(mu)), mu
+
+
+@pytest.mark.parametrize("w", WEIGHTS)
+def test_peel_counts_rearrangements_and_prefix_sums(w):
+    # With every factor 1 the peel counts the distinct rearrangements, and
+    # D is the set of prefix sums that occur in them.
+    for mu in partitions_of(w):
+        num, sums = rearrangement_peel(mu, lambda i, total, c: 1, lambda s: 1)
+        assert num == mu.rearrangement_count(), mu
+        prefix_sums = {s for d in derangements(mu) for s in d.prefix_sums}
+        assert sums == set(subset_part_sums(mu)) == prefix_sums, mu

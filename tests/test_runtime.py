@@ -68,3 +68,25 @@ def test_every_error_class_is_raised():
     errors = next(p for p in SOURCES if p.name == "errors.py")
     raised = set().union(*(_raised_names(p) for p in SOURCES if p != errors))
     assert sorted(_classes_in(errors) - {"QmonoError"} - raised) == []
+
+
+def _derangements_callers(path):
+    """(module, top-level definition) of every call to ``derangements``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    callers = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "derangements":
+                    callers.add((path.name, getattr(top, "name", "<module>")))
+    return callers
+
+
+def test_only_the_reference_enumerates_rearrangements():
+    # Every rearrangement sum goes through partitions.rearrangement_peel.
+    # Criterion 5's literal reference is the one place outside
+    # partitions.py that lists the rearrangements.
+    callers = set().union(*(_derangements_callers(p) for p in SOURCES if p.name != "partitions.py"))
+    assert callers == {("acceptance.py", "rearrangement_sum")}

@@ -65,19 +65,37 @@ class TestPrefixForm:
         with pytest.raises(UsageError):
             monomial_spec(Partition((1,)), "theorem2")
 
-    def test_length_cap(self):
-        with pytest.raises(ResourceLimitError):
+    def test_length_cap(self, monkeypatch):
+        # (1^9) has only 10 peel states and denominator degree 45: the
+        # length cap alone refuses it, before the peel starts.
+        calls = []
+        monkeypatch.setattr(
+            specialize, "rearrangement_peel", lambda mu, *a: calls.append(mu) or (1, frozenset())
+        )
+        monomial_spec(Partition((1,) * 8))
+        assert calls == [Partition((1,) * 8)]
+        with pytest.raises(ResourceLimitError, match="length 9"):
             monomial_spec(Partition((1,) * 9))
+        assert len(calls) == 1
 
     def test_rearrangement_cap(self, monkeypatch):
-        # Five distinct parts (120 rearrangements) are admitted, six (720)
-        # refused before any rearrangement is enumerated.
+        # (8,7,6,5,4,3,2) is at both peel caps (128 states, denominator
+        # degree 595) and admitted; one more state or degree is refused
+        # before the peel starts.
         calls = []
-        monkeypatch.setattr(specialize, "derangements", lambda mu: calls.append(mu) or [])
-        monomial_spec(Partition((5, 4, 3, 2, 1)))
-        assert calls == [Partition((5, 4, 3, 2, 1))]
-        with pytest.raises(ResourceLimitError):
-            monomial_spec(Partition((6, 5, 4, 3, 2, 1)))
+        monkeypatch.setattr(
+            specialize, "rearrangement_peel", lambda mu, *a: calls.append(mu) or (1, frozenset())
+        )
+        monomial_spec(Partition((8, 7, 6, 5, 4, 3, 2)))
+        assert calls == [Partition((8, 7, 6, 5, 4, 3, 2))]
+        for parts, message in (
+            ((7, 6, 5, 4, 3, 2, 1, 1), "192 sub-multisets"),
+            ((10, 10, 10, 9, 1, 1, 1, 1), "degree 602"),
+            ((97, 89, 83, 79, 73), "degree 6315"),
+        ):
+            for form in ("theorem1", "theorem3"):
+                with pytest.raises(ResourceLimitError, match=message):
+                    monomial_spec(Partition(parts), form)
         assert len(calls) == 1
 
 
@@ -170,9 +188,21 @@ class TestOracles:
         with pytest.raises(UsageError):
             oracle_direct(Partition((2, 1)), 1)
 
-    def test_permutation_cap(self):
-        with pytest.raises(ResourceLimitError):
-            oracle_powersum(Partition((1,) * 9))
+    def test_permutation_cap(self, monkeypatch):
+        # The oracle obeys the closed forms' caps and its own cap on
+        # distinct rearrangements, all before enumerating a permutation.
+        calls = []
+        monkeypatch.setattr(specialize, "permutations_with_cycles", lambda n: calls.append(n) or [])
+        oracle_powersum(Partition((13, 11, 7, 5, 3)))
+        assert calls == [5]
+        for parts, message in (
+            ((1,) * 9, "length 9"),
+            ((6, 5, 4, 3, 2, 1), "720 rearrangements"),
+            ((97, 89, 83, 79, 73), "degree 6315"),
+        ):
+            with pytest.raises(ResourceLimitError, match=message):
+                oracle_powersum(Partition(parts))
+        assert calls == [5]
 
     def test_direct_alphabet_cap(self):
         # The largest alphabet allowed: m_1 on {1, q, ..., q^7}.
