@@ -5,12 +5,14 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 cap exceeded, 141 (128 + SIGPIPE) stdout closed by its reader.  No flag
 lifts a cap.  Set QMONO_THREADS to a positive integer to let sweep commands
 dispatch independent instances to a worker pool; output order is by
-instance descriptor, never by completion time.
+instance descriptor, never by completion time.  The argument parser is
+built once per process and reused by every ``execute``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -352,6 +354,7 @@ def cmd_selftest(args) -> RunReport:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmono",

@@ -17,14 +17,16 @@ distinct subset part sum s; the peel's states and that denominator's degree
 are capped, and checked before any work.
 
 The power-sum oracle (``oracle_powersum``) expands the monomial function
-over symmetric-group cycle decompositions, and the direct oracle
+over symmetric-group cycle decompositions: it enumerates every permutation
+but builds one fraction per multiset of cycle sums.  The direct oracle
 (``oracle_direct``) evaluates on the explicit finite alphabet
-{1, q, ..., q^(N-1)}; both are independent of the closed forms.
+{1, q, ..., q^(N-1)}.  Both are independent of the closed forms.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,8 +127,11 @@ def oracle_powersum(mu: Partition) -> SpecResult:
 
     (1 / prod m_i!) * sum over permutations of (-1)^(length - #cycles)
     * product over cycles of (a^s - b^s)/(1 - q^s), where s is the sum of
-    the parts whose positions the cycle contains.  Capped like the closed
-    forms, and to ORACLE_REARRANGEMENT_CAP distinct rearrangements."""
+    the parts whose positions the cycle contains.  The summand depends only
+    on the multiset of cycle sums, which also fixes the number of cycles, so
+    the permutations are counted per multiset and each multiset adds one
+    fraction, with numerator +-count * prod(a^s - b^s).  Capped like the
+    closed forms, and to ORACLE_REARRANGEMENT_CAP distinct rearrangements."""
     check_peel_cost(mu, PEEL_STATE_CAP, PEEL_DEGREE_CAP, "closed-form")
     count = mu.rearrangement_count()
     if count > ORACLE_REARRANGEMENT_CAP:
@@ -135,16 +140,16 @@ def oracle_powersum(mu: Partition) -> SpecResult:
         )
     length = mu.length
     parts = mu.parts
+    counts = Counter(
+        tuple(sorted(sum(parts[j - 1] for j in cyc) for cyc in perm.cycles))
+        for perm in permutations_with_cycles(length)
+    )
     terms = []
-    for perm in permutations_with_cycles(length):
-        sign = -1 if (length - len(perm.cycles)) % 2 else 1
-        num = Polynomial.constant(UNIVERSE_ABQ, sign)
-        den = []
-        for cyc in perm.cycles:
-            s = sum(parts[j - 1] for j in cyc)
+    for sums, count in counts.items():
+        num = Polynomial.constant(UNIVERSE_ABQ, (-1) ** (length - len(sums)) * count)
+        for s in sums:
             num = num * Polynomial(UNIVERSE_ABQ, {(s, 0, 0): 1, (0, s, 0): -1})
-            den.append(_one_minus_q_power(s))
-        terms.append(FactoredFraction(num, den))
+        terms.append(FactoredFraction(num, [_one_minus_q_power(s) for s in sums]))
     total = FactoredFraction.sum(terms, universe=UNIVERSE_ABQ)
     total = total * Fraction(1, mu.repetition_factor())
     return SpecResult(mu, total, FORM_ORACLE_POWERSUM)

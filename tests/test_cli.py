@@ -293,10 +293,10 @@ class TestVerifyCommand:
             ["--identity", "appendix", "--n", "6"],
             ["--identity", "thm6", "--n", "5"],
             ["--identity", "appendix", "--n", "5"],
-            ["--identity", "prop5", "--max-weight", "13"],
+            ["--identity", "prop5", "--max-weight", "19"],
             ["--identity", "prop6", "--max-weight", "21"],
         ],
-        ids=["prop8", "thm6", "appendix", "thm6-n5", "appendix-n5", "prop5-w13", "prop6-w21"],
+        ids=["prop8", "thm6", "appendix", "thm6-n5", "appendix-n5", "prop5-w19", "prop6-w21"],
     )
     def test_cap_is_checked_before_any_work(self, capsys, monkeypatch, argv):
         identity = argv[1]
@@ -527,3 +527,48 @@ class TestArgparseBehavior:
         }
         assert mentioned, "README.md mentions no flag"
         assert sorted(mentioned - known) == []
+
+
+def _run_in_sequence(capsys, sequence, fresh):
+    """(exit code, stdout, stderr) of each argv, run one after another in
+    this process; ``fresh`` builds a new parser for every run, otherwise one
+    parser serves them all.  Elapsed seconds are masked."""
+    cli.build_parser.cache_clear()
+    runs = []
+    for argv in sequence:
+        if fresh:
+            cli.build_parser.cache_clear()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+        out = capsys.readouterr()
+        runs.append((code, re.sub(r"\d+\.\ds\b", "<t>s", out.out), out.err))
+    return runs
+
+
+class TestParserReuse:
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "sequence, codes",
+        [
+            (
+                [["specialize", "--mu", "2,1", "--subst", "a=1,b=q"], ["specialize", "--mu", "2,1"]],
+                [EXIT_OK, EXIT_OK],
+            ),
+            ([["positivity", "--mu", "2,1"], ["positivity", "--max-weight", "2"]], [EXIT_OK, EXIT_OK]),
+            (
+                [["specialize", "--mu", "2,1", "--frob"], ["specialize", "--mu", "2,1"]],
+                [EXIT_USAGE, EXIT_OK],
+            ),
+        ],
+        ids=["subst-then-none", "mu-then-sweep", "error-then-valid"],
+    )
+    def test_a_reused_parser_runs_like_a_fresh_one(self, capsys, sequence, codes):
+        # No option value or default of one run leaks into the next.
+        reused = _run_in_sequence(capsys, sequence, fresh=False)
+        assert reused == _run_in_sequence(capsys, sequence, fresh=True)
+        assert [code for code, _, _ in reused] == codes
+        assert reused[0] != reused[1]

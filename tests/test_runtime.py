@@ -70,8 +70,8 @@ def test_every_error_class_is_raised():
     assert sorted(_classes_in(errors) - {"QmonoError"} - raised) == []
 
 
-def _derangements_callers(path):
-    """(module, top-level definition) of every call to ``derangements``."""
+def _callers(path, callee):
+    """(module, top-level definition) of every call to ``callee``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     callers = set()
     for top in tree.body:
@@ -79,7 +79,7 @@ def _derangements_callers(path):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "derangements":
+                if name == callee:
                     callers.add((path.name, getattr(top, "name", "<module>")))
     return callers
 
@@ -88,5 +88,14 @@ def test_only_the_reference_enumerates_rearrangements():
     # Every rearrangement sum goes through partitions.rearrangement_peel.
     # Criterion 5's literal reference is the one place outside
     # partitions.py that lists the rearrangements.
-    callers = set().union(*(_derangements_callers(p) for p in SOURCES if p.name != "partitions.py"))
+    callers = set().union(
+        *(_callers(p, "derangements") for p in SOURCES if p.name != "partitions.py")
+    )
     assert callers == {("acceptance.py", "rearrangement_sum")}
+
+
+def test_only_the_power_sum_oracle_enumerates_permutations():
+    # The power-sum oracle is the one symmetric-group sum in the runtime; it
+    # stays enumerative so that it is independent of the closed forms.
+    callers = set().union(*(_callers(p, "permutations_with_cycles") for p in SOURCES))
+    assert callers == {("specialize.py", "oracle_powersum")}

@@ -1,9 +1,17 @@
+from fractions import Fraction
+
 import pytest
 
 from qmono import specialize
 from qmono.algebra import FactoredFraction, Polynomial, frac_eq
 from qmono.errors import ResourceLimitError, UsageError
-from qmono.partitions import PERMUTATION_CAP, Partition, partitions_up_to
+from qmono.partitions import (
+    PERMUTATION_CAP,
+    Partition,
+    partitions_of,
+    partitions_up_to,
+    permutations_with_cycles,
+)
 from qmono.specialize import (
     UNIVERSE_ABQ,
     generator_spec,
@@ -16,6 +24,26 @@ ONE = Polynomial.one(UNIVERSE_ABQ)
 A = Polynomial.variable(UNIVERSE_ABQ, "a")
 B = Polynomial.variable(UNIVERSE_ABQ, "b")
 Q = Polynomial.variable(UNIVERSE_ABQ, "q")
+
+
+def literal_oracle_powersum(mu: Partition) -> FactoredFraction:
+    """The power-sum expansion with one fraction per permutation: the
+    literal reference for ``oracle_powersum``, which builds one fraction per
+    multiset of cycle sums."""
+    length = mu.length
+    parts = mu.parts
+    terms = []
+    for perm in permutations_with_cycles(length):
+        sign = -1 if (length - len(perm.cycles)) % 2 else 1
+        num = Polynomial.constant(UNIVERSE_ABQ, sign)
+        den = []
+        for cyc in perm.cycles:
+            s = sum(parts[j - 1] for j in cyc)
+            num = num * Polynomial(UNIVERSE_ABQ, {(s, 0, 0): 1, (0, s, 0): -1})
+            den.append(ONE - Q ** s)
+        terms.append(FactoredFraction(num, den))
+    total = FactoredFraction.sum(terms, universe=UNIVERSE_ABQ)
+    return total * Fraction(1, mu.repetition_factor())
 
 
 class TestPrefixForm:
@@ -203,6 +231,37 @@ class TestOracles:
             with pytest.raises(ResourceLimitError, match=message):
                 oracle_powersum(Partition(parts))
         assert calls == [5]
+
+    @pytest.mark.parametrize("w", range(9))
+    def test_powersum_matches_the_literal_expansion(self, w):
+        # Every partition of weight w that the oracle admits (every closed-form
+        # cap passes up to weight 8), compared as printed.
+        admitted = [
+            mu
+            for mu in partitions_of(w)
+            if mu.rearrangement_count() <= specialize.ORACLE_REARRANGEMENT_CAP
+        ]
+        assert admitted
+        for mu in admitted:
+            assert oracle_powersum(mu).value.text() == literal_oracle_powersum(mu).text(), mu
+
+    @pytest.mark.parametrize(
+        "parts, distinct", [((1,) * 6, 11), ((3, 2, 1), 5), ((2, 2), 2), ((), 1)]
+    )
+    def test_powersum_sums_one_term_per_cycle_sum_multiset(self, monkeypatch, parts, distinct):
+        # 1^6: one term per partition of 6, not one per each of 720
+        # permutations; (3,2,1): {3,2,1}, {5,1}, {4,2}, {3,3} and {6}.
+        sizes = []
+        plain_sum = FactoredFraction.sum
+
+        def counting_sum(items, universe=None):
+            items = list(items)
+            sizes.append(len(items))
+            return plain_sum(items, universe)
+
+        monkeypatch.setattr(FactoredFraction, "sum", staticmethod(counting_sum))
+        oracle_powersum(Partition(parts))
+        assert sizes == [distinct]
 
     def test_direct_alphabet_cap(self):
         # The largest alphabet allowed: m_1 on {1, q, ..., q^7}.
