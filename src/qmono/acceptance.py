@@ -3,8 +3,9 @@ families of ``qmono verify``.
 
 Every check is exact (zero tolerance): each instance either verifies as an
 identity of polynomials/fractions or is reported as a failure.  The CLI
-``selftest`` command and the acceptance test module both run the criteria;
-``verify`` and criteria 6-8 both run the families in ``VERIFY_FAMILIES``.
+``selftest`` command and the acceptance test module both run the criteria
+through ``run_criterion``, which times each one; ``verify`` and criteria 6-8
+both run the families in ``VERIFY_FAMILIES``.
 """
 
 from __future__ import annotations
@@ -98,24 +99,20 @@ class CriterionResult:
 def criterion_1_two_forms() -> CriterionResult:
     """Both closed forms of the monomial specialization agree."""
     r = CriterionResult(1, "two closed forms agree")
-    t0 = time.perf_counter()
     for mu in partitions_up_to(8):
         z = monomial_spec(mu, "theorem1").value
         w = monomial_spec(mu, "theorem3").value
         r.check(frac_eq(z, w), f"mu={mu}")
-    r.elapsed = time.perf_counter() - t0
     return r
 
 
 def criterion_2_powersum_oracle() -> CriterionResult:
     """The closed form equals the cycle-expansion oracle."""
     r = CriterionResult(2, "power-sum oracle equivalence")
-    t0 = time.perf_counter()
     for mu in partitions_up_to(7):
         z = monomial_spec(mu).value
         o = oracle_powersum(mu).value
         r.check(frac_eq(z, o), f"mu={mu}")
-    r.elapsed = time.perf_counter() - t0
     return r
 
 
@@ -123,7 +120,6 @@ def criterion_3_evaluation_oracle() -> CriterionResult:
     """Substituting a = 1, b = q^N matches direct evaluation on
     {1, q, ..., q^(N-1)}."""
     r = CriterionResult(3, "finite-alphabet evaluation oracle")
-    t0 = time.perf_counter()
     q = Polynomial.variable(UNIVERSE_ABQ, "q")
     for mu in partitions_up_to(6):
         z = monomial_spec(mu).value
@@ -131,7 +127,6 @@ def criterion_3_evaluation_oracle() -> CriterionResult:
             got = z.substitute({"a": 1, "b": q ** N})
             expected = oracle_direct(mu, N).value
             r.check(frac_eq(got, expected), f"mu={mu} N={N}")
-    r.elapsed = time.perf_counter() - t0
     return r
 
 
@@ -139,7 +134,6 @@ def criterion_4_gauss_polynomials() -> CriterionResult:
     """The elementary generator at a = 1, b = q^N is q^(k(k-1)/2) times the
     q-binomial product."""
     r = CriterionResult(4, "Gauss polynomial specialization")
-    t0 = time.perf_counter()
     one = Polynomial.one(UNIVERSE_ABQ)
     q = Polynomial.variable(UNIVERSE_ABQ, "q")
     for N in range(1, 7):
@@ -153,7 +147,6 @@ def criterion_4_gauss_polynomials() -> CriterionResult:
                 num = num * (one - q ** (N - i + 1))
                 den.append(one - q ** i)
             r.check(frac_eq(got, FactoredFraction(num, den)), f"k={k} N={N}")
-    r.elapsed = time.perf_counter() - t0
     return r
 
 
@@ -179,7 +172,6 @@ def criterion_5_recurrences() -> CriterionResult:
     the peeled values of mu less one part, so no recurrence holds by
     construction."""
     r = CriterionResult(5, "peeling recurrences")
-    t0 = time.perf_counter()
     one = Polynomial.one(UNIVERSE_ABQ)
     one_qt = Polynomial.one(UNIVERSE_QT)
     q_qt = Polynomial.variable(UNIVERSE_QT, "q")
@@ -216,7 +208,6 @@ def criterion_5_recurrences() -> CriterionResult:
             * (one_qt - Polynomial.variable(UNIVERSE_QT, "t", i))
             for i in parts
         ])
-    r.elapsed = time.perf_counter() - t0
     return r
 
 
@@ -315,14 +306,14 @@ def _appendix(task) -> bool:
     return appendix_step(*task)
 
 
-# Weight caps: prop5 (at most 6 parts) admits the largest sweep that finishes
-# in under 2 s, up to weight 18 in about 1.6 s (19 takes 2.3 s); prop6 (at
-# most 7 parts) up to weight 20 takes 0.3 s.
+# Weight caps: each admits the largest sweep that finishes in under 2 s.
+# prop5 (at most 6 parts) up to weight 18 takes about 1.6 s (19 takes 2.3 s);
+# prop6 (at most 7 parts) up to weight 25 takes 1.6-1.8 s (26: 2.0-2.3 s).
 VERIFY_FAMILIES = {
     "thm6": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm6),
     "thm7": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm7),
     "prop5": Family("max_weight", 18, partial(_short_partitions, max_length=6), _mu_label, _prop5),
-    "prop6": Family("max_weight", 20, partial(_short_partitions, max_length=7), _mu_label, _prop6),
+    "prop6": Family("max_weight", 25, partial(_short_partitions, max_length=7), _mu_label, _prop6),
     "prop7": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop7),
     "prop8": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop8),
     "appendix": Family("n", SYMMETRIZED_CAP, _appendix_instances, _appendix_label, _appendix),
@@ -374,29 +365,23 @@ def criterion_6_symmetrized() -> CriterionResult:
     """Three-way agreement of the symmetrized sums, pinning the size-2 case
     to its written-out form."""
     r = CriterionResult(6, "three-way symmetrized identity")
-    t0 = time.perf_counter()
     _check_families(r, (("thm6", 4), ("thm7", 4)))
     for side, displayed in _display_example_n2().items():
         r.check(frac_eq(symmetrized_side(2, side), displayed), f"n=2 display {side}")
-    r.elapsed = time.perf_counter() - t0
     return r
 
 
 def criterion_7_constants() -> CriterionResult:
     """Constant-valued symmetrizations."""
     r = CriterionResult(7, "constant-valued identities")
-    t0 = time.perf_counter()
     _check_families(r, (("prop5", 9), ("prop6", 10), ("prop7", 5), ("prop8", 5)))
-    r.elapsed = time.perf_counter() - t0
     return r
 
 
 def criterion_8_appendix() -> CriterionResult:
     """Substitution recurrences for both sides and both relations."""
     r = CriterionResult(8, "substitution recurrences")
-    t0 = time.perf_counter()
     _check_families(r, (("appendix", 4),))
-    r.elapsed = time.perf_counter() - t0
     return r
 
 
@@ -404,7 +389,6 @@ def criterion_9_positivity() -> CriterionResult:
     """Positivity polynomial: coefficients, the q -> 1/q companion, the
     factorization identity, the two-row closed form."""
     r = CriterionResult(9, "positivity polynomial")
-    t0 = time.perf_counter()
     for mu in partitions_up_to(8):
         if mu.length > 5:
             continue
@@ -425,7 +409,6 @@ def criterion_9_positivity() -> CriterionResult:
                 two_row_closed_form(n, k) == positivity_polynomial(Partition((n, k))),
                 f"two-row closed form n={n} k={k}",
             )
-    r.elapsed = time.perf_counter() - t0
     return r
 
 
@@ -433,7 +416,6 @@ def criterion_10_macdonald() -> CriterionResult:
     """Row Macdonald polynomial suite: expansions, eigen-equation,
     coefficient identities, series identities, omega, inverse expansions."""
     r = CriterionResult(10, "row Macdonald polynomial suite")
-    t0 = time.perf_counter()
     N = 3
     for n in range(6):
         r.check(expansion_agreement(n, N), f"six-way expansion n={n}")
@@ -449,8 +431,15 @@ def criterion_10_macdonald() -> CriterionResult:
         r.check(omega_row_is_elementary(n), f"omega image n={n}")
     for n in range(1, 5):
         r.check(inverse_expansions_check(n, N), f"inverse expansions n={n}")
-    r.elapsed = time.perf_counter() - t0
     return r
+
+
+def run_criterion(criterion: Callable[[], CriterionResult]) -> CriterionResult:
+    """Run one criterion and record its wall time in the result."""
+    t0 = time.perf_counter()
+    result = criterion()
+    result.elapsed = time.perf_counter() - t0
+    return result
 
 
 ALL_CRITERIA = (

@@ -26,9 +26,7 @@ Fractions are never reduced by multivariate gcd.  They stay in factored form
 (numerator polynomial over a multiset of denominator factors) and equality is
 decided by cross-multiplication.  The one reduction the kernel offers is exact
 division by a known factor (:meth:`Polynomial.exact_quotient`), which callers
-use to cancel a denominator factor they know; :meth:`Polynomial.residue`
-evaluates a polynomial modulo the prime ``RESIDUE_MODULUS`` so that a caller
-can rule a division out cheaply first.  All values are immutable after
+use to cancel a denominator factor they know.  All values are immutable after
 construction and every operation is a pure function, so values can be shared
 freely between threads.
 """
@@ -43,9 +41,6 @@ from .errors import InvalidValueError, PoleError, UsageError
 
 Coeff = Union[int, Fraction]
 Universe = tuple
-
-# The Mersenne prime 2^61 - 1: the modulus of Polynomial.residue.
-RESIDUE_MODULUS = 2 ** 61 - 1
 
 # The narrowest field width, in bits, of a packed monomial key.
 _NARROW = 16
@@ -370,26 +365,6 @@ class Polynomial:
                         heapq.heappush(heap, -m)
                     rem[m] = s
         return Polynomial._narrowest(self.universe, quot, w)
-
-    def residue(self, point: Sequence[int]) -> int:
-        """The value modulo ``RESIDUE_MODULUS`` at ``point``, one integer per
-        variable of the universe.  Coefficient denominators must be prime to
-        the modulus."""
-        p = RESIDUE_MODULUS
-        w = self._width
-        mask = (1 << w) - 1
-        n = len(self.universe)
-        slots = [(x, w * (n - 1 - i)) for i, x in enumerate(point)]
-        total = 0
-        for k, c in self.terms.items():
-            if isinstance(c, Fraction):
-                c = c.numerator * pow(c.denominator, -1, p)
-            for x, s in slots:
-                e = (k >> s) & mask
-                if e:
-                    c = c * pow(x, e, p) % p
-            total += c
-        return total % p
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

@@ -329,7 +329,7 @@ def cmd_selftest(args) -> RunReport:
     t0 = time.perf_counter()
     results = []
     for criterion in acceptance.ALL_CRITERIA:
-        res = criterion()
+        res = acceptance.run_criterion(criterion)
         results.append(res)
         if args.format != "json":
             print(res.line(), flush=True)

@@ -14,11 +14,11 @@ summed two ways.  The production route peels the last position (or, for the
 cycle form, the cycle through the smallest label) and memoizes on the
 remaining label subset: an exact regrouping of the permutation sum that
 costs 2^n fraction merges instead of n! cofactor assemblies.  Each memo level
-S brings in one new denominator factor, 1 - x_S (sum x_S for prop8); the
-peel divides it out of the level's numerator exactly whenever it divides,
-after a residue screen has failed to rule the division out.  That reduces
-prop7 to the bare constant n! and prop8 to 1/(x_1...x_n), while the
-three-way sides, where nothing cancels, keep their common-denominator form.
+S brings in one new denominator factor, 1 - x_S (sum x_S for prop8).  In
+prop7 and prop8, whose values have no pole there, the peel divides it out of
+the level's numerator exactly whenever it divides, which reduces prop7 to the
+bare constant n! and prop8 to 1/(x_1...x_n).  The three-way sides, where no
+factor divides, are not divided and keep their common-denominator form.
 No gcd is ever taken.  ``symmetrized_side`` and ``symmetrized_constant``
 return the peeled sum as a ``FactoredFraction``; the tests hold the literal
 permutation-by-permutation sums they compare the peel against.
@@ -30,7 +30,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import RESIDUE_MODULUS, FactoredFraction, Polynomial, frac_eq
+from .algebra import FactoredFraction, Polynomial, frac_eq
 from .errors import ResourceLimitError, UsageError
 from .partitions import Partition, rearrangement_peel
 
@@ -107,9 +107,7 @@ def _peels(form: str, n: int, uni: tuple, subset: tuple):
     """The (rest, factor) pairs with value(subset) = sum of value(rest) *
     factor.  A prefix form peels its last position, which may hold any label
     of the subset; the cycle form peels the cycle through the smallest label,
-    whose (size - 1)! cyclic orders share one weight.  The last pair's factor
-    has one denominator factor, the one that first enters the peel at
-    ``subset``: the position denominator, or the weight's 1 - x_subset."""
+    whose (size - 1)! cyclic orders share one weight."""
     if form == SIDE_CYCLE:
         anchor, others = subset[0], subset[1:]
         for size in range(len(others) + 1):
@@ -125,96 +123,32 @@ def _peels(form: str, n: int, uni: tuple, subset: tuple):
 
 def _peeled(form: str, n: int, uni: tuple) -> FactoredFraction:
     """The sum over all n! permutations, memoized on the label subset still
-    to place: value(()) = 1, value(S) = sum of value(rest) * factor, with
-    the factor that enters at S divided out of the numerator whenever it
-    divides."""
-    pairs = {}
-    memo = {(): FactoredFraction.one(uni)}
+    to place: value(()) = 1, value(S) = sum of value(rest) * factor.
 
-    def peels(subset: tuple) -> list:
-        if subset not in pairs:
-            pairs[subset] = list(_peels(form, n, uni, subset))
-        return pairs[subset]
+    In prop7 and prop8 the factor d that enters at S is divided out of the
+    numerator whenever it divides: their values, n! and 1/(x_1...x_n), have
+    no pole at d.  The three-way sides keep every factor: at every n up to
+    SYMMETRIZED_CAP none divides their numerator, as the tests check.  A
+    division not tried, or failed, only leaves d in place, so the value is
+    the same either way."""
+    memo = {(): FactoredFraction.one(uni)}
 
     def value(subset: tuple) -> FactoredFraction:
         if subset not in memo:
             total = FactoredFraction.sum(
-                [value(rest) * factor for rest, factor in peels(subset)], universe=uni
+                [value(rest) * factor for rest, factor in _peels(form, n, uni, subset)],
+                universe=uni,
             )
-            (d, _), = peels(subset)[-1][1].denominator
-            quotient = (
-                total.numerator.exact_quotient(d) if _may_divide(peels, subset, total, d) else None
-            )
-            if quotient is not None:
-                # d enters only here, so it is a simple factor of the sum.
-                total = FactoredFraction(quotient, [fm for fm in total.denominator if fm[0] != d])
+            if form in _CONSTANT_KINDS:
+                d = _denominator(form, uni, subset)
+                quotient = total.numerator.exact_quotient(d)
+                if quotient is not None:
+                    # d enters only here, so it is a simple factor of the sum.
+                    total = FactoredFraction(quotient, [fm for fm in total.denominator if fm[0] != d])
             memo[subset] = total
         return memo[subset]
 
     return value(tuple(range(1, n + 1)))
-
-
-def _residue(frac: FactoredFraction, point: list, omit: Polynomial = None):
-    """frac, times ``omit`` if that is one of its denominator factors, modulo
-    RESIDUE_MODULUS at ``point``; None where a denominator factor left
-    vanishes there."""
-    p = RESIDUE_MODULUS
-    den = 1
-    for f, m in frac.denominator:
-        den = den * pow(f.residue(point), m - (f == omit), p) % p
-    if den == 0:
-        return None
-    return frac.numerator.residue(point) * pow(den, -1, p) % p
-
-
-def _may_divide(peels, subset: tuple, total: FactoredFraction, d: Polynomial) -> bool:
-    """False only when ``d``, the factor entering at ``subset``, provably does
-    not divide the numerator of total = value(subset).
-
-    The screen picks a fixed point on d = 0 modulo RESIDUE_MODULUS (d is
-    linear in x_k for the last label k of the subset) and evaluates
-    d * value(subset) there through the peel pairs, never touching the
-    numerator: only the pairs whose factor has d in its denominator survive,
-    and each value(rest) comes from the same recursion at the point.  If d
-    divided the numerator, that value would be 0.  So a nonzero residue, with
-    every denominator met nonzero, rules the division out; anything else
-    leaves it to exact division."""
-    p = RESIDUE_MODULUS
-    uni = total.universe
-    # A fixed point with unrelated coordinates, then moved onto d = 0.
-    point = [(i + 1) * 0x9E3779B97F4A7C15 % p for i in range(len(uni))]
-    v = uni.index(f"x{subset[-1]}")
-    point[v] = 0
-    b = d.residue(point)
-    point[v] = 1
-    a = (d.residue(point) - b) % p
-    if a == 0:
-        return True
-    point[v] = -b * pow(a, -1, p) % p
-    if any(f.residue(point) == 0 for f, _ in total.denominator if f != d):
-        return True
-    memo = {(): 1}
-
-    def at(rest: tuple):
-        if rest not in memo:
-            acc = 0
-            for inner, factor in peels(rest):
-                left, right = at(inner), _residue(factor, point)
-                if left is None or right is None:
-                    acc = None
-                    break
-                acc += left * right
-            memo[rest] = acc
-        return memo[rest]
-
-    residue = 0
-    for rest, factor in peels(subset):
-        if any(f == d for f, _ in factor.denominator):
-            left, right = at(rest), _residue(factor, point, omit=d)
-            if left is None or right is None:
-                return True
-            residue += left * right
-    return residue % p == 0
 
 
 def symmetrized_side(n: int, side: str) -> FactoredFraction:

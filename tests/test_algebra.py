@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmono.algebra import RESIDUE_MODULUS, FactoredFraction, Polynomial, frac_eq, geometric_sum
+from qmono.algebra import FactoredFraction, Polynomial, frac_eq, geometric_sum
 from qmono.errors import InvalidValueError, PoleError, UsageError
 
 ABQ = ("a", "b", "q")
@@ -108,17 +108,6 @@ class TestExactQuotient:
         one, a, b, q = abq
         with pytest.raises(InvalidValueError):
             a.exact_quotient(Polynomial.zero(ABQ))
-
-
-class TestResidue:
-    def test_by_hand(self, abq):
-        one, a, b, q = abq
-        p = 3 * a ** 2 * b - q + 5
-        assert p.residue([2, 7, 11]) == 3 * 4 * 7 - 11 + 5
-        assert (a - b).residue([1, 2, 0]) == RESIDUE_MODULUS - 1
-        half = one * Fraction(1, 2)
-        assert (half.residue([0, 0, 0]) * 2) % RESIDUE_MODULUS == 1
-        assert Polynomial.zero(ABQ).residue([1, 2, 3]) == 0
 
 
 class TestFactoredFraction:
@@ -279,19 +268,6 @@ def test_exact_quotient_refuses_a_remainder(p, d, c):
     if d.is_constant():
         d = d + Polynomial.variable(d.universe, "q")
     assert (p * d + c).exact_quotient(d) is None
-
-
-_points = st.lists(
-    st.integers(min_value=-(2 ** 64), max_value=2 ** 64), min_size=2, max_size=2
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_polys(), small_polys(), _points)
-def test_residue_is_a_ring_homomorphism(p, q, point):
-    m = RESIDUE_MODULUS
-    assert (p + q).residue(point) == (p.residue(point) + q.residue(point)) % m
-    assert (p * q).residue(point) == p.residue(point) * q.residue(point) % m
 
 
 @settings(max_examples=40, deadline=None)

@@ -294,9 +294,9 @@ class TestVerifyCommand:
             ["--identity", "thm6", "--n", "5"],
             ["--identity", "appendix", "--n", "5"],
             ["--identity", "prop5", "--max-weight", "19"],
-            ["--identity", "prop6", "--max-weight", "21"],
+            ["--identity", "prop6", "--max-weight", "26"],
         ],
-        ids=["prop8", "thm6", "appendix", "thm6-n5", "appendix-n5", "prop5-w19", "prop6-w21"],
+        ids=["prop8", "thm6", "appendix", "thm6-n5", "appendix-n5", "prop5-w19", "prop6-w26"],
     )
     def test_cap_is_checked_before_any_work(self, capsys, monkeypatch, argv):
         identity = argv[1]

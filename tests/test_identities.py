@@ -107,7 +107,7 @@ class TestSymmetrizedSides:
         for side in SIDES:
             assert relabeling_invariant(symmetrized_side(n, side), tuple(sigma))
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_no_factor_cancels(self, n):
         # The three-way sides keep one factor 1 - x_S per nonempty label
         # subset S: the peel's exact division never applies to them.
@@ -124,6 +124,16 @@ class TestSymmetrizedSides:
         assert len(expected) == 2 ** n - 1
         for side in SIDES:
             assert symmetrized_side(n, side).denominator == expected
+
+    @pytest.mark.parametrize("n", range(1, SYMMETRIZED_CAP + 1))
+    def test_no_factor_divides_the_numerator(self, n):
+        # Why the peel never tries to divide a three-way side: at every size
+        # the cap admits, no denominator factor divides the numerator.
+        for side in SIDES:
+            s = symmetrized_side(n, side)
+            assert len(s.denominator) == 2 ** n - 1
+            for factor, _ in s.denominator:
+                assert s.numerator.exact_quotient(factor) is None, (side, factor.text())
 
     def test_cap_and_usage(self):
         with pytest.raises(ResourceLimitError):
