@@ -27,6 +27,7 @@ from .identities import (
     appendix_step,
     constant_identity,
     prop5_expected,
+    specialization_chain_check,
     symmetrized_constant,
     symmetrized_side,
     x_only_universe,
@@ -35,11 +36,13 @@ from .identities import (
 from .macdonald import (
     alphabet_shift_check,
     coefficient_sum_identities,
+    deformed_basis_check,
     eigencheck,
     eigenvalue_at_zero_matches,
     expansion_agreement,
     generating_shift_check,
     inverse_expansions_check,
+    omega_duality_check,
     omega_row_is_elementary,
 )
 from .partitions import Partition, derangements, partitions_up_to, z_of
@@ -363,11 +366,17 @@ def _display_example_n2() -> dict:
 
 def criterion_6_symmetrized() -> CriterionResult:
     """Three-way agreement of the symmetrized sums, pinning the size-2 case
-    to its written-out form."""
+    to its written-out form, and their specialization to both closed forms
+    for every mu of weight <= 6 with at most SYMMETRIZED_CAP parts."""
     r = CriterionResult(6, "three-way symmetrized identity")
     _check_families(r, (("thm6", 4), ("thm7", 4)))
     for side, displayed in _display_example_n2().items():
         r.check(frac_eq(symmetrized_side(2, side), displayed), f"n=2 display {side}")
+    for n in range(1, SYMMETRIZED_CAP + 1):
+        sides = {side: symmetrized_side(n, side) for side in (SIDE_LEFT, SIDE_RIGHT)}
+        for mu in partitions_up_to(6):
+            if mu.length == n:
+                r.check(specialization_chain_check(mu, sides), f"specialization chain mu={mu}")
     return r
 
 
@@ -414,7 +423,8 @@ def criterion_9_positivity() -> CriterionResult:
 
 def criterion_10_macdonald() -> CriterionResult:
     """Row Macdonald polynomial suite: expansions, eigen-equation,
-    coefficient identities, series identities, omega, inverse expansions."""
+    coefficient identities, series identities, omega, inverse expansions,
+    omega duality of the deformed products, the deformed generators."""
     r = CriterionResult(10, "row Macdonald polynomial suite")
     N = 3
     for n in range(6):
@@ -431,6 +441,11 @@ def criterion_10_macdonald() -> CriterionResult:
         r.check(omega_row_is_elementary(n), f"omega image n={n}")
     for n in range(1, 5):
         r.check(inverse_expansions_check(n, N), f"inverse expansions n={n}")
+    for mu in partitions_up_to(5):
+        r.check(omega_duality_check(mu), f"omega duality mu={mu}")
+    for kind in ("E", "H"):
+        for n in range(1, 6):
+            r.check(deformed_basis_check(kind, n, N), f"deformed {kind} n={n}")
     return r
 
 

@@ -26,9 +26,11 @@ Fractions are never reduced by multivariate gcd.  They stay in factored form
 (numerator polynomial over a multiset of denominator factors) and equality is
 decided by cross-multiplication.  The one reduction the kernel offers is exact
 division by a known factor (:meth:`Polynomial.exact_quotient`), which callers
-use to cancel a denominator factor they know.  All values are immutable after
-construction and every operation is a pure function, so values can be shared
-freely between threads.
+use to cancel a denominator factor they know.  Substitution binds variables
+to polynomial, int or Fraction values only, so a fraction substitutes into
+its numerator and each denominator factor and no value is ever inverted.
+All values are immutable after construction and every operation is a pure
+function, so values can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -595,12 +597,6 @@ class FactoredFraction:
     def is_zero(self) -> bool:
         return self.numerator.is_zero
 
-    def denominator_expanded(self) -> Polynomial:
-        out = Polynomial.one(self.universe)
-        for f, m in self.denominator:
-            out = out * f ** m
-        return out
-
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other):
@@ -625,11 +621,6 @@ class FactoredFraction:
         return FactoredFraction(
             self.numerator ** n, ((f, m * n) for f, m in self.denominator if n)
         )
-
-    def inverse(self) -> "FactoredFraction":
-        if self.is_zero:
-            raise InvalidValueError("cannot invert the zero fraction")
-        return FactoredFraction(self.denominator_expanded(), [(self.numerator, 1)])
 
     def __neg__(self):
         return FactoredFraction(-self.numerator, self.denominator)
@@ -740,42 +731,19 @@ class FactoredFraction:
     # -- substitution ------------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, object], universe=None) -> "FactoredFraction":
-        """Exact substitution; a denominator factor that becomes identically
-        zero raises :class:`PoleError` instead of being simplified away.
-        Binding values may themselves be fractions."""
+        """Exact substitution of Polynomial, int or Fraction values, the
+        contract of :meth:`Polynomial.substitute`, into the numerator and
+        each denominator factor; a factor that becomes identically zero
+        raises :class:`PoleError` instead of being simplified away."""
         target = tuple(universe) if universe is not None else self.universe
-        fracs = {}
-        all_poly = True
-        for name, v in bindings.items():
-            if isinstance(v, (int, Fraction)):
-                v = FactoredFraction.constant(target, v)
-            elif isinstance(v, Polynomial):
-                v = FactoredFraction(v)
-            if not isinstance(v, FactoredFraction):
-                raise UsageError("bindings must be fractions, polynomials or rationals")
-            if v.universe != target:
-                raise UsageError("binding value not over the target universe")
-            fracs[name] = v
-            if v.denominator:
-                all_poly = False
-        if all_poly:
-            polys = {name: v.numerator for name, v in fracs.items()}
-            num = self.numerator.substitute(polys, target)
-            den = []
-            for f, m in self.denominator:
-                nf = f.substitute(polys, target)
-                if nf.is_zero:
-                    raise PoleError(f"denominator factor {f.text()} vanished")
-                den.append((nf, m))
-            return FactoredFraction(num, den)
-        num = _substitute_to_fraction(self.numerator, fracs, target)
-        result = num
+        num = self.numerator.substitute(bindings, target)
+        den = []
         for f, m in self.denominator:
-            nf = _substitute_to_fraction(f, fracs, target)
+            nf = f.substitute(bindings, target)
             if nf.is_zero:
                 raise PoleError(f"denominator factor {f.text()} vanished")
-            result = result * nf.inverse() ** m
-        return result
+            den.append((nf, m))
+        return FactoredFraction(num, den)
 
     # -- canonical text ----------------------------------------------------
 
@@ -802,32 +770,6 @@ class FactoredFraction:
 
     def __repr__(self):
         return f"FactoredFraction({self.text()!r})"
-
-
-def _substitute_to_fraction(p: Polynomial, fracs, target) -> FactoredFraction:
-    # Unbound variables follow the rule of Polynomial.substitute.
-    order = [
-        fracs[name] if name in fracs
-        else FactoredFraction(Polynomial.variable(target, name)) if name in target
-        else None
-        for name in p.universe
-    ]
-    caches = [{} for _ in order]
-    terms = []
-    for exps, c in p.items():
-        term = FactoredFraction.constant(target, c)
-        for i, e in enumerate(exps):
-            if e:
-                if order[i] is None:
-                    raise UsageError(
-                        f"variable {p.universe[i]!r} occurs but is absent from {target}"
-                    )
-                cache = caches[i]
-                if e not in cache:
-                    cache[e] = order[i] ** e
-                term = term * cache[e]
-        terms.append(term)
-    return FactoredFraction.sum(terms, universe=target)
 
 
 def frac_eq(f: FactoredFraction, g: FactoredFraction) -> bool:

@@ -29,6 +29,7 @@ from qmono.identities import (
     xy_universe,
 )
 from qmono.partitions import Partition, partitions_up_to, permutations_with_cycles, z_of
+from qmono.specialize import monomial_spec
 
 
 def symmetrized_enumerated(n: int, form: str) -> FactoredFraction:
@@ -266,6 +267,27 @@ class TestAppendixRecurrences:
 
 
 class TestSpecializationChain:
-    @pytest.mark.parametrize("parts", [(2, 1), (3, 1)])
+    @pytest.mark.parametrize(
+        "parts", [(2, 1), (3, 1), (1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1), (3, 2, 2, 1)]
+    )
     def test_chain(self, parts):
-        assert specialization_chain_check(Partition(parts))
+        sides = {side: symmetrized_side(len(parts), side) for side in (SIDE_LEFT, SIDE_RIGHT)}
+        assert specialization_chain_check(Partition(parts), sides)
+
+    @pytest.mark.parametrize("side", [SIDE_LEFT, SIDE_RIGHT])
+    def test_a_wrong_side_fails(self, side):
+        sides = {s: symmetrized_side(3, s) for s in (SIDE_LEFT, SIDE_RIGHT)}
+        sides[side] = sides[side] * 2
+        assert not specialization_chain_check(Partition((2, 1, 1)), sides)
+
+    @pytest.mark.parametrize("form", ["theorem1", "theorem3"])
+    def test_closed_forms_are_homogeneous_in_a_and_b(self, form):
+        # The chain checks at a = 1 only.  That loses nothing because each
+        # closed form is a^|mu| times its value at (1, b/a): its numerator
+        # is homogeneous of degree |mu| in (a, b) and its denominator
+        # factors hold only q.
+        for mu in partitions_up_to(8):
+            value = monomial_spec(mu, form).value
+            assert {i + j for (i, j, _), _ in value.numerator.items()} == {mu.weight}
+            for factor, _ in value.denominator:
+                assert all(i == j == 0 for (i, j, _), _ in factor.items())

@@ -22,7 +22,7 @@ from qmono.macdonald import (
     _letter_series,
     apply_omega,
     coefficient_sum_identities,
-    deformed_basis,
+    deformed_basis_check,
     eigencheck,
     eigenvalue_at_zero_matches,
     expansion_agreement,
@@ -112,13 +112,19 @@ class TestRowPolynomial:
 
 class TestDeformedBases:
     def test_elementary_two_on_one_letter(self):
-        sp = deformed_basis("E", 2, 1)
+        sp = _basis_element(BASIS_DEFORMED_ELEMENTARY, Partition((2,)), 1)
         assert set(sp.coeffs) == {(2,)}
         assert frac_eq(sp.coeffs[(2,)], FactoredFraction(T ** 2 - T))
 
+    @pytest.mark.parametrize("kind", ["E", "H"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_three_ways_agree(self, kind, n, N):
+        assert deformed_basis_check(kind, n, N)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_complete_monomial_coefficients(self, n):
-        sp = deformed_basis("H", n, 3)
+        sp = _basis_element(BASIS_DEFORMED_COMPLETE, Partition((n,)), 3)
         for mu in partitions_of(n):
             if mu.length > 3:
                 continue
@@ -139,7 +145,7 @@ class TestDeformedBases:
 
     def test_unknown_kind(self):
         with pytest.raises(UsageError):
-            deformed_basis("G", 2, 2)
+            deformed_basis_check("G", 2, 2)
 
 
 class TestOperator:

@@ -99,3 +99,32 @@ def test_only_the_power_sum_oracle_enumerates_permutations():
     # stays enumerative so that it is independent of the closed forms.
     callers = set().union(*(_callers(p, "permutations_with_cycles") for p in SOURCES))
     assert callers == {("specialize.py", "oracle_powersum")}
+
+
+def _references(path):
+    """(top-level definition name, referenced name) for every name or
+    attribute read in each top-level statement of a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    refs = set()
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                refs.add((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.add((owner, node.attr))
+    return refs
+
+
+def test_every_public_function_is_used_by_the_package():
+    # A public function that only the tests call is a check the selftest
+    # never runs, or dead code.  An import or an __all__ entry is not a use.
+    refs = set().union(*(_references(p) for p in SOURCES))
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                if not any(name == node.name and owner != node.name for owner, name in refs):
+                    unused.append(f"{path.stem}.{node.name}")
+    assert unused == []
