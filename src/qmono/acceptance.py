@@ -372,11 +372,9 @@ def criterion_6_symmetrized() -> CriterionResult:
     _check_families(r, (("thm6", 4), ("thm7", 4)))
     for side, displayed in _display_example_n2().items():
         r.check(frac_eq(symmetrized_side(2, side), displayed), f"n=2 display {side}")
-    for n in range(1, SYMMETRIZED_CAP + 1):
-        sides = {side: symmetrized_side(n, side) for side in (SIDE_LEFT, SIDE_RIGHT)}
-        for mu in partitions_up_to(6):
-            if mu.length == n:
-                r.check(specialization_chain_check(mu, sides), f"specialization chain mu={mu}")
+    for mu in partitions_up_to(6):
+        if mu.length <= SYMMETRIZED_CAP:
+            r.check(specialization_chain_check(mu), f"specialization chain mu={mu}")
     return r
 
 

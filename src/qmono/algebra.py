@@ -402,68 +402,80 @@ class Polynomial:
         it occurs in a term and is absent from the target universe.  With no
         bindings this re-expresses the polynomial over ``universe``."""
         target = tuple(universe) if universe is not None else self.universe
-        for name in bindings:
+        images = {}
+        for name, v in bindings.items():
             if name not in self.universe:
                 raise UsageError(f"binding for unknown variable {name!r}")
-        images = []
-        for name in self.universe:
-            if name in bindings:
-                v = bindings[name]
-                if isinstance(v, (int, Fraction)):
-                    v = Polynomial.constant(target, v)
-                if not isinstance(v, Polynomial):
-                    raise UsageError("bindings must be Polynomial, int or Fraction")
-                if v.universe != target:
-                    raise UsageError("binding value not over the target universe")
-                images.append(v)
-            elif name in target:
-                images.append(Polynomial.variable(target, name))
-            else:
-                images.append(None)
+            if isinstance(v, (int, Fraction)):
+                v = Polynomial.constant(target, v)
+            if not isinstance(v, Polynomial):
+                raise UsageError("bindings must be Polynomial, int or Fraction")
+            if v.universe != target:
+                raise UsageError("binding value not over the target universe")
+            images[name] = v
         if not self.terms:
             return Polynomial._raw(target, {})
-        # Every term of the result, and of every partial product on the way,
-        # has at most this degree.
-        bound = self._total_degree() * max(
-            (v._total_degree() for v in images if v is not None and v.terms), default=0
-        )
-        w = _width_for(bound)
-        images = [v if v is None else v._at(w) for v in images]
-        # A one-term image adds a multiple of its key and scales the
-        # coefficient; longer images are multiplied in from cached powers.
-        shifts = [
-            next(iter(img.items())) if img and len(img) == 1 else None for img in images
-        ]
-        powers = [{1: img} for img in images]
-        unit = {0: 1}
         n, sw = len(self.universe), self._width
+        # Every term of the result, and of every partial product on the way,
+        # has at most this degree; an unbound variable is an image of degree 1.
+        degrees = [v._total_degree() for v in images.values() if v.terms]
+        w = _width_for(self._total_degree() * max(degrees + [int(len(images) < n)]))
+        # A term starts from its own key when the layout stays: an unbound
+        # variable keeps its bits, and a bound one trades e times its own key
+        # for its image.  Otherwise a term starts from 0 and every variable
+        # it holds is visited.
+        stay = target == self.universe and w == sw
         mask = (1 << sw) - 1
-        slots = [sw * (n - 1 - i) for i in range(n)]
+        visits = []
+        for i, name in enumerate(self.universe):
+            slot = sw * (n - 1 - i)
+            own = (1 << (n * sw)) | (1 << slot) if stay else 0
+            if name in images:
+                img = images[name]._at(w)
+            elif stay:
+                continue
+            elif name in target:
+                img = Polynomial.variable(target, name)._at(w)
+            elif any((k >> slot) & mask for k in self.terms):
+                raise UsageError(f"variable {name!r} occurs but is absent from {target}")
+            else:
+                continue
+            if not img:
+                visits.append((slot, 0, 0, None))  # a zero image kills the term
+            elif len(img) == 1:
+                # A one-term image, a constant among them, adds a multiple of
+                # a key and scales the coefficient.
+                ((key, vc),) = img.items()
+                visits.append((slot, key - own, vc, None))
+            else:
+                # A longer image is multiplied in from cached powers.
+                visits.append((slot, -own, 1, {1: img}))
         out = {}
+        get = out.get
         for k, c in self.terms.items():
-            mono = 0
+            key = k if stay else 0
             factors = []
-            for i, s in enumerate(slots):
-                e = (k >> s) & mask
+            for slot, shift, vc, powers in visits:
+                e = (k >> slot) & mask
                 if not e:
                     continue
-                img = images[i]
-                if img is None:
-                    raise UsageError(
-                        f"variable {self.universe[i]!r} occurs but is absent from {target}"
-                    )
-                if not img:
-                    break  # a zero image kills the term
-                if shifts[i] is None:
-                    factors.append(_power_terms(powers[i], e))
-                    continue
-                key, vc = shifts[i]
-                mono += e * key
-                if vc != 1:
+                if not vc:
+                    break
+                key += e * shift
+                if powers is not None:
+                    factors.append(_power_terms(powers, e))
+                elif vc != 1:
                     c = c * vc ** e
             else:
-                *rest, last = factors or [unit]
-                head = {mono: c}
+                if not factors:
+                    s = get(key, 0) + c
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+                    continue
+                *rest, last = factors
+                head = {key: c}
                 for f in rest:
                     head = _mul_terms(head, f, {})
                 _mul_terms(head, last, out)

@@ -20,12 +20,14 @@ the level's numerator exactly whenever it divides, which reduces prop7 to the
 bare constant n! and prop8 to 1/(x_1...x_n).  The three-way sides, where no
 factor divides, are not divided and keep their common-denominator form.
 No gcd is ever taken.  ``symmetrized_side`` and ``symmetrized_constant``
-return the peeled sum as a ``FactoredFraction``; the tests hold the literal
+return the peeled sum as a ``FactoredFraction``, built once per process for
+each (form, n) and shared by every later caller; the tests hold the literal
 permutation-by-permutation sums they compare the peel against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -121,9 +123,16 @@ def _peels(form: str, n: int, uni: tuple, subset: tuple):
             yield tuple(j for j in subset if j != k), factor
 
 
+@functools.cache
 def _peeled(form: str, n: int, uni: tuple) -> FactoredFraction:
     """The sum over all n! permutations, memoized on the label subset still
     to place: value(()) = 1, value(S) = sum of value(rest) * factor.
+
+    The sum itself is kept for the life of the process: values are
+    immutable, and the caps admit at most 3 * SYMMETRIZED_CAP +
+    2 * _CONSTANT_CAP = 26 of them, about 5 MB in all.  The memo sits below
+    ``symmetrized_side`` and ``symmetrized_constant``, which still check
+    their arguments on every call.
 
     In prop7 and prop8 the factor d that enters at S is divided out of the
     numerator whenever it divides: their values, n! and 1/(x_1...x_n), have
@@ -231,12 +240,12 @@ def appendix_step(n: int, relation: int, side: str) -> bool:
     return frac_eq(lhs, FactoredFraction.sum(rhs_terms, universe=uni))
 
 
-def specialization_chain_check(mu: Partition, sides) -> bool:
-    """The symmetrized sums at x_i = q^(mu_i), y_i = (b q)^(mu_i), scaled by
+def specialization_chain_check(mu: Partition) -> bool:
+    """The symmetrized sums at n = l, the length of mu, taken at
+    x_i = q^(mu_i), y_i = (b q)^(mu_i) and scaled by
     (-1)^l / (q^|mu| prod m_i!), equal both closed forms of the monomial
     specialization at a = 1 (thm6-left gives Theorem 1, thm6-right
-    Theorem 3).  ``sides`` maps those two sides to their sums at n = l, the
-    length of mu, so a caller builds them once for every mu of one length.
+    Theorem 3).
 
     This is the paper's substitution y_i = (b q / a)^(mu_i), scale
     (-1)^l a^|mu| / (q^|mu| prod m_i!), taken at a = 1, and it loses
@@ -255,7 +264,7 @@ def specialization_chain_check(mu: Partition, sides) -> bool:
         [Polynomial.variable(UNIVERSE_ABQ, "q", mu.weight)],
     )
     for side, form in ((SIDE_LEFT, "theorem1"), (SIDE_RIGHT, "theorem3")):
-        specialized = sides[side].substitute(bindings, universe=UNIVERSE_ABQ) * scale
+        specialized = symmetrized_side(n, side).substitute(bindings, UNIVERSE_ABQ) * scale
         if not frac_eq(specialized, monomial_spec(mu, form).value.substitute({"a": 1})):
             return False
     return True

@@ -296,23 +296,40 @@ def _substitute_reference(p, bindings, target):
     return total
 
 
+SOURCE = ("a", "q")
 WIDE = ("a", "q", "t")
+# Substitution onto a new universe, and onto the source universe itself,
+# where each term starts from its own key.
+TARGETS = st.sampled_from((WIDE, SOURCE))
 
 
 @st.composite
 def polynomial_bindings(draw):
-    names = draw(st.lists(st.sampled_from(("a", "q")), unique=True))
-    return {name: draw(small_polys(WIDE, max_degree=2, max_terms=3)) for name in names}
+    # Images of zero, one and several terms, and int and Fraction constants;
+    # a variable left out is unbound.
+    target = draw(TARGETS)
+    image = st.one_of(
+        small_polys(target, max_degree=2, max_terms=3),
+        _coeffs,
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    )
+    names = draw(st.lists(st.sampled_from(SOURCE), unique=True))
+    return target, {name: draw(image) for name in names}
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(small_polys(), polynomial_bindings())
 @example(
-    Polynomial(("a", "q"), {(3, 1): 1}), {"a": Polynomial(WIDE, {(0, 0, 1): 2})}
+    Polynomial(SOURCE, {(3, 1): 1}), (WIDE, {"a": Polynomial(WIDE, {(0, 0, 1): 2})})
 )
-def test_substitute_matches_ring_operations(p, bindings):
-    assert p.substitute(bindings, universe=WIDE) == _substitute_reference(
-        p, bindings, WIDE
+@example(
+    Polynomial(SOURCE, {(3, 1): 1, (1, 2): -1}), (SOURCE, {"a": Polynomial(SOURCE, {(0, 1): 2})})
+)
+@example(Polynomial(SOURCE, {(3, 1): 4, (0, 2): 1}), (SOURCE, {"a": Fraction(1, 2)}))
+def test_substitute_matches_ring_operations(p, case):
+    target, bindings = case
+    assert p.substitute(bindings, universe=target) == _substitute_reference(
+        p, bindings, target
     )
 
 
@@ -456,27 +473,33 @@ def test_packed_sort_key_orders_like_dense_tuples(p, q):
 def boundary_substitutions(draw):
     # Either images of one term at any exponent, or longer images raised to
     # small powers: the reference expands every power by repeated products.
-    # A one-term image has coefficient +-1, lest c^(2^31) be computed.
+    # A one-term image has coefficient +-1, lest c^(2^31) be computed.  An
+    # image of high degree makes the result wider than the source.
+    target = draw(TARGETS)
     if draw(st.booleans()):
         p = draw(boundary_polys())
-        image = boundary_polys(WIDE, max_terms=1, coeffs=st.sampled_from((1, -1)))
+        image = boundary_polys(target, max_terms=1, coeffs=st.sampled_from((1, -1)))
     else:
         p = draw(small_polys())
-        image = boundary_polys(WIDE)
-    return p, {name: draw(image) for name in draw(st.sets(st.sampled_from(("a", "q"))))}
+        image = boundary_polys(target)
+    return p, target, {name: draw(image) for name in draw(st.sets(st.sampled_from(SOURCE)))}
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(boundary_substitutions())
+@example((Polynomial(SOURCE, {(2 ** 15 - 1, 1): 1}), SOURCE, {"a": var(SOURCE, "a", 2)}))
+@example((Polynomial(SOURCE, {(2 ** 16, 3): -1, (1, 0): 1}), SOURCE, {"q": var(SOURCE, "a")}))
 def test_packed_substitution_matches_dense_tuples(case):
-    p, bindings = case
+    p, target, bindings = case
     images = [
         dict(bindings[name].items()) if name in bindings else {
-            tuple(int(v == name) for v in WIDE): 1
+            tuple(int(v == name) for v in target): 1
         }
         for name in p.universe
     ]
-    assert _same(p.substitute(bindings, universe=WIDE), _dense_substitute(p, images, len(WIDE)))
+    assert _same(
+        p.substitute(bindings, universe=target), _dense_substitute(p, images, len(target))
+    )
 
 
 def test_cancellation_shrinks_the_width_back():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qmono import acceptance, cli, macdonald, positivity, specialize
+from qmono import acceptance, cli, identities, macdonald, positivity, specialize
 from qmono.algebra import Polynomial
 from qmono.cli import (
     EXIT_OK,
@@ -316,6 +316,25 @@ class TestVerifyCommand:
         assert out == ""
         assert "cap" in err
         assert calls == []
+
+    def test_appendix_builds_each_side_once(self, capsys, monkeypatch):
+        # n = 4 makes 24 side requests for 8 distinct (n, side) pairs.
+        monkeypatch.delenv("QMONO_THREADS", raising=False)
+        identities._peeled.cache_clear()
+        code, _, _ = run(capsys, "verify", "--identity", "appendix", "--n", "4")
+        assert code == EXIT_OK
+        assert identities._peeled.cache_info().misses == 8
+
+    def test_pooled_appendix_matches_sequential(self, capsys, monkeypatch):
+        # The workers are forked from a process whose memo is already warm.
+        monkeypatch.delenv("QMONO_THREADS", raising=False)
+        argv = ("verify", "--identity", "appendix", "--n", "3", "--format", "json")
+        code, seq, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        monkeypatch.setenv("QMONO_THREADS", "2")
+        code, par, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(seq)["results"] == json.loads(par)["results"]
 
     def test_parallel_matches_sequential(self, capsys, monkeypatch):
         code, seq, _ = run(
