@@ -8,21 +8,21 @@ denominators.  Their specializations yield a family of constant-valued
 symmetrizations (the prop5/prop7 constants, the prop8 reciprocal prefix
 sums, and the Littlewood rational identity for 1/z).
 
-Each of the five sums over the symmetric group (thm6-left, thm6-right,
-thm7-right, prop7, prop8) has its summand defined once, and that summand is
-summed two ways.  The production route peels the last position (or, for the
-cycle form, the cycle through the smallest label) and memoizes on the
-remaining label subset: an exact regrouping of the permutation sum that
-costs 2^n fraction merges instead of n! cofactor assemblies.  Each memo level
-S brings in one new denominator factor, 1 - x_S (sum x_S for prop8).  In
-prop7 and prop8, whose values have no pole there, the peel divides it out of
-the level's numerator exactly whenever it divides, which reduces prop7 to the
-bare constant n! and prop8 to 1/(x_1...x_n).  The three-way sides, where no
-factor divides, are not divided and keep their common-denominator form.
-No gcd is ever taken.  ``symmetrized_side`` and ``symmetrized_constant``
-return the peeled sum as a ``FactoredFraction``, built once per process for
-each (form, n) and shared by every later caller; the tests hold the literal
-permutation-by-permutation sums they compare the peel against.
+Each of the four sums over the symmetric group (thm6-left, thm6-right,
+thm7-right, prop8) has its summand defined once, over the images of
+x_1..x_n and y_1..y_n: the variables for the full-y sides, a point for the
+specialization chain, y = 1 for prop7, which is thm6-right there.  The
+summand is summed two ways.  The production route peels the last position
+(or, for the cycle form, the cycle through the smallest label) and memoizes
+on the remaining label subset: an exact regrouping of the permutation sum
+that costs 2^n fraction merges instead of n! cofactor assemblies.  Each memo
+level S brings in one new denominator factor, 1 - x_S (sum x_S for prop8).
+In prop8, and in thm6-right where every y of S is 1, the value has no pole
+there and the peel divides it out exactly whenever it divides, which
+reduces prop7 to n! and prop8 to 1/(x_1...x_n).  No gcd is ever taken.
+``symmetrized_side`` and ``symmetrized_constant`` return the peeled sum as
+a ``FactoredFraction``, built once per process for each (form, n); the
+tests hold the literal permutation-by-permutation sums.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from fractions import Fraction
 from .algebra import FactoredFraction, Polynomial, frac_eq
 from .errors import ResourceLimitError, UsageError
 from .partitions import Partition, rearrangement_peel
+from .specialize import UNIVERSE_ABQ, monomial_spec
 
 # Largest n of the three-way sides (thm6, thm7, appendix): one side at n = 5
 # has 3,383,040 numerator terms and takes minutes and more than a gigabyte.
@@ -50,22 +51,17 @@ SIDES = (SIDE_LEFT, SIDE_RIGHT, SIDE_CYCLE)
 _CONSTANT_KINDS = ("prop7", "prop8")
 
 
-def xy_universe(n: int) -> tuple:
-    return tuple(f"x{i}" for i in range(1, n + 1)) + tuple(
-        f"y{i}" for i in range(1, n + 1)
-    )
-
-
 def x_only_universe(n: int) -> tuple:
     return tuple(f"x{i}" for i in range(1, n + 1))
 
 
-def _x_product(universe, subset) -> Polynomial:
-    return Polynomial.monomial(universe, {f"x{k}": 1 for k in subset})
+def xy_universe(n: int) -> tuple:
+    return x_only_universe(n) + tuple(f"y{i}" for i in range(1, n + 1))
 
 
-def _y_product(universe, subset) -> Polynomial:
-    return Polynomial.monomial(universe, {f"y{k}": 1 for k in subset})
+def _image_product(images: tuple, labels) -> Polynomial:
+    """The product of the images of the given labels."""
+    return math.prod((images[k - 1] for k in labels), start=Polynomial.one(images[0].universe))
 
 
 def _check_size(n: int, cap: int):
@@ -75,37 +71,36 @@ def _check_size(n: int, cap: int):
         raise ResourceLimitError(f"symmetrized sum size {n} exceeds cap {cap}")
 
 
-# -- the five summands and the two ways to sum them --------------------------
+# -- the four summands and the two ways to sum them --------------------------
 
 
-def _numerator(form: str, n: int, uni: tuple, k: int, prefix: tuple) -> Polynomial:
-    """The numerator of a prefix form (thm6-left, thm6-right, prop7, prop8)
-    at position i = len(prefix), which holds label k; ``prefix`` holds the
-    labels of positions 1..i.  A permutation's summand is the product over
-    its n positions of numerator / denominator."""
+def _numerator(form: str, X: tuple, Y: tuple, k: int, i: int, x_prefix: Polynomial) -> Polynomial:
+    """The numerator of a prefix form (thm6-left, thm6-right, prop8) at
+    position i, which holds label k; ``x_prefix`` is the product of the
+    images of the labels at positions 1..i.  A permutation's summand is the
+    product over its n positions of numerator / denominator."""
     if form == SIDE_LEFT:
-        return Polynomial.variable(uni, f"y{k}") - _x_product(uni, prefix)
+        return Y[k - 1] - x_prefix
     if form == "prop8":
-        return Polynomial.one(uni)
-    top = Polynomial.one(uni) if form == "prop7" else Polynomial.variable(uni, f"y{k}")
-    return top - Polynomial.variable(uni, f"x{k}", n - len(prefix) + 1)
+        return Polynomial.one(x_prefix.universe)
+    return Y[k - 1] - X[k - 1] ** (len(X) - i + 1)
 
 
-def _denominator(form: str, uni: tuple, prefix: tuple) -> Polynomial:
+def _denominator(form: str, X: tuple, prefix: tuple, x_prefix: Polynomial) -> Polynomial:
     """The denominator of a prefix form at position len(prefix)."""
     if form == "prop8":
-        return sum((Polynomial.variable(uni, f"x{j}") for j in prefix), Polynomial.zero(uni))
-    return Polynomial.one(uni) - _x_product(uni, prefix)
+        return sum((X[j - 1] for j in prefix), Polynomial.zero(x_prefix.universe))
+    return 1 - x_prefix
 
 
-def _cycle_weight(uni: tuple, cycle: tuple) -> FactoredFraction:
+def _cycle_weight(X: tuple, Y: tuple, cycle: tuple) -> FactoredFraction:
     """The factor of one cycle in the cycle form (thm7-right).  A
     permutation's summand is the product over its cycles."""
-    x_cycle = _x_product(uni, cycle)
-    return FactoredFraction(_y_product(uni, cycle) - x_cycle, [Polynomial.one(uni) - x_cycle])
+    x_cycle = _image_product(X, cycle)
+    return FactoredFraction(_image_product(Y, cycle) - x_cycle, [1 - x_cycle])
 
 
-def _peels(form: str, n: int, uni: tuple, subset: tuple):
+def _peels(form: str, X: tuple, Y: tuple, subset: tuple, x_subset: Polynomial):
     """The (rest, factor) pairs with value(subset) = sum of value(rest) *
     factor.  A prefix form peels its last position, which may hold any label
     of the subset; the cycle form peels the cycle through the smallest label,
@@ -115,41 +110,39 @@ def _peels(form: str, n: int, uni: tuple, subset: tuple):
         for size in range(len(others) + 1):
             for extra in itertools.combinations(others, size):
                 rest = tuple(k for k in others if k not in extra)
-                yield rest, _cycle_weight(uni, (anchor,) + extra) * math.factorial(size)
+                yield rest, _cycle_weight(X, Y, (anchor,) + extra) * math.factorial(size)
     else:
-        den = [_denominator(form, uni, subset)]
+        den = [_denominator(form, X, subset, x_subset)]
         for k in subset:
-            factor = FactoredFraction(_numerator(form, n, uni, k, subset), den)
+            factor = FactoredFraction(_numerator(form, X, Y, k, len(subset), x_subset), den)
             yield tuple(j for j in subset if j != k), factor
 
 
-@functools.cache
-def _peeled(form: str, n: int, uni: tuple) -> FactoredFraction:
-    """The sum over all n! permutations, memoized on the label subset still
-    to place: value(()) = 1, value(S) = sum of value(rest) * factor.
+def _peeled(form: str, X: tuple, Y: tuple) -> FactoredFraction:
+    """The sum over all n! permutations, x_k and y_k taken at the images
+    X[k - 1] and Y[k - 1] (polynomials over one universe), memoized on the
+    label subset still to place: value(()) = 1, value(S) = sum of
+    value(rest) * factor.
 
-    The sum itself is kept for the life of the process: values are
-    immutable, and the caps admit at most 3 * SYMMETRIZED_CAP +
-    2 * _CONSTANT_CAP = 26 of them, about 5 MB in all.  The memo sits below
-    ``symmetrized_side`` and ``symmetrized_constant``, which still check
-    their arguments on every call.
-
-    In prop7 and prop8 the factor d that enters at S is divided out of the
-    numerator whenever it divides: their values, n! and 1/(x_1...x_n), have
-    no pole at d.  The three-way sides keep every factor: at every n up to
-    SYMMETRIZED_CAP none divides their numerator, as the tests check.  A
-    division not tried, or failed, only leaves d in place, so the value is
-    the same either way."""
+    The factor d entering at S is divided out of the numerator whenever it
+    divides, at every level of prop8 and at a level of thm6-right whose y
+    images are all the constant 1: prop7's n! and prop8's 1/(x_1...x_n)
+    have no pole at d.  Elsewhere, as on the full-y sides (where no factor
+    divides, as the tests check up to SYMMETRIZED_CAP) and at the chain
+    point, none is tried; that only leaves d in place."""
+    uni = X[0].universe
+    one = Polynomial.one(uni)
     memo = {(): FactoredFraction.one(uni)}
 
     def value(subset: tuple) -> FactoredFraction:
         if subset not in memo:
+            x_subset = _image_product(X, subset)
             total = FactoredFraction.sum(
-                [value(rest) * factor for rest, factor in _peels(form, n, uni, subset)],
+                [value(rest) * factor for rest, factor in _peels(form, X, Y, subset, x_subset)],
                 universe=uni,
             )
-            if form in _CONSTANT_KINDS:
-                d = _denominator(form, uni, subset)
+            if form == "prop8" or (form == SIDE_RIGHT and all(Y[k - 1] == one for k in subset)):
+                d = _denominator(form, X, subset, x_subset)
                 quotient = total.numerator.exact_quotient(d)
                 if quotient is not None:
                     # d enters only here, so it is a simple factor of the sum.
@@ -157,7 +150,21 @@ def _peeled(form: str, n: int, uni: tuple) -> FactoredFraction:
             memo[subset] = total
         return memo[subset]
 
-    return value(tuple(range(1, n + 1)))
+    return value(tuple(range(1, len(X) + 1)))
+
+
+@functools.cache
+def _symmetrized(form: str, n: int) -> FactoredFraction:
+    """The sum at the variables themselves (prop7 is thm6-right at y = 1),
+    kept for the life of the process: values are immutable, and the caps
+    admit at most 3 * SYMMETRIZED_CAP + 2 * _CONSTANT_CAP = 26 of them,
+    about 5 MB in all; values at other images are not kept.  The memo sits
+    below ``symmetrized_side`` and ``symmetrized_constant``, which still
+    check their arguments on every call."""
+    uni = xy_universe(n) if form in SIDES else x_only_universe(n)
+    images = tuple(Polynomial.variable(uni, v) for v in uni)
+    Y = images[n:] if form in SIDES else (Polynomial.one(uni),) * n
+    return _peeled(SIDE_RIGHT if form == "prop7" else form, images[:n], Y)
 
 
 def symmetrized_side(n: int, side: str) -> FactoredFraction:
@@ -166,7 +173,7 @@ def symmetrized_side(n: int, side: str) -> FactoredFraction:
     if side not in SIDES:
         raise UsageError(f"unknown side {side!r}")
     _check_size(n, SYMMETRIZED_CAP)
-    return _peeled(side, n, xy_universe(n))
+    return _symmetrized(side, n)
 
 
 def constant_identity(mu: Partition, kind: str) -> FactoredFraction:
@@ -201,12 +208,12 @@ def symmetrized_constant(n: int, kind: str) -> FactoredFraction:
     assembled by the same last-position peeling as the two-alphabet sums.
 
     * "prop7": numerators 1 - x_(sigma(i))^(n - i + 1) over prefix-product
-      denominators; equals n!.
+      denominators, thm6-right at y = 1; equals n!.
     * "prop8": reciprocal prefix sums; equals prod_i 1/x_i."""
     if kind not in _CONSTANT_KINDS:
         raise UsageError(f"unknown symmetrized constant {kind!r}")
     _check_size(n, _CONSTANT_CAP)
-    return _peeled(kind, n, x_only_universe(n))
+    return _symmetrized(kind, n)
 
 
 _APPENDIX_SIDES = {"L": SIDE_LEFT, "R": SIDE_CYCLE}
@@ -241,31 +248,29 @@ def appendix_step(n: int, relation: int, side: str) -> bool:
 
 
 def specialization_chain_check(mu: Partition) -> bool:
-    """The symmetrized sums at n = l, the length of mu, taken at
+    """The symmetrized sums at n = l, the length of mu, peeled at
     x_i = q^(mu_i), y_i = (b q)^(mu_i) and scaled by
     (-1)^l / (q^|mu| prod m_i!), equal both closed forms of the monomial
-    specialization at a = 1 (thm6-left gives Theorem 1, thm6-right
-    Theorem 3).
+    specialization at a = 1 (thm6-left and thm7-right give Theorem 1,
+    thm6-right Theorem 3).
 
     This is the paper's substitution y_i = (b q / a)^(mu_i), scale
     (-1)^l a^|mu| / (q^|mu| prod m_i!), taken at a = 1, and it loses
     nothing: every numerator term of the closed forms has degree |mu| in
     (a, b) and their denominators hold only q, so each is a^|mu| times its
-    value at (1, b/a)."""
-    from .specialize import UNIVERSE_ABQ, monomial_spec
-
-    n = mu.length
-    bindings = {}
-    for i, part in enumerate(mu.parts, start=1):
-        bindings[f"x{i}"] = Polynomial.variable(UNIVERSE_ABQ, "q", part)
-        bindings[f"y{i}"] = Polynomial.monomial(UNIVERSE_ABQ, {"b": part, "q": part})
+    value at (1, b/a).  No full-y side is built, so mu may have any
+    length."""
+    X = tuple(Polynomial.variable(UNIVERSE_ABQ, "q", part) for part in mu.parts)
+    Y = tuple(Polynomial.monomial(UNIVERSE_ABQ, {"b": part, "q": part}) for part in mu.parts)
     scale = FactoredFraction(
-        Polynomial.constant(UNIVERSE_ABQ, Fraction((-1) ** n, mu.repetition_factor())),
+        Polynomial.constant(UNIVERSE_ABQ, Fraction((-1) ** mu.length, mu.repetition_factor())),
         [Polynomial.variable(UNIVERSE_ABQ, "q", mu.weight)],
     )
-    for side, form in ((SIDE_LEFT, "theorem1"), (SIDE_RIGHT, "theorem3")):
-        specialized = symmetrized_side(n, side).substitute(bindings, UNIVERSE_ABQ) * scale
-        if not frac_eq(specialized, monomial_spec(mu, form).value.substitute({"a": 1})):
+    closed = {
+        form: monomial_spec(mu, form).value.substitute({"a": 1}) for form in ("theorem1", "theorem3")
+    }
+    for side, form in ((SIDE_LEFT, "theorem1"), (SIDE_RIGHT, "theorem3"), (SIDE_CYCLE, "theorem1")):
+        if not frac_eq(_peeled(side, X, Y) * scale, closed[form]):
             return False
     return True
 

@@ -27,9 +27,7 @@ from .algebra import (
 )
 from .errors import ResourceLimitError, UsageError
 from .partitions import DERANGEMENT_LENGTH_CAP, Partition, partitions_of, z_of
-from .specialize import monomial_spec
-
-UNIVERSE_QT = ("q", "t")
+from .specialize import UNIVERSE_QT, monomial_spec
 
 OPERATOR_N_CAP = 3
 # Largest degree n of eigencheck: n = 8 on N = 3 letters takes one to two seconds

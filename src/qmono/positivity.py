@@ -33,6 +33,7 @@ from .partitions import (
     rearrangement_peel,
     subset_part_sums,
 )
+from .specialize import UNIVERSE_QT, monomial_spec
 
 POSITIVITY_LENGTH_CAP = DERANGEMENT_LENGTH_CAP
 # The caps of the peel behind H, and of the degree of P, which bounds the
@@ -42,7 +43,6 @@ POSITIVITY_DEGREE_CAP = 240
 POSITIVITY_P_DEGREE_CAP = 1600
 
 UNIVERSE_Q = ("q",)
-UNIVERSE_QT = ("q", "t")
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,6 @@ def positivity_report(mu: Partition) -> PositivityReport:
     """Full check: coefficient positivity, polynomiality of the q -> 1/q
     companion, and the factorization identity against the monomial
     specialization at a = 1, b = t."""
-    from .specialize import monomial_spec
-
     P = auxiliary_product(mu)
     H = positivity_polynomial(mu)
     length = mu.length

@@ -41,6 +41,7 @@ from .partitions import (
 )
 
 UNIVERSE_ABQ = ("a", "b", "q")
+UNIVERSE_QT = ("q", "t")
 
 FORM_THEOREM1 = "theorem1"
 FORM_THEOREM3 = "theorem3"

@@ -320,10 +320,10 @@ class TestVerifyCommand:
     def test_appendix_builds_each_side_once(self, capsys, monkeypatch):
         # n = 4 makes 24 side requests for 8 distinct (n, side) pairs.
         monkeypatch.delenv("QMONO_THREADS", raising=False)
-        identities._peeled.cache_clear()
+        identities._symmetrized.cache_clear()
         code, _, _ = run(capsys, "verify", "--identity", "appendix", "--n", "4")
         assert code == EXIT_OK
-        assert identities._peeled.cache_info().misses == 8
+        assert identities._symmetrized.cache_info().misses == 8
 
     def test_pooled_appendix_matches_sequential(self, capsys, monkeypatch):
         # The workers are forked from a process whose memo is already warm.

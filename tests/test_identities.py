@@ -19,7 +19,9 @@ from qmono.identities import (
     _check_size,
     _cycle_weight,
     _denominator,
+    _image_product,
     _numerator,
+    _peeled,
     appendix_step,
     constant_identity,
     prop5_expected,
@@ -30,30 +32,47 @@ from qmono.identities import (
     xy_universe,
 )
 from qmono.partitions import Partition, partitions_up_to, permutations_with_cycles, z_of
-from qmono.specialize import monomial_spec
+from qmono.specialize import UNIVERSE_ABQ, monomial_spec
 
 
 def symmetrized_enumerated(n: int, form: str) -> FactoredFraction:
-    """Any of the five sums, one permutation at a time: the definitional
-    reference for the peel behind symmetrized_side and symmetrized_constant."""
+    """Any of the four sums, one permutation at a time, with prop7 as
+    thm6-right at y = 1: the definitional reference for the peel behind
+    symmetrized_side and symmetrized_constant."""
     if form not in SIDES + _CONSTANT_KINDS:
         raise UsageError(f"unknown symmetrized sum {form!r}")
     _check_size(n, SYMMETRIZED_CAP)
     uni = xy_universe(n) if form in SIDES else x_only_universe(n)
+    X = tuple(Polynomial.variable(uni, f"x{k}") for k in range(1, n + 1))
+    if form in SIDES:
+        Y = tuple(Polynomial.variable(uni, f"y{k}") for k in range(1, n + 1))
+    else:
+        Y = (Polynomial.one(uni),) * n
+    form = SIDE_RIGHT if form == "prop7" else form
     terms = []
     for perm in permutations_with_cycles(n):
         if form == SIDE_CYCLE:
-            factors = [_cycle_weight(uni, cycle) for cycle in perm.cycles]
+            factors = [_cycle_weight(X, Y, cycle) for cycle in perm.cycles]
         else:
             sigma = perm.mapping
-            factors = [
-                FactoredFraction(
-                    _numerator(form, n, uni, k, sigma[:i]), [_denominator(form, uni, sigma[:i])]
+            factors = []
+            for i, k in enumerate(sigma, start=1):
+                x_prefix = _image_product(X, sigma[:i])
+                factors.append(
+                    FactoredFraction(
+                        _numerator(form, X, Y, k, i, x_prefix),
+                        [_denominator(form, X, sigma[:i], x_prefix)],
+                    )
                 )
-                for i, k in enumerate(sigma, start=1)
-            ]
         terms.append(math.prod(factors, start=FactoredFraction.one(uni)))
     return FactoredFraction.sum(terms, universe=uni)
+
+
+def chain_point(mu: Partition) -> tuple:
+    """The images x_i = q^(mu_i), y_i = (b q)^(mu_i) of the chain."""
+    X = tuple(Polynomial.variable(UNIVERSE_ABQ, "q", part) for part in mu.parts)
+    Y = tuple(Polynomial.monomial(UNIVERSE_ABQ, {"b": part, "q": part}) for part in mu.parts)
+    return X, Y
 
 
 def relabeling_invariant(s: FactoredFraction, sigma: tuple) -> bool:
@@ -91,7 +110,7 @@ class TestSymmetrizedSides:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_peeled_assembly_matches_enumeration(self, n):
-        identities._peeled.cache_clear()
+        identities._symmetrized.cache_clear()
         for side in SIDES:
             assert frac_eq(symmetrized_side(n, side), symmetrized_enumerated(n, side))
 
@@ -211,7 +230,7 @@ class TestSymmetrizedConstants:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_peeled_matches_enumeration(self, n):
-        identities._peeled.cache_clear()
+        identities._symmetrized.cache_clear()
         for kind in ("prop7", "prop8"):
             assert frac_eq(
                 symmetrized_constant(n, kind),
@@ -275,19 +294,53 @@ class TestAppendixRecurrences:
 
 class TestSpecializationChain:
     @pytest.mark.parametrize(
-        "parts", [(2, 1), (3, 1), (1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1), (3, 2, 2, 1)]
+        "parts",
+        [
+            (2, 1),
+            (3, 1),
+            (1, 1, 1, 1),
+            (2, 1, 1, 1),
+            (2, 2, 1, 1),
+            (3, 2, 2, 1),
+            (2, 1, 1, 1, 1),
+            (1, 1, 1, 1, 1, 1),
+            (3, 2, 1, 1, 1, 1),
+        ],
     )
     def test_chain(self, parts):
         assert specialization_chain_check(Partition(parts))
 
-    @pytest.mark.parametrize("side", [SIDE_LEFT, SIDE_RIGHT])
+    @pytest.mark.parametrize("side", SIDES)
     def test_a_wrong_side_fails(self, side, monkeypatch):
-        def doubled(n, s):
-            value = symmetrized_side(n, s)
-            return value * 2 if s == side else value
+        peeled = identities._peeled
 
-        monkeypatch.setattr(identities, "symmetrized_side", doubled)
+        def doubled(form, X, Y):
+            value = peeled(form, X, Y)
+            return value * 2 if form == side else value
+
+        monkeypatch.setattr(identities, "_peeled", doubled)
         assert not specialization_chain_check(Partition((2, 1, 1)))
+
+    @pytest.mark.parametrize("n", range(1, SYMMETRIZED_CAP + 1))
+    def test_point_peel_matches_the_substituted_side(self, n):
+        # The old route, substituting the point into the full-y side, is
+        # the oracle for the peel at the point.
+        for mu in partitions_up_to(6):
+            if mu.length != n:
+                continue
+            X, Y = chain_point(mu)
+            bindings = {f"x{k}": X[k - 1] for k in range(1, n + 1)}
+            bindings.update({f"y{k}": Y[k - 1] for k in range(1, n + 1)})
+            for side in SIDES:
+                substituted = symmetrized_side(n, side).substitute(bindings, UNIVERSE_ABQ)
+                assert frac_eq(_peeled(side, X, Y), substituted), (mu, side)
+
+    def test_the_chain_keeps_no_value(self):
+        symmetrized_side(2, SIDE_LEFT)
+        before = identities._symmetrized.cache_info().currsize
+        for mu in partitions_up_to(6):
+            assert specialization_chain_check(mu)
+        assert identities._symmetrized.cache_info().currsize == before
 
     @pytest.mark.parametrize("form", ["theorem1", "theorem3"])
     def test_closed_forms_are_homogeneous_in_a_and_b(self, form):
