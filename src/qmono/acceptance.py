@@ -227,13 +227,16 @@ class Family:
     ``size_flag`` names the flag that sizes a run (``n`` or ``max_weight``),
     and ``cap`` is the largest value of it that ``verify`` admits; a larger
     one is refused before any instance is built.  ``instances(size)`` lists
-    the instances up to that size."""
+    the instances up to that size.  ``share``, when set, maps an instance
+    to the memoized value its check reads; ``verify`` sends the instances
+    that share one to the same pool worker."""
 
     size_flag: str
     cap: int
     instances: Callable[[int], list]
     label: Callable[[object], str]
     check: Callable[[object], bool]
+    share: Callable[[object], object] | None = None
 
 
 def _sizes(n: int) -> list:
@@ -265,6 +268,10 @@ def _n_label(n) -> str:
 def _appendix_label(task) -> str:
     n, relation, side = task
     return f"n={n} relation={relation} side={side}"
+
+
+def _appendix_side(task) -> str:
+    return task[2]
 
 
 def _mu_label(parts) -> str:
@@ -318,7 +325,9 @@ VERIFY_FAMILIES = {
     "prop6": Family("max_weight", 25, partial(_short_partitions, max_length=7), _mu_label, _prop6),
     "prop7": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop7),
     "prop8": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop8),
-    "appendix": Family("n", SYMMETRIZED_CAP, _appendix_instances, _appendix_label, _appendix),
+    "appendix": Family(
+        "n", SYMMETRIZED_CAP, _appendix_instances, _appendix_label, _appendix, _appendix_side
+    ),
 }
 
 

@@ -4,9 +4,13 @@ Subcommands: specialize, verify, expand, positivity, eigencheck, selftest.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 cap exceeded, 141 (128 + SIGPIPE) stdout closed by its reader.  No flag
 lifts a cap.  Set QMONO_THREADS to a positive integer to let sweep commands
-dispatch independent instances to a worker pool; output order is by
-instance descriptor, never by completion time.  The argument parser is
-built once per process and reused by every ``execute``.
+dispatch independent instances to a worker pool, no larger than the CPUs
+this process may run on.  Sweeps list their instances smallest first; the
+pool deals them last-listed first, round robin, into a few chunks per
+worker, and a verify family whose tasks share a memoized value (appendix:
+one side of the three-way identity) sends each group of them to one worker.
+Output order is by instance descriptor, never by completion time.  The
+argument parser is built once per process and reused by every ``execute``.
 """
 
 from __future__ import annotations
@@ -89,19 +93,43 @@ def thread_count() -> int:
     return n
 
 
+def _cpu_budget() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_chunk(fn, chunk: list) -> list:
+    return [(index, fn(item)) for index, item in chunk]
+
+
 def _parallel_map(fn, items: list) -> list:
     """``[fn(item) for item in items]``, on a process pool when
     ``QMONO_THREADS`` asks for one; the pool is no larger than the thread
-    count, the item count or the CPU count."""
+    count, the item count or ``_cpu_budget()``.
+
+    Every sweep lists its instances smallest first, so the pool deals them
+    last-listed first, round robin, into ``4 * workers`` chunks: the
+    largest instances start first, and each message still carries several
+    of many tiny ones."""
     threads = thread_count()
     items = list(items)
-    workers = min(threads, len(items), os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing
+    workers = min(threads, len(items), _cpu_budget())
+    if workers < 2:
+        return [fn(item) for item in items]
+    import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
-            return pool.map(fn, items)
-    return [fn(item) for item in items]
+    dealt = list(enumerate(items))[::-1]
+    stride = min(4 * workers, len(items))
+    chunks = [dealt[k::stride] for k in range(stride)]
+    results = [None] * len(items)
+    with multiprocessing.Pool(workers) as pool:
+        for done in pool.imap_unordered(functools.partial(_run_chunk, fn), chunks):
+            for index, value in done:
+                results[index] = value
+    return results
 
 
 def parse_partition(text: str) -> Partition:
@@ -184,6 +212,10 @@ def cmd_specialize(args) -> RunReport:
 _VERIFY_SIZE_DEFAULTS = {"n": 4, "max_weight": 9}
 
 
+def _check_all(check, tasks: list) -> list:
+    return [(task, check(task)) for task in tasks]
+
+
 def cmd_verify(args) -> RunReport:
     report = RunReport("verify")
     t0 = time.perf_counter()
@@ -200,8 +232,15 @@ def cmd_verify(args) -> RunReport:
     tasks = family.instances(size)
     if not tasks:
         raise UsageError(f"{args.identity} has no instance up to size {size}")
-    oks = _parallel_map(family.check, tasks)
-    results = [{"instance": family.label(t), "ok": ok} for t, ok in zip(tasks, oks)]
+    # Tasks that read one memoized value go to one worker together, so
+    # each value is built once; the rest go one task to a group.
+    groups = {}
+    for task in tasks:
+        key = task if family.share is None else family.share(task)
+        groups.setdefault(key, []).append(task)
+    checked = _parallel_map(functools.partial(_check_all, family.check), list(groups.values()))
+    outcome = dict(pair for group in checked for pair in group)
+    results = [{"instance": family.label(t), "ok": outcome[t]} for t in tasks]
     for res in results:
         report.record(res["instance"], res["ok"])
     report.elapsed = time.perf_counter() - t0

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from qmono.cli import (
     thread_count,
 )
 from qmono.errors import UsageError
-from qmono.partitions import Partition
+from qmono.partitions import Partition, partitions_up_to
 from qmono.specialize import UNIVERSE_ABQ
 
 
@@ -32,6 +33,32 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Put an in-process stand-in for ``multiprocessing.Pool`` in its place,
+    one that runs the chunks it is sent in reverse.  Returns its record: the
+    pool sizes asked for, and the chunks of the last ``imap_unordered`` in
+    the order sent."""
+    record = types.SimpleNamespace(sizes=[], dispatched=[])
+
+    class ReversingPool:
+        def __init__(self, size):
+            record.sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, chunks):
+            record.dispatched = list(chunks)
+            return [fn(chunk) for chunk in reversed(record.dispatched)]
+
+    monkeypatch.setattr(multiprocessing, "Pool", ReversingPool)
+    return record
 
 
 class TestParsing:
@@ -52,30 +79,46 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_substitutions("a")
 
-    def test_pool_is_clamped_to_cpu_count(self, monkeypatch):
-        asked = []
-
-        class FakePool:
-            def __init__(self, size):
-                asked.append(size)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    def test_pool_is_clamped_to_cpu_count(self, monkeypatch, fake_pool):
         monkeypatch.setenv("QMONO_THREADS", "64")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert cli._parallel_map(abs, range(-10, 0)) == list(range(10, 0, -1))
+        assert fake_pool.sizes == [3]
+        # Without an affinity mask the CPU count bounds the pool.
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         assert cli._parallel_map(abs, range(-10, 0)) == list(range(10, 0, -1))
-        assert asked == [3]
+        assert fake_pool.sizes == [3, 3]
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert cli._parallel_map(abs, [-1, -2]) == [1, 2]
-        assert asked == [3]
+        assert fake_pool.sizes == [3, 3]
+
+    def test_pool_deals_the_last_listed_item_first(self, monkeypatch, fake_pool):
+        monkeypatch.setenv("QMONO_THREADS", "2")
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        items = [f"item {i}" for i in range(20)]
+        assert cli._parallel_map(str.upper, items) == [item.upper() for item in items]
+        # Round robin from the end into 4 * 2 chunks: the first chunk sent
+        # starts with the last-listed item.
+        assert [[index for index, _ in chunk] for chunk in fake_pool.dispatched] == [
+            [19 - k, 11 - k, 3 - k] if k < 4 else [19 - k, 11 - k] for k in range(8)
+        ]
+
+    @pytest.mark.parametrize("identity", sorted(acceptance.VERIFY_FAMILIES))
+    def test_instances_are_listed_smallest_first(self, identity):
+        # The pool's largest-first dispatch reads the listing order.
+        family = acceptance.VERIFY_FAMILIES[identity]
+        tasks = family.instances(family.cap)
+        if family.size_flag == "n":
+            sizes = [task if isinstance(task, int) else task[0] for task in tasks]
+        else:
+            sizes = [sum(task) for task in tasks]
+        assert sizes == sorted(sizes)
+
+    def test_partitions_are_listed_by_weight(self):
+        weights = [mu.weight for mu in partitions_up_to(10)]
+        assert weights == sorted(weights)
 
     def test_thread_count(self, monkeypatch):
         monkeypatch.delenv("QMONO_THREADS", raising=False)
@@ -326,7 +369,8 @@ class TestVerifyCommand:
         assert identities._symmetrized.cache_info().misses == 8
 
     def test_pooled_appendix_matches_sequential(self, capsys, monkeypatch):
-        # The workers are forked from a process whose memo is already warm.
+        # The serial run goes first, so the workers fork from a warm memo;
+        # test_pooled_appendix_with_a_cold_memo forks them from a cold one.
         monkeypatch.delenv("QMONO_THREADS", raising=False)
         argv = ("verify", "--identity", "appendix", "--n", "3", "--format", "json")
         code, seq, _ = run(capsys, *argv)
@@ -335,6 +379,38 @@ class TestVerifyCommand:
         code, par, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert json.loads(seq)["results"] == json.loads(par)["results"]
+
+    def test_pooled_appendix_with_a_cold_memo(self, capsys, monkeypatch):
+        argv = ("verify", "--identity", "appendix", "--n", "4", "--format", "json")
+        monkeypatch.delenv("QMONO_THREADS", raising=False)
+        code, seq, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        identities._symmetrized.cache_clear()
+        monkeypatch.setenv("QMONO_THREADS", "2")
+        code, par, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(seq)["results"] == json.loads(par)["results"]
+
+    def test_pooled_appendix_sends_each_side_to_one_chunk(self, capsys, monkeypatch, fake_pool):
+        monkeypatch.setenv("QMONO_THREADS", "2")
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        family = acceptance.VERIFY_FAMILIES["appendix"]
+        monkeypatch.setitem(
+            acceptance.VERIFY_FAMILIES,
+            "appendix",
+            dataclasses.replace(family, check=lambda task: True),
+        )
+        code, out, _ = run(
+            capsys, "verify", "--identity", "appendix", "--n", "4", "--format", "json"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["instances_checked"] == 12
+        sides = [
+            sorted({task[2] for _, group in chunk for task in group})
+            for chunk in fake_pool.dispatched
+        ]
+        assert sorted(sides) == [["L"], ["R"]]
+        assert sum(len(group) for chunk in fake_pool.dispatched for _, group in chunk) == 12
 
     def test_parallel_matches_sequential(self, capsys, monkeypatch):
         code, seq, _ = run(
@@ -459,6 +535,16 @@ class TestPositivityCommand:
         assert out == ""
         assert "cap" in err
         assert calls == []
+
+    def test_pooled_sweep_matches_sequential(self, capsys, monkeypatch):
+        argv = ("positivity", "--max-weight", "6", "--format", "json")
+        monkeypatch.delenv("QMONO_THREADS", raising=False)
+        code, seq, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        monkeypatch.setenv("QMONO_THREADS", "2")
+        code, par, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(seq)["results"] == json.loads(par)["results"]
 
     def test_omitted_max_weight_means_eight(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_positivity_instance", lambda task: {"mu": list(task), "ok": True})
