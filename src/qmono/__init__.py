@@ -15,9 +15,7 @@ from .errors import (
     UsageError,
 )
 from .partitions import (
-    Derangement,
     Partition,
-    PermutationWithCycles,
     derangements,
     partitions_of,
     partitions_up_to,
@@ -46,8 +44,6 @@ __all__ = [
     "InternalConsistencyError",
     "NotApplicableError",
     "Partition",
-    "Derangement",
-    "PermutationWithCycles",
     "partitions_of",
     "partitions_up_to",
     "derangements",

@@ -273,8 +273,3 @@ def specialization_chain_check(mu: Partition) -> bool:
         if not frac_eq(_peeled(side, X, Y) * scale, closed[form]):
             return False
     return True
-
-
-def prop5_expected(mu: Partition) -> FactoredFraction:
-    """The constant length!/prod(multiplicities!) over the q universe."""
-    return FactoredFraction.constant(("q",), mu.rearrangement_count())

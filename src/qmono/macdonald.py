@@ -167,9 +167,6 @@ class SymmetricPolynomial:
                 return False
         return True
 
-    def coefficient(self, mu: Partition) -> FactoredFraction:
-        return self.coeffs.get(tuple(mu.parts), FactoredFraction.zero(UNIVERSE_QT))
-
     def to_fraction(self, universe) -> FactoredFraction:
         """The full polynomial as one fraction over a universe containing
         q, t and the alphabet."""
@@ -205,12 +202,6 @@ class ExpansionTable:
     n: int
     basis: str
     entries: tuple
-
-    def coefficient(self, mu: Partition) -> FactoredFraction:
-        for m, f in self.entries:
-            if m == mu:
-                return f
-        return FactoredFraction.zero(UNIVERSE_QT)
 
 
 def spec_value_at(mu: Partition, a_value, b_value) -> FactoredFraction:
@@ -319,10 +310,6 @@ def _linear_combination(basis: str, entries, N: int, param: str = "t") -> Symmet
     return out
 
 
-def table_to_polynomial(table: ExpansionTable, N: int) -> SymmetricPolynomial:
-    return _linear_combination(table.basis, table.entries, N)
-
-
 # One letter y of the alphabet, for one-letter series.
 _UNIVERSE_QTY = ("q", "t", "y")
 _ONE_Y = Polynomial.one(_UNIVERSE_QTY)
@@ -382,7 +369,7 @@ def expansion_agreement(n: int, N: int) -> bool:
     heine = [heine_coefficient(k) for k in range(n + 1)]
     target = _letter_product(heine, N).homogeneous_part(n)
     for basis in BASES:
-        sp = table_to_polynomial(row_expansion_table(n, basis), N)
+        sp = _linear_combination(basis, row_expansion_table(n, basis).entries, N)
         if not sp.eq(target):
             return False
     return True
@@ -545,24 +532,14 @@ def _omega_factor(mu: Partition) -> FactoredFraction:
     return out
 
 
-def apply_omega(table: ExpansionTable) -> ExpansionTable:
-    """The degree-homogeneous involution f -> (-1)^deg f[(q - 1)/(1 - t) X]
-    acting on a power-basis table."""
-    if table.basis != BASIS_POWER:
-        raise UsageError("omega acts on power-basis tables")
-    entries = tuple(
-        (mu, coeff * _omega_factor(mu)) for mu, coeff in table.entries
-    )
-    return ExpansionTable(table.n, BASIS_POWER, entries)
-
-
 def omega_row_is_elementary(n: int) -> bool:
-    """omega(g_n) has the power-basis coefficients of e_n."""
-    table = apply_omega(row_expansion_table(n, BASIS_POWER))
-    for mu, coeff in table.entries:
+    """omega(g_n) has the power-basis coefficients of e_n, omega being the
+    degree-homogeneous involution f -> (-1)^deg f[(q - 1)/(1 - t) X], which
+    scales each power-basis coefficient by ``_omega_factor``."""
+    for mu, coeff in row_expansion_table(n, BASIS_POWER).entries:
         sign = -1 if (n - mu.length) % 2 else 1
         expected = FactoredFraction.constant(UNIVERSE_QT, Fraction(sign, z_of(mu)))
-        if not frac_eq(coeff, expected):
+        if not frac_eq(coeff * _omega_factor(mu), expected):
             return False
     return True
 

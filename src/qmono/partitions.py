@@ -1,7 +1,7 @@
 """Partition combinatorics: enumeration, multiplicities, the centralizer
-size z, distinct rearrangements of the parts with their prefix sums, the
-sub-multiset peel that sums over those rearrangements without listing them,
-and full symmetric-group enumeration with cycle decompositions.
+size z, the distinct rearrangements of the parts, the sub-multiset peel that
+sums over those rearrangements without listing them, and the cycle
+decompositions of the full symmetric group.
 
 Enumeration orders are deterministic: reverse-lexicographic for partitions,
 lexicographic for rearrangements and permutations.
@@ -43,9 +43,6 @@ class Partition:
     @property
     def length(self) -> int:
         return len(self.parts)
-
-    def multiplicity(self, i: int) -> int:
-        return self.parts.count(i)
 
     def multiplicities(self) -> dict:
         out = {}
@@ -120,33 +117,15 @@ def partitions_up_to(w: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class Derangement:
-    """A distinct rearrangement of a partition's parts with its prefix sums.
-
-    The empty prefix sum is 0 by convention, so ``prefix_sums[i]`` is the sum
-    of ``entries[:i + 1]``."""
-
-    entries: tuple
-    prefix_sums: tuple
-
-    def prefix_sum(self, i: int) -> int:
-        """Sum of the first i entries; i = 0 gives 0."""
-        return 0 if i == 0 else self.prefix_sums[i - 1]
-
-
 def derangements(mu: Partition) -> list:
-    """The distinct rearrangements of mu's parts, lexicographic order,
-    each with prefix sums filled in.  The sums over rearrangements go
-    through :func:`rearrangement_peel`; this list is their literal reference."""
+    """The distinct rearrangements of mu's parts as tuples, lexicographic
+    order.  The sums over rearrangements go through
+    :func:`rearrangement_peel`; this list is their literal reference."""
     if mu.length > DERANGEMENT_LENGTH_CAP:
         raise ResourceLimitError(
             f"partition length {mu.length} exceeds rearrangement cap {DERANGEMENT_LENGTH_CAP}"
         )
-    return [
-        Derangement(entries, tuple(itertools.accumulate(entries)))
-        for entries in sorted(set(itertools.permutations(mu.parts)))
-    ]
+    return sorted(set(itertools.permutations(mu.parts)))
 
 
 def subset_part_sums(mu: Partition) -> list:
@@ -217,21 +196,10 @@ def z_of(mu: Partition) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class PermutationWithCycles:
-    """A bijection on {1..n} (``mapping[k]`` is the image of k + 1) together
-    with its disjoint cycles, each rotated to start at its smallest element
-    and sorted by that element."""
-
-    mapping: tuple
-    cycles: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.mapping)
-
-
 def _cycles_of(mapping: tuple) -> tuple:
+    """The disjoint cycles of the bijection on {1..n} that sends k to
+    ``mapping[k - 1]``, each rotated to start at its smallest element and
+    sorted by that element."""
     n = len(mapping)
     seen = [False] * (n + 1)
     cycles = []
@@ -250,13 +218,10 @@ def _cycles_of(mapping: tuple) -> tuple:
 
 
 def permutations_with_cycles(n: int) -> list:
-    """All n! permutations of {1..n} in lexicographic order, decomposed into
-    cycles."""
+    """The cycles of each of the n! permutations of {1..n}, one tuple of
+    cycles per permutation, the permutations in lexicographic order."""
     if n < 0:
         raise UsageError("n must be non-negative")
     if n > PERMUTATION_CAP:
         raise ResourceLimitError(f"permutation degree {n} exceeds cap {PERMUTATION_CAP}")
-    out = []
-    for mapping in itertools.permutations(range(1, n + 1)):
-        out.append(PermutationWithCycles(mapping, _cycles_of(mapping)))
-    return out
+    return [_cycles_of(mapping) for mapping in itertools.permutations(range(1, n + 1))]

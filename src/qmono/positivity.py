@@ -47,18 +47,23 @@ UNIVERSE_Q = ("q",)
 
 @dataclass(frozen=True)
 class PositivityReport:
+    """The four facts of a partition's positivity check, and the
+    polynomials they are read from."""
+
     partition: Partition
     P: Polynomial
     H: Polynomial
     Hbar: Polynomial | None
     all_coefficients_nonnegative_integers: bool
     identity_holds: bool
+    auxiliary_identity_holds: bool
 
     def passed(self) -> bool:
         return (
             self.Hbar is not None
             and self.all_coefficients_nonnegative_integers
             and self.identity_holds
+            and self.auxiliary_identity_holds
         )
 
 
@@ -124,23 +129,18 @@ def inverted_polynomial(H: Polynomial, shift: int) -> Polynomial | None:
     return Polynomial(UNIVERSE_Q, terms)
 
 
-def has_nonnegative_integer_coefficients(p: Polynomial) -> bool:
-    return all(
-        Fraction(c).denominator == 1 and c > 0 for _, c in p.items()
-    )
-
-
 def positivity_report(mu: Partition) -> PositivityReport:
     """Full check: coefficient positivity, polynomiality of the q -> 1/q
-    companion, and the factorization identity against the monomial
-    specialization at a = 1, b = t."""
+    companion Hbar, the factorization identity against the monomial
+    specialization at a = 1, b = t, and the auxiliary identity
+    (length!/prod m_i!) * P(q) = prod_{i<=l} (1 + ... + q^(i-1)) * Hbar."""
     P = auxiliary_product(mu)
     H = positivity_polynomial(mu)
     length = mu.length
     weight = mu.weight
     Hbar = inverted_polynomial(H, weight - length)
-    nonneg = has_nonnegative_integer_coefficients(H)
-    identity = False
+    nonneg = all(Fraction(c).denominator == 1 and c > 0 for _, c in H.items())
+    identity = auxiliary = False
     if Hbar is not None and not Hbar.is_zero:
         t = Polynomial.variable(UNIVERSE_QT, "t")
         lhs = monomial_spec(mu).value.substitute({"a": 1, "b": t}, universe=UNIVERSE_QT)
@@ -154,21 +154,12 @@ def positivity_report(mu: Partition) -> PositivityReport:
         num = num * H
         den.append(Hbar.substitute({}, universe=UNIVERSE_QT))
         identity = frac_eq(lhs, FactoredFraction(num, den))
-    return PositivityReport(mu, P, H, Hbar, nonneg, identity)
-
-
-def auxiliary_identity_check(report: PositivityReport) -> bool:
-    """(length!/prod m_i!) * P(q) equals
-    prod_{i<=l} (1 + ... + q^(i-1)) times the shifted q -> 1/q companion,
-    both read from a positivity report."""
-    mu = report.partition
-    if report.Hbar is None:
-        return False
-    lhs = report.P * mu.rearrangement_count()
-    rhs = report.Hbar
-    for i in range(1, mu.length + 1):
-        rhs = rhs * geometric_sum(UNIVERSE_Q, "q", i)
-    return lhs == rhs
+    if Hbar is not None:
+        rhs = Hbar
+        for i in range(1, length + 1):
+            rhs = rhs * geometric_sum(UNIVERSE_Q, "q", i)
+        auxiliary = P * mu.rearrangement_count() == rhs
+    return PositivityReport(mu, P, H, Hbar, nonneg, identity, auxiliary)
 
 
 def two_row_closed_form(n: int, k: int) -> Polynomial:

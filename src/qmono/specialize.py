@@ -94,15 +94,12 @@ def generator_spec(kind: str, n: int) -> SpecResult:
     """Specialization of a generator on (a - b)/(1 - q):
 
     * elementary: product over i = 1..n of (a q^(i-1) - b)/(1 - q^i),
-    * complete:   product over i = 1..n of (a - b q^(i-1))/(1 - q^i),
-    * power:      (a^n - b^n)/(1 - q^n).
+    * complete:   product over i = 1..n of (a - b q^(i-1))/(1 - q^i).
+
+    The power sum p_n is ``monomial_spec(Partition((n,)))``.
     """
     if n < 1:
         raise UsageError("generator index must be at least 1")
-    if kind == "power":
-        num = Polynomial(UNIVERSE_ABQ, {(n, 0, 0): 1, (0, n, 0): -1})
-        value = FactoredFraction(num, [_one_minus_q_power(n)])
-        return SpecResult(Partition((n,)), value, FORM_GENERATOR)
     if kind == "elementary":
         mu = Partition([1] * n)
         num = Polynomial.one(UNIVERSE_ABQ)
@@ -142,8 +139,8 @@ def oracle_powersum(mu: Partition) -> SpecResult:
     length = mu.length
     parts = mu.parts
     counts = Counter(
-        tuple(sorted(sum(parts[j - 1] for j in cyc) for cyc in perm.cycles))
-        for perm in permutations_with_cycles(length)
+        tuple(sorted(sum(parts[j - 1] for j in cyc) for cyc in cycles))
+        for cycles in permutations_with_cycles(length)
     )
     terms = []
     for sums, count in counts.items():

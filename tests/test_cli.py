@@ -18,6 +18,7 @@ from qmono.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
     dumps,
     main,
     parse_partition,
@@ -545,6 +546,28 @@ class TestPositivityCommand:
         code, par, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert json.loads(seq)["results"] == json.loads(par)["results"]
+
+    def test_ok_is_the_four_fact_verdict_of_criterion_9(self, capsys, monkeypatch):
+        # Break only the auxiliary identity of (2,1): P(q) is read by that
+        # identity alone, so the other three facts still hold.
+        real = positivity.auxiliary_product
+
+        def broken(mu):
+            P = real(mu)
+            return P + 1 if mu == Partition((2, 1)) else P
+
+        monkeypatch.setattr(positivity, "auxiliary_product", broken)
+        monkeypatch.delenv("QMONO_THREADS", raising=False)
+        code, out, _ = run(capsys, "positivity", "--mu", "2,1", "--format", "json")
+        assert code == EXIT_VERIFY_FAILED
+        (res,) = json.loads(out)["results"]
+        assert res["Hbar"] is not None
+        assert res["all_coefficients_nonnegative_integers"] is True
+        assert res["identity_holds"] is True
+        assert res["ok"] is False
+        result = acceptance.criterion_9_positivity()
+        assert result.instances == 247
+        assert result.failures == ["auxiliary identity mu=(2,1)"]
 
     def test_omitted_max_weight_means_eight(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_positivity_instance", lambda task: {"mu": list(task), "ok": True})

@@ -7,7 +7,6 @@ from qmono.partitions import Partition, partitions_up_to
 from qmono.positivity import (
     UNIVERSE_Q,
     UNIVERSE_QT,
-    auxiliary_identity_check,
     auxiliary_product,
     inverted_polynomial,
     positivity_polynomial,
@@ -100,6 +99,7 @@ class TestReports:
         assert report.all_coefficients_nonnegative_integers
         assert report.Hbar is not None
         assert report.identity_holds
+        assert report.auxiliary_identity_holds
         assert report.passed()
 
     def test_single_part_reduces_to_generator_product(self):
@@ -115,7 +115,7 @@ class TestReports:
                 continue
             report = positivity_report(mu)
             assert report.passed(), mu
-            assert auxiliary_identity_check(report), mu
+            assert report.auxiliary_identity_holds, mu
 
 
 class TestTwoRowClosedForm:

@@ -1,6 +1,7 @@
 """The rearrangement peel against the literal sums over distinct
 rearrangements, for every partition of weight at most 8."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -31,10 +32,10 @@ def literal_positivity_polynomial(mu: Partition) -> Polynomial:
     total = Polynomial.zero(UNIVERSE_QT)
     for d in derangements(mu):
         remaining = dict(pool)
-        for s in d.prefix_sums:
+        for s in itertools.accumulate(d):
             remaining[s] -= 1
         term = Polynomial.one(UNIVERSE_QT)
-        for i, c in enumerate(d.entries, start=1):
+        for i, c in enumerate(d, start=1):
             term = term * _homogeneous_quotient(mu.length - i, c)
         for s, m in remaining.items():
             term = term * geometric_sum(UNIVERSE_QT, "q", s) ** m
@@ -49,9 +50,9 @@ def literal_prop5(mu: Partition) -> FactoredFraction:
     for d in derangements(mu):
         num = one
         den = []
-        for i, c in enumerate(d.entries, start=1):
+        for i, (c, s) in enumerate(zip(d, itertools.accumulate(d)), start=1):
             num = num * (one - Polynomial.variable(uni, "q", (mu.length - i + 1) * c))
-            den.append(one - Polynomial.variable(uni, "q", d.prefix_sum(i)))
+            den.append(one - Polynomial.variable(uni, "q", s))
         terms.append(FactoredFraction(num, den))
     return FactoredFraction.sum(terms, universe=uni)
 
@@ -60,7 +61,7 @@ def literal_littlewood(mu: Partition) -> Fraction:
     total = Fraction(0)
     for d in derangements(mu):
         term = Fraction(1)
-        for s in d.prefix_sums:
+        for s in itertools.accumulate(d):
             term /= s
         total += term
     return total
@@ -99,5 +100,5 @@ def test_peel_counts_rearrangements_and_prefix_sums(w):
     for mu in partitions_of(w):
         num, sums = rearrangement_peel(mu, lambda i, total, c: 1, lambda s: 1)
         assert num == mu.rearrangement_count(), mu
-        prefix_sums = {s for d in derangements(mu) for s in d.prefix_sums}
+        prefix_sums = {s for d in derangements(mu) for s in itertools.accumulate(d)}
         assert sums == set(subset_part_sums(mu)) == prefix_sums, mu

@@ -102,29 +102,50 @@ def test_only_the_power_sum_oracle_enumerates_permutations():
 
 
 def _references(path):
-    """(top-level definition name, referenced name) for every name or
-    attribute read in each top-level statement of a module."""
+    """(owner, referenced name) for every name or attribute read in a
+    module.  The owner is the enclosing top-level definition, or
+    ``Class.method`` for a read inside a method of a top-level class."""
     tree = ast.parse(path.read_text(), filename=str(path))
     refs = set()
+
+    def read(node, owner):
+        if isinstance(node, ast.Name):
+            refs.add((owner, node.id))
+        elif isinstance(node, ast.Attribute):
+            refs.add((owner, node.attr))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef):
+                read(child, f"{node.name}.{child.name}")
+            else:
+                read(child, owner)
+
     for top in tree.body:
-        owner = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                refs.add((owner, node.id))
-            elif isinstance(node, ast.Attribute):
-                refs.add((owner, node.attr))
+        read(top, getattr(top, "name", None))
     return refs
 
 
+def _public_definitions(path):
+    """The public top-level functions of a module, as ``name``, and the
+    public methods of its top-level classes, as ``Class.name``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}"
+
+
 def test_every_public_function_is_used_by_the_package():
-    # A public function that only the tests call is a check the selftest
-    # never runs, or dead code.  An import or an __all__ entry is not a use.
+    # A public function or method that only the tests call is a check the
+    # selftest never runs, or dead code.  An import, an __all__ entry or a
+    # read inside the definition itself is not a use.
     refs = set().union(*(_references(p) for p in SOURCES))
     unused = []
     for path in SOURCES:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                if not any(name == node.name and owner != node.name for owner, name in refs):
-                    unused.append(f"{path.stem}.{node.name}")
+        for qualname in _public_definitions(path):
+            name = qualname.rpartition(".")[2]
+            if not any(ref == name and owner != qualname for owner, ref in refs):
+                unused.append(f"{path.stem}.{qualname}")
     assert unused == []

@@ -33,11 +33,11 @@ def literal_oracle_powersum(mu: Partition) -> FactoredFraction:
     length = mu.length
     parts = mu.parts
     terms = []
-    for perm in permutations_with_cycles(length):
-        sign = -1 if (length - len(perm.cycles)) % 2 else 1
+    for cycles in permutations_with_cycles(length):
+        sign = -1 if (length - len(cycles)) % 2 else 1
         num = Polynomial.constant(UNIVERSE_ABQ, sign)
         den = []
-        for cyc in perm.cycles:
+        for cyc in cycles:
             s = sum(parts[j - 1] for j in cyc)
             num = num * Polynomial(UNIVERSE_ABQ, {(s, 0, 0): 1, (0, s, 0): -1})
             den.append(ONE - Q ** s)
@@ -166,7 +166,8 @@ class TestGenerators:
         assert frac_eq(got, swapped * (-1) ** n)
 
     def test_power(self):
-        got = generator_spec("power", 3).value
+        # The power sum p_3 is the monomial function of the one-row partition.
+        got = monomial_spec(Partition((3,))).value
         assert frac_eq(got, FactoredFraction(A ** 3 - B ** 3, [ONE - Q ** 3]))
 
     def test_column_partition_matches_elementary(self):
@@ -176,18 +177,13 @@ class TestGenerators:
                 monomial_spec(Partition((1,) * n)).value,
             )
 
-    def test_row_partition_matches_power(self):
-        for n in (2, 5):
-            assert frac_eq(
-                generator_spec("power", n).value,
-                monomial_spec(Partition((n,))).value,
-            )
-
     def test_bad_kind(self):
         with pytest.raises(UsageError):
             generator_spec("schur", 2)
         with pytest.raises(UsageError):
-            generator_spec("power", 0)
+            generator_spec("elementary", 0)
+        with pytest.raises(UsageError):
+            generator_spec("power", 3)
 
 
 class TestOracles:
