@@ -24,7 +24,6 @@ from .partitions import (
 )
 from .specialize import (
     SpecResult,
-    generator_spec,
     monomial_spec,
     oracle_direct,
     oracle_powersum,
@@ -51,7 +50,6 @@ __all__ = [
     "z_of",
     "SpecResult",
     "monomial_spec",
-    "generator_spec",
     "oracle_powersum",
     "oracle_direct",
     "__version__",

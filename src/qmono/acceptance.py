@@ -2,10 +2,10 @@
 families of ``qmono verify``.
 
 Every check is exact (zero tolerance): each instance either verifies as an
-identity of polynomials/fractions or is reported as a failure.  The CLI
-``selftest`` command and the acceptance test module both run the criteria
-through ``run_criterion``, which times each one; ``verify`` and criteria 6-8
-both run the families in ``VERIFY_FAMILIES``.
+identity of polynomials/fractions or is reported as a failure.  Each criterion
+returns a timed ``Report``, the type every CLI command also fills, and the
+CLI ``selftest`` command and the acceptance test module print its ``line()``;
+``verify`` and criteria 6-8 both run the families in ``VERIFY_FAMILIES``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -54,20 +54,24 @@ from .positivity import (
 from .specialize import (
     UNIVERSE_ABQ,
     UNIVERSE_QT,
-    generator_spec,
     monomial_spec,
     oracle_direct,
     oracle_powersum,
 )
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    instances: int = 0
-    failures: list = field(default_factory=list)
-    elapsed: float = 0.0
+class Report:
+    """The outcome of one run: a selftest criterion (``number`` set) or a
+    CLI command.  It counts the instances checked, keeps the labels of the
+    failed ones, and times the run from its construction to ``stop()``."""
+
+    def __init__(self, name: str, number: int | None = None):
+        self.name = name
+        self.number = number
+        self.instances = 0
+        self.failures = []
+        self.elapsed = 0.0
+        self._t0 = time.perf_counter()
 
     @property
     def passed(self) -> bool:
@@ -78,13 +82,16 @@ class CriterionResult:
         if not ok:
             self.failures.append(label)
 
+    def stop(self) -> Report:
+        self.elapsed = time.perf_counter() - self._t0
+        return self
+
+    def summary(self) -> str:
+        return f"{self.instances} instances, {len(self.failures)} failures, {self.elapsed:.1f}s"
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return (
-            f"[{status}] criterion {self.number}: {self.name} "
-            f"({self.instances} instances, {len(self.failures)} failures, "
-            f"{self.elapsed:.1f}s)"
-        )
+        return f"[{status}] criterion {self.number}: {self.name} ({self.summary()})"
 
     def to_json(self) -> dict:
         return {
@@ -97,30 +104,30 @@ class CriterionResult:
         }
 
 
-def criterion_1_two_forms() -> CriterionResult:
+def criterion_1_two_forms() -> Report:
     """Both closed forms of the monomial specialization agree."""
-    r = CriterionResult(1, "two closed forms agree")
+    r = Report("two closed forms agree", 1)
     for mu in partitions_up_to(8):
         z = monomial_spec(mu, "theorem1").value
         w = monomial_spec(mu, "theorem3").value
         r.check(frac_eq(z, w), f"mu={mu}")
-    return r
+    return r.stop()
 
 
-def criterion_2_powersum_oracle() -> CriterionResult:
+def criterion_2_powersum_oracle() -> Report:
     """The closed form equals the cycle-expansion oracle."""
-    r = CriterionResult(2, "power-sum oracle equivalence")
+    r = Report("power-sum oracle equivalence", 2)
     for mu in partitions_up_to(7):
         z = monomial_spec(mu).value
         o = oracle_powersum(mu).value
         r.check(frac_eq(z, o), f"mu={mu}")
-    return r
+    return r.stop()
 
 
-def criterion_3_evaluation_oracle() -> CriterionResult:
+def criterion_3_evaluation_oracle() -> Report:
     """Substituting a = 1, b = q^N matches direct evaluation on
     {1, q, ..., q^(N-1)}."""
-    r = CriterionResult(3, "finite-alphabet evaluation oracle")
+    r = Report("finite-alphabet evaluation oracle", 3)
     q = Polynomial.variable(UNIVERSE_ABQ, "q")
     for mu in partitions_up_to(6):
         z = monomial_spec(mu).value
@@ -128,27 +135,25 @@ def criterion_3_evaluation_oracle() -> CriterionResult:
             got = z.substitute({"a": 1, "b": q ** N})
             expected = oracle_direct(mu, N).value
             r.check(frac_eq(got, expected), f"mu={mu} N={N}")
-    return r
+    return r.stop()
 
 
-def criterion_4_gauss_polynomials() -> CriterionResult:
-    """The elementary generator at a = 1, b = q^N is q^(k(k-1)/2) times the
-    q-binomial product."""
-    r = CriterionResult(4, "Gauss polynomial specialization")
+def criterion_4_gauss_polynomials() -> Report:
+    """The closed form of m_(1^k) = e_k at a = 1, b = q^N is q^(k(k-1)/2)
+    times the q-binomial product."""
+    r = Report("Gauss polynomial specialization", 4)
     one = Polynomial.one(UNIVERSE_ABQ)
     q = Polynomial.variable(UNIVERSE_ABQ, "q")
     for N in range(1, 7):
         for k in range(1, N + 1):
-            got = generator_spec("elementary", k).value.substitute(
-                {"a": 1, "b": q ** N}
-            )
+            got = monomial_spec(Partition((1,) * k)).value.substitute({"a": 1, "b": q ** N})
             num = Polynomial.variable(UNIVERSE_ABQ, "q", k * (k - 1) // 2)
             den = []
             for i in range(1, k + 1):
                 num = num * (one - q ** (N - i + 1))
                 den.append(one - q ** i)
             r.check(frac_eq(got, FactoredFraction(num, den)), f"k={k} N={N}")
-    return r
+    return r.stop()
 
 
 def rearrangement_sum(mu: Partition, form: str) -> FactoredFraction:
@@ -168,12 +173,12 @@ def rearrangement_sum(mu: Partition, form: str) -> FactoredFraction:
     return FactoredFraction.sum(terms, universe=UNIVERSE_ABQ)
 
 
-def criterion_5_recurrences() -> CriterionResult:
+def criterion_5_recurrences() -> Report:
     """Weight-peeling recurrences for both closed forms, generic and at the
     one-letter specializations: the literal rearrangement sum of mu against
     the peeled values of mu less one part, so no recurrence holds by
     construction."""
-    r = CriterionResult(5, "peeling recurrences")
+    r = Report("peeling recurrences", 5)
     one = Polynomial.one(UNIVERSE_ABQ)
     one_qt = Polynomial.one(UNIVERSE_QT)
     q_qt = Polynomial.variable(UNIVERSE_QT, "q")
@@ -210,7 +215,7 @@ def criterion_5_recurrences() -> CriterionResult:
             * (one_qt - Polynomial.variable(UNIVERSE_QT, "t", i))
             for i in parts
         ])
-    return r
+    return r.stop()
 
 
 # -- the verify families -------------------------------------------------------
@@ -317,12 +322,12 @@ def _appendix(task) -> bool:
 
 
 # Weight caps: each admits the largest sweep that finishes in under 2 s.
-# prop5 (at most 6 parts) up to weight 18 takes about 1.6 s (19 takes 2.3 s);
-# prop6 (at most 7 parts) up to weight 25 takes 1.6-1.8 s (26: 2.0-2.3 s).
+# prop5 (at most 6 parts) up to weight 16 takes 1.2-1.5 s (17: 2.2-2.6 s);
+# prop6 (at most 7 parts) up to weight 25 takes 1.8-1.9 s.
 VERIFY_FAMILIES = {
     "thm6": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm6),
     "thm7": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm7),
-    "prop5": Family("max_weight", 18, partial(_short_partitions, max_length=6), _mu_label, _prop5),
+    "prop5": Family("max_weight", 16, partial(_short_partitions, max_length=6), _mu_label, _prop5),
     "prop6": Family("max_weight", 25, partial(_short_partitions, max_length=7), _mu_label, _prop6),
     "prop7": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop7),
     "prop8": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop8),
@@ -332,7 +337,7 @@ VERIFY_FAMILIES = {
 }
 
 
-def _check_families(r: CriterionResult, runs) -> None:
+def _check_families(r: Report, runs) -> None:
     """Check every instance of each (family name, size)."""
     for name, size in runs:
         family = VERIFY_FAMILIES[name]
@@ -373,37 +378,37 @@ def _display_example_n2() -> dict:
     return {SIDE_LEFT: left, SIDE_RIGHT: right, SIDE_CYCLE: cycle}
 
 
-def criterion_6_symmetrized() -> CriterionResult:
+def criterion_6_symmetrized() -> Report:
     """Three-way agreement of the symmetrized sums, pinning the size-2 case
     to its written-out form, and the specialization of all three sides to
     the closed forms for every mu of weight <= 6, at every length."""
-    r = CriterionResult(6, "three-way symmetrized identity")
+    r = Report("three-way symmetrized identity", 6)
     _check_families(r, (("thm6", 4), ("thm7", 4)))
     for side, displayed in _display_example_n2().items():
         r.check(frac_eq(symmetrized_side(2, side), displayed), f"n=2 display {side}")
     for mu in partitions_up_to(6):
         r.check(specialization_chain_check(mu), f"specialization chain mu={mu}")
-    return r
+    return r.stop()
 
 
-def criterion_7_constants() -> CriterionResult:
+def criterion_7_constants() -> Report:
     """Constant-valued symmetrizations."""
-    r = CriterionResult(7, "constant-valued identities")
+    r = Report("constant-valued identities", 7)
     _check_families(r, (("prop5", 9), ("prop6", 10), ("prop7", 5), ("prop8", 5)))
-    return r
+    return r.stop()
 
 
-def criterion_8_appendix() -> CriterionResult:
+def criterion_8_appendix() -> Report:
     """Substitution recurrences for both sides and both relations."""
-    r = CriterionResult(8, "substitution recurrences")
+    r = Report("substitution recurrences", 8)
     _check_families(r, (("appendix", 4),))
-    return r
+    return r.stop()
 
 
-def criterion_9_positivity() -> CriterionResult:
+def criterion_9_positivity() -> Report:
     """Positivity polynomial: coefficients, the q -> 1/q companion, the
     factorization identity, the two-row closed form."""
-    r = CriterionResult(9, "positivity polynomial")
+    r = Report("positivity polynomial", 9)
     for mu in partitions_up_to(8):
         if mu.length > 5:
             continue
@@ -424,14 +429,14 @@ def criterion_9_positivity() -> CriterionResult:
                 two_row_closed_form(n, k) == positivity_polynomial(Partition((n, k))),
                 f"two-row closed form n={n} k={k}",
             )
-    return r
+    return r.stop()
 
 
-def criterion_10_macdonald() -> CriterionResult:
+def criterion_10_macdonald() -> Report:
     """Row Macdonald polynomial suite: expansions, eigen-equation,
     coefficient identities, series identities, omega, inverse expansions,
     omega duality of the deformed products, the deformed generators."""
-    r = CriterionResult(10, "row Macdonald polynomial suite")
+    r = Report("row Macdonald polynomial suite", 10)
     N = 3
     for n in range(6):
         r.check(expansion_agreement(n, N), f"six-way expansion n={n}")
@@ -452,15 +457,7 @@ def criterion_10_macdonald() -> CriterionResult:
     for kind in ("E", "H"):
         for n in range(1, 6):
             r.check(deformed_basis_check(kind, n, N), f"deformed {kind} n={n}")
-    return r
-
-
-def run_criterion(criterion: Callable[[], CriterionResult]) -> CriterionResult:
-    """Run one criterion and record its wall time in the result."""
-    t0 = time.perf_counter()
-    result = criterion()
-    result.elapsed = time.perf_counter() - t0
-    return result
+    return r.stop()
 
 
 ALL_CRITERIA = (

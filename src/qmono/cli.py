@@ -20,8 +20,6 @@ import functools
 import json
 import os
 import sys
-import time
-from dataclasses import dataclass, field
 
 from . import acceptance
 from .algebra import Polynomial
@@ -46,33 +44,17 @@ _CLI_BASES = {
 }
 
 
-@dataclass
-class RunReport:
-    """Outcome of one CLI invocation: instance count, failures, timing."""
-
-    command: str
-    instances_checked: int = 0
-    failures: list = field(default_factory=list)
-    elapsed: float = 0.0
-
-    @property
-    def exit_code(self) -> int:
-        return EXIT_OK if not self.failures else EXIT_VERIFY_FAILED
-
-    def record(self, instance: str, ok: bool):
-        self.instances_checked += 1
-        if not ok:
-            self.failures.append(
-                {"instance": instance, "expected": "identity holds", "actual": "it does not"}
-            )
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "instances_checked": self.instances_checked,
-            "failures": self.failures,
-            "elapsed_seconds": round(self.elapsed, 3),
-        }
+def _report_json(report: acceptance.Report) -> dict:
+    """The keys every command's JSON output shares."""
+    return {
+        "command": report.name,
+        "instances_checked": report.instances,
+        "failures": [
+            {"instance": label, "expected": "identity holds", "actual": "it does not"}
+            for label in report.failures
+        ],
+        "elapsed_seconds": round(report.elapsed, 3),
+    }
 
 
 def dumps(obj) -> str:
@@ -180,9 +162,8 @@ def parse_substitutions(text: str) -> dict:
 # -- specialize --------------------------------------------------------------
 
 
-def cmd_specialize(args) -> RunReport:
-    report = RunReport("specialize")
-    t0 = time.perf_counter()
+def cmd_specialize(args) -> acceptance.Report:
+    report = acceptance.Report("specialize")
     mu = parse_partition(args.mu)
     if args.oracle_N is not None and args.form != "oracle-direct":
         raise UsageError(f"--oracle-N does not apply to {args.form}")
@@ -201,9 +182,8 @@ def cmd_specialize(args) -> RunReport:
     print(value.text())
     record = {"partition": mu.to_json(), **value.to_json()}
     print(dumps(record))
-    report.instances_checked = 1
-    report.elapsed = time.perf_counter() - t0
-    return report
+    report.instances = 1
+    return report.stop()
 
 
 # -- verify ------------------------------------------------------------------
@@ -216,9 +196,8 @@ def _check_all(check, tasks: list) -> list:
     return [(task, check(task)) for task in tasks]
 
 
-def cmd_verify(args) -> RunReport:
-    report = RunReport("verify")
-    t0 = time.perf_counter()
+def cmd_verify(args) -> acceptance.Report:
+    report = acceptance.Report("verify")
     family = acceptance.VERIFY_FAMILIES[args.identity]
     unread = "max_weight" if family.size_flag == "n" else "n"
     if getattr(args, unread) is not None:
@@ -242,37 +221,25 @@ def cmd_verify(args) -> RunReport:
     outcome = dict(pair for group in checked for pair in group)
     results = [{"instance": family.label(t), "ok": outcome[t]} for t in tasks]
     for res in results:
-        report.record(res["instance"], res["ok"])
-    report.elapsed = time.perf_counter() - t0
-    doc = {
-        "identity": args.identity,
-        "results": results,
-        **report.to_json(),
-    }
+        report.check(res["ok"], res["instance"])
+    report.stop()
     if args.format == "json":
-        print(dumps(doc))
+        print(dumps({"identity": args.identity, "results": results, **_report_json(report)}))
     else:
         for res in results:
             print(f"{'ok' if res['ok'] else 'FAIL'}  {res['instance']}")
-        print(
-            f"verify {args.identity}: {report.instances_checked} instances, "
-            f"{len(report.failures)} failures, {report.elapsed:.1f}s"
-        )
+        print(f"verify {args.identity}: {report.summary()}")
     return report
 
 
 # -- expand ------------------------------------------------------------------
 
 
-def cmd_expand(args) -> RunReport:
-    report = RunReport("expand")
-    t0 = time.perf_counter()
-    basis = _CLI_BASES.get(args.basis)
-    if basis is None:
-        raise UsageError(f"unknown basis {args.basis!r}")
-    table = row_expansion_table(args.n, basis)
-    report.instances_checked = len(table.entries)
-    report.elapsed = time.perf_counter() - t0
+def cmd_expand(args) -> acceptance.Report:
+    report = acceptance.Report("expand")
+    table = row_expansion_table(args.n, _CLI_BASES[args.basis])
+    report.instances = len(table.entries)
+    report.stop()
     if args.format == "json":
         doc = {
             "n": args.n,
@@ -307,9 +274,8 @@ def _positivity_instance(task):
     }
 
 
-def cmd_positivity(args) -> RunReport:
-    report = RunReport("positivity")
-    t0 = time.perf_counter()
+def cmd_positivity(args) -> acceptance.Report:
+    report = acceptance.Report("positivity")
     if args.mu is not None:
         if args.max_weight is not None:
             raise UsageError("--max-weight does not apply with --mu")
@@ -328,33 +294,28 @@ def cmd_positivity(args) -> RunReport:
     tasks = [tuple(mu.parts) for mu in partitions]
     results = _parallel_map(_positivity_instance, tasks)
     for res in results:
-        report.record(f"mu={res['mu']}", res["ok"])
-    report.elapsed = time.perf_counter() - t0
+        report.check(res["ok"], f"mu={res['mu']}")
+    report.stop()
     if args.format == "json":
-        print(dumps({"results": results, **report.to_json()}))
+        print(dumps({"results": results, **_report_json(report)}))
     else:
         for res in results:
             status = "ok" if res["ok"] else "FAIL"
             print(f"{status}  mu={res['mu']}  H = {res['H']}")
-        print(
-            f"positivity: {report.instances_checked} instances, "
-            f"{len(report.failures)} failures, {report.elapsed:.1f}s"
-        )
+        print(f"positivity: {report.summary()}")
     return report
 
 
 # -- eigencheck --------------------------------------------------------------
 
 
-def cmd_eigencheck(args) -> RunReport:
-    report = RunReport("eigencheck")
-    t0 = time.perf_counter()
+def cmd_eigencheck(args) -> acceptance.Report:
+    report = acceptance.Report("eigencheck")
     ok = eigencheck(args.n, args.N)
-    report.record(f"n={args.n} N={args.N}", ok)
-    report.elapsed = time.perf_counter() - t0
-    doc = {"n": args.n, "N": args.N, "ok": ok, **report.to_json()}
+    report.check(ok, f"n={args.n} N={args.N}")
+    report.stop()
     if args.format == "json":
-        print(dumps(doc))
+        print(dumps({"n": args.n, "N": args.N, "ok": ok, **_report_json(report)}))
     else:
         print(f"{'ok' if ok else 'FAIL'}  eigen-equation n={args.n} N={args.N}")
     return report
@@ -363,30 +324,21 @@ def cmd_eigencheck(args) -> RunReport:
 # -- selftest ----------------------------------------------------------------
 
 
-def cmd_selftest(args) -> RunReport:
-    report = RunReport("selftest")
-    t0 = time.perf_counter()
+def cmd_selftest(args) -> acceptance.Report:
+    report = acceptance.Report("selftest")
     results = []
     for criterion in acceptance.ALL_CRITERIA:
-        res = acceptance.run_criterion(criterion)
+        res = criterion()
         results.append(res)
         if args.format != "json":
             print(res.line(), flush=True)
-        report.instances_checked += res.instances
-        for failure in res.failures:
-            report.failures.append(
-                {"instance": f"criterion {res.number}: {failure}",
-                 "expected": "pass", "actual": "fail"}
-            )
-    report.elapsed = time.perf_counter() - t0
+        report.instances += res.instances
+        report.failures += [f"criterion {res.number}: {label}" for label in res.failures]
+    report.stop()
     if args.format == "json":
-        print(dumps({"criteria": [r.to_json() for r in results], **report.to_json()}))
+        print(dumps({"criteria": [r.to_json() for r in results], **_report_json(report)}))
     else:
-        overall = "PASS" if report.exit_code == EXIT_OK else "FAIL"
-        print(
-            f"selftest {overall}: {report.instances_checked} instances, "
-            f"{len(report.failures)} failures, {report.elapsed:.1f}s"
-        )
+        print(f"selftest {'PASS' if report.passed else 'FAIL'}: {report.summary()}")
     return report
 
 
@@ -451,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def execute(argv) -> RunReport:
-    """Parse argv, run the named command, print its output, and return the
-    run report.  Raises QmonoError subclasses for usage and resource
+def execute(argv) -> acceptance.Report:
+    """Parse argv, run the named command, print its output, and return its
+    ``acceptance.Report``.  Raises QmonoError subclasses for usage and resource
     problems; argparse itself exits with code 2 on unknown flags."""
     args = build_parser().parse_args(argv)
     return args.fn(args)
@@ -476,7 +428,7 @@ def main(argv=None) -> int:
     except QmonoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return report.exit_code
+    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -1,6 +1,5 @@
 """Closed forms for monomial symmetric functions evaluated on the two-letter
-geometric alphabet (a - b)/(1 - q), together with the generator
-specializations and two independent brute-force oracles.
+geometric alphabet (a - b)/(1 - q), and two independent brute-force oracles.
 
 Both closed forms sum over the distinct rearrangements c of the partition's
 parts, one product of fractions per rearrangement, with the numerator
@@ -47,7 +46,6 @@ FORM_THEOREM1 = "theorem1"
 FORM_THEOREM3 = "theorem3"
 FORM_ORACLE_POWERSUM = "oracle-powersum"
 FORM_ORACLE_DIRECT = "oracle-direct"
-FORM_GENERATOR = "generator"
 
 # The peel's cost follows its states and its denominator degree, so the closed
 # forms cap both; the power-sum oracle sums length! permutations, so it also
@@ -88,35 +86,6 @@ def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
         Polynomial.one(UNIVERSE_ABQ) * num, [_one_minus_q_power(s) for s in sorted(sums)]
     )
     return SpecResult(mu, value, form)
-
-
-def generator_spec(kind: str, n: int) -> SpecResult:
-    """Specialization of a generator on (a - b)/(1 - q):
-
-    * elementary: product over i = 1..n of (a q^(i-1) - b)/(1 - q^i),
-    * complete:   product over i = 1..n of (a - b q^(i-1))/(1 - q^i).
-
-    The power sum p_n is ``monomial_spec(Partition((n,)))``.
-    """
-    if n < 1:
-        raise UsageError("generator index must be at least 1")
-    if kind == "elementary":
-        mu = Partition([1] * n)
-        num = Polynomial.one(UNIVERSE_ABQ)
-        den = []
-        for i in range(1, n + 1):
-            num = num * Polynomial(UNIVERSE_ABQ, {(1, 0, i - 1): 1, (0, 1, 0): -1})
-            den.append(_one_minus_q_power(i))
-        return SpecResult(mu, FactoredFraction(num, den), FORM_GENERATOR)
-    if kind == "complete":
-        mu = Partition((n,))
-        num = Polynomial.one(UNIVERSE_ABQ)
-        den = []
-        for i in range(1, n + 1):
-            num = num * Polynomial(UNIVERSE_ABQ, {(1, 0, 0): 1, (0, 1, i - 1): -1})
-            den.append(_one_minus_q_power(i))
-        return SpecResult(mu, FactoredFraction(num, den), FORM_GENERATOR)
-    raise UsageError(f"unknown generator kind {kind!r}")
 
 
 def oracle_powersum(mu: Partition) -> SpecResult:

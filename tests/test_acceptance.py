@@ -16,7 +16,7 @@ INSTANCES = {1: 66, 2: 44, 3: 97, 4: 21, 5: 264, 6: 40, 7: 230, 8: 12, 9: 247, 1
     "criterion", acceptance.ALL_CRITERIA, ids=lambda fn: fn.__name__
 )
 def test_criterion(criterion):
-    result = acceptance.run_criterion(criterion)
+    result = criterion()
     print(result.line())
     assert result.passed, (
         f"criterion {result.number} ({result.name}) failed on "

@@ -228,6 +228,27 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert "0 failures" in out
 
+    def test_a_failed_check_exits_1_and_names_its_instance(self, capsys, monkeypatch):
+        family = acceptance.VERIFY_FAMILIES["thm6"]
+        monkeypatch.setitem(
+            acceptance.VERIFY_FAMILIES,
+            "thm6",
+            dataclasses.replace(family, check=lambda n: n != 2),
+        )
+        monkeypatch.delenv("QMONO_THREADS", raising=False)
+        code, out, _ = run(capsys, "verify", "--identity", "thm6", "--n", "3", "--format", "json")
+        assert code == EXIT_VERIFY_FAILED
+        doc = json.loads(out)
+        assert doc["instances_checked"] == 3
+        assert doc["failures"] == [
+            {"instance": "n=2", "expected": "identity holds", "actual": "it does not"}
+        ]
+        code, out, _ = run(capsys, "verify", "--identity", "thm6", "--n", "3")
+        assert code == EXIT_VERIFY_FAILED
+        lines = out.splitlines()
+        assert lines[:3] == ["ok  n=1", "FAIL  n=2", "ok  n=3"]
+        assert re.fullmatch(r"verify thm6: 3 instances, 1 failures, \d+\.\ds", lines[3])
+
     def test_json_round_trip_is_byte_identical(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--identity", "thm6", "--n", "2", "--format", "json"
@@ -337,10 +358,10 @@ class TestVerifyCommand:
             ["--identity", "appendix", "--n", "6"],
             ["--identity", "thm6", "--n", "5"],
             ["--identity", "appendix", "--n", "5"],
-            ["--identity", "prop5", "--max-weight", "19"],
+            ["--identity", "prop5", "--max-weight", "17"],
             ["--identity", "prop6", "--max-weight", "26"],
         ],
-        ids=["prop8", "thm6", "appendix", "thm6-n5", "appendix-n5", "prop5-w19", "prop6-w26"],
+        ids=["prop8", "thm6", "appendix", "thm6-n5", "appendix-n5", "prop5-w17", "prop6-w26"],
     )
     def test_cap_is_checked_before_any_work(self, capsys, monkeypatch, argv):
         identity = argv[1]
@@ -597,6 +618,40 @@ class TestEigencheckCommand:
         assert out == ""
         assert "cap" in err
         assert calls == []
+
+
+class TestSelftestCommand:
+    def test_a_failed_criterion_exits_1_and_names_it(self, capsys, monkeypatch):
+        # Break the closed form of (1,1,1) alone: criterion 4 reads it at
+        # k = 3 for each N from 3 to 6.
+        real = acceptance.monomial_spec
+
+        def broken(mu, form="theorem1"):
+            result = real(mu, form)
+            if mu != Partition((1, 1, 1)):
+                return result
+            return dataclasses.replace(result, value=result.value * 2)
+
+        monkeypatch.setattr(acceptance, "monomial_spec", broken)
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", (acceptance.criterion_4_gauss_polynomials,))
+        labels = [f"criterion 4: k=3 N={N}" for N in range(3, 7)]
+        code, out, _ = run(capsys, "selftest", "--format", "json")
+        assert code == EXIT_VERIFY_FAILED
+        doc = json.loads(out)
+        assert doc["instances_checked"] == 21
+        assert [f["instance"] for f in doc["failures"]] == labels
+        (criterion,) = doc["criteria"]
+        assert criterion["passed"] is False
+        assert criterion["failures"] == [label.split(": ", 1)[1] for label in labels]
+        code, out, _ = run(capsys, "selftest")
+        assert code == EXIT_VERIFY_FAILED
+        line, total = out.splitlines()
+        assert re.fullmatch(
+            r"\[FAIL\] criterion 4: Gauss polynomial specialization "
+            r"\(21 instances, 4 failures, \d+\.\ds\)",
+            line,
+        )
+        assert re.fullmatch(r"selftest FAIL: 21 instances, 4 failures, \d+\.\ds", total)
 
 
 class TestClosedPipe:

@@ -14,7 +14,6 @@ from qmono.partitions import (
 )
 from qmono.specialize import (
     UNIVERSE_ABQ,
-    generator_spec,
     monomial_spec,
     oracle_direct,
     oracle_powersum,
@@ -149,21 +148,40 @@ class TestTriangularForm:
         )
 
 
+def elementary_product(n: int) -> FactoredFraction:
+    """e_n[(a - b)/(1 - q)] as the classical product over i = 1..n of
+    (a q^(i-1) - b)/(1 - q^i)."""
+    num = ONE
+    for i in range(1, n + 1):
+        num = num * (A * Q ** (i - 1) - B)
+    return FactoredFraction(num, [ONE - Q ** i for i in range(1, n + 1)])
+
+
+def complete_product(n: int) -> FactoredFraction:
+    """h_n[(a - b)/(1 - q)] as the classical product over i = 1..n of
+    (a - b q^(i-1))/(1 - q^i)."""
+    num = ONE
+    for i in range(1, n + 1):
+        num = num * (A - B * Q ** (i - 1))
+    return FactoredFraction(num, [ONE - Q ** i for i in range(1, n + 1)])
+
+
 class TestGenerators:
     def test_elementary_on_three_letters(self):
         # e_2(1, q, q^2) = q + q^2 + q^3.
-        got = generator_spec("elementary", 2).value.substitute(
-            {"a": 1, "b": Q ** 3}
-        )
+        got = monomial_spec(Partition((1, 1))).value.substitute({"a": 1, "b": Q ** 3})
         assert frac_eq(got, FactoredFraction(Q + Q ** 2 + Q ** 3))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_complete_is_letter_swapped_elementary(self, n):
-        swapped = generator_spec("elementary", n).value.substitute(
-            {"a": B, "b": A}
+        # h_n = sum of m_mu over mu |- n, and swapping a and b negates the
+        # alphabet, so h_n[X] = (-1)^n e_n[-X].
+        got = FactoredFraction.sum(
+            [monomial_spec(mu).value for mu in partitions_of(n)], universe=UNIVERSE_ABQ
         )
-        got = generator_spec("complete", n).value
+        swapped = monomial_spec(Partition((1,) * n)).value.substitute({"a": B, "b": A})
         assert frac_eq(got, swapped * (-1) ** n)
+        assert frac_eq(got, complete_product(n))
 
     def test_power(self):
         # The power sum p_3 is the monomial function of the one-row partition.
@@ -171,19 +189,8 @@ class TestGenerators:
         assert frac_eq(got, FactoredFraction(A ** 3 - B ** 3, [ONE - Q ** 3]))
 
     def test_column_partition_matches_elementary(self):
-        for n in (2, 3):
-            assert frac_eq(
-                generator_spec("elementary", n).value,
-                monomial_spec(Partition((1,) * n)).value,
-            )
-
-    def test_bad_kind(self):
-        with pytest.raises(UsageError):
-            generator_spec("schur", 2)
-        with pytest.raises(UsageError):
-            generator_spec("elementary", 0)
-        with pytest.raises(UsageError):
-            generator_spec("power", 3)
+        for n in (2, 3, 4):
+            assert frac_eq(elementary_product(n), monomial_spec(Partition((1,) * n)).value)
 
 
 class TestOracles:
