@@ -323,12 +323,12 @@ def _appendix(task) -> bool:
 
 # Weight caps: each admits the largest sweep that finishes in under 2 s.
 # prop5 (at most 6 parts) up to weight 16 takes 1.2-1.5 s (17: 2.2-2.6 s);
-# prop6 (at most 7 parts) up to weight 25 takes 1.8-1.9 s.
+# prop6 (at most 7 parts) up to weight 24 takes 1.3-1.8 s (25: 1.8-2.1 s).
 VERIFY_FAMILIES = {
     "thm6": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm6),
     "thm7": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm7),
     "prop5": Family("max_weight", 16, partial(_short_partitions, max_length=6), _mu_label, _prop5),
-    "prop6": Family("max_weight", 25, partial(_short_partitions, max_length=7), _mu_label, _prop6),
+    "prop6": Family("max_weight", 24, partial(_short_partitions, max_length=7), _mu_label, _prop6),
     "prop7": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop7),
     "prop8": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop8),
     "appendix": Family(

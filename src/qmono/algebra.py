@@ -22,6 +22,17 @@ keys and hash equally.  Exponent tuples exist only at the boundary: the
 constructor takes dense tuples, and :meth:`Polynomial.items` and the text
 give them back.
 
+A product or power in one variable with int coefficients that is dense
+(at least 64 term pairs, and at least twice as many as its terms and its
+slots, one per exponent up to its degree, together) is taken by Kronecker
+substitution (Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", JSC 2009): each factor is evaluated at
+``X = 2^(8 K)`` as one int, the ints are multiplied in C, and the
+coefficients are read back from the ``K``-byte slots of the result.  ``K`` holds the strict bound ``|a|_1 |b|_1`` (or
+``|a|_1^m`` for a power), sign bit included, rounded up to 1, 2, 4 or 8
+where it fits, so no slot carries into the next.  Every other product goes
+term pair by term pair through :func:`_mul_terms`.
+
 Fractions are never reduced by multivariate gcd.  They stay in factored form
 (numerator polynomial over a multiset of denominator factors) and equality is
 decided by cross-multiplication.  The one reduction the kernel offers is exact
@@ -36,7 +47,9 @@ function, so values can be shared freely between threads.
 from __future__ import annotations
 
 import heapq
+import sys
 from fractions import Fraction
+from struct import calcsize
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InvalidValueError, PoleError, UsageError
@@ -46,6 +59,10 @@ Universe = tuple
 
 # The narrowest field width, in bits, of a packed monomial key.
 _NARROW = 16
+# Products in one variable with fewer term pairs never take the dense path.
+_DENSE_PAIRS = 64
+# The slot sizes memoryview.cast reads as unsigned ints in this byte order.
+_SLOT_FORMATS = {calcsize(f): f for f in "BHIQ"} if sys.byteorder == "little" else {}
 
 
 def _norm_coeff(c):
@@ -110,6 +127,42 @@ def _mul_terms(a: dict, b: dict, out: dict) -> dict:
             else:
                 del out[e]
     return out
+
+
+def _slot_size(bound: int) -> int:
+    """Bytes per slot that hold a sign bit and any coefficient of absolute
+    value at most ``bound``: 1, 2, 4 or 8 where one of them does."""
+    size = bound.bit_length() // 8 + 1
+    return size if size > 8 else 1 << (size - 1).bit_length()
+
+
+def _evaluate(coeffs: list, size: int) -> int:
+    """The int sum of coeffs[i] * X^i at X = 2^(8 size), from the positive
+    and the negative coefficients separately."""
+    def at_x(parts):
+        return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in parts), "little")
+
+    value = at_x(max(c, 0) for c in coeffs)
+    if min(coeffs) < 0:
+        value -= at_x(max(-c, 0) for c in coeffs)
+    return value
+
+
+def _read(value: int, slots: int, size: int, w: int) -> dict:
+    """The one-variable term map, at width w, whose coefficient of q^i is
+    the i-th signed ``size``-byte slot of ``value``.  A bias of half a slot
+    in every slot makes each one non-negative without a carry, so the slots
+    read as unsigned ints."""
+    half = 1 << (8 * size - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * slots, "little")
+    raw = (value + bias).to_bytes(slots * size, "little")
+    fmt = _SLOT_FORMATS.get(size)
+    if fmt:
+        digits = memoryview(raw).cast(fmt).tolist()
+    else:
+        digits = [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+    step = (1 << w) + 1  # exponent e has key e * step
+    return {i * step: d - half for i, d in enumerate(digits) if d != half}
 
 
 def _power_terms(cache: dict, e: int) -> dict:
@@ -241,6 +294,17 @@ class Polynomial:
             d = self._degree = max(self.terms) >> (len(self.universe) * self._width)
         return d
 
+    def _coefficients(self) -> list | None:
+        """The coefficients of a one-variable polynomial indexed by
+        exponent, or None when one of them is a Fraction."""
+        if not all(isinstance(c, int) for c in self.terms.values()):
+            return None
+        mask = (1 << self._width) - 1
+        coeffs = [0] * (self._total_degree() + 1)
+        for k, c in self.terms.items():
+            coeffs[k & mask] = c
+        return coeffs
+
     def _at(self, w: int) -> dict:
         """The term map packed at width ``w``, at least this polynomial's."""
         if w == self._width:
@@ -309,9 +373,10 @@ class Polynomial:
         # Over the rationals the degree of a product is the sum of degrees.
         degree = self._total_degree() + other._total_degree()
         w = _width_for(degree)
-        return Polynomial._raw(
-            self.universe, _mul_terms(self._at(w), other._at(w), {}), w, degree
-        )
+        terms = _dense_product(self, other, degree, w) if len(self.universe) == 1 else None
+        if terms is None:
+            terms = _mul_terms(self._at(w), other._at(w), {})
+        return Polynomial._raw(self.universe, terms, w, degree)
 
     __rmul__ = __mul__
 
@@ -371,6 +436,16 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise UsageError("polynomial powers must be non-negative integers")
+        if n > 1 and len(self.universe) == 1 and self.terms:
+            # A power is always dense.
+            a = self._coefficients()
+            if a is not None:
+                degree = n * self._total_degree()
+                w = _width_for(degree)
+                size = _slot_size(sum(map(abs, a)) ** n)
+                value = _evaluate(a, size) ** n
+                terms = _read(value, degree + 1, size, w)
+                return Polynomial._raw(self.universe, terms, w, degree)
         result = Polynomial.one(self.universe)
         base = self
         while n:
@@ -526,6 +601,20 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.text()!r})"
+
+
+def _dense_product(a: Polynomial, b: Polynomial, degree: int, w: int):
+    """The term map of the one-variable product a * b at width w by
+    Kronecker substitution, or None unless both have int coefficients and
+    the product is dense (see the module docstring)."""
+    pairs = len(a.terms) * len(b.terms)
+    if pairs < _DENSE_PAIRS or 2 * (degree + 1 + len(a.terms) + len(b.terms)) > pairs:
+        return None
+    ca, cb = a._coefficients(), b._coefficients()
+    if ca is None or cb is None:
+        return None
+    size = _slot_size(sum(map(abs, ca)) * sum(map(abs, cb)))
+    return _read(_evaluate(ca, size) * _evaluate(cb, size), degree + 1, size, w)
 
 
 def _sign_normalized(f: Polynomial):

@@ -78,11 +78,11 @@ def _check_cap(mu: Partition):
 
 def auxiliary_product(mu: Partition) -> Polynomial:
     """P(q): product over nonempty position subsets of
-    1 + q + ... + q^(part sum - 1)."""
+    1 + q + ... + q^(part sum - 1), one power per distinct part sum."""
     _check_cap(mu)
     out = Polynomial.one(UNIVERSE_Q)
-    for s in subset_part_sums(mu):
-        out = out * geometric_sum(UNIVERSE_Q, "q", s)
+    for s, m in sorted(Counter(subset_part_sums(mu)).items()):
+        out = out * geometric_sum(UNIVERSE_Q, "q", s) ** m
     return out
 
 

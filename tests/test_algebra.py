@@ -1,14 +1,26 @@
 from fractions import Fraction
+from math import isqrt
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmono.algebra import FactoredFraction, Polynomial, frac_eq, geometric_sum
+from qmono import algebra
+from qmono.algebra import (
+    FactoredFraction,
+    Polynomial,
+    _mul_terms,
+    _slot_size,
+    _width_for,
+    frac_eq,
+    geometric_sum,
+)
 from qmono.errors import InvalidValueError, PoleError, UsageError
 
 ABQ = ("a", "b", "q")
 QT = ("q", "t")
+Q = ("q",)
 
 
 def var(universe, name, power=1):
@@ -521,3 +533,142 @@ def test_geometric_sum_matches_the_addition_loop(n):
         got = geometric_sum(ABQ, name, n)
         assert got == expected
         assert got.text() == expected.text()
+
+
+# -- the dense one-variable path ------------------------------------------------
+#
+# One-variable products and powers with int coefficients that are dense go by
+# Kronecker substitution.  The oracle is the term pair loop, through this
+# module's own import of _mul_terms; a test that replaces the kernel's binding
+# with one that refuses proves that the product under test took the dense path.
+
+
+def _schoolbook(a, b):
+    degree = a._total_degree() + b._total_degree()
+    w = _width_for(degree)
+    return Polynomial._raw(Q, _mul_terms(a._at(w), b._at(w), {}), w, degree)
+
+
+def _schoolbook_power(a, m):
+    out = Polynomial.one(Q)
+    for _ in range(m):
+        out = _schoolbook(out, a)
+    return out
+
+
+def _q(coeffs, low=0):
+    return Polynomial(Q, {(low + i,): c for i, c in enumerate(coeffs)})
+
+
+def _refuse(*args):
+    raise AssertionError("a dense product went through _mul_terms")
+
+
+@pytest.fixture
+def dense_only(monkeypatch):
+    monkeypatch.setattr(algebra, "_mul_terms", _refuse)
+
+
+@pytest.fixture
+def schoolbook_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]) * len(args[1]))
+        return _mul_terms(*args)
+
+    monkeypatch.setattr(algebra, "_mul_terms", counted)
+    return calls
+
+
+def _same_as(got, expected):
+    return got == expected and hash(got) == hash(expected) and got.text() == expected.text()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dense_product_matches_the_term_pair_loop(dense_only, seed):
+    # Signed coefficients from a narrow range cancel in many slots; lowest
+    # exponents above 0 leave empty slots below.
+    rng = Random(seed)
+    for _ in range(20):
+        spread = rng.choice((2, 100, 2 ** 40))
+        a, b = (
+            _q([rng.randint(-spread, spread) or 1 for _ in range(rng.randint(12, 40))],
+               rng.randint(0, 3))
+            for _ in range(2)
+        )
+        assert _same_as(a * b, _schoolbook(a, b))
+        assert _same_as(a ** 3, _schoolbook_power(a, 3))
+
+
+def test_dense_product_cancels_to_zero_slots(dense_only):
+    plus = _q([1, 1]) ** 10
+    minus = _q([1, -1]) ** 10
+    got = plus * minus  # (1 - q^2)^10: every odd slot cancels
+    assert got == _q([1, 0, -1]) ** 10
+    assert [e for (e,), _ in got.items()] == list(range(0, 21, 2))
+
+
+def _near(norm, sign):
+    # Eight terms of l1 norm ``norm`` with a dominant first coefficient, so
+    # that a product coefficient comes near the product of the norms.
+    return _q([sign * (norm - 7)] + [sign, -sign] * 3 + [sign])
+
+
+@pytest.mark.parametrize(
+    "bits, below, above", [(7, 1, 2), (15, 2, 4), (31, 4, 8), (63, 8, 9), (100, 13, 13)]
+)
+def test_slot_size_on_both_sides_of_each_width(bits, below, above):
+    assert _slot_size(2 ** bits - 1) == below
+    assert _slot_size(2 ** bits) == above
+
+
+@pytest.mark.parametrize("bits", [7, 15, 31, 63, 100])
+def test_dense_product_at_each_slot_width(dense_only, bits):
+    # Norms multiplying to just below and just above 2^bits; one-term powers
+    # reach their bound |c|^m exactly.
+    root = isqrt(2 ** bits - 1)
+    for norm in (root, root + 1):
+        for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+            a, b = _near(norm, sa), _near(norm, sb)
+            assert _same_as(a * b, _schoolbook(a, b))
+            assert _same_as(a ** 2, _schoolbook(a, a))
+        for c in (norm - 7, 7 - norm):
+            assert _same_as(_q([c], 3) ** 2, Polynomial(Q, {(6,): c * c}))
+    for c in (2, -2):
+        assert _same_as(Polynomial.constant(Q, c) ** bits, Polynomial.constant(Q, c ** bits))
+
+
+def test_a_fraction_coefficient_falls_back_to_the_term_pair_loop(schoolbook_calls):
+    a = _q([Fraction(1, 2)] + [1] * 9)
+    b = _q([3, -1] * 5)
+    assert _same_as(a * b, _schoolbook(a, b))
+    assert _same_as(a ** 2, _schoolbook(a, a))
+    # a * b, then a ** 2 by squaring: a * a and 1 * a^2.
+    assert schoolbook_calls == [100, 100, 19]
+
+
+def test_sparse_and_multivariate_products_stay_on_the_term_pair_loop(schoolbook_calls):
+    sparse = Polynomial(Q, {(100 * i,): 1 for i in range(8)})
+    _q([1] * 8) * sparse  # 64 pairs over 708 slots
+    _q([1] * 7) * _q([1] * 9)  # 63 pairs
+    geometric_sum(QT, "q", 20) * geometric_sum(QT, "q", 20)
+    assert schoolbook_calls == [64, 63, 400]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_small_powers(m):
+    p = _q([3, -1, 4, 1, -5, 9, 2, -6], 2)
+    expected = [Polynomial.one(Q), p, _schoolbook(p, p)][m]
+    assert _same_as(p ** m, expected)
+
+
+def test_a_degree_past_16_bit_fields_against_the_closed_form(dense_only):
+    # [20000]_q has degree 19,999; its square has degree 39,998 and 32-bit
+    # fields, and coefficient min(k + 1, 39,999 - k) at q^k.
+    g = geometric_sum(Q, "q", 20000)
+    for square in (g ** 2, g * g):
+        items = square.items()
+        assert len(items) == 39999
+        assert all(c == min(k + 1, 39999 - k) for (k,), c in items)
+    assert (g ** 2)._width == 32

@@ -359,9 +359,9 @@ class TestVerifyCommand:
             ["--identity", "thm6", "--n", "5"],
             ["--identity", "appendix", "--n", "5"],
             ["--identity", "prop5", "--max-weight", "17"],
-            ["--identity", "prop6", "--max-weight", "26"],
+            ["--identity", "prop6", "--max-weight", "25"],
         ],
-        ids=["prop8", "thm6", "appendix", "thm6-n5", "appendix-n5", "prop5-w17", "prop6-w26"],
+        ids=["prop8", "thm6", "appendix", "thm6-n5", "appendix-n5", "prop5-w17", "prop6-w25"],
     )
     def test_cap_is_checked_before_any_work(self, capsys, monkeypatch, argv):
         identity = argv[1]

@@ -3,7 +3,7 @@ import pytest
 from qmono import positivity
 from qmono.algebra import Polynomial, geometric_sum
 from qmono.errors import NotApplicableError, ResourceLimitError
-from qmono.partitions import Partition, partitions_up_to
+from qmono.partitions import Partition, partitions_of, partitions_up_to
 from qmono.positivity import (
     UNIVERSE_Q,
     UNIVERSE_QT,
@@ -18,6 +18,15 @@ from qmono.positivity import (
 
 def qt(terms):
     return Polynomial(UNIVERSE_QT, terms)
+
+
+def sequential_product(mu):
+    """P by its definition: one factor [s]_q per nonempty subset, in the
+    order subset_part_sums lists them."""
+    out = Polynomial.one(UNIVERSE_Q)
+    for s in subset_part_sums(mu):
+        out = out * geometric_sum(UNIVERSE_Q, "q", s)
+    return out
 
 
 class TestAuxiliaryProduct:
@@ -38,6 +47,11 @@ class TestAuxiliaryProduct:
         assert auxiliary_product(Partition((1, 1))) == geometric_sum(
             UNIVERSE_Q, "q", 2
         )
+
+    @pytest.mark.parametrize("weight", range(1, 9))
+    def test_powers_of_equal_part_sums_match_the_sequential_product(self, weight):
+        for mu in partitions_of(weight):
+            assert auxiliary_product(mu) == sequential_product(mu), mu
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
