@@ -22,16 +22,30 @@ keys and hash equally.  Exponent tuples exist only at the boundary: the
 constructor takes dense tuples, and :meth:`Polynomial.items` and the text
 give them back.
 
-A product or power in one variable with int coefficients that is dense
-(at least 64 term pairs, and at least twice as many as its terms and its
-slots, one per exponent up to its degree, together) is taken by Kronecker
-substitution (Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", JSC 2009): each factor is evaluated at
-``X = 2^(8 K)`` as one int, the ints are multiplied in C, and the
-coefficients are read back from the ``K``-byte slots of the result.  ``K`` holds the strict bound ``|a|_1 |b|_1`` (or
-``|a|_1^m`` for a power), sign bit included, rounded up to 1, 2, 4 or 8
-where it fits, so no slot carries into the next.  Every other product goes
-term pair by term pair through :func:`_mul_terms`.
+A product whose universe holds ``q``, with int coefficients on both sides,
+goes by rows of Kronecker ints when it is dense (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", JSC 2009).  Each
+factor is split into rows by its monomial in the other variables: the rest
+key of a term is its packed key with the field of ``q`` and its share of the
+degree taken out.  Each row, from its lowest power of ``q`` to its highest,
+is evaluated at ``X = 2^(8 K)`` as one int, every pair of rows is multiplied
+in C, the products are summed per output rest key, and each output row is
+read back once from its ``K``-byte slots.  ``K`` holds the strict bound
+``|a|_1 |b|_1``, sign bit included, rounded up to 1, 2, 4 or 8 where it
+fits, so no slot carries into the next.  A product in one variable is the
+one-row case; so is a power in one variable whose row has a term in every
+3 slots, with the bound ``|a|_1^m``, while a sparser one goes by products.
+
+The rule is computed from counts before any int is built: a product is
+dense when it has at least 16 term pairs per row pair plus 3 per slot, the
+slots being the ``q``-span + 1 of every row of both factors and of the
+product.  A row has at least as many slots as terms, so a factor of at most
+six terms (``1 - q^s``) never qualifies, nor do rows of one term each, nor a
+row that reaches a far power of ``q``.  The constants come from timing both
+paths on every candidate product of ``positivity`` to weight 8 and at its
+three cap-edge inputs (Python 3.11, 2 vCPU): from 4 to 32 per row pair and 1
+to 4 per slot the total moved by about 2%, and was lowest at 3 per slot.
+Every other product goes term pair by term pair through :func:`_mul_terms`.
 
 Fractions are never reduced by multivariate gcd.  They stay in factored form
 (numerator polynomial over a multiset of denominator factors) and equality is
@@ -49,18 +63,21 @@ from __future__ import annotations
 import heapq
 import sys
 from fractions import Fraction
+from itertools import repeat
 from struct import calcsize
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import InvalidValueError, PoleError, UsageError
+from .errors import InternalConsistencyError, InvalidValueError, PoleError, UsageError
 
 Coeff = Union[int, Fraction]
 Universe = tuple
 
 # The narrowest field width, in bits, of a packed monomial key.
 _NARROW = 16
-# Products in one variable with fewer term pairs never take the dense path.
-_DENSE_PAIRS = 64
+# The dense path's rule (see the module docstring): at least _ROW_COST term
+# pairs per row pair plus _SLOT_COST per slot.
+_ROW_COST = 16
+_SLOT_COST = 3
 # The slot sizes memoryview.cast reads as unsigned ints in this byte order.
 _SLOT_FORMATS = {calcsize(f): f for f in "BHIQ"} if sys.byteorder == "little" else {}
 
@@ -136,33 +153,113 @@ def _slot_size(bound: int) -> int:
     return size if size > 8 else 1 << (size - 1).bit_length()
 
 
-def _evaluate(coeffs: list, size: int) -> int:
-    """The int sum of coeffs[i] * X^i at X = 2^(8 size), from the positive
-    and the negative coefficients separately."""
-    def at_x(parts):
-        return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in parts), "little")
+def _rows(terms: dict, shift: int, w: int, step: int) -> dict:
+    """The term map split by the field of q, at bit ``shift`` and ``w``
+    bits wide: rest key -> {exponent of q: coefficient}, where q^e adds
+    ``e * step`` to a key."""
+    mask = (1 << w) - 1
+    rows = {}
+    for k, c in terms.items():
+        e = (k >> shift) & mask
+        r = k - e * step
+        row = rows.get(r)
+        if row is None:
+            rows[r] = {e: c}
+        else:
+            row[e] = c
+    return rows
 
-    value = at_x(max(c, 0) for c in coeffs)
-    if min(coeffs) < 0:
-        value -= at_x(max(-c, 0) for c in coeffs)
-    return value
 
-
-def _read(value: int, slots: int, size: int, w: int) -> dict:
-    """The one-variable term map, at width w, whose coefficient of q^i is
-    the i-th signed ``size``-byte slot of ``value``.  A bias of half a slot
-    in every slot makes each one non-negative without a carry, so the slots
-    read as unsigned ints."""
+def _bias(slots: int, size: int) -> tuple:
+    """Half a ``size``-byte slot, and the int with it in each of ``slots``
+    slots."""
     half = 1 << (8 * size - 1)
-    bias = int.from_bytes(half.to_bytes(size, "little") * slots, "little")
-    raw = (value + bias).to_bytes(slots * size, "little")
+    return half, int.from_bytes(half.to_bytes(size, "little") * slots, "little")
+
+
+def _evaluate(row: dict, lo: int, hi: int, size: int) -> int:
+    """The int sum of c * X^(e - lo) over the terms c q^e of a row, at
+    X = 2^(8 size), lo <= e <= hi.  Each coefficient is written biased by
+    half a slot, so that every slot is non-negative."""
+    half, bias = _bias(hi - lo + 1, size)
+    coeffs = [half] * (hi - lo + 1)
+    for e, c in row.items():
+        coeffs[e - lo] += c
+    raw = b"".join(map(int.to_bytes, coeffs, repeat(size), repeat("little")))
+    return int.from_bytes(raw, "little") - bias
+
+
+def _read(value: int, slots: int, size: int, key: int, step: int) -> dict:
+    """The term map whose coefficient at ``key + i * step`` is the i-th
+    signed ``size``-byte slot of ``value``.  The bias of :func:`_evaluate`
+    makes each slot non-negative without a carry, so the slots read as
+    unsigned ints."""
+    half, bias = _bias(slots, size)
+    try:
+        raw = (value + bias).to_bytes(slots * size, "little")
+    except OverflowError:
+        raise InternalConsistencyError(
+            f"a dense product outgrew its {slots} slots of {size} bytes"
+        ) from None
     fmt = _SLOT_FORMATS.get(size)
     if fmt:
         digits = memoryview(raw).cast(fmt).tolist()
     else:
         digits = [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
-    step = (1 << w) + 1  # exponent e has key e * step
-    return {i * step: d - half for i, d in enumerate(digits) if d != half}
+    keys = range(key, key + slots * step, step)
+    return {k: d - half for k, d in zip(keys, digits) if d != half}
+
+
+def _int_coefficients(*term_maps) -> bool:
+    return all(set(map(type, t.values())) <= {int} for t in term_maps)
+
+
+def _row_product(a: dict, b: dict, n: int, at: int, w: int):
+    """The product of two term maps at width w by rows of Kronecker ints,
+    q being variable ``at`` of ``n``; or None unless the product is dense
+    and both have int coefficients (see the module docstring)."""
+    la, lb = len(a), len(b)
+    pairs = la * lb
+    # A row has at least as many slots as terms, and the product's rows at
+    # least as many as either factor's: the rule's floor, before any split.
+    if pairs < _ROW_COST + _SLOT_COST * (la + lb + max(la, lb)):
+        return None
+    shift = w * (n - 1 - at)
+    step = (1 << (n * w)) + (1 << shift)  # q^e adds e * step to a key
+    rows_a, rows_b = _rows(a, shift, w, step), _rows(b, shift, w, step)
+    spans_a = [(r, min(row), max(row)) for r, row in rows_a.items()]
+    spans_b = [(r, min(row), max(row)) for r, row in rows_b.items()]
+    cost = _ROW_COST * len(spans_a) * len(spans_b) + _SLOT_COST * sum(
+        hi - lo + 1 for _, lo, hi in spans_a + spans_b
+    )
+    if cost > pairs:
+        return None
+    out = {}
+    for r1, lo1, hi1 in spans_a:
+        for r2, lo2, hi2 in spans_b:
+            span = out.get(r1 + r2)
+            if span is None:
+                out[r1 + r2] = [lo1 + lo2, hi1 + hi2]
+            else:
+                span[0] = min(span[0], lo1 + lo2)
+                span[1] = max(span[1], hi1 + hi2)
+    cost += _SLOT_COST * sum(hi - lo + 1 for lo, hi in out.values())
+    if cost > pairs or not _int_coefficients(a, b):
+        return None
+    size = _slot_size(sum(map(abs, a.values())) * sum(map(abs, b.values())))
+    bits = 8 * size
+    ints_b = [(r, lo, _evaluate(rows_b[r], lo, hi, size)) for r, lo, hi in spans_b]
+    sums = {}
+    for r1, lo1, hi1 in spans_a:
+        x1 = _evaluate(rows_a[r1], lo1, hi1, size)
+        for r2, lo2, x2 in ints_b:
+            r = r1 + r2
+            sums[r] = sums.get(r, 0) + (x1 * x2 << bits * (lo1 + lo2 - out[r][0]))
+    terms = {}
+    for r, value in sums.items():
+        lo, hi = out[r]
+        terms.update(_read(value, hi - lo + 1, size, r + lo * step, step))
+    return terms
 
 
 def _power_terms(cache: dict, e: int) -> dict:
@@ -294,17 +391,6 @@ class Polynomial:
             d = self._degree = max(self.terms) >> (len(self.universe) * self._width)
         return d
 
-    def _coefficients(self) -> list | None:
-        """The coefficients of a one-variable polynomial indexed by
-        exponent, or None when one of them is a Fraction."""
-        if not all(isinstance(c, int) for c in self.terms.values()):
-            return None
-        mask = (1 << self._width) - 1
-        coeffs = [0] * (self._total_degree() + 1)
-        for k, c in self.terms.items():
-            coeffs[k & mask] = c
-        return coeffs
-
     def _at(self, w: int) -> dict:
         """The term map packed at width ``w``, at least this polynomial's."""
         if w == self._width:
@@ -373,9 +459,12 @@ class Polynomial:
         # Over the rationals the degree of a product is the sum of degrees.
         degree = self._total_degree() + other._total_degree()
         w = _width_for(degree)
-        terms = _dense_product(self, other, degree, w) if len(self.universe) == 1 else None
+        a, b = self._at(w), other._at(w)
+        terms = None
+        if "q" in self.universe:
+            terms = _row_product(a, b, len(self.universe), self.universe.index("q"), w)
         if terms is None:
-            terms = _mul_terms(self._at(w), other._at(w), {})
+            terms = _mul_terms(a, b, {})
         return Polynomial._raw(self.universe, terms, w, degree)
 
     __rmul__ = __mul__
@@ -436,16 +525,19 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise UsageError("polynomial powers must be non-negative integers")
-        if n > 1 and len(self.universe) == 1 and self.terms:
-            # A power is always dense.
-            a = self._coefficients()
-            if a is not None:
-                degree = n * self._total_degree()
-                w = _width_for(degree)
-                size = _slot_size(sum(map(abs, a)) ** n)
-                value = _evaluate(a, size) ** n
-                terms = _read(value, degree + 1, size, w)
-                return Polynomial._raw(self.universe, terms, w, degree)
+        if n > 1 and len(self.universe) == 1 and self.terms and _int_coefficients(self.terms):
+            mask = (1 << self._width) - 1
+            row = {k & mask: c for k, c in self.terms.items()}
+            lo, hi = min(row), max(row)
+            # A power of a row with a term in every _SLOT_COST slots is
+            # dense; a sparser one goes by the products below.
+            if hi - lo < _SLOT_COST * len(row):
+                w = _width_for(n * hi)
+                step = (1 << w) + 1
+                size = _slot_size(sum(map(abs, row.values())) ** n)
+                value = _evaluate(row, lo, hi, size) ** n
+                terms = _read(value, n * (hi - lo) + 1, size, n * lo * step, step)
+                return Polynomial._raw(self.universe, terms, w, n * hi)
         result = Polynomial.one(self.universe)
         base = self
         while n:
@@ -601,20 +693,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.text()!r})"
-
-
-def _dense_product(a: Polynomial, b: Polynomial, degree: int, w: int):
-    """The term map of the one-variable product a * b at width w by
-    Kronecker substitution, or None unless both have int coefficients and
-    the product is dense (see the module docstring)."""
-    pairs = len(a.terms) * len(b.terms)
-    if pairs < _DENSE_PAIRS or 2 * (degree + 1 + len(a.terms) + len(b.terms)) > pairs:
-        return None
-    ca, cb = a._coefficients(), b._coefficients()
-    if ca is None or cb is None:
-        return None
-    size = _slot_size(sum(map(abs, ca)) * sum(map(abs, cb)))
-    return _read(_evaluate(ca, size) * _evaluate(cb, size), degree + 1, size, w)
 
 
 def _sign_normalized(f: Polynomial):

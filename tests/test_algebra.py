@@ -16,7 +16,7 @@ from qmono.algebra import (
     frac_eq,
     geometric_sum,
 )
-from qmono.errors import InvalidValueError, PoleError, UsageError
+from qmono.errors import InternalConsistencyError, InvalidValueError, PoleError, UsageError
 
 ABQ = ("a", "b", "q")
 QT = ("q", "t")
@@ -535,22 +535,26 @@ def test_geometric_sum_matches_the_addition_loop(n):
         assert got.text() == expected.text()
 
 
-# -- the dense one-variable path ------------------------------------------------
+# -- the dense path: rows of Kronecker ints ------------------------------------
 #
-# One-variable products and powers with int coefficients that are dense go by
-# Kronecker substitution.  The oracle is the term pair loop, through this
-# module's own import of _mul_terms; a test that replaces the kernel's binding
-# with one that refuses proves that the product under test took the dense path.
+# Products in a universe holding q, with int coefficients, that are dense go
+# by rows: each factor is split by its monomial in the other variables, and
+# each row is one int at a power of two.  The oracle is the term pair loop,
+# through this module's own import of _mul_terms; a test that replaces the
+# kernel's binding with one that refuses proves that the product under test
+# took the dense path.
+
+XQY = ("x", "q", "y")
 
 
 def _schoolbook(a, b):
     degree = a._total_degree() + b._total_degree()
     w = _width_for(degree)
-    return Polynomial._raw(Q, _mul_terms(a._at(w), b._at(w), {}), w, degree)
+    return Polynomial._raw(a.universe, _mul_terms(a._at(w), b._at(w), {}), w, degree)
 
 
 def _schoolbook_power(a, m):
-    out = Polynomial.one(Q)
+    out = Polynomial.one(a.universe)
     for _ in range(m):
         out = _schoolbook(out, a)
     return out
@@ -558,6 +562,23 @@ def _schoolbook_power(a, m):
 
 def _q(coeffs, low=0):
     return Polynomial(Q, {(low + i,): c for i, c in enumerate(coeffs)})
+
+
+def _lift(p, universe, rest=()):
+    """The one-variable p over ``universe``, times the monomial ``rest``
+    (a dict of exponents) in its other variables; built without a product."""
+    rest = dict(rest)
+    at = universe.index("q")
+    terms = {}
+    for (e,), c in p.items():
+        exps = [rest.get(v, 0) for v in universe]
+        exps[at] += e
+        terms[tuple(exps)] = c
+    return Polynomial(universe, terms)
+
+
+def _other(universe):
+    return next(v for v in universe if v != "q")
 
 
 def _refuse(*args):
@@ -593,7 +614,7 @@ def test_dense_product_matches_the_term_pair_loop(dense_only, seed):
     for _ in range(20):
         spread = rng.choice((2, 100, 2 ** 40))
         a, b = (
-            _q([rng.randint(-spread, spread) or 1 for _ in range(rng.randint(12, 40))],
+            _q([rng.randint(-spread, spread) or 1 for _ in range(rng.randint(16, 40))],
                rng.randint(0, 3))
             for _ in range(2)
         )
@@ -602,17 +623,54 @@ def test_dense_product_matches_the_term_pair_loop(dense_only, seed):
 
 
 def test_dense_product_cancels_to_zero_slots(dense_only):
-    plus = _q([1, 1]) ** 10
-    minus = _q([1, -1]) ** 10
-    got = plus * minus  # (1 - q^2)^10: every odd slot cancels
-    assert got == _q([1, 0, -1]) ** 10
-    assert [e for (e,), _ in got.items()] == list(range(0, 21, 2))
+    plus = _q([1, 1]) ** 16
+    minus = _q([1, -1]) ** 16
+    got = plus * minus  # (1 - q^2)^16: every odd slot cancels
+    assert got == _q([1, 0, -1]) ** 16
+    assert [e for (e,), _ in got.items()] == list(range(0, 33, 2))
+
+
+def _random_rows(rng, universe, rows, spread):
+    """A polynomial of ``rows`` dense rows in q, each of 16 to 30 signed
+    terms from a lowest exponent of 0 to 3, at distinct monomials of the
+    other variables."""
+    others = [v for v in universe if v != "q"]
+    out = Polynomial.zero(universe)
+    for rest in rng.sample([(i, j) for i in range(3) for j in range(3)], rows):
+        row = _q([rng.randint(-spread, spread) or 1 for _ in range(rng.randint(16, 30))],
+                 rng.randint(0, 3))
+        out = out + _lift(row, universe, dict(zip(others, rest)))
+    return out
+
+
+@pytest.mark.parametrize("universe", [QT, ABQ, XQY])
+@pytest.mark.parametrize("seed", range(4))
+def test_row_product_matches_the_term_pair_loop(dense_only, universe, seed):
+    rng = Random(seed)
+    for _ in range(8):
+        spread = rng.choice((2, 100, 2 ** 40))
+        a, b = (_random_rows(rng, universe, rng.randint(1, 3), spread) for _ in range(2))
+        assert _same_as(a * b, _schoolbook(a, b))
+
+
+@pytest.mark.parametrize("universe", [QT, ABQ, XQY])
+def test_row_product_cancels_whole_rows(dense_only, universe):
+    # (X + v Y)(X - v Y) = X^2 - v^2 Y^2: the row of v^1 cancels to zero.
+    rng = Random(7)
+    v = _other(universe)
+    x, y = (_q([rng.randint(-9, 9) or 1 for _ in range(24)], 2) for _ in range(2))
+    a = _lift(x, universe) + _lift(y, universe, {v: 1})
+    b = _lift(x, universe) - _lift(y, universe, {v: 1})
+    got = a * b
+    assert _same_as(got, _schoolbook(a, b))
+    expected = _lift(_schoolbook(x, x), universe) - _lift(_schoolbook(y, y), universe, {v: 2})
+    assert _same_as(got, expected)
 
 
 def _near(norm, sign):
-    # Eight terms of l1 norm ``norm`` with a dominant first coefficient, so
-    # that a product coefficient comes near the product of the norms.
-    return _q([sign * (norm - 7)] + [sign, -sign] * 3 + [sign])
+    # Sixteen terms of l1 norm ``norm`` with a dominant first coefficient,
+    # so that a product coefficient comes near the product of the norms.
+    return _q([sign * (norm - 15)] + [sign, -sign] * 7 + [sign])
 
 
 @pytest.mark.parametrize(
@@ -626,34 +684,101 @@ def test_slot_size_on_both_sides_of_each_width(bits, below, above):
 @pytest.mark.parametrize("bits", [7, 15, 31, 63, 100])
 def test_dense_product_at_each_slot_width(dense_only, bits):
     # Norms multiplying to just below and just above 2^bits; one-term powers
-    # reach their bound |c|^m exactly.
+    # reach their bound |c|^m exactly.  A power of a dense row takes the
+    # dense path at any size; a dense product needs more terms a side than
+    # norms below 2^7 allow, so products start at 2^15.  The lifted products
+    # are one row at a monomial other than 1, and the two-row ones split
+    # each norm in two.
     root = isqrt(2 ** bits - 1)
     for norm in (root, root + 1):
         for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+            short = _q([sa * (norm - 3), sa, -sa, sa])
+            assert _same_as(short ** 2, _schoolbook(short, short))
+            if bits < 15:
+                continue
             a, b = _near(norm, sa), _near(norm, sb)
             assert _same_as(a * b, _schoolbook(a, b))
             assert _same_as(a ** 2, _schoolbook(a, a))
-        for c in (norm - 7, 7 - norm):
+            for universe in (QT, ABQ, XQY):
+                t = _other(universe)
+                la, lb = _lift(a, universe, {t: 2}), _lift(b, universe)
+                assert _same_as(la * lb, _schoolbook(la, lb))
+                half = norm // 2
+                ra = _lift(_near(half, sa), universe) + _lift(_near(norm - half, sa), universe, {t: 1})
+                rb = _lift(_near(half, sb), universe, {t: 3}) + _lift(_near(norm - half, sb), universe)
+                assert _same_as(ra * rb, _schoolbook(ra, rb))
+        for c in (norm - 3, 3 - norm):
             assert _same_as(_q([c], 3) ** 2, Polynomial(Q, {(6,): c * c}))
     for c in (2, -2):
         assert _same_as(Polynomial.constant(Q, c) ** bits, Polynomial.constant(Q, c ** bits))
 
 
 def test_a_fraction_coefficient_falls_back_to_the_term_pair_loop(schoolbook_calls):
-    a = _q([Fraction(1, 2)] + [1] * 9)
-    b = _q([3, -1] * 5)
+    a = _q([Fraction(1, 2)] + [1] * 19)
+    b = _q([3, -1] * 10)
     assert _same_as(a * b, _schoolbook(a, b))
     assert _same_as(a ** 2, _schoolbook(a, a))
     # a * b, then a ** 2 by squaring: a * a and 1 * a^2.
-    assert schoolbook_calls == [100, 100, 19]
+    assert schoolbook_calls == [400, 400, 39]
+    ra, rb = _lift(a, QT) + _lift(b, QT, {"t": 1}), _lift(b, QT)
+    schoolbook_calls.clear()
+    assert _same_as(ra * rb, _schoolbook(ra, rb))
+    assert schoolbook_calls == [800]
 
 
 def test_sparse_and_multivariate_products_stay_on_the_term_pair_loop(schoolbook_calls):
-    sparse = Polynomial(Q, {(100 * i,): 1 for i in range(8)})
-    _q([1] * 8) * sparse  # 64 pairs over 708 slots
-    _q([1] * 7) * _q([1] * 9)  # 63 pairs
-    geometric_sum(QT, "q", 20) * geometric_sum(QT, "q", 20)
-    assert schoolbook_calls == [64, 63, 400]
+    sparse = Polynomial(Q, {(100 * i,): 1 for i in range(40)})
+    _q([1] * 40) * sparse  # 1,600 pairs over 3,940 slots
+    _q([1] * 12) * _q([1] * 12)  # 144 pairs under 16 + 3 * 47
+    # One term per row: 400 row pairs.
+    geometric_sum(QT, "t", 20) * geometric_sum(QT, "t", 20)
+    # No q at all.
+    geometric_sum(("x", "y"), "x", 20) * geometric_sum(("x", "y"), "x", 20)
+    assert schoolbook_calls == [1600, 144, 400, 400]
+
+
+def test_the_dense_rule_at_its_edge(schoolbook_calls):
+    # One row of 13 terms squared: 169 pairs against 16 + 3 * (13 + 13 + 25).
+    g = _q([1] * 13)
+    assert _same_as(g * g, _schoolbook(g, g))
+    assert schoolbook_calls == []
+
+
+def test_a_far_q_power_keeps_a_product_on_the_term_pair_loop(schoolbook_calls):
+    # 41 x 80 pairs, but one row spans 10^9 + 1 slots: the count refuses
+    # the row path before any int is built, so this finishes at once.
+    far = geometric_sum(QT, "q", 40) + var(QT, "q", 10 ** 9)
+    g = geometric_sum(QT, "q", 40) + _lift(_q([1] * 40), QT, {"t": 1})
+    got = far * g
+    assert schoolbook_calls == [41 * 80]
+    assert _same_as(got, _schoolbook(far, g))
+    # A power of a sparse row goes by repeated products: p * p, then 1 * p^2.
+    sparse = 1 - var(Q, "q", 10 ** 9)
+    schoolbook_calls.clear()
+    assert _same_as(sparse ** 2, _schoolbook(sparse, sparse))
+    assert schoolbook_calls == [4, 3]
+
+
+def test_a_two_term_factor_keeps_a_product_on_the_term_pair_loop(schoolbook_calls):
+    # 20 dense rows of 30 terms: 1,200 term pairs with either short factor.
+    rng = Random(3)
+    big = Polynomial.zero(QT)
+    for j in range(20):
+        big = big + _lift(_q([rng.randint(-99, 99) or 1 for _ in range(30)]), QT, {"t": j})
+    for short in (1 - var(QT, "q", 5), var(QT, "q", 2) - var(QT, "t")):
+        schoolbook_calls.clear()
+        assert _same_as(big * short, _schoolbook(big, short))
+        assert schoolbook_calls == [2 * len(big.items())]
+
+
+def test_an_overflowing_slot_raises_inside_the_error_taxonomy(monkeypatch):
+    # With one-byte slots forced, the top coefficient 100 * 100 of the
+    # product outgrows the value's last slot.
+    monkeypatch.setattr(algebra, "_slot_size", lambda bound: 1)
+    a = _q([100] * 20)
+    for product in (lambda: a * a, lambda: a ** 2, lambda: _lift(a, QT) * _lift(a, QT)):
+        with pytest.raises(InternalConsistencyError, match="outgrew"):
+            product()
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])

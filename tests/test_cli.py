@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -167,6 +168,20 @@ class TestSpecializeCommand:
             '{"denominator_factors": [["1 - q", 1], ["1 - q^2", 1], ["1 - q^3", 1]],'
             ' "numerator": "q + q^2 - 2 * q^3 - q^70000 + q^70003 - q^140000 + q^140003'
             ' + 2 * q^210000 - q^210001 - q^210002", "partition": [2, 1]}\n'
+        )
+
+    def test_substitution_far_past_any_dense_row(self, capsys):
+        # The substitution reaches exponents near 8 * 10^11, whose rows in q
+        # no dense product may ever build; the digest is that of the text the
+        # kernel printed before products in q went by rows.
+        code, out, _ = run(
+            capsys, "specialize", "--mu", "3,2,2,1", "--subst", "a=q^99999999999"
+        )
+        assert code == EXIT_OK
+        assert out.startswith("(12 * b^8 - 9 * b^8 * q - 6 * b^8 * q^2")
+        assert out.endswith('12 * q^800000000020", "partition": [3, 2, 2, 1]}\n')
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6103f3d578739bb8616e4a52e184c006055388cd5caeb4211605fc9e9412ab19"
         )
 
     def test_oracle_direct_requires_N(self, capsys):
