@@ -26,13 +26,17 @@ from .algebra import Polynomial
 from .errors import QmonoError, ResourceLimitError, UsageError
 from .macdonald import eigencheck, row_expansion_table
 from .partitions import Partition, partitions_up_to
-from .positivity import POSITIVITY_LENGTH_CAP, positivity_report
+from .positivity import positivity_report
 from .specialize import UNIVERSE_ABQ, monomial_spec, oracle_direct, oracle_powersum
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# The largest and default positivity --max-weight, checked before (1^w) is
+# built: P of (1^9) has degree 1,793, over the P cap of 1,600.
+POSITIVITY_SWEEP_CAP = 8
 
 _CLI_BASES = {
     "power": "power",
@@ -281,12 +285,10 @@ def cmd_positivity(args) -> acceptance.Report:
             raise UsageError("--max-weight does not apply with --mu")
         partitions = [parse_partition(args.mu)]
     else:
-        max_weight = 8 if args.max_weight is None else args.max_weight
-        # (1^w) has length w, so a weight over the length cap is refused
-        # before any partition is built.
-        if max_weight > POSITIVITY_LENGTH_CAP:
+        max_weight = POSITIVITY_SWEEP_CAP if args.max_weight is None else args.max_weight
+        if max_weight > POSITIVITY_SWEEP_CAP:
             raise ResourceLimitError(
-                f"partition length {max_weight} exceeds positivity cap {POSITIVITY_LENGTH_CAP}"
+                f"weight {max_weight} exceeds positivity sweep cap {POSITIVITY_SWEEP_CAP}"
             )
         partitions = partitions_up_to(max_weight)
         if not partitions:

@@ -1,7 +1,9 @@
 """Partition combinatorics: enumeration, multiplicities, the centralizer
-size z, the distinct rearrangements of the parts, the sub-multiset peel that
-sums over those rearrangements without listing them, and the cycle
-decompositions of the full symmetric group.
+size z, the distinct rearrangements of the parts, the subset part sums
+counted without listing the subsets, the sub-multiset peel that sums over the
+rearrangements without listing them, and the cycle decompositions of the
+full symmetric group.  Only the symmetric-group enumerations grow with
+length!, and they share one cap, PERMUTATION_CAP.
 
 Enumeration orders are deterministic: reverse-lexicographic for partitions,
 lexicographic for rearrangements and permutations.
@@ -17,7 +19,6 @@ from typing import Iterator
 
 from .errors import ResourceLimitError, UsageError
 
-DERANGEMENT_LENGTH_CAP = 8
 PERMUTATION_CAP = 8
 
 
@@ -28,10 +29,10 @@ class Partition:
     parts: tuple
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
         for i, p in enumerate(parts):
-            if p < 1:
-                raise UsageError(f"partition parts must be positive, got {p}")
+            if not isinstance(p, int) or p < 1:
+                raise UsageError(f"partition parts must be positive ints, got {p!r}")
             if i and parts[i - 1] < p:
                 raise UsageError(f"parts must be weakly decreasing, got {parts}")
         object.__setattr__(self, "parts", parts)
@@ -117,37 +118,40 @@ def partitions_up_to(w: int) -> list:
     return out
 
 
+def check_permutation_cap(n: int, what: str):
+    """Refuse a sum over the n! orderings of n items before any is listed."""
+    if n > PERMUTATION_CAP:
+        raise ResourceLimitError(f"{what} {n} exceeds permutation cap {PERMUTATION_CAP}")
+
+
 def derangements(mu: Partition) -> list:
     """The distinct rearrangements of mu's parts as tuples, lexicographic
     order.  The sums over rearrangements go through
     :func:`rearrangement_peel`; this list is their literal reference."""
-    if mu.length > DERANGEMENT_LENGTH_CAP:
-        raise ResourceLimitError(
-            f"partition length {mu.length} exceeds rearrangement cap {DERANGEMENT_LENGTH_CAP}"
-        )
+    check_permutation_cap(mu.length, "partition length")
     return sorted(set(itertools.permutations(mu.parts)))
 
 
-def subset_part_sums(mu: Partition) -> list:
-    """Part sums of all nonempty position subsets, with multiplicity."""
-    return [
-        sum(combo) for k in range(1, mu.length + 1) for combo in itertools.combinations(mu.parts, k)
-    ]
+def subset_sum_counts(mu: Partition) -> dict:
+    """{s: the number of nonempty position subsets of mu with part sum s},
+    ascending in s, by a DP over the parts: O(length * states), not 2^length."""
+    counts = {0: 1}
+    for p in mu.parts:
+        for s, m in list(counts.items()):
+            counts[s + p] = counts.get(s + p, 0) + m
+    del counts[0]
+    return dict(sorted(counts.items()))
 
 
 def check_peel_cost(mu: Partition, max_states: int, max_degree: int, what: str):
-    """Refuse mu before any work when it is longer than the length cap, or
-    when its rearrangement peel has more than ``max_states`` states,
-    prod(m_i + 1), or a common denominator of degree over ``max_degree``,
-    the sum of the distinct subset part sums."""
-    if mu.length > DERANGEMENT_LENGTH_CAP:
-        raise ResourceLimitError(
-            f"partition length {mu.length} exceeds {what} cap {DERANGEMENT_LENGTH_CAP}"
-        )
+    """Refuse mu before any work when its rearrangement peel has more than
+    ``max_states`` states, prod(m_i + 1), or a common denominator of degree
+    over ``max_degree``, the sum of the distinct subset part sums.  The
+    states, counted first, bound the cost of the sums, so length needs no cap."""
     states = math.prod(m + 1 for m in mu.multiplicities().values())
     if states > max_states:
         raise ResourceLimitError(f"{states} sub-multisets of {mu} exceed {what} cap {max_states}")
-    degree = sum(set(subset_part_sums(mu)))
+    degree = sum(subset_sum_counts(mu))
     if degree > max_degree:
         raise ResourceLimitError(
             f"denominator degree {degree} of {mu} exceeds {what} cap {max_degree}"
@@ -222,6 +226,5 @@ def permutations_with_cycles(n: int) -> list:
     cycles per permutation, the permutations in lexicographic order."""
     if n < 0:
         raise UsageError("n must be non-negative")
-    if n > PERMUTATION_CAP:
-        raise ResourceLimitError(f"permutation degree {n} exceeds cap {PERMUTATION_CAP}")
+    check_permutation_cap(n, "permutation degree")
     return [_cycles_of(mapping) for mapping in itertools.permutations(range(1, n + 1))]

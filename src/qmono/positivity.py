@@ -16,7 +16,6 @@ through an exact factorization identity.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,18 +25,12 @@ from .errors import (
     NotApplicableError,
     ResourceLimitError,
 )
-from .partitions import (
-    DERANGEMENT_LENGTH_CAP,
-    Partition,
-    check_peel_cost,
-    rearrangement_peel,
-    subset_part_sums,
-)
+from .partitions import Partition, check_peel_cost, rearrangement_peel, subset_sum_counts
 from .specialize import UNIVERSE_QT, monomial_spec
 
-POSITIVITY_LENGTH_CAP = DERANGEMENT_LENGTH_CAP
 # The caps of the peel behind H, and of the degree of P, which bounds the
-# cost of P, of H = N * L and of the identity check (README "Caps").
+# cost of P, of H = N * L and of the identity check (README "Caps").  P's
+# degree is at least 1,793 for length 9 or more, so it also caps the length.
 POSITIVITY_STATE_CAP = 64
 POSITIVITY_DEGREE_CAP = 240
 POSITIVITY_P_DEGREE_CAP = 1600
@@ -69,7 +62,7 @@ class PositivityReport:
 
 def _check_cap(mu: Partition):
     check_peel_cost(mu, POSITIVITY_STATE_CAP, POSITIVITY_DEGREE_CAP, "positivity")
-    degree = sum(s - 1 for s in subset_part_sums(mu))
+    degree = sum((s - 1) * m for s, m in subset_sum_counts(mu).items())
     if degree > POSITIVITY_P_DEGREE_CAP:
         raise ResourceLimitError(
             f"degree {degree} of P for {mu} exceeds positivity cap {POSITIVITY_P_DEGREE_CAP}"
@@ -81,7 +74,7 @@ def auxiliary_product(mu: Partition) -> Polynomial:
     1 + q + ... + q^(part sum - 1), one power per distinct part sum."""
     _check_cap(mu)
     out = Polynomial.one(UNIVERSE_Q)
-    for s, m in sorted(Counter(subset_part_sums(mu)).items()):
+    for s, m in subset_sum_counts(mu).items():
         out = out * geometric_sum(UNIVERSE_Q, "q", s) ** m
     return out
 
@@ -102,18 +95,17 @@ def positivity_polynomial(mu: Partition) -> Polynomial:
     product of the subset factors of P left over after one per s in D."""
     _check_cap(mu)
     length = mu.length
-    pool = Counter(subset_part_sums(mu))
+    pool = subset_sum_counts(mu)
     num, sums = rearrangement_peel(
         mu,
         lambda i, total, c: _homogeneous_quotient(length - i, c),
         lambda s: geometric_sum(UNIVERSE_QT, "q", s),
     )
     leftover = Polynomial.one(UNIVERSE_Q)
-    for s in sorted(set(pool) | sums):
-        m = pool[s] - (s in sums)
-        if m < 0:
-            raise InternalConsistencyError(f"no subset factor with part sum {s} left to cancel")
-        leftover = leftover * geometric_sum(UNIVERSE_Q, "q", s) ** m
+    if not sums <= pool.keys():
+        raise InternalConsistencyError(f"peel sums {sorted(sums)} are not all subset sums")
+    for s, m in pool.items():
+        leftover = leftover * geometric_sum(UNIVERSE_Q, "q", s) ** (m - (s in sums))
     return num * leftover.substitute({}, universe=UNIVERSE_QT)
 
 

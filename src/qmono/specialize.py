@@ -32,9 +32,9 @@ from fractions import Fraction
 from .algebra import FactoredFraction, Polynomial
 from .errors import ResourceLimitError, UsageError
 from .partitions import (
-    PERMUTATION_CAP,
     Partition,
     check_peel_cost,
+    check_permutation_cap,
     permutations_with_cycles,
     rearrangement_peel,
 )
@@ -49,7 +49,8 @@ FORM_ORACLE_DIRECT = "oracle-direct"
 
 # The peel's cost follows its states and its denominator degree, so the closed
 # forms cap both; the power-sum oracle sums length! permutations, so it also
-# caps the distinct rearrangements (README "Caps" has the cap-edge runs).
+# caps the distinct rearrangements and the length (README "Caps" has the
+# cap-edge runs).
 PEEL_STATE_CAP = 128
 PEEL_DEGREE_CAP = 600
 ORACLE_REARRANGEMENT_CAP = 120
@@ -98,13 +99,15 @@ def oracle_powersum(mu: Partition) -> SpecResult:
     on the multiset of cycle sums, which also fixes the number of cycles, so
     the permutations are counted per multiset and each multiset adds one
     fraction, with numerator +-count * prod(a^s - b^s).  Capped like the
-    closed forms, and to ORACLE_REARRANGEMENT_CAP distinct rearrangements."""
+    closed forms, to ORACLE_REARRANGEMENT_CAP distinct rearrangements and to
+    the permutation cap, all before any permutation is listed."""
     check_peel_cost(mu, PEEL_STATE_CAP, PEEL_DEGREE_CAP, "closed-form")
     count = mu.rearrangement_count()
     if count > ORACLE_REARRANGEMENT_CAP:
         raise ResourceLimitError(
             f"{count} rearrangements of {mu} exceed oracle cap {ORACLE_REARRANGEMENT_CAP}"
         )
+    check_permutation_cap(mu.length, "partition length")
     length = mu.length
     parts = mu.parts
     counts = Counter(
@@ -129,8 +132,7 @@ def oracle_direct(mu: Partition, N: int) -> SpecResult:
     symmetric-group sums."""
     if N < mu.length:
         raise UsageError("alphabet size must be at least the partition length")
-    if N > PERMUTATION_CAP:
-        raise ResourceLimitError(f"alphabet size {N} exceeds cap {PERMUTATION_CAP}")
+    check_permutation_cap(N, "alphabet size")
     padded = tuple(mu.parts) + (0,) * (N - mu.length)
     total = Polynomial.zero(UNIVERSE_ABQ)
     # Small N only; set-dedup of full permutations is plenty here.

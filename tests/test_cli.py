@@ -192,18 +192,30 @@ class TestSpecializeCommand:
         assert "oracle-N" in err
 
     def test_resource_cap_exit_code(self, capsys, monkeypatch):
-        # Over the length cap, and five distinct parts whose denominator
-        # degree 6,315 is over the degree cap: refused before any work.
+        # (1^35), whose denominator degree 630 is over the degree cap, and
+        # five distinct parts of degree 6,315: refused before any work.  The
+        # power-sum oracle also refuses (1^9), longer than its permutation
+        # cap.  (1^34), of degree 595, is admitted.
         calls = []
         monkeypatch.setattr(specialize, "rearrangement_peel", lambda mu, *a: calls.append(mu))
         monkeypatch.setattr(specialize, "permutations_with_cycles", lambda n: calls.append(n))
         for form in ("theorem1", "theorem3", "oracle-powersum"):
-            for mu in ("1,1,1,1,1,1,1,1,1", "97,89,83,79,73"):
+            for mu in (",".join(["1"] * 35), "97,89,83,79,73"):
                 code, out, err = run(capsys, "specialize", "--mu", mu, "--form", form)
                 assert code == EXIT_RESOURCE
                 assert out == ""
                 assert "cap" in err
+        code, out, err = run(
+            capsys, "specialize", "--mu", "1,1,1,1,1,1,1,1,1", "--form", "oracle-powersum"
+        )
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "permutation cap" in err
         assert calls == []
+        monkeypatch.undo()
+        code, out, _ = run(capsys, "specialize", "--mu", ",".join(["1"] * 34))
+        assert code == EXIT_OK
+        assert json.loads(out.splitlines()[-1])["partition"] == [1] * 34
 
     def test_rearrangements_over_cap_are_refused_before_any_work(self, capsys, monkeypatch):
         # Seven distinct parts and a repeated one have 192 peel states, over
@@ -489,12 +501,13 @@ class TestExpandCommand:
 
     @pytest.mark.parametrize("basis", ["complete", "elementary", "deformed-h", "deformed-e"])
     def test_length_over_cap_is_refused_before_any_work(self, capsys, monkeypatch, basis):
-        # (1^9) is longer than the rearrangement cap, so degree 9 is refused
-        # before the first coefficient is evaluated.
+        # These bases evaluate one specialization per partition and are
+        # capped at degree 13, so degree 14 is refused before the first
+        # coefficient is evaluated.
         calls = []
         monkeypatch.setattr(macdonald, "spec_value_at", lambda *a: calls.append(a))
         t0 = time.perf_counter()
-        code, out, err = run(capsys, "expand", "--n", "9", "--basis", basis)
+        code, out, err = run(capsys, "expand", "--n", "14", "--basis", basis)
         assert time.perf_counter() - t0 < 1.0
         assert code == EXIT_RESOURCE
         assert out == ""

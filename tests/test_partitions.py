@@ -11,8 +11,17 @@ from qmono.partitions import (
     partitions_of,
     partitions_up_to,
     permutations_with_cycles,
+    subset_sum_counts,
     z_of,
 )
+
+
+def subset_part_sums(mu: Partition) -> list:
+    """The literal reference for ``subset_sum_counts``: the part sum of each
+    of the 2^length - 1 nonempty position subsets, with multiplicity."""
+    return [
+        sum(combo) for k in range(1, mu.length + 1) for combo in itertools.combinations(mu.parts, k)
+    ]
 
 
 class TestPartition:
@@ -22,6 +31,12 @@ class TestPartition:
         with pytest.raises(UsageError):
             Partition((2, 0))
         assert Partition(()).length == 0
+
+    @pytest.mark.parametrize("parts", [(2.7, 1), ("3",)])
+    def test_parts_must_be_ints(self, parts):
+        # No silent truncation or parsing: (2.7, 1) is not (2, 1).
+        with pytest.raises(UsageError, match="positive ints"):
+            Partition(parts)
 
     def test_accessors(self):
         mu = Partition((3, 1, 1))
@@ -53,6 +68,29 @@ class TestEnumeration:
     def test_counts(self):
         # Partition numbers p(1)..p(8): 1 1 2 3 5 7 11 15 22 summed = 66.
         assert len(partitions_up_to(8)) == 66
+
+
+class TestSubsetSumCounts:
+    @pytest.mark.parametrize("w", range(13))
+    def test_equals_the_literal_enumeration(self, w):
+        for mu in partitions_of(w):
+            counts = subset_sum_counts(mu)
+            assert counts == Counter(subset_part_sums(mu)), mu
+            assert list(counts) == sorted(counts), mu
+
+    @pytest.mark.parametrize("w", range(1, 13))
+    def test_degree_of_P_is_the_closed_form(self, w):
+        # deg P = sum over nonempty subsets of (part sum - 1)
+        #       = 2^(l-1) * weight - 2^l + 1.
+        for mu in partitions_of(w):
+            l = mu.length
+            degree = sum((s - 1) * m for s, m in subset_sum_counts(mu).items())
+            assert degree == 2 ** (l - 1) * w - 2 ** l + 1, mu
+
+    def test_a_long_column_is_a_row_of_binomials(self):
+        # 2^40 subsets, counted in 40 steps of at most 41 sums.
+        counts = subset_sum_counts(Partition((1,) * 40))
+        assert counts == {s: math.comb(40, s) for s in range(1, 41)}
 
 
 class TestDerangements:

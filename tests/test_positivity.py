@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 
 from qmono import positivity
 from qmono.algebra import Polynomial, geometric_sum
 from qmono.errors import NotApplicableError, ResourceLimitError
-from qmono.partitions import Partition, partitions_of, partitions_up_to
+from qmono.partitions import Partition, partitions_of, partitions_up_to, subset_sum_counts
 from qmono.positivity import (
     UNIVERSE_Q,
     UNIVERSE_QT,
@@ -11,7 +13,6 @@ from qmono.positivity import (
     inverted_polynomial,
     positivity_polynomial,
     positivity_report,
-    subset_part_sums,
     two_row_closed_form,
 )
 
@@ -21,18 +22,19 @@ def qt(terms):
 
 
 def sequential_product(mu):
-    """P by its definition: one factor [s]_q per nonempty subset, in the
-    order subset_part_sums lists them."""
+    """P by its definition: one factor [s]_q per nonempty position subset,
+    s its part sum, the subsets listed literally."""
     out = Polynomial.one(UNIVERSE_Q)
-    for s in subset_part_sums(mu):
-        out = out * geometric_sum(UNIVERSE_Q, "q", s)
+    for k in range(1, mu.length + 1):
+        for combo in itertools.combinations(mu.parts, k):
+            out = out * geometric_sum(UNIVERSE_Q, "q", sum(combo))
     return out
 
 
 class TestAuxiliaryProduct:
     def test_two_one(self):
         # Subsets {1}, {2}, {1,2} have part sums 2, 1, 3.
-        assert sorted(subset_part_sums(Partition((2, 1)))) == [1, 2, 3]
+        assert subset_sum_counts(Partition((2, 1))) == {1: 1, 2: 1, 3: 1}
         expected = geometric_sum(UNIVERSE_Q, "q", 2) * geometric_sum(
             UNIVERSE_Q, "q", 3
         )

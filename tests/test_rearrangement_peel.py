@@ -14,7 +14,7 @@ from qmono.partitions import (
     derangements,
     partitions_of,
     rearrangement_peel,
-    subset_part_sums,
+    subset_sum_counts,
 )
 from qmono.positivity import UNIVERSE_QT, _homogeneous_quotient, positivity_polynomial
 from qmono.specialize import monomial_spec
@@ -26,9 +26,7 @@ def literal_positivity_polynomial(mu: Partition) -> Polynomial:
     """H(q, t): over each rearrangement, the product of the homogeneous
     quotients times the subset factors of P left over after one per prefix
     sum."""
-    pool = {}
-    for s in subset_part_sums(mu):
-        pool[s] = pool.get(s, 0) + 1
+    pool = subset_sum_counts(mu)
     total = Polynomial.zero(UNIVERSE_QT)
     for d in derangements(mu):
         remaining = dict(pool)
@@ -101,4 +99,4 @@ def test_peel_counts_rearrangements_and_prefix_sums(w):
         num, sums = rearrangement_peel(mu, lambda i, total, c: 1, lambda s: 1)
         assert num == mu.rearrangement_count(), mu
         prefix_sums = {s for d in derangements(mu) for s in itertools.accumulate(d)}
-        assert sums == set(subset_part_sums(mu)) == prefix_sums, mu
+        assert sums == set(subset_sum_counts(mu)) == prefix_sums, mu

@@ -93,16 +93,20 @@ class TestPrefixForm:
             monomial_spec(Partition((1,)), "theorem2")
 
     def test_length_cap(self, monkeypatch):
-        # (1^9) has only 10 peel states and denominator degree 45: the
-        # length cap alone refuses it, before the peel starts.
+        # No length cap of its own: (1^34) has 35 peel states and denominator
+        # degree 595 and is admitted; (1^35) has degree 630, over the degree
+        # cap, and a far longer column is over the state cap, which is
+        # counted first.  Both are refused before the peel starts.
         calls = []
         monkeypatch.setattr(
             specialize, "rearrangement_peel", lambda mu, *a: calls.append(mu) or (1, frozenset())
         )
-        monomial_spec(Partition((1,) * 8))
-        assert calls == [Partition((1,) * 8)]
-        with pytest.raises(ResourceLimitError, match="length 9"):
-            monomial_spec(Partition((1,) * 9))
+        monomial_spec(Partition((1,) * 34))
+        assert calls == [Partition((1,) * 34)]
+        with pytest.raises(ResourceLimitError, match="degree 630"):
+            monomial_spec(Partition((1,) * 35))
+        with pytest.raises(ResourceLimitError, match="100001 sub-multisets"):
+            monomial_spec(Partition((1,) * 10 ** 5))
         assert len(calls) == 1
 
     def test_rearrangement_cap(self, monkeypatch):
@@ -272,6 +276,33 @@ class TestOracles:
         assert got == FactoredFraction(sum((Q ** i for i in range(1, PERMUTATION_CAP)), ONE))
         with pytest.raises(ResourceLimitError):
             oracle_direct(Partition((1,)), PERMUTATION_CAP + 1)
+
+
+class TestLongPartitions:
+    """Partitions longer than the permutation cap, which no oracle reaches:
+    the two closed forms against each other, and columns against the Gauss
+    polynomials, which need no rearrangement sum."""
+
+    @pytest.mark.parametrize("w", range(9, 13))
+    def test_forms_agree(self, w):
+        long = [mu for mu in partitions_of(w) if mu.length >= 9]
+        assert long
+        for mu in long:
+            prefix = monomial_spec(mu, "theorem1").value
+            assert frac_eq(prefix, monomial_spec(mu, "theorem3").value), mu
+
+    @pytest.mark.parametrize("k", range(9, 13))
+    def test_columns_are_gauss_polynomials(self, k):
+        # e_k at a = 1, b = q^N is q^(k(k-1)/2) [N choose k]_q, as in
+        # criterion 4, here past its k <= 6.
+        for N in (k, k + 2):
+            got = monomial_spec(Partition((1,) * k)).value.substitute({"a": 1, "b": Q ** N})
+            num = Q ** (k * (k - 1) // 2)
+            den = []
+            for i in range(1, k + 1):
+                num = num * (ONE - Q ** (N - i + 1))
+                den.append(ONE - Q ** i)
+            assert frac_eq(got, FactoredFraction(num, den)), (k, N)
 
 
 class TestProperties:
