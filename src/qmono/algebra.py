@@ -49,11 +49,15 @@ Every other product goes term pair by term pair through :func:`_mul_terms`.
 
 Fractions are never reduced by multivariate gcd.  They stay in factored form
 (numerator polynomial over a multiset of denominator factors) and equality is
-decided by cross-multiplication.  The one reduction the kernel offers is exact
-division by a known factor (:meth:`Polynomial.exact_quotient`), which callers
-use to cancel a denominator factor they know.  Substitution binds variables
-to polynomial, int or Fraction values only, so a fraction substitutes into
-its numerator and each denominator factor and no value is ever inverted.
+decided by cross-multiplication.  A sum is added up a balanced tree over its
+distinct denominators (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+ch. 10): each node is a numerator over the lcm of its leaves, so a factor
+that several terms lack multiplies their partial sum once.  The one reduction
+the kernel offers is exact division by a known factor
+(:meth:`Polynomial.exact_quotient`), which callers use to cancel a
+denominator factor they know.  Substitution binds variables to polynomial,
+int or Fraction values only, so a fraction substitutes into its numerator
+and each denominator factor and no value is ever inverted.
 All values are immutable after construction and every operation is a pure
 function, so values can be shared freely between threads.
 """
@@ -61,6 +65,7 @@ function, so values can be shared freely between threads.
 from __future__ import annotations
 
 import heapq
+import math
 import sys
 from fractions import Fraction
 from itertools import repeat
@@ -447,9 +452,10 @@ class Polynomial:
                 return NotImplemented
             if other == 0:
                 return Polynomial._raw(self.universe, {})
+            other = _norm_coeff(other)
             return Polynomial._raw(
                 self.universe,
-                {e: c * other for e, c in self.terms.items()},
+                {e: _norm_coeff(c * other) for e, c in self.terms.items()},
                 self._width,
                 self._degree,
             )
@@ -538,16 +544,15 @@ class Polynomial:
                 value = _evaluate(row, lo, hi, size) ** n
                 terms = _read(value, n * (hi - lo) + 1, size, n * lo * step, step)
                 return Polynomial._raw(self.universe, terms, w, n * hi)
-        result = Polynomial.one(self.universe)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
+                result = base if result is None else result * base
+            n >>= 1
+            if n:
                 base = base * base
-            n = base_needed
-        return result
+        return Polynomial.one(self.universe) if result is None else result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -695,6 +700,26 @@ class Polynomial:
         return f"Polynomial({self.text()!r})"
 
 
+def _lifted(num: Polynomial, have: list, to: list, factors: list) -> Polynomial:
+    """num over the powers ``have`` of ``factors`` brought over the powers
+    ``to``, each at least its own: the factor powers it lacks are multiplied
+    together first, then once into num."""
+    lift = [f ** (t - h) for f, t, h in zip(factors, to, have) if t > h]
+    return num * math.prod(lift[1:], start=lift[0]) if lift and num.terms else num
+
+
+def _merged(nodes: list, factors: list) -> tuple:
+    """The sum of (numerator, powers of ``factors``) nodes over the lcm of
+    their denominators, added up a balanced tree in list order: a factor
+    that several nodes lack multiplies their partial sum once."""
+    if len(nodes) == 1:
+        return nodes[0]
+    half = len(nodes) // 2
+    (n1, h1), (n2, h2) = _merged(nodes[:half], factors), _merged(nodes[half:], factors)
+    to = list(map(max, h1, h2))
+    return _lifted(n1, h1, to, factors) + _lifted(n2, h2, to, factors), to
+
+
 def _sign_normalized(f: Polynomial):
     """Return (g, flipped) with g = +/-f such that the first term of g in
     canonical order has a positive coefficient."""
@@ -831,8 +856,10 @@ class FactoredFraction:
     def sum(items: Iterable["FactoredFraction"], universe=None) -> "FactoredFraction":
         """Sum brought over the least common denominator multiset.
 
-        Terms sharing a denominator multiset are added numerator-first, so a
-        long sum costs one cofactor assembly per distinct multiset."""
+        Terms sharing a denominator multiset are added numerator-first; the
+        distinct multisets are then added up a balanced tree in their order
+        of first appearance (:func:`_merged`).  The common denominator keeps
+        the factors of a multiset whose numerators cancelled to zero."""
         items = list(items)
         if not items:
             if universe is None:
@@ -858,16 +885,19 @@ class FactoredFraction:
             for f, m in den:
                 if common.get(f, 0) < m:
                     common[f] = m
-        total = Polynomial.zero(uni)
+        factors = list(common)
+        at = {f: i for i, f in enumerate(factors)}
+        nodes = []
         for den, num in buckets.items():
-            if num.is_zero:
-                continue
-            have = dict(den)
-            for f, m in common.items():
-                extra = m - have.get(f, 0)
-                if extra:
-                    num = num * f ** extra
-            total = total + num
+            if num.terms:
+                have = [0] * len(factors)
+                for f, m in den:
+                    have[at[f]] = m
+                nodes.append((num, have))
+        total = Polynomial.zero(uni)
+        if nodes:
+            num, have = _merged(nodes, factors)
+            total = _lifted(num, have, list(common.values()), factors)
         return FactoredFraction(total, common.items())
 
     # -- value equality ----------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import FactoredFraction, Polynomial
-from .errors import ResourceLimitError, UsageError
+from .errors import UsageError
 from .partitions import (
     Partition,
     check_peel_cost,
@@ -48,12 +48,11 @@ FORM_ORACLE_POWERSUM = "oracle-powersum"
 FORM_ORACLE_DIRECT = "oracle-direct"
 
 # The peel's cost follows its states and its denominator degree, so the closed
-# forms cap both; the power-sum oracle sums length! permutations, so it also
-# caps the distinct rearrangements and the length (README "Caps" has the
-# cap-edge runs).
+# forms cap both; the power-sum oracle obeys both caps and enumerates length!
+# permutations, so it also caps the length (README "Caps" has the cap-edge
+# runs).
 PEEL_STATE_CAP = 128
 PEEL_DEGREE_CAP = 600
-ORACLE_REARRANGEMENT_CAP = 120
 
 
 @dataclass(frozen=True)
@@ -99,14 +98,9 @@ def oracle_powersum(mu: Partition) -> SpecResult:
     on the multiset of cycle sums, which also fixes the number of cycles, so
     the permutations are counted per multiset and each multiset adds one
     fraction, with numerator +-count * prod(a^s - b^s).  Capped like the
-    closed forms, to ORACLE_REARRANGEMENT_CAP distinct rearrangements and to
-    the permutation cap, all before any permutation is listed."""
+    closed forms and to the permutation cap, all before any permutation is
+    listed."""
     check_peel_cost(mu, PEEL_STATE_CAP, PEEL_DEGREE_CAP, "closed-form")
-    count = mu.rearrangement_count()
-    if count > ORACLE_REARRANGEMENT_CAP:
-        raise ResourceLimitError(
-            f"{count} rearrangements of {mu} exceed oracle cap {ORACLE_REARRANGEMENT_CAP}"
-        )
     check_permutation_cap(mu.length, "partition length")
     length = mu.length
     parts = mu.parts

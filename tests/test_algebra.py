@@ -94,6 +94,10 @@ class TestPolynomial:
         assert q ** 0 == one
         assert q ** 3 == var(ABQ, "q", 3)
         assert (one + q) ** 2 == one + 2 * q + q ** 2
+        p, product = a - b * q + 2, one
+        for m in range(7):
+            assert p ** m == product
+            product = product * p
 
 
 class TestExactQuotient:
@@ -177,6 +181,15 @@ class TestFactoredFraction:
             value - "x"
         with pytest.raises(TypeError, match="for -: "):
             "x" - value
+
+    def test_a_flipped_factor_keeps_int_coefficients(self, abq, dense_only):
+        # Flipping 1 - q's sign scales the numerator by -1, which stays an
+        # int, so a dense product of the numerator still goes by rows.
+        one, a, b, q = abq
+        assert all(type(c) is int for _, c in FactoredFraction(one + q, [q - one]).numerator.items())
+        num = FactoredFraction(geometric_sum(Q, "q", 20), [var(Q, "q") - 1]).numerator
+        assert all(type(c) is int for _, c in num.items())
+        assert num * num == geometric_sum(Q, "q", 20) ** 2
 
     def test_constant_factors_fold(self, abq):
         one, a, b, q = abq
@@ -718,8 +731,8 @@ def test_a_fraction_coefficient_falls_back_to_the_term_pair_loop(schoolbook_call
     b = _q([3, -1] * 10)
     assert _same_as(a * b, _schoolbook(a, b))
     assert _same_as(a ** 2, _schoolbook(a, a))
-    # a * b, then a ** 2 by squaring: a * a and 1 * a^2.
-    assert schoolbook_calls == [400, 400, 39]
+    # a * b, then a ** 2 by squaring: a * a alone.
+    assert schoolbook_calls == [400, 400]
     ra, rb = _lift(a, QT) + _lift(b, QT, {"t": 1}), _lift(b, QT)
     schoolbook_calls.clear()
     assert _same_as(ra * rb, _schoolbook(ra, rb))
@@ -752,11 +765,11 @@ def test_a_far_q_power_keeps_a_product_on_the_term_pair_loop(schoolbook_calls):
     got = far * g
     assert schoolbook_calls == [41 * 80]
     assert _same_as(got, _schoolbook(far, g))
-    # A power of a sparse row goes by repeated products: p * p, then 1 * p^2.
+    # A power of a sparse row goes by repeated products: p * p alone.
     sparse = 1 - var(Q, "q", 10 ** 9)
     schoolbook_calls.clear()
     assert _same_as(sparse ** 2, _schoolbook(sparse, sparse))
-    assert schoolbook_calls == [4, 3]
+    assert schoolbook_calls == [4]
 
 
 def test_a_two_term_factor_keeps_a_product_on_the_term_pair_loop(schoolbook_calls):
@@ -797,3 +810,109 @@ def test_a_degree_past_16_bit_fields_against_the_closed_form(dense_only):
         assert len(items) == 39999
         assert all(c == min(k + 1, 39999 - k) for (k,), c in items)
     assert (g ** 2)._width == 32
+
+
+# -- the merge tree of FactoredFraction.sum -----------------------------------
+
+
+def _flat_sum(items, universe=None):
+    """FactoredFraction.sum by one flat loop: items sharing a denominator
+    are added numerator-first, then each bucket's numerator is multiplied by
+    every factor power it lacks against the common denominator, one factor
+    at a time."""
+    items = list(items)
+    if not items:
+        return FactoredFraction.zero(universe)
+    buckets = {}
+    for it in items:
+        if not it.is_zero:
+            cur = buckets.get(it.denominator)
+            buckets[it.denominator] = it.numerator if cur is None else cur + it.numerator
+    common = {}
+    for den in buckets:
+        for f, m in den:
+            common[f] = max(common.get(f, 0), m)
+    total = Polynomial.zero(items[0].universe)
+    for den, num in buckets.items():
+        have = dict(den)
+        for f, m in common.items():
+            if m > have.get(f, 0):
+                num = num * f ** (m - have.get(f, 0))
+        total = total + num
+    return FactoredFraction(total, common.items())
+
+
+def _random_poly(rng, universe, terms, coeffs, top):
+    return Polynomial(
+        universe,
+        {tuple(rng.randint(0, top) for _ in universe): rng.choice(coeffs) for _ in range(terms)},
+    )
+
+
+def _random_items(rng, universe):
+    """1 to 12 fractions over a pool of about 6 factors, with multiplicities
+    1 to 3, int and Fraction coefficients, some sharing a denominator."""
+    pool = []
+    while len(pool) < 6:
+        f = _random_poly(rng, universe, rng.randint(2, 3), (1, -1, 2, -3), 1)
+        if not f.is_constant():
+            pool.append(f)
+    coeffs = (1, -1, 2, -5, Fraction(1, 2), Fraction(-3, 4))
+    items = []
+    for _ in range(rng.randint(1, 12)):
+        if items and rng.random() < 0.3:
+            den = rng.choice(items).denominator
+        else:
+            den = [(f, rng.randint(1, 3)) for f in rng.sample(pool, rng.randint(0, 4))]
+        items.append(FactoredFraction(_random_poly(rng, universe, rng.randint(1, 4), coeffs, 2), den))
+    return items
+
+
+def _same_fraction(got, expected):
+    return got == expected and got.text() == expected.text() and hash(got) == hash(expected)
+
+
+@pytest.mark.parametrize("universe", [QT, ("x1", "x2", "y1")])
+@pytest.mark.parametrize("seed", range(40))
+def test_tree_sum_matches_the_flat_loop(universe, seed):
+    items = _random_items(Random(seed), universe)
+    got = FactoredFraction.sum(items)
+    assert _same_fraction(got, _flat_sum(items))
+    assert frac_eq(got, sum(items[1:], start=items[0]))
+
+
+def test_a_sum_that_cancels_is_zero():
+    one, q, t = Polynomial.one(QT), var(QT, "q"), var(QT, "t")
+    items = [
+        FactoredFraction(q, [one - q]),
+        FactoredFraction(t, [(one + t, 2), one - q]),
+        -FactoredFraction(q, [one - q]),
+        FactoredFraction(-t, [one - q, (one + t, 2)]),
+    ]
+    got = FactoredFraction.sum(items)
+    assert _same_fraction(got, _flat_sum(items))
+    assert got == FactoredFraction.zero(QT) and got.denominator == ()
+
+
+def test_a_cancelled_bucket_keeps_its_factor_in_the_denominator():
+    # Only the cancelled bucket carries 1 + t; the common denominator still
+    # holds it, so the sum is q (1 + t) / ((1 - q)(1 + t)).
+    one, q, t = Polynomial.one(QT), var(QT, "q"), var(QT, "t")
+    items = [
+        FactoredFraction(q, [one - q]),
+        FactoredFraction(t, [one - q, one + t]),
+        FactoredFraction(-t, [one - q, one + t]),
+    ]
+    got = FactoredFraction.sum(items)
+    assert _same_fraction(got, _flat_sum(items))
+    assert got == FactoredFraction(q * (one + t), [one - q, one + t])
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_symmetrized_sides_match_the_peel_with_the_flat_loop(monkeypatch, n):
+    from qmono import identities
+
+    tree = {side: identities.symmetrized_side(n, side) for side in identities.SIDES}
+    monkeypatch.setattr(FactoredFraction, "sum", staticmethod(_flat_sum))
+    for side in identities.SIDES:
+        assert _same_fraction(tree[side], identities._symmetrized.__wrapped__(side, n))

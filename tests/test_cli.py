@@ -227,11 +227,11 @@ class TestSpecializeCommand:
         assert out == ""
         assert "cap" in err
         assert calls == []
-        # The power-sum oracle also caps distinct rearrangements at 120:
-        # six distinct parts (720) are refused.
+        # The power-sum oracle obeys the same state cap, before it
+        # enumerates any permutation.
         monkeypatch.setattr(specialize, "permutations_with_cycles", lambda n: calls.append(n))
         code, out, err = run(
-            capsys, "specialize", "--mu", "6,5,4,3,2,1", "--form", "oracle-powersum"
+            capsys, "specialize", "--mu", "7,6,5,4,3,2,1,1", "--form", "oracle-powersum"
         )
         assert code == EXIT_RESOURCE
         assert out == ""

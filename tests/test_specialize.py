@@ -224,33 +224,37 @@ class TestOracles:
             oracle_direct(Partition((2, 1)), 1)
 
     def test_permutation_cap(self, monkeypatch):
-        # The oracle obeys the closed forms' caps and its own cap on
-        # distinct rearrangements, all before enumerating a permutation.
+        # The oracle obeys the closed forms' caps, on the peel's states and
+        # its denominator degree, and the permutation cap, all before
+        # enumerating a permutation; six distinct parts, 720 rearrangements,
+        # pass them all.
         calls = []
         monkeypatch.setattr(specialize, "permutations_with_cycles", lambda n: calls.append(n) or [])
         oracle_powersum(Partition((13, 11, 7, 5, 3)))
-        assert calls == [5]
+        oracle_powersum(Partition((6, 5, 4, 3, 2, 1)))
+        assert calls == [5, 6]
         for parts, message in (
             ((1,) * 9, "length 9"),
-            ((6, 5, 4, 3, 2, 1), "720 rearrangements"),
+            ((7, 6, 5, 4, 3, 2, 1, 1), "192 sub-multisets"),
             ((97, 89, 83, 79, 73), "degree 6315"),
         ):
             with pytest.raises(ResourceLimitError, match=message):
                 oracle_powersum(Partition(parts))
-        assert calls == [5]
+        assert calls == [5, 6]
 
     @pytest.mark.parametrize("w", range(9))
     def test_powersum_matches_the_literal_expansion(self, w):
-        # Every partition of weight w that the oracle admits (every closed-form
-        # cap passes up to weight 8), compared as printed.
-        admitted = [
-            mu
-            for mu in partitions_of(w)
-            if mu.rearrangement_count() <= specialize.ORACLE_REARRANGEMENT_CAP
-        ]
-        assert admitted
-        for mu in admitted:
+        # Every partition of weight w, compared as printed: up to weight 8
+        # every one passes every cap the oracle obeys.
+        for mu in partitions_of(w):
             assert oracle_powersum(mu).value.text() == literal_oracle_powersum(mu).text(), mu
+
+    @pytest.mark.parametrize("parts", [(4, 3, 2, 2, 1, 1), (6, 5, 4, 3, 2, 1), (3, 2, 2, 1, 1, 1, 1, 1)])
+    def test_powersum_beyond_weight_8_matches_theorem_1(self, parts):
+        # Inputs with 180, 720 and 168 distinct rearrangements, checked
+        # against the closed form, which shares no code with the oracle.
+        mu = Partition(parts)
+        assert frac_eq(oracle_powersum(mu).value, monomial_spec(mu).value)
 
     @pytest.mark.parametrize(
         "parts, distinct", [((1,) * 6, 11), ((3, 2, 1), 5), ((2, 2), 2), ((), 1)]
