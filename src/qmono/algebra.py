@@ -47,6 +47,18 @@ three cap-edge inputs (Python 3.11, 2 vCPU): from 4 to 32 per row pair and 1
 to 4 per slot the total moved by about 2%, and was lowest at 3 per slot.
 Every other product goes term pair by term pair through :func:`_mul_terms`.
 
+Most operations of a command are on small operands, which take short paths.
+A product with a factor of at most two terms (``a^c q^e - b^c``,
+``1 - q^s``, a monomial) is that many shifted copies of the other factor
+(:func:`_mul_short`), ahead of the row rule, which never admits such a
+factor.  A monomial packs its one key directly, the text reads each exponent
+by a shift of its field, and :meth:`Polynomial.sort_key` is computed once
+per polynomial and kept.  A fraction whose factors all come from normalized
+fractions (a product of two, the common denominator of a sum) is built
+without checking and sign-normalizing them again.  The kept sort key and
+hash rely on a term map never changing after its constructor returns; no
+code writes into one (``tests/test_runtime.py`` checks this).
+
 Fractions are never reduced by multivariate gcd.  They stay in factored form
 (numerator polynomial over a multiset of denominator factors) and equality is
 decided by cross-multiplication.  A sum is added up a balanced tree over its
@@ -144,6 +156,24 @@ def _mul_terms(a: dict, b: dict, out: dict) -> dict:
         for e2, c2 in b:
             e = e1 + e2
             s = get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _mul_short(short: dict, other: dict) -> dict:
+    """The product of a term map of at most two terms and another of one
+    width, as shifted copies of the other; the caller has made the width
+    hold the product."""
+    (k1, c1), *rest = short.items()
+    out = {k + k1: c * c1 for k, c in other.items()}
+    get = out.get
+    for k2, c2 in rest:
+        for k, c in other.items():
+            e = k + k2
+            s = get(e, 0) + c * c2
             if s:
                 out[e] = s
             else:
@@ -286,7 +316,7 @@ class Polynomial:
     tuples.
     """
 
-    __slots__ = ("universe", "terms", "_width", "_degree", "_hash")
+    __slots__ = ("universe", "terms", "_width", "_degree", "_hash", "_sort_key")
 
     def __init__(self, universe: Sequence[str], terms: Mapping[tuple, Coeff]):
         universe = tuple(universe)
@@ -310,6 +340,7 @@ class Polynomial:
         self._width = w
         self._degree = None
         self._hash = None
+        self._sort_key = None
 
     @classmethod
     def _raw(cls, universe, terms, w=_NARROW, degree=None):
@@ -321,6 +352,7 @@ class Polynomial:
         p._width = w
         p._degree = degree
         p._hash = None
+        p._sort_key = None
         return p
 
     @classmethod
@@ -349,10 +381,6 @@ class Polynomial:
 
     @classmethod
     def variable(cls, universe, name: str, power: int = 1, coeff: Coeff = 1) -> "Polynomial":
-        universe = tuple(universe)
-        if name not in universe:
-            raise UsageError(f"variable {name!r} not in universe {universe}")
-        _check_exponent(power)
         return cls.monomial(universe, {name: power}, coeff)
 
     @classmethod
@@ -364,7 +392,11 @@ class Polynomial:
                 raise UsageError(f"variable {name!r} not in universe {universe}")
             _check_exponent(e)
             exps[universe.index(name)] += e
-        return cls(universe, {tuple(exps): coeff})
+        c = _norm_coeff(coeff)
+        if c == 0:
+            return cls._raw(universe, {})
+        w = _width_for(sum(exps))
+        return cls._raw(universe, {_pack(exps, w): c}, w)
 
     # -- structure ---------------------------------------------------------
 
@@ -467,7 +499,9 @@ class Polynomial:
         w = _width_for(degree)
         a, b = self._at(w), other._at(w)
         terms = None
-        if "q" in self.universe:
+        if len(a) <= 2 or len(b) <= 2:
+            terms = _mul_short(a, b) if len(a) <= len(b) else _mul_short(b, a)
+        elif "q" in self.universe:
             terms = _row_product(a, b, len(self.universe), self.universe.index("q"), w)
         if terms is None:
             terms = _mul_terms(a, b, {})
@@ -657,34 +691,43 @@ class Polynomial:
 
     def sort_key(self):
         """A key ordering polynomials term by term in canonical order: each
-        term gives its degree, its key negated and its coefficient.  A term
-        is keyed at the width of its own degree, so that terms of equal
-        degree compare alike in polynomials of different widths."""
-        n, w = len(self.universe), self._width
-        shift = n * w
-        out = []
-        for k in self._canonical():
-            c = Fraction(self.terms[k])
-            degree = k >> shift
-            if w > _NARROW:
-                k = _pack(_unpack(k, n, w), _width_for(degree))
-            out.append((degree, -k, c.numerator, c.denominator))
-        return tuple(out)
+        term gives four entries, its degree, its key negated and its
+        coefficient's numerator and denominator, in one flat tuple, which
+        orders as the tuple of per-term tuples would.  A term is keyed at
+        the width of its own degree, so that terms of equal degree compare
+        alike in polynomials of different widths.  Computed once and kept,
+        as a polynomial never changes; one flat tuple holds less memory than
+        a tuple per term."""
+        key = self._sort_key
+        if key is None:
+            n, w = len(self.universe), self._width
+            shift = n * w
+            out = []
+            for k in self._canonical():
+                c = self.terms[k]
+                degree = k >> shift
+                if w > _NARROW:
+                    k = _pack(_unpack(k, n, w), _width_for(degree))
+                out += (degree, -k, c.numerator, c.denominator)
+            key = self._sort_key = tuple(out)
+        return key
 
     def text(self) -> str:
         if not self.terms:
             return "0"
         n, w = len(self.universe), self._width
+        mask = (1 << w) - 1
+        fields = [(name, w * (n - 1 - i)) for i, name in enumerate(self.universe)]
         pieces = []
         for k in self._canonical():
             c = self.terms[k]
-            e = _unpack(k, n, w)
             neg = c < 0
             mag = -c if neg else c
             body = []
             if mag != 1 or not k:
                 body.append(str(mag))
-            for name, x in zip(self.universe, e):
+            for name, shift in fields:
+                x = (k >> shift) & mask
                 if x == 1:
                     body.append(name)
                 elif x > 1:
@@ -733,6 +776,14 @@ def _sign_normalized(f: Polynomial):
     return f, False
 
 
+def _sorted_factors(numerator: Polynomial, den: Mapping) -> tuple:
+    """The denominator of a fraction: the (factor, multiplicity) pairs of
+    ``den`` in canonical factor order, or none over a zero numerator."""
+    if not numerator.terms:
+        return ()
+    return tuple(sorted(den.items(), key=lambda fm: fm[0].sort_key()))
+
+
 class FactoredFraction:
     """A polynomial numerator over a multiset of polynomial denominator
     factors; the value is numerator / product(factor^multiplicity).
@@ -773,13 +824,20 @@ class FactoredFraction:
             den[f] = den.get(f, 0) + m
         if scale != 1 or flip < 0:
             numerator = numerator * (scale * flip)
-        if numerator.is_zero:
-            den = {}
         self.numerator = numerator
-        self.denominator = tuple(
-            sorted(den.items(), key=lambda fm: fm[0].sort_key())
-        )
+        self.denominator = _sorted_factors(numerator, den)
         self._hash = None
+
+    @classmethod
+    def _normalized(cls, numerator: Polynomial, den: Mapping) -> "FactoredFraction":
+        # Internal fast path; every factor of ``den`` (factor -> multiplicity)
+        # comes from the denominator of a fraction, so it is already checked
+        # and sign-normalized, and no multiplicity is zero.
+        frac = cls.__new__(cls)
+        frac.numerator = numerator
+        frac.denominator = _sorted_factors(numerator, den)
+        frac._hash = None
+        return frac
 
     @property
     def universe(self):
@@ -815,7 +873,7 @@ class FactoredFraction:
         den = dict(self.denominator)
         for f, m in other.denominator:
             den[f] = den.get(f, 0) + m
-        return FactoredFraction(self.numerator * other.numerator, den.items())
+        return FactoredFraction._normalized(self.numerator * other.numerator, den)
 
     __rmul__ = __mul__
 
@@ -898,7 +956,7 @@ class FactoredFraction:
         if nodes:
             num, have = _merged(nodes, factors)
             total = _lifted(num, have, list(common.values()), factors)
-        return FactoredFraction(total, common.items())
+        return FactoredFraction._normalized(total, common)
 
     # -- value equality ----------------------------------------------------
 

@@ -10,8 +10,10 @@ from qmono import algebra
 from qmono.algebra import (
     FactoredFraction,
     Polynomial,
+    _mul_short,
     _mul_terms,
     _slot_size,
+    _unpack,
     _width_for,
     frac_eq,
     geometric_sum,
@@ -615,6 +617,24 @@ def schoolbook_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def short_calls(monkeypatch):
+    """The (short, other) term counts of each product by shifted copies;
+    a product that builds rows of Kronecker ints fails the test."""
+    calls = []
+
+    def counted(short, other):
+        calls.append((len(short), len(other)))
+        return _mul_short(short, other)
+
+    def no_rows(*args):
+        raise AssertionError("a product with a short factor built rows")
+
+    monkeypatch.setattr(algebra, "_mul_short", counted)
+    monkeypatch.setattr(algebra, "_row_product", no_rows)
+    return calls
+
+
 def _same_as(got, expected):
     return got == expected and hash(got) == hash(expected) and got.text() == expected.text()
 
@@ -765,23 +785,28 @@ def test_a_far_q_power_keeps_a_product_on_the_term_pair_loop(schoolbook_calls):
     got = far * g
     assert schoolbook_calls == [41 * 80]
     assert _same_as(got, _schoolbook(far, g))
-    # A power of a sparse row goes by repeated products: p * p alone.
+
+
+def test_a_far_q_power_of_two_terms_takes_the_short_path(short_calls):
+    # A power of a sparse row goes by repeated products: p * p alone, two
+    # shifted copies of p, so it finishes at once and builds no row.
     sparse = 1 - var(Q, "q", 10 ** 9)
-    schoolbook_calls.clear()
     assert _same_as(sparse ** 2, _schoolbook(sparse, sparse))
-    assert schoolbook_calls == [4]
+    assert short_calls == [(2, 2)]
 
 
-def test_a_two_term_factor_keeps_a_product_on_the_term_pair_loop(schoolbook_calls):
-    # 20 dense rows of 30 terms: 1,200 term pairs with either short factor.
+def test_a_two_term_factor_keeps_a_product_on_the_term_pair_loop(schoolbook_calls, short_calls):
+    # 20 dense rows of 30 terms: 1,200 term pairs with either short factor,
+    # taken by the short path (a term pair loop of its own), never by rows.
     rng = Random(3)
     big = Polynomial.zero(QT)
     for j in range(20):
         big = big + _lift(_q([rng.randint(-99, 99) or 1 for _ in range(30)]), QT, {"t": j})
     for short in (1 - var(QT, "q", 5), var(QT, "q", 2) - var(QT, "t")):
-        schoolbook_calls.clear()
+        short_calls.clear()
         assert _same_as(big * short, _schoolbook(big, short))
-        assert schoolbook_calls == [2 * len(big.items())]
+        assert short_calls == [(2, len(big.items()))]
+    assert schoolbook_calls == []
 
 
 def test_an_overflowing_slot_raises_inside_the_error_taxonomy(monkeypatch):
@@ -916,3 +941,201 @@ def test_symmetrized_sides_match_the_peel_with_the_flat_loop(monkeypatch, n):
     monkeypatch.setattr(FactoredFraction, "sum", staticmethod(_flat_sum))
     for side in identities.SIDES:
         assert _same_fraction(tree[side], identities._symmetrized.__wrapped__(side, n))
+
+
+# -- small-operand fast paths ---------------------------------------------------
+#
+# Monomials pack their one key directly, sort keys are cached, text reads
+# exponents by field shifts, a factor of at most two terms multiplies as
+# shifted copies of the other, and fractions built from normalized factors
+# skip re-normalization.  Each is compared with the general route.
+
+
+def _text_reference(p):
+    """Polynomial.text by unpacking each key into its exponent tuple."""
+    if not p.terms:
+        return "0"
+    n, w = len(p.universe), p._width
+    pieces = []
+    for k in p._canonical():
+        c = p.terms[k]
+        e = _unpack(k, n, w)
+        neg = c < 0
+        mag = -c if neg else c
+        body = []
+        if mag != 1 or not k:
+            body.append(str(mag))
+        for name, x in zip(p.universe, e):
+            if x == 1:
+                body.append(name)
+            elif x > 1:
+                body.append(f"{name}^{x}")
+        s = " * ".join(body)
+        if not pieces:
+            pieces.append(f"-{s}" if neg else s)
+        else:
+            pieces.append(f" - {s}" if neg else f" + {s}")
+    return "".join(pieces)
+
+
+def _sort_key_reference(p):
+    """Polynomial.sort_key computed afresh as a tuple of per-term tuples,
+    with a Fraction per term."""
+    n, w = len(p.universe), p._width
+    out = []
+    for k in p._canonical():
+        c = Fraction(p.terms[k])
+        degree = k >> (n * w)
+        if w > 16:
+            k = algebra._pack(_unpack(k, n, w), _width_for(degree))
+        out.append((degree, -k, c.numerator, c.denominator))
+    return tuple(out)
+
+
+def _flat(key):
+    return tuple(x for term in key for x in term)
+
+
+_FAST_COEFFS = (1, -1, 2, -7, 10 ** 20, Fraction(1, 2), Fraction(-3, 4))
+
+
+def _fast_poly(rng, n, terms):
+    """Up to ``terms`` terms in n variables, some of them at exponents that
+    need 32- or 64-bit fields."""
+    universe = tuple(f"x{i}" for i in range(1, n)) + ("q",)
+    out = {}
+    for _ in range(terms):
+        wide = rng.random() < 0.2
+        exps = tuple(
+            rng.choice((2 ** 15 + 1, 2 ** 31 + 2)) if wide and rng.random() < 0.5
+            else rng.randint(0, 3)
+            for _ in range(n)
+        )
+        out[exps] = rng.choice(_FAST_COEFFS)
+    return Polynomial(universe, out)
+
+
+@pytest.mark.parametrize("degree, width", [(3, 16), (2 ** 15, 32), (2 ** 31, 64), (2 ** 63, 128)])
+@pytest.mark.parametrize("coeff", [1, -3, Fraction(3, 4), Fraction(4, 2), 0, Fraction(0)])
+def test_monomial_matches_the_general_constructor(degree, width, coeff):
+    for universe in (Q, QT, ABQ):
+        for at, name in enumerate(universe):
+            single = [0] * len(universe)
+            single[at] = degree
+            mixed = list(single)
+            mixed[0] += 1
+            for got, exps in (
+                (Polynomial.variable(universe, name, degree, coeff), single),
+                (Polynomial.monomial(universe, {name: degree}, coeff), single),
+                (Polynomial.monomial(universe, dict(zip(universe, mixed)), coeff), mixed),
+            ):
+                expected = Polynomial(universe, {tuple(exps): coeff})
+                assert got.terms == expected.terms
+                assert [type(c) for c in got.terms.values()] == [
+                    type(c) for c in expected.terms.values()
+                ]
+                assert got._width == expected._width == (width if coeff else 16)
+                assert got._degree == expected._degree
+                assert hash(got) == hash(expected)
+                assert got.text() == expected.text()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_text_matches_the_unpacking_reference(seed):
+    rng = Random(seed)
+    for n in range(1, 9):
+        p = _fast_poly(rng, n, rng.randint(0, 8))
+        for r in (p, -p, p * p, p * Fraction(-2, 3)):
+            assert r.text() == _text_reference(r)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_cached_sort_key_equals_a_fresh_one(seed):
+    # Every route to a polynomial starts with no key, even from an operand
+    # whose key is already cached.
+    rng = Random(seed)
+    for n in range(1, 9):
+        p, r = _fast_poly(rng, n, rng.randint(1, 6)), _fast_poly(rng, n, rng.randint(1, 3))
+        assert p.sort_key() == _flat(_sort_key_reference(p))
+        assert p.sort_key() is p.sort_key()
+        derived = [-p, p * 3, p * Fraction(1, 2), p + r, p - p, p * r, p ** 2,
+                   p.substitute({}), Polynomial(p.universe, dict(p.items()))]
+        for d in derived:
+            assert d.sort_key() == _flat(_sort_key_reference(d))
+        # The flat key orders as the per-term tuples do, a prefix first.
+        for d in derived + [p + r * var(p.universe, "q", 9)]:
+            for e in (p, r, d):
+                assert (d.sort_key() < e.sort_key()) == (
+                    _sort_key_reference(d) < _sort_key_reference(e)
+                )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fraction_factors_keep_the_canonical_order(seed):
+    rng = Random(seed)
+    for n in (1, 2, 4):
+        factors = []
+        while len(factors) < 5:
+            f = _fast_poly(rng, n, rng.randint(1, 4))
+            if not f.is_constant() and f not in factors and -f not in factors:
+                factors.append(f)
+        for f in factors[:2]:
+            f.sort_key()  # cached before the fraction is built
+        den = [(f, rng.randint(1, 3)) for f in factors]
+        frac = FactoredFraction(Polynomial.one(factors[0].universe), rng.sample(den, len(den)))
+        expected = sorted(frac.denominator, key=lambda fm: _sort_key_reference(fm[0]))
+        assert list(frac.denominator) == expected
+
+
+def _short_polys(rng, universe):
+    """A term map of one or two terms and one of 1 to 12, at one width."""
+    short = _random_poly(rng, universe, rng.randint(1, 2), (1, -1, 3, Fraction(-1, 2)), 3)
+    other = _random_poly(rng, universe, rng.randint(1, 12), (1, -2, 5, Fraction(2, 3)), 4)
+    return short, other
+
+
+@pytest.mark.parametrize("universe", [Q, QT, ("x1", "x2", "y1")])
+@pytest.mark.parametrize("seed", range(10))
+def test_short_product_matches_the_term_pair_loop(universe, seed):
+    rng = Random(seed)
+    for _ in range(20):
+        short, other = _short_polys(rng, universe)
+        w = _width_for(short._total_degree() + other._total_degree())
+        a, b = short._at(w), other._at(w)
+        assert _mul_short(a, b) == _mul_terms(a, b, {})
+        assert _same_as(short * other, _schoolbook(short, other))
+        assert _same_as(other * short, _schoolbook(other, short))
+
+
+def test_a_short_product_cancels_to_zero_terms():
+    # (1 - q)(1 + q + ... + q^9) = 1 - q^10, and (a - b)(a + b) = a^2 - b^2:
+    # every middle term cancels and none is stored as zero.
+    one, a, b, q = Polynomial.one(ABQ), var(ABQ, "a"), var(ABQ, "b"), var(ABQ, "q")
+    g = geometric_sum(ABQ, "q", 10)
+    for short, other, expected in (
+        (one - q, g, one - q ** 10),
+        (a - b, a + b, a ** 2 - b ** 2),
+        (q * Fraction(1, 2) - Fraction(1, 2), g * 2, q ** 10 - 1),
+    ):
+        got = short * other
+        assert _same_as(got, expected) and 0 not in got.terms.values()
+        assert _mul_short(short.terms, other.terms) == expected.terms
+
+
+def test_normalized_fractions_equal_the_public_constructor():
+    # Products and sums are built from normalized factors without
+    # re-normalizing; rebuilt through the constructor they are unchanged.
+    rng = Random(11)
+    for universe in (QT, ("x1", "x2", "y1")):
+        for _ in range(40):
+            items = _random_items(rng, universe)
+            a, b = rng.choice(items), rng.choice(items)
+            for got, expected in (
+                (a * b, FactoredFraction(a.numerator * b.numerator, a.denominator + b.denominator)),
+                (a * FactoredFraction.zero(universe), FactoredFraction.zero(universe)),
+                (FactoredFraction.sum(items), None),
+            ):
+                rebuilt = FactoredFraction(got.numerator, got.denominator)
+                assert _same_fraction(got, rebuilt)
+                if expected is not None:
+                    assert _same_fraction(got, expected)

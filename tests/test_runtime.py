@@ -39,6 +39,74 @@ def test_only_the_kernel_reads_the_term_map(path):
     assert reads == []
 
 
+# A polynomial's term map is never changed after construction: cached values
+# (its hash and sort key) rely on it.  Aliases are the names a function binds
+# to ``x.terms`` or ``x._at(w)``, which may be that same dict.
+_MUTATORS = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__", "__delitem__"}
+_CONSTRUCTORS = {"__init__", "_raw"}
+
+
+def _is_term_map(node, aliases):
+    if isinstance(node, ast.Attribute):
+        return node.attr == "terms"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr == "_at"
+    return isinstance(node, ast.Name) and node.id in aliases
+
+
+def _term_map_writes(source):
+    """The line of every write into an existing term map in ``source``."""
+    writes = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        aliases = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                pairs = [(t, node.value) for t in node.targets]
+                for target, value in pairs:
+                    if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                        pairs += list(zip(target.elts, value.elts))
+                    elif isinstance(target, ast.Name) and _is_term_map(value, ()):
+                        aliases.add(target.id)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                hit = _is_term_map(node.value, aliases)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                hit = node.func.attr in _MUTATORS and _is_term_map(node.func.value, aliases)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                hit = node.attr == "terms" and func.name not in _CONSTRUCTORS
+            else:
+                hit = False
+            if hit:
+                writes.append(node.lineno)
+    return writes
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_code_writes_into_an_existing_term_map(path):
+    assert _term_map_writes(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f(p):\n    p.terms[0] = 1",
+        "def f(p):\n    p.terms[0] += 1",
+        "def f(p):\n    del p.terms[0]",
+        "def f(p):\n    p.terms.update({})",
+        "def f(p):\n    p.terms.pop(0)",
+        "def f(p, w):\n    p._at(w).pop(0)",
+        "def f(p):\n    t = p.terms\n    t[0] = 1",
+        "def f(p, w):\n    a, b = p._at(w), 2\n    del a[0]",
+        "def f(p):\n    t = p.terms\n    t.update({})",
+        "def f(p):\n    p.terms = {}",
+    ],
+)
+def test_the_term_map_check_sees_each_kind_of_write(source):
+    assert _term_map_writes(source) != []
+
+
 def test_every_exported_name_resolves():
     import qmono
 
