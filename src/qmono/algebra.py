@@ -48,12 +48,9 @@ to 4 per slot the total moved by about 2%, and was lowest at 3 per slot.
 Every other product goes term pair by term pair through :func:`_mul_terms`.
 
 Most operations of a command are on small operands, which take short paths.
-A product with a factor of at most two terms (``a^c q^e - b^c``,
-``1 - q^s``, a monomial) is that many shifted copies of the other factor
-(:func:`_mul_short`), ahead of the row rule, which never admits such a
-factor.  A monomial packs its one key directly, the text reads each exponent
-by a shift of its field, and :meth:`Polynomial.sort_key` is computed once
-per polynomial and kept.  A fraction whose factors all come from normalized
+A monomial packs its one key directly, the text reads each exponent by a
+shift of its field, and :meth:`Polynomial.sort_key` is computed once per
+polynomial and kept.  A fraction whose factors all come from normalized
 fractions (a product of two, the common denominator of a sum) is built
 without checking and sign-normalizing them again.  The kept sort key and
 hash rely on a term map never changing after its constructor returns; no
@@ -156,24 +153,6 @@ def _mul_terms(a: dict, b: dict, out: dict) -> dict:
         for e2, c2 in b:
             e = e1 + e2
             s = get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
-
-
-def _mul_short(short: dict, other: dict) -> dict:
-    """The product of a term map of at most two terms and another of one
-    width, as shifted copies of the other; the caller has made the width
-    hold the product."""
-    (k1, c1), *rest = short.items()
-    out = {k + k1: c * c1 for k, c in other.items()}
-    get = out.get
-    for k2, c2 in rest:
-        for k, c in other.items():
-            e = k + k2
-            s = get(e, 0) + c * c2
             if s:
                 out[e] = s
             else:
@@ -499,9 +478,7 @@ class Polynomial:
         w = _width_for(degree)
         a, b = self._at(w), other._at(w)
         terms = None
-        if len(a) <= 2 or len(b) <= 2:
-            terms = _mul_short(a, b) if len(a) <= len(b) else _mul_short(b, a)
-        elif "q" in self.universe:
+        if "q" in self.universe:
             terms = _row_product(a, b, len(self.universe), self.universe.index("q"), w)
         if terms is None:
             terms = _mul_terms(a, b, {})

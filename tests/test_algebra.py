@@ -10,7 +10,6 @@ from qmono import algebra
 from qmono.algebra import (
     FactoredFraction,
     Polynomial,
-    _mul_short,
     _mul_terms,
     _slot_size,
     _unpack,
@@ -617,24 +616,6 @@ def schoolbook_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def short_calls(monkeypatch):
-    """The (short, other) term counts of each product by shifted copies;
-    a product that builds rows of Kronecker ints fails the test."""
-    calls = []
-
-    def counted(short, other):
-        calls.append((len(short), len(other)))
-        return _mul_short(short, other)
-
-    def no_rows(*args):
-        raise AssertionError("a product with a short factor built rows")
-
-    monkeypatch.setattr(algebra, "_mul_short", counted)
-    monkeypatch.setattr(algebra, "_row_product", no_rows)
-    return calls
-
-
 def _same_as(got, expected):
     return got == expected and hash(got) == hash(expected) and got.text() == expected.text()
 
@@ -785,28 +766,23 @@ def test_a_far_q_power_keeps_a_product_on_the_term_pair_loop(schoolbook_calls):
     got = far * g
     assert schoolbook_calls == [41 * 80]
     assert _same_as(got, _schoolbook(far, g))
-
-
-def test_a_far_q_power_of_two_terms_takes_the_short_path(short_calls):
-    # A power of a sparse row goes by repeated products: p * p alone, two
-    # shifted copies of p, so it finishes at once and builds no row.
+    # A power of a sparse row goes by repeated products: p * p alone.
     sparse = 1 - var(Q, "q", 10 ** 9)
+    schoolbook_calls.clear()
     assert _same_as(sparse ** 2, _schoolbook(sparse, sparse))
-    assert short_calls == [(2, 2)]
+    assert schoolbook_calls == [4]
 
 
-def test_a_two_term_factor_keeps_a_product_on_the_term_pair_loop(schoolbook_calls, short_calls):
-    # 20 dense rows of 30 terms: 1,200 term pairs with either short factor,
-    # taken by the short path (a term pair loop of its own), never by rows.
+def test_a_two_term_factor_keeps_a_product_on_the_term_pair_loop(schoolbook_calls):
+    # 20 dense rows of 30 terms: 1,200 term pairs with either short factor.
     rng = Random(3)
     big = Polynomial.zero(QT)
     for j in range(20):
         big = big + _lift(_q([rng.randint(-99, 99) or 1 for _ in range(30)]), QT, {"t": j})
     for short in (1 - var(QT, "q", 5), var(QT, "q", 2) - var(QT, "t")):
-        short_calls.clear()
+        schoolbook_calls.clear()
         assert _same_as(big * short, _schoolbook(big, short))
-        assert short_calls == [(2, len(big.items()))]
-    assert schoolbook_calls == []
+        assert schoolbook_calls == [2 * len(big.items())]
 
 
 def test_an_overflowing_slot_raises_inside_the_error_taxonomy(monkeypatch):
@@ -946,8 +922,7 @@ def test_symmetrized_sides_match_the_peel_with_the_flat_loop(monkeypatch, n):
 # -- small-operand fast paths ---------------------------------------------------
 #
 # Monomials pack their one key directly, sort keys are cached, text reads
-# exponents by field shifts, a factor of at most two terms multiplies as
-# shifted copies of the other, and fractions built from normalized factors
+# exponents by field shifts, and fractions built from normalized factors
 # skip re-normalization.  Each is compared with the general route.
 
 
@@ -1085,41 +1060,6 @@ def test_fraction_factors_keep_the_canonical_order(seed):
         frac = FactoredFraction(Polynomial.one(factors[0].universe), rng.sample(den, len(den)))
         expected = sorted(frac.denominator, key=lambda fm: _sort_key_reference(fm[0]))
         assert list(frac.denominator) == expected
-
-
-def _short_polys(rng, universe):
-    """A term map of one or two terms and one of 1 to 12, at one width."""
-    short = _random_poly(rng, universe, rng.randint(1, 2), (1, -1, 3, Fraction(-1, 2)), 3)
-    other = _random_poly(rng, universe, rng.randint(1, 12), (1, -2, 5, Fraction(2, 3)), 4)
-    return short, other
-
-
-@pytest.mark.parametrize("universe", [Q, QT, ("x1", "x2", "y1")])
-@pytest.mark.parametrize("seed", range(10))
-def test_short_product_matches_the_term_pair_loop(universe, seed):
-    rng = Random(seed)
-    for _ in range(20):
-        short, other = _short_polys(rng, universe)
-        w = _width_for(short._total_degree() + other._total_degree())
-        a, b = short._at(w), other._at(w)
-        assert _mul_short(a, b) == _mul_terms(a, b, {})
-        assert _same_as(short * other, _schoolbook(short, other))
-        assert _same_as(other * short, _schoolbook(other, short))
-
-
-def test_a_short_product_cancels_to_zero_terms():
-    # (1 - q)(1 + q + ... + q^9) = 1 - q^10, and (a - b)(a + b) = a^2 - b^2:
-    # every middle term cancels and none is stored as zero.
-    one, a, b, q = Polynomial.one(ABQ), var(ABQ, "a"), var(ABQ, "b"), var(ABQ, "q")
-    g = geometric_sum(ABQ, "q", 10)
-    for short, other, expected in (
-        (one - q, g, one - q ** 10),
-        (a - b, a + b, a ** 2 - b ** 2),
-        (q * Fraction(1, 2) - Fraction(1, 2), g * 2, q ** 10 - 1),
-    ):
-        got = short * other
-        assert _same_as(got, expected) and 0 not in got.terms.values()
-        assert _mul_short(short.terms, other.terms) == expected.terms
 
 
 def test_normalized_fractions_equal_the_public_constructor():
