@@ -64,9 +64,11 @@ ch. 10): each node is a numerator over the lcm of its leaves, so a factor
 that several terms lack multiplies their partial sum once.  The one reduction
 the kernel offers is exact division by a known factor
 (:meth:`Polynomial.exact_quotient`), which callers use to cancel a
-denominator factor they know.  Substitution binds variables to polynomial,
-int or Fraction values only, so a fraction substitutes into its numerator
-and each denominator factor and no value is ever inverted.
+denominator factor they know.  Substitution is a monomial map, as each
+change of alphabet in the paper is (``a -> 1``, ``b -> q^N``,
+``x_i -> q^(mu_i)``): a variable is bound to a constant or one term, so each
+term of a polynomial or of a fraction's factors is one key shift and one
+coefficient scale, and no value is ever inverted.
 All values are immutable after construction and every operation is a pure
 function, so values can be shared freely between threads.
 """
@@ -274,15 +276,6 @@ def _row_product(a: dict, b: dict, n: int, at: int, w: int):
         lo, hi = out[r]
         terms.update(_read(value, hi - lo + 1, size, r + lo * step, step))
     return terms
-
-
-def _power_terms(cache: dict, e: int) -> dict:
-    """The e-th power of the term map ``cache[1]``; ``cache`` holds the
-    powers 1..k computed so far."""
-    while e not in cache:
-        top = len(cache)
-        cache[top + 1] = _mul_terms(cache[top], cache[1], {})
-    return cache[e]
 
 
 class Polynomial:
@@ -580,10 +573,12 @@ class Polynomial:
     # -- substitution ------------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, object], universe=None) -> "Polynomial":
-        """Substitute polynomial values for variables, optionally onto a new
-        universe.  An unbound variable maps to itself; it is an error only if
-        it occurs in a term and is absent from the target universe.  With no
-        bindings this re-expresses the polynomial over ``universe``."""
+        """Substitute monomials for variables, optionally onto a new
+        universe: a binding is an int, a Fraction or a polynomial of at most
+        one term over the target universe.  An unbound variable maps to
+        itself; it is an error only if it occurs in a term and is absent
+        from the target universe.  With no bindings this re-expresses the
+        polynomial over ``universe``."""
         target = tuple(universe) if universe is not None else self.universe
         images = {}
         for name, v in bindings.items():
@@ -595,12 +590,14 @@ class Polynomial:
                 raise UsageError("bindings must be Polynomial, int or Fraction")
             if v.universe != target:
                 raise UsageError("binding value not over the target universe")
+            if len(v.terms) > 1:
+                raise UsageError(f"binding for {name!r} has {len(v.terms)} terms, not one")
             images[name] = v
         if not self.terms:
             return Polynomial._raw(target, {})
         n, sw = len(self.universe), self._width
-        # Every term of the result, and of every partial product on the way,
-        # has at most this degree; an unbound variable is an image of degree 1.
+        # Every term of the result has at most this degree; an unbound
+        # variable is an image of degree 1.
         degrees = [v._total_degree() for v in images.values() if v.terms]
         w = _width_for(self._total_degree() * max(degrees + [int(len(images) < n)]))
         # A term starts from its own key when the layout stays: an unbound
@@ -623,45 +620,30 @@ class Polynomial:
                 raise UsageError(f"variable {name!r} occurs but is absent from {target}")
             else:
                 continue
-            if not img:
-                visits.append((slot, 0, 0, None))  # a zero image kills the term
-            elif len(img) == 1:
-                # A one-term image, a constant among them, adds a multiple of
-                # a key and scales the coefficient.
+            if img:
                 ((key, vc),) = img.items()
-                visits.append((slot, key - own, vc, None))
+                visits.append((slot, key - own, vc))
             else:
-                # A longer image is multiplied in from cached powers.
-                visits.append((slot, -own, 1, {1: img}))
+                visits.append((slot, 0, 0))  # a zero image kills the term
         out = {}
         get = out.get
         for k, c in self.terms.items():
             key = k if stay else 0
-            factors = []
-            for slot, shift, vc, powers in visits:
+            for slot, shift, vc in visits:
                 e = (k >> slot) & mask
                 if not e:
                     continue
                 if not vc:
                     break
                 key += e * shift
-                if powers is not None:
-                    factors.append(_power_terms(powers, e))
-                elif vc != 1:
+                if vc != 1:
                     c = c * vc ** e
             else:
-                if not factors:
-                    s = get(key, 0) + c
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-                    continue
-                *rest, last = factors
-                head = {key: c}
-                for f in rest:
-                    head = _mul_terms(head, f, {})
-                _mul_terms(head, last, out)
+                s = get(key, 0) + c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
         return Polynomial._narrowest(target, out, w)
 
     # -- canonical text ----------------------------------------------------
@@ -841,9 +823,8 @@ class FactoredFraction:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return FactoredFraction(self.numerator * other, self.denominator)
-        if isinstance(other, Polynomial):
-            other = FactoredFraction(other)
-        if not isinstance(other, FactoredFraction):
+        other = self._coerced(other)
+        if other is None:
             return NotImplemented
         if self.universe != other.universe:
             raise UsageError("variable universes differ")
@@ -864,23 +845,25 @@ class FactoredFraction:
     def __neg__(self):
         return FactoredFraction(-self.numerator, self.denominator)
 
-    def __add__(self, other):
+    def _coerced(self, other):
+        """An int, Fraction, Polynomial or fraction as a fraction, else None."""
+        if isinstance(other, FactoredFraction):
+            return other
         if isinstance(other, (int, Fraction)):
-            other = FactoredFraction.constant(self.universe, other)
-        if isinstance(other, Polynomial):
-            other = FactoredFraction(other)
-        if not isinstance(other, FactoredFraction):
+            return FactoredFraction.constant(self.universe, other)
+        return FactoredFraction(other) if isinstance(other, Polynomial) else None
+
+    def __add__(self, other):
+        other = self._coerced(other)
+        if other is None:
             return NotImplemented
         return FactoredFraction.sum([self, other])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FactoredFraction.constant(self.universe, other)
-        if isinstance(other, Polynomial):
-            other = FactoredFraction(other)
-        if not isinstance(other, FactoredFraction):
+        other = self._coerced(other)
+        if other is None:
             return NotImplemented
         return FactoredFraction.sum([self, -other])
 
@@ -937,11 +920,12 @@ class FactoredFraction:
 
     # -- value equality ----------------------------------------------------
 
-    def eq(self, other: "FactoredFraction") -> bool:
-        """Cross-multiplication equality; common denominator factors cancel
-        before multiplying out."""
-        if isinstance(other, Polynomial):
-            other = FactoredFraction(other)
+    def eq(self, other) -> bool:
+        """Cross-multiplication equality with a fraction, Polynomial, int or
+        Fraction; common denominator factors cancel before multiplying out."""
+        other, given = self._coerced(other), other
+        if other is None:
+            raise UsageError(f"cannot compare a fraction with {type(given).__name__}")
         if self.universe != other.universe:
             raise UsageError("variable universes differ")
         mine = dict(self.denominator)
@@ -975,10 +959,11 @@ class FactoredFraction:
     # -- substitution ------------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, object], universe=None) -> "FactoredFraction":
-        """Exact substitution of Polynomial, int or Fraction values, the
-        contract of :meth:`Polynomial.substitute`, into the numerator and
-        each denominator factor; a factor that becomes identically zero
-        raises :class:`PoleError` instead of being simplified away."""
+        """Exact substitution of monomials, the contract of
+        :meth:`Polynomial.substitute` (whose checks the numerator's runs
+        first), into the numerator and each denominator factor; a factor
+        that becomes identically zero raises :class:`PoleError` instead of
+        being simplified away."""
         target = tuple(universe) if universe is not None else self.universe
         num = self.numerator.substitute(bindings, target)
         den = []

@@ -24,7 +24,7 @@ import sys
 from . import acceptance
 from .algebra import Polynomial
 from .errors import QmonoError, ResourceLimitError, UsageError
-from .macdonald import eigencheck, row_expansion_table
+from .macdonald import BASES, eigencheck, row_expansion_table
 from .partitions import Partition, partitions_up_to
 from .positivity import positivity_report
 from .specialize import UNIVERSE_ABQ, monomial_spec, oracle_direct, oracle_powersum
@@ -37,15 +37,6 @@ EXIT_RESOURCE = 3
 # The largest and default positivity --max-weight, checked before (1^w) is
 # built: P of (1^9) has degree 1,793, over the P cap of 1,600.
 POSITIVITY_SWEEP_CAP = 8
-
-_CLI_BASES = {
-    "power": "power",
-    "monomial": "monomial",
-    "complete": "complete",
-    "elementary": "elementary",
-    "deformed-h": "deformed-complete",
-    "deformed-e": "deformed-elementary",
-}
 
 
 def _report_json(report: acceptance.Report) -> dict:
@@ -241,7 +232,7 @@ def cmd_verify(args) -> acceptance.Report:
 
 def cmd_expand(args) -> acceptance.Report:
     report = acceptance.Report("expand")
-    table = row_expansion_table(args.n, _CLI_BASES[args.basis])
+    table = row_expansion_table(args.n, args.basis)
     report.instances = len(table.entries)
     report.stop()
     if args.format == "json":
@@ -382,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="basis expansions of the row polynomial")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--basis", required=True, choices=sorted(_CLI_BASES))
+    p.add_argument("--basis", required=True, choices=sorted(BASES))
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(fn=cmd_expand)
 

@@ -45,8 +45,8 @@ BASIS_POWER = "power"
 BASIS_MONOMIAL = "monomial"
 BASIS_COMPLETE = "complete"
 BASIS_ELEMENTARY = "elementary"
-BASIS_DEFORMED_COMPLETE = "deformed-complete"
-BASIS_DEFORMED_ELEMENTARY = "deformed-elementary"
+BASIS_DEFORMED_COMPLETE = "deformed-h"
+BASIS_DEFORMED_ELEMENTARY = "deformed-e"
 BASES = (
     BASIS_POWER,
     BASIS_MONOMIAL,

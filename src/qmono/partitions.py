@@ -99,9 +99,7 @@ def partitions_of(n: int, max_length: int | None = None) -> list:
     if n < 0:
         raise UsageError("weight must be non-negative")
     out: list = []
-    _partitions_rec(n, n if n else 0, [], out)
-    if n == 0:
-        out = [Partition(())]
+    _partitions_rec(n, n, [], out)
     if max_length is not None:
         out = [mu for mu in out if mu.length <= max_length]
     return out

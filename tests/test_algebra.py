@@ -192,6 +192,32 @@ class TestFactoredFraction:
         assert all(type(c) is int for _, c in num.items())
         assert num * num == geometric_sum(Q, "q", 20) ** 2
 
+    def test_operands_are_coerced_alike(self, abq):
+        # +, -, * and eq read an int, a Fraction or a Polynomial as a
+        # fraction; any other operand is a TypeError for the operators and a
+        # usage error for eq.
+        one, a, b, q = abq
+        f = FactoredFraction.one(Q)
+        assert f.eq(1) and f.eq(Fraction(1)) and f.eq(Polynomial.one(Q))
+        assert not f.eq(3) and not f.eq(Fraction(1, 2)) and not f.eq(var(Q, "q"))
+        g = FactoredFraction(q, [one - q])
+        for other in (2, Fraction(-1, 3), a - q):
+            poly = other if isinstance(other, Polynomial) else Polynomial.constant(ABQ, other)
+            value = FactoredFraction(poly)
+            assert frac_eq(g + other, FactoredFraction.sum([g, value]))
+            assert frac_eq(g - other, FactoredFraction.sum([g, -value]))
+            assert frac_eq(other - g, FactoredFraction.sum([value, -g]))
+            assert (g - other).eq(g + (-value))
+        for bad in ("q", 1.0, None):
+            with pytest.raises(UsageError, match=type(bad).__name__):
+                f.eq(bad)
+            with pytest.raises(TypeError):
+                f + bad
+            with pytest.raises(TypeError):
+                f - bad
+            with pytest.raises(TypeError):
+                f * bad
+
     def test_constant_factors_fold(self, abq):
         one, a, b, q = abq
         f = FactoredFraction(a, [Polynomial.constant(ABQ, 2)])
@@ -331,11 +357,11 @@ TARGETS = st.sampled_from((WIDE, SOURCE))
 
 @st.composite
 def polynomial_bindings(draw):
-    # Images of zero, one and several terms, and int and Fraction constants;
-    # a variable left out is unbound.
+    # Images of zero terms and of one, and int and Fraction constants; a
+    # variable left out is unbound.
     target = draw(TARGETS)
     image = st.one_of(
-        small_polys(target, max_degree=2, max_terms=3),
+        small_polys(target, max_degree=2, max_terms=1),
         _coeffs,
         st.fractions(min_value=-2, max_value=2, max_denominator=3),
     )
@@ -365,6 +391,23 @@ def test_substitute_round_trips_through_a_wider_universe(p):
     wide = p.substitute({}, universe=("t",) + WIDE)
     assert wide.universe == ("t",) + WIDE
     assert wide.substitute({}, universe=p.universe) == p
+
+
+@pytest.mark.parametrize("terms", [2, 3])
+@pytest.mark.parametrize("kind", [Polynomial, FactoredFraction])
+def test_a_binding_of_several_terms_is_refused(abq, terms, kind):
+    # Substitution is a monomial map: a longer image is a usage error that
+    # names the variable, raised before any term is visited, also for a
+    # zero value and for a fraction, whose numerator's substitution checks.
+    one, a, b, q = abq
+    image = sum((var(ABQ, "q", k) for k in range(terms)), Polynomial.zero(ABQ))
+    values = [a - b * q, Polynomial.zero(ABQ)]
+    if kind is FactoredFraction:
+        values = [FactoredFraction(v, [one - q]) for v in values]
+    for value in values:
+        for bindings in ({"b": image}, {"a": 1, "b": image}):
+            with pytest.raises(UsageError, match="'b'"):
+                value.substitute(bindings)
 
 
 def test_substitute_drops_only_absent_variables(abq):
@@ -413,15 +456,11 @@ def _dense_mul(a, b):
 
 
 def _dense_pow(a, e, width):
+    # The e-th power of an image of at most one term.
     if not a:
         return {} if e else {(0,) * width: 1}
-    if len(a) == 1:
-        ((exps, c),) = a.items()
-        return {tuple(x * e for x in exps): c ** e}
-    out = {(0,) * width: 1}
-    for _ in range(e):
-        out = _dense_mul(out, a)
-    return out
+    ((exps, c),) = a.items()
+    return {tuple(x * e for x in exps): c ** e}
 
 
 def _dense_substitute(p, images, width):
@@ -497,17 +536,12 @@ def test_packed_sort_key_orders_like_dense_tuples(p, q):
 
 @st.composite
 def boundary_substitutions(draw):
-    # Either images of one term at any exponent, or longer images raised to
-    # small powers: the reference expands every power by repeated products.
-    # A one-term image has coefficient +-1, lest c^(2^31) be computed.  An
-    # image of high degree makes the result wider than the source.
+    # Images of at most one term at any exponent, with coefficient +-1 lest
+    # c^(2^31) be computed.  An image of high degree makes the result wider
+    # than the source.
     target = draw(TARGETS)
-    if draw(st.booleans()):
-        p = draw(boundary_polys())
-        image = boundary_polys(target, max_terms=1, coeffs=st.sampled_from((1, -1)))
-    else:
-        p = draw(small_polys())
-        image = boundary_polys(target)
+    p = draw(boundary_polys())
+    image = boundary_polys(target, max_terms=1, coeffs=st.sampled_from((1, -1)))
     return p, target, {name: draw(image) for name in draw(st.sets(st.sampled_from(SOURCE)))}
 
 

@@ -512,6 +512,7 @@ class TestExpandCommand:
         assert code == EXIT_RESOURCE
         assert out == ""
         assert "cap" in err
+        assert f" {basis} " in err  # the name the command line takes
         assert calls == []
 
     @pytest.mark.parametrize("basis", ["power", "monomial"])

@@ -139,17 +139,44 @@ def test_every_error_class_is_raised():
 
 
 def _callers(path, callee):
-    """(module, top-level definition) of every call to ``callee``."""
+    """(module, caller) of every call to ``callee``.  The caller is the
+    enclosing top-level definition, or ``Class.method`` for a call inside a
+    method of a top-level class."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    callers = set()
+    owners = []
     for top in tree.body:
-        for node in ast.walk(top):
+        name = getattr(top, "name", "<module>")
+        if not isinstance(top, ast.ClassDef):
+            owners.append((top, name))
+            continue
+        for item in top.body:
+            method = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            owners.append((item, f"{name}.{item.name}" if method else name))
+    callers = set()
+    for owner, name in owners:
+        for node in ast.walk(owner):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == callee:
-                    callers.add((path.name, getattr(top, "name", "<module>")))
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == callee:
+                    callers.add((path.name, name))
     return callers
+
+
+def test_the_caller_check_names_methods(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "class C:\n    x = f()\n\n    def m(self):\n        self.f()\n\n\ndef g():\n    f()\n"
+    )
+    assert _callers(path, "f") == {("m.py", "C"), ("m.py", "C.m"), ("m.py", "g")}
+
+
+def test_only_a_product_multiplies_term_pairs():
+    # Substitution is a monomial map, one key shift and one coefficient
+    # scale per term, so the term pair loop has one caller in the runtime:
+    # the product of two polynomials.
+    callers = set().union(*(_callers(p, "_mul_terms") for p in SOURCES))
+    assert callers == {("algebra.py", "Polynomial.__mul__")}
 
 
 def test_only_the_reference_enumerates_rearrangements():
