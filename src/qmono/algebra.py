@@ -620,11 +620,9 @@ class Polynomial:
                 raise UsageError(f"variable {name!r} occurs but is absent from {target}")
             else:
                 continue
-            if img:
-                ((key, vc),) = img.items()
-                visits.append((slot, key - own, vc))
-            else:
-                visits.append((slot, 0, 0))  # a zero image kills the term
+            # A zero image kills the term.
+            ((key, vc),) = img.items() if img else ((own, 0),)
+            visits.append((slot, key - own, vc))
         out = {}
         get = out.get
         for k, c in self.terms.items():

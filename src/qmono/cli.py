@@ -38,6 +38,9 @@ EXIT_RESOURCE = 3
 # built: P of (1^9) has degree 1,793, over the P cap of 1,600.
 POSITIVITY_SWEEP_CAP = 8
 
+# The basis names --basis takes; perfbench/record_golden.py looks bases up here.
+_CLI_BASES = {basis: basis for basis in BASES}
+
 
 def _report_json(report: acceptance.Report) -> dict:
     """The keys every command's JSON output shares."""

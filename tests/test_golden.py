@@ -36,3 +36,12 @@ def test_every_golden_output_is_unchanged():
             wrong.append(argv)
     assert wrong == []
     assert seen == golden
+
+
+def test_the_golden_recorder_finds_every_expand_basis():
+    # perfbench/record_golden.py looks each expand basis up in cli._CLI_BASES.
+    from qmono.macdonald import BASES
+
+    bases = _workloads().EXPAND_BASES
+    assert {basis: cli._CLI_BASES[basis] for basis in bases} == {basis: basis for basis in bases}
+    assert sorted(cli._CLI_BASES) == sorted(BASES)
