@@ -33,8 +33,7 @@ in C, the products are summed per output rest key, and each output row is
 read back once from its ``K``-byte slots.  ``K`` holds the strict bound
 ``|a|_1 |b|_1``, sign bit included, rounded up to 1, 2, 4 or 8 where it
 fits, so no slot carries into the next.  A product in one variable is the
-one-row case; so is a power in one variable whose row has a term in every
-3 slots, with the bound ``|a|_1^m``, while a sparser one goes by products.
+one-row case.
 
 The rule is computed from counts before any int is built: a product is
 dense when it has at least 16 term pairs per row pair plus 3 per slot, the
@@ -50,11 +49,13 @@ Every other product goes term pair by term pair through :func:`_mul_terms`.
 Most operations of a command are on small operands, which take short paths.
 A monomial packs its one key directly, the text reads each exponent by a
 shift of its field, and :meth:`Polynomial.sort_key` is computed once per
-polynomial and kept.  A fraction whose factors all come from normalized
-fractions (a product of two, the common denominator of a sum) is built
-without checking and sign-normalizing them again.  The kept sort key and
-hash rely on a term map never changing after its constructor returns; no
-code writes into one (``tests/test_runtime.py`` checks this).
+polynomial and kept, as is whether every coefficient is an int, which the
+rows need; an integral Fraction is always stored as an int.  A fraction
+whose factors all come from normalized fractions (a product of two, the
+common denominator of a sum) is built without checking and sign-normalizing
+them again.  The kept sort key and hash rely on a term map never changing
+after its constructor returns; no code writes into one
+(``tests/test_runtime.py`` checks this).
 
 Fractions are never reduced by multivariate gcd.  They stay in factored form
 (numerator polynomial over a multiset of denominator factors) and equality is
@@ -226,14 +227,10 @@ def _read(value: int, slots: int, size: int, key: int, step: int) -> dict:
     return {k: d - half for k, d in zip(keys, digits) if d != half}
 
 
-def _int_coefficients(*term_maps) -> bool:
-    return all(set(map(type, t.values())) <= {int} for t in term_maps)
-
-
 def _row_product(a: dict, b: dict, n: int, at: int, w: int):
     """The product of two term maps at width w by rows of Kronecker ints,
-    q being variable ``at`` of ``n``; or None unless the product is dense
-    and both have int coefficients (see the module docstring)."""
+    q being variable ``at`` of ``n``, both with int coefficients; or None
+    unless the product is dense (see the module docstring)."""
     la, lb = len(a), len(b)
     pairs = la * lb
     # A row has at least as many slots as terms, and the product's rows at
@@ -260,7 +257,7 @@ def _row_product(a: dict, b: dict, n: int, at: int, w: int):
                 span[0] = min(span[0], lo1 + lo2)
                 span[1] = max(span[1], hi1 + hi2)
     cost += _SLOT_COST * sum(hi - lo + 1 for lo, hi in out.values())
-    if cost > pairs or not _int_coefficients(a, b):
+    if cost > pairs:
         return None
     size = _slot_size(sum(map(abs, a.values())) * sum(map(abs, b.values())))
     bits = 8 * size
@@ -288,7 +285,7 @@ class Polynomial:
     tuples.
     """
 
-    __slots__ = ("universe", "terms", "_width", "_degree", "_hash", "_sort_key")
+    __slots__ = ("universe", "terms", "_width", "_degree", "_hash", "_sort_key", "_ints")
 
     def __init__(self, universe: Sequence[str], terms: Mapping[tuple, Coeff]):
         universe = tuple(universe)
@@ -313,11 +310,12 @@ class Polynomial:
         self._degree = None
         self._hash = None
         self._sort_key = None
+        self._ints = None
 
     @classmethod
-    def _raw(cls, universe, terms, w=_NARROW, degree=None):
+    def _raw(cls, universe, terms, w=_NARROW, degree=None, ints=None):
         # Internal fast path; callers guarantee clean terms packed at the
-        # width their content calls for.
+        # width their content calls for, and ints when they know it.
         p = cls.__new__(cls)
         p.universe = universe
         p.terms = terms
@@ -325,15 +323,16 @@ class Polynomial:
         p._degree = degree
         p._hash = None
         p._sort_key = None
+        p._ints = ints
         return p
 
     @classmethod
-    def _narrowest(cls, universe, terms, w):
+    def _narrowest(cls, universe, terms, w, ints=None):
         # Terms packed at width w, which holds them but may be wider than
         # their content calls for.
         n = len(universe)
         to = _width_for(max(terms) >> (n * w)) if terms and w > _NARROW else _NARROW
-        return cls._raw(universe, _repacked(terms, n, w, to), to)
+        return cls._raw(universe, _repacked(terms, n, w, to), to, None, ints)
 
     @classmethod
     def zero(cls, universe) -> "Polynomial":
@@ -345,7 +344,7 @@ class Polynomial:
         c = _norm_coeff(c)
         if c == 0:
             return cls._raw(universe, {})
-        return cls._raw(universe, {0: c}, _NARROW, 0)
+        return cls._raw(universe, {0: c}, _NARROW, 0, type(c) is int)
 
     @classmethod
     def one(cls, universe) -> "Polynomial":
@@ -368,7 +367,7 @@ class Polynomial:
         if c == 0:
             return cls._raw(universe, {})
         w = _width_for(sum(exps))
-        return cls._raw(universe, {_pack(exps, w): c}, w)
+        return cls._raw(universe, {_pack(exps, w): c}, w, None, type(c) is int)
 
     # -- structure ---------------------------------------------------------
 
@@ -393,6 +392,13 @@ class Polynomial:
     def _canonical(self) -> list:
         """The keys in canonical term order."""
         return sorted(self.terms, key=((1 << (len(self.universe) * self._width)) - 1).__xor__)
+
+    def _int_valued(self) -> bool:
+        """Whether every coefficient is an int, as the rows need: passed on
+        by an operation on int-valued operands, else found once and kept."""
+        if self._ints is None:
+            self._ints = set(map(type, self.terms.values())) <= {int}
+        return self._ints
 
     def _total_degree(self) -> int:
         d = self._degree
@@ -425,20 +431,21 @@ class Polynomial:
             a, b = b, a
         w = max(a._width, b._width)
         terms = dict(a._at(w))
+        # Only two Fractions can add up to an integer.
+        ints = b._int_valued()
         for e, c in b._at(w).items():
             s = terms.get(e, 0) + c
             if s:
-                terms[e] = s
+                terms[e] = s if ints else _norm_coeff(s)
             else:
                 del terms[e]
-        return Polynomial._narrowest(self.universe, terms, w)
+        return Polynomial._narrowest(self.universe, terms, w, a._ints if ints else None)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(
-            self.universe, {e: -c for e, c in self.terms.items()}, self._width, self._degree
-        )
+        terms = {e: -c for e, c in self.terms.items()}
+        return Polynomial._raw(self.universe, terms, self._width, self._degree, self._ints)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -462,6 +469,7 @@ class Polynomial:
                 {e: _norm_coeff(c * other) for e, c in self.terms.items()},
                 self._width,
                 self._degree,
+                (self._ints and type(other) is int) or None,
             )
         self._check(other)
         if not self.terms or not other.terms:
@@ -470,12 +478,15 @@ class Polynomial:
         degree = self._total_degree() + other._total_degree()
         w = _width_for(degree)
         a, b = self._at(w), other._at(w)
+        ints = self._int_valued() and other._int_valued()
         terms = None
-        if "q" in self.universe:
+        if ints and "q" in self.universe:
             terms = _row_product(a, b, len(self.universe), self.universe.index("q"), w)
         if terms is None:
             terms = _mul_terms(a, b, {})
-        return Polynomial._raw(self.universe, terms, w, degree)
+            if not ints:  # Fractions may multiply to an integer
+                terms = {e: _norm_coeff(c) for e, c in terms.items()}
+        return Polynomial._raw(self.universe, terms, w, degree, ints or None)
 
     __rmul__ = __mul__
 
@@ -517,8 +528,8 @@ class Polynomial:
             if qe & guard != guard:
                 return None
             qe ^= guard
-            qc = c if lc == 1 else -c if lc == -1 else _norm_coeff(Fraction(c) / lc)
-            quot[qe] = qc
+            qc = c if lc == 1 else -c if lc == -1 else Fraction(c) / lc
+            quot[qe] = qc if type(qc) is int else _norm_coeff(qc)
             # Every term of qe * tail is below e, so the heap only ever
             # receives terms below the one just cancelled.
             for te, tc in tail:
@@ -535,19 +546,6 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise UsageError("polynomial powers must be non-negative integers")
-        if n > 1 and len(self.universe) == 1 and self.terms and _int_coefficients(self.terms):
-            mask = (1 << self._width) - 1
-            row = {k & mask: c for k, c in self.terms.items()}
-            lo, hi = min(row), max(row)
-            # A power of a row with a term in every _SLOT_COST slots is
-            # dense; a sparser one goes by the products below.
-            if hi - lo < _SLOT_COST * len(row):
-                w = _width_for(n * hi)
-                step = (1 << w) + 1
-                size = _slot_size(sum(map(abs, row.values())) ** n)
-                value = _evaluate(row, lo, hi, size) ** n
-                terms = _read(value, n * (hi - lo) + 1, size, n * lo * step, step)
-                return Polynomial._raw(self.universe, terms, w, n * hi)
         result = None
         base = self
         while n:
@@ -623,6 +621,7 @@ class Polynomial:
             # A zero image kills the term.
             ((key, vc),) = img.items() if img else ((own, 0),)
             visits.append((slot, key - own, vc))
+        ints = self._int_valued() and all(type(vc) is int for _, _, vc in visits)
         out = {}
         get = out.get
         for k, c in self.terms.items():
@@ -639,10 +638,10 @@ class Polynomial:
             else:
                 s = get(key, 0) + c
                 if s:
-                    out[key] = s
+                    out[key] = s if ints else _norm_coeff(s)
                 else:
                     del out[key]
-        return Polynomial._narrowest(target, out, w)
+        return Polynomial._narrowest(target, out, w, ints or None)
 
     # -- canonical text ----------------------------------------------------
 

@@ -30,11 +30,11 @@ from .partitions import Partition, partitions_of, z_of
 from .specialize import UNIVERSE_QT, monomial_spec
 
 OPERATOR_N_CAP = 3
-# Largest degree n of eigencheck: n = 8 on N = 3 letters takes one to two seconds
-# and 42 MB, and the cost grows quickly with n.
+# Largest degree n of eigencheck: n = 8 on N = 3 letters takes 0.3-0.5 s and
+# 33 MB, and the cost grows quickly with n.
 EIGENCHECK_DEGREE_CAP = 8
 # Largest degree of the power and monomial expansions: monomial at n = 20
-# (627 partitions) takes about 5 s and 60 MB, at n = 25 over half a minute.
+# (627 partitions) takes 2.4-3.2 s and 48 MB, at n = 25 over half a minute.
 EXPANSION_DEGREE_CAP = 20
 # Largest degree of the four bases that specialize once per partition: the
 # slowest, elementary, takes 1.2-1.6 s and 25 MB at n = 13, 2.8 s at 14.

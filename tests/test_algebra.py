@@ -309,6 +309,27 @@ def test_ring_laws(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
+def _stored_right(p):
+    """No coefficient is an integral Fraction, and a polynomial known to
+    be int-valued is."""
+    coeffs = [c for _, c in p.items()]
+    assert all(type(c) is int or c.denominator > 1 for c in coeffs)
+    assert p._ints in (None, all(type(c) is int for c in coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), small_polys(), nonzero_polys(),
+       st.sampled_from([2, -1, Fraction(1, 2), Fraction(-2, 3)]))
+def test_results_store_no_integral_fraction(p, q, d, c):
+    # Halves add, multiply and scale to integers.
+    p, q = p * Fraction(1, 2), q * c
+    image = Polynomial.monomial(p.universe, {"a": 1}, c)
+    for r in (p + q, p - q, -q, p * q, q * p, p * c, p ** 3,
+              p.substitute({"a": c}), p.substitute({"q": image}),
+              (p * d).exact_quotient(d), (q * d).exact_quotient(d * c)):
+        _stored_right(r)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_polys(), nonzero_polys())
 def test_exact_quotient_inverts_multiplication(p, d):
@@ -671,10 +692,10 @@ def test_dense_product_matches_the_term_pair_loop(dense_only, seed):
 
 
 def test_dense_product_cancels_to_zero_slots(dense_only):
-    plus = _q([1, 1]) ** 16
-    minus = _q([1, -1]) ** 16
+    plus = _schoolbook_power(_q([1, 1]), 16)
+    minus = _schoolbook_power(_q([1, -1]), 16)
     got = plus * minus  # (1 - q^2)^16: every odd slot cancels
-    assert got == _q([1, 0, -1]) ** 16
+    assert got == _schoolbook_power(_q([1, 0, -1]), 16)
     assert [e for (e,), _ in got.items()] == list(range(0, 33, 2))
 
 
@@ -730,20 +751,29 @@ def test_slot_size_on_both_sides_of_each_width(bits, below, above):
 
 
 @pytest.mark.parametrize("bits", [7, 15, 31, 63, 100])
-def test_dense_product_at_each_slot_width(dense_only, bits):
-    # Norms multiplying to just below and just above 2^bits; one-term powers
-    # reach their bound |c|^m exactly.  A power of a dense row takes the
-    # dense path at any size; a dense product needs more terms a side than
-    # norms below 2^7 allow, so products start at 2^15.  The lifted products
-    # are one row at a monomial other than 1, and the two-row ones split
-    # each norm in two.
+def test_dense_product_at_each_slot_width(request, bits):
+    # Norms multiplying to just below and just above 2^bits.  Powers of a
+    # short row and of one term, whose bound |c|^m they reach exactly, go
+    # term pair by term pair and are checked by value.  A dense product has
+    # at least the rule's floor of term pairs, more than norms below 2^7
+    # allow, so products start at 2^15 and must take the rows.  The lifted
+    # products are one row at a monomial other than 1, and the two-row ones
+    # split each norm in two.
     root = isqrt(2 ** bits - 1)
-    for norm in (root, root + 1):
+    norms = (root, root + 1)
+    for norm in norms:
+        for sign in (1, -1):
+            short = _q([sign * (norm - 3), sign, -sign, sign])
+            assert _same_as(short ** 2, _schoolbook_power(short, 2))
+        for c in (norm - 3, 3 - norm):
+            assert _same_as(_q([c], 3) ** 2, Polynomial(Q, {(6,): c * c}))
+    for c in (2, -2):
+        assert _same_as(Polynomial.constant(Q, c) ** bits, Polynomial.constant(Q, c ** bits))
+    if bits < 15:
+        return
+    request.getfixturevalue("dense_only")
+    for norm in norms:
         for sa, sb in ((1, 1), (1, -1), (-1, -1)):
-            short = _q([sa * (norm - 3), sa, -sa, sa])
-            assert _same_as(short ** 2, _schoolbook(short, short))
-            if bits < 15:
-                continue
             a, b = _near(norm, sa), _near(norm, sb)
             assert _same_as(a * b, _schoolbook(a, b))
             assert _same_as(a ** 2, _schoolbook(a, a))
@@ -755,10 +785,6 @@ def test_dense_product_at_each_slot_width(dense_only, bits):
                 ra = _lift(_near(half, sa), universe) + _lift(_near(norm - half, sa), universe, {t: 1})
                 rb = _lift(_near(half, sb), universe, {t: 3}) + _lift(_near(norm - half, sb), universe)
                 assert _same_as(ra * rb, _schoolbook(ra, rb))
-        for c in (norm - 3, 3 - norm):
-            assert _same_as(_q([c], 3) ** 2, Polynomial(Q, {(6,): c * c}))
-    for c in (2, -2):
-        assert _same_as(Polynomial.constant(Q, c) ** bits, Polynomial.constant(Q, c ** bits))
 
 
 def test_a_fraction_coefficient_falls_back_to_the_term_pair_loop(schoolbook_calls):
@@ -772,6 +798,35 @@ def test_a_fraction_coefficient_falls_back_to_the_term_pair_loop(schoolbook_call
     schoolbook_calls.clear()
     assert _same_as(ra * rb, _schoolbook(ra, rb))
     assert schoolbook_calls == [800]
+
+
+def test_an_integral_fraction_is_stored_as_an_int(request):
+    # Sums, products, substitutions and quotients of rational coefficients
+    # that come out integral keep them as ints, so that a later dense
+    # product of the result takes the rows.
+    half = Fraction(1, 2)
+    q = var(Q, "q")
+    small = (
+        Polynomial.constant(Q, half) + Polynomial.constant(Q, half),
+        (q * half + 1) * Polynomial.constant(Q, 2),
+        (q * half + 1).substitute({"q": 2}),
+    )
+    assert [p.text() for p in small] == ["1", "2 + q", "2"]
+    # The remainder's q^2 term, 1/2 + 1/2, becomes the quotient's q term.
+    quotient = _q([0, -1, half, half]).exact_quotient(q - 1)
+    assert quotient == _q([0, 1, half])
+    assert type(dict(quotient.items())[(1,)]) is int
+    halves = _q([half] * 20, 1)
+    dense = (
+        halves + halves,
+        halves * Polynomial.constant(Q, 2),
+        halves.substitute({"q": var(Q, "q") * 2}),
+    )
+    for p in small + dense:
+        _stored_right(p)
+    request.getfixturevalue("dense_only")
+    for p in dense:
+        assert _same_as(p * p, _schoolbook(p, p))
 
 
 def test_sparse_and_multivariate_products_stay_on_the_term_pair_loop(schoolbook_calls):
@@ -829,11 +884,11 @@ def test_an_overflowing_slot_raises_inside_the_error_taxonomy(monkeypatch):
             product()
 
 
-@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 16, 17])
 def test_small_powers(m):
+    # Odd exponents take the squaring loop's result * base steps.
     p = _q([3, -1, 4, 1, -5, 9, 2, -6], 2)
-    expected = [Polynomial.one(Q), p, _schoolbook(p, p)][m]
-    assert _same_as(p ** m, expected)
+    assert _same_as(p ** m, _schoolbook_power(p, m))
 
 
 def test_a_degree_past_16_bit_fields_against_the_closed_form(dense_only):

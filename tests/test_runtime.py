@@ -179,6 +179,14 @@ def test_only_a_product_multiplies_term_pairs():
     assert callers == {("algebra.py", "Polynomial.__mul__")}
 
 
+@pytest.mark.parametrize("callee", ["_evaluate", "_read", "_slot_size"])
+def test_only_the_row_product_builds_kronecker_ints(callee):
+    # One dense path: a power squares through the product, so rows are
+    # evaluated, read back and given their slot bound in one place.
+    callers = set().union(*(_callers(p, callee) for p in SOURCES))
+    assert callers == {("algebra.py", "_row_product")}
+
+
 def test_only_the_reference_enumerates_rearrangements():
     # Every rearrangement sum goes through partitions.rearrangement_peel.
     # Criterion 5's literal reference is the one place outside
