@@ -95,8 +95,9 @@ _NARROW = 16
 # pairs per row pair plus _SLOT_COST per slot.
 _ROW_COST = 16
 _SLOT_COST = 3
-# The slot sizes memoryview.cast reads as unsigned ints in this byte order.
-_SLOT_FORMATS = {calcsize(f): f for f in "BHIQ"} if sys.byteorder == "little" else {}
+# The slot sizes memoryview.cast reads as unsigned ints in this byte order;
+# no dense product has 1-byte slots (see _slot_size).
+_SLOT_FORMATS = {calcsize(f): f for f in "HIQ"} if sys.byteorder == "little" else {}
 
 
 def _norm_coeff(c):
@@ -165,7 +166,11 @@ def _mul_terms(a: dict, b: dict, out: dict) -> dict:
 
 def _slot_size(bound: int) -> int:
     """Bytes per slot that hold a sign bit and any coefficient of absolute
-    value at most ``bound``: 1, 2, 4 or 8 where one of them does."""
+    value at most ``bound``: 1, 2, 4 or 8 where one of them does.
+
+    A dense product never gets 1: the rule admits none with fewer than 169
+    term pairs (13 x 13 in one row), and its bound ``|a|_1 |b|_1`` is at
+    least its number of term pairs, so at least 2^7."""
     size = bound.bit_length() // 8 + 1
     return size if size > 8 else 1 << (size - 1).bit_length()
 

@@ -23,6 +23,14 @@ reduces prop7 to n! and prop8 to 1/(x_1...x_n).  No gcd is ever taken.
 ``symmetrized_side`` and ``symmetrized_constant`` return the peeled sum as
 a ``FactoredFraction``, built once per process for each (form, n); the
 tests hold the literal permutation-by-permutation sums.
+
+``appendix_step`` checks the recurrences (13) and (14) once per process for
+each distinct (n, relation, f_n, f_(n-1)), the sides compared by ``==``.
+Up to the cap the prefix side and the cycle side are the same fraction term
+for term, so a serial sweep decides half of its instances and the cycle
+side takes the prefix side's verdicts.  That is sound because a verdict is
+reused only for equal inputs: a cycle side that differed would be checked
+on its own value.
 """
 
 from __future__ import annotations
@@ -217,6 +225,11 @@ def symmetrized_constant(n: int, kind: str) -> FactoredFraction:
 
 
 _APPENDIX_SIDES = {"L": SIDE_LEFT, "R": SIDE_CYCLE}
+# The verdicts appendix_step has reached in this process: (n, relation, side)
+# -> (f_n, f_(n-1), verdict).  The sides are values _symmetrized already
+# keeps, so the caps admit at most 2 * 2 * (SYMMETRIZED_CAP - 1) = 12
+# entries and no fraction of their own.
+_verdicts: dict = {}
 
 
 def appendix_step(n: int, relation: int, side: str) -> bool:
@@ -225,7 +238,14 @@ def appendix_step(n: int, relation: int, side: str) -> bool:
 
     Relation 13 sets y_n = x_n; relation 14 sets y_n = 1.  ``side`` picks
     which sum plays f_n ("L" for the prefix-product form, "R" for the cycle
-    form)."""
+    form).
+
+    Each distinct check is decided once per process: a verdict reached at
+    the same (n, relation) for sides ``==`` to this f_n and f_(n-1) is
+    returned.  Equal fractions have equal substitutions, so that verdict is
+    the one this side's own check would reach; a side that differs in any
+    term is checked on its own value.  The sides are compared, never
+    hashed: hashing a side builds a frozenset of its terms."""
     if side not in _APPENDIX_SIDES:
         raise UsageError(f"unknown side {side!r}")
     if relation not in (13, 14):
@@ -235,6 +255,18 @@ def appendix_step(n: int, relation: int, side: str) -> bool:
     tag = _APPENDIX_SIDES[side]
     f_n = symmetrized_side(n, tag)
     f_prev = symmetrized_side(n - 1, tag)
+    for (m, r, _), (seen_n, seen_prev, verdict) in _verdicts.items():
+        if (m, r) == (n, relation) and seen_prev == f_prev and seen_n == f_n:
+            return verdict
+    verdict = _recurrence_holds(n, relation, f_n, f_prev)
+    _verdicts[n, relation, side] = (f_n, f_prev, verdict)
+    return verdict
+
+
+def _recurrence_holds(
+    n: int, relation: int, f_n: FactoredFraction, f_prev: FactoredFraction
+) -> bool:
+    """Relation 13 or 14 between f_n and f_(n-1), by cross-multiplication."""
     uni = xy_universe(n)
     lhs = f_n.substitute({f"y{n}": Polynomial.variable(uni, f"x{n}") if relation == 13 else 1})
     # Relation 14 keeps f_(n-1) itself as one more term on the right.

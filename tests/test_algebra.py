@@ -11,6 +11,7 @@ from qmono.algebra import (
     FactoredFraction,
     Polynomial,
     _mul_terms,
+    _row_product,
     _slot_size,
     _unpack,
     _width_for,
@@ -748,6 +749,18 @@ def _near(norm, sign):
 def test_slot_size_on_both_sides_of_each_width(bits, below, above):
     assert _slot_size(2 ** bits - 1) == below
     assert _slot_size(2 ** bits) == above
+
+
+def test_no_dense_product_has_one_byte_slots():
+    # Unit coefficients make the bound |a|_1 |b|_1 the number of term pairs,
+    # and one contiguous row each is the cheapest case of the rule.  It
+    # refuses every such product below 13 x 13 = 169 pairs, so every
+    # product whose bound is below 2^7.
+    for la in range(1, 17):
+        for lb in range(1, 17):
+            if la * lb < 169:
+                a, b = _q([(-1) ** i for i in range(la)]), _q([1] * lb)
+                assert _row_product(a.terms, b.terms, 1, 0, a._width) is None, (la, lb)
 
 
 @pytest.mark.parametrize("bits", [7, 15, 31, 63, 100])

@@ -38,6 +38,17 @@ def run(capsys, *argv):
 
 
 @pytest.fixture
+def cold_memos():
+    """Empty the kept three-way sides and appendix verdicts before and after
+    the test, as in a fresh process, so no test sees another's values."""
+    identities._symmetrized.cache_clear()
+    identities._verdicts.clear()
+    yield
+    identities._symmetrized.cache_clear()
+    identities._verdicts.clear()
+
+
+@pytest.fixture
 def fake_pool(monkeypatch):
     """Put an in-process stand-in for ``multiprocessing.Pool`` in its place,
     one that runs the chunks it is sent in reverse.  Returns its record: the
@@ -409,13 +420,60 @@ class TestVerifyCommand:
         assert "cap" in err
         assert calls == []
 
-    def test_appendix_builds_each_side_once(self, capsys, monkeypatch):
+    def test_appendix_builds_each_side_once(self, capsys, monkeypatch, cold_memos):
         # n = 4 makes 24 side requests for 8 distinct (n, side) pairs.
         monkeypatch.delenv("QMONO_THREADS", raising=False)
-        identities._symmetrized.cache_clear()
         code, _, _ = run(capsys, "verify", "--identity", "appendix", "--n", "4")
         assert code == EXIT_OK
         assert identities._symmetrized.cache_info().misses == 8
+
+    def test_serial_appendix_decides_each_distinct_check_once(
+        self, capsys, monkeypatch, cold_memos
+    ):
+        # Up to the cap the cycle side is the prefix side term for term, so
+        # each side=R instance takes the verdict of its side=L twin.
+        monkeypatch.delenv("QMONO_THREADS", raising=False)
+        requests, decided = [], []
+        side, eq = identities.symmetrized_side, identities.frac_eq
+        monkeypatch.setattr(
+            identities, "symmetrized_side", lambda n, s: requests.append((n, s)) or side(n, s)
+        )
+        monkeypatch.setattr(identities, "frac_eq", lambda f, g: decided.append(1) or eq(f, g))
+        argv = ("verify", "--identity", "appendix", "--n", "4", "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["instances_checked"] == 12
+        assert len(decided) == 6
+        assert len(requests) == 24
+        assert identities._symmetrized.cache_info().misses == 8
+
+    @pytest.mark.parametrize("warm_verdicts", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("wrong", ["R", "L"])
+    def test_a_wrong_appendix_side_fails_its_own_instances(
+        self, capsys, monkeypatch, cold_memos, wrong, warm_verdicts
+    ):
+        # The recurrences are linear, so a doubled side still satisfies
+        # them; a side scaled by n does not.  Warm, the verdicts of the
+        # right sides are already kept when the wrong side is built.
+        monkeypatch.delenv("QMONO_THREADS", raising=False)
+        argv = ("verify", "--identity", "appendix", "--n", "3", "--format", "json")
+        if warm_verdicts:
+            assert run(capsys, *argv)[0] == EXIT_OK
+            identities._symmetrized.cache_clear()
+        form = {"L": identities.SIDE_LEFT, "R": identities.SIDE_CYCLE}[wrong]
+        peeled = identities._peeled
+
+        def scaled(f, X, Y):
+            value = peeled(f, X, Y)
+            return value * len(X) if f == form else value
+
+        monkeypatch.setattr(identities, "_peeled", scaled)
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_VERIFY_FAILED
+        results = json.loads(out)["results"]
+        assert len(results) == 8
+        for result in results:
+            assert result["ok"] != result["instance"].endswith(f"side={wrong}"), result
 
     def test_pooled_appendix_matches_sequential(self, capsys, monkeypatch):
         # The serial run goes first, so the workers fork from a warm memo;
@@ -435,6 +493,7 @@ class TestVerifyCommand:
         code, seq, _ = run(capsys, *argv)
         assert code == EXIT_OK
         identities._symmetrized.cache_clear()
+        identities._verdicts.clear()
         monkeypatch.setenv("QMONO_THREADS", "2")
         code, par, _ = run(capsys, *argv)
         assert code == EXIT_OK

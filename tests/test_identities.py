@@ -113,6 +113,7 @@ class TestSymmetrizedSides:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_peeled_assembly_matches_enumeration(self, n):
         identities._symmetrized.cache_clear()
+        identities._verdicts.clear()
         for side in SIDES:
             assert frac_eq(symmetrized_side(n, side), symmetrized_enumerated(n, side))
 
@@ -232,6 +233,7 @@ class TestSymmetrizedConstants:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_peeled_matches_enumeration(self, n):
         identities._symmetrized.cache_clear()
+        identities._verdicts.clear()
         for kind in ("prop7", "prop8"):
             assert frac_eq(
                 symmetrized_constant(n, kind),
