@@ -30,7 +30,10 @@ Up to the cap the prefix side and the cycle side are the same fraction term
 for term, so a serial sweep decides half of its instances and the cycle
 side takes the prefix side's verdicts.  That is sound because a verdict is
 reused only for equal inputs: a cycle side that differed would be checked
-on its own value.
+on its own value.  The recurrences are linear and homogeneous in f, so a
+side scaled by a constant satisfies them too; an n = 2 step therefore also
+checks the f_1 it fetched against (y1 - x1)/(1 - x1), the value of every
+side at n = 1, which anchors the chain.
 """
 
 from __future__ import annotations
@@ -245,7 +248,8 @@ def appendix_step(n: int, relation: int, side: str) -> bool:
     returned.  Equal fractions have equal substitutions, so that verdict is
     the one this side's own check would reach; a side that differs in any
     term is checked on its own value.  The sides are compared, never
-    hashed: hashing a side builds a frozenset of its terms."""
+    hashed: hashing a side builds a frozenset of its terms.  At n = 2 the
+    verdict also needs f_1 to be (y1 - x1)/(1 - x1)."""
     if side not in _APPENDIX_SIDES:
         raise UsageError(f"unknown side {side!r}")
     if relation not in (13, 14):
@@ -258,7 +262,7 @@ def appendix_step(n: int, relation: int, side: str) -> bool:
     for (m, r, _), (seen_n, seen_prev, verdict) in _verdicts.items():
         if (m, r) == (n, relation) and seen_prev == f_prev and seen_n == f_n:
             return verdict
-    verdict = _recurrence_holds(n, relation, f_n, f_prev)
+    verdict = _recurrence_holds(n, relation, f_n, f_prev) and (n > 2 or _base_holds(f_prev))
     _verdicts[n, relation, side] = (f_n, f_prev, verdict)
     return verdict
 
@@ -277,6 +281,13 @@ def _recurrence_holds(
             bindings[f"y{i}"] = Polynomial.monomial(uni, {f"y{i}": 1, f"x{n}": 1})
         rhs_terms.append(f_prev.substitute(bindings, universe=uni))
     return frac_eq(lhs, FactoredFraction.sum(rhs_terms, universe=uni))
+
+
+def _base_holds(f_1: FactoredFraction) -> bool:
+    """f_1 = (y1 - x1)/(1 - x1), the value of all three sides at n = 1."""
+    uni = xy_universe(1)
+    x1, y1 = (Polynomial.variable(uni, v) for v in uni)
+    return frac_eq(f_1, FactoredFraction(y1 - x1, [1 - x1]))
 
 
 def specialization_chain_check(mu: Partition) -> bool:

@@ -12,12 +12,20 @@ a polynomial with nonnegative integer coefficients; the interesting content
 is that the substitution t -> 1/q (after the q^(weight - length) shift) is
 again a polynomial and that H ties back to the monomial specialization
 through an exact factorization identity.
+
+The factorization identity is decided on N, not on H = N * L.  L is in Z[q]
+with L(0) = 1, so it is not zero and Hbar = Nbar * L exactly, Nbar the
+q -> 1/q companion of N.  N and L have positive coefficients, so no term of
+their product cancels and Hbar is a polynomial exactly when Nbar is.  Hence
+H / Hbar = N / Nbar as rational functions, and the verdict is the one the
+cross-multiplication with H and Hbar reaches.  L cancels from that
+identity either way; only the auxiliary identity, against the separately
+built P, tests it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import FactoredFraction, Polynomial, frac_eq, geometric_sum
 from .errors import (
@@ -69,14 +77,25 @@ def _check_cap(mu: Partition):
         )
 
 
+def _product(factors: list, universe) -> Polynomial:
+    """The product of the factors, multiplied up a balanced tree in list
+    order, so that no long partial product meets a short factor."""
+    if not factors:
+        return Polynomial.one(universe)
+    if len(factors) == 1:
+        return factors[0]
+    half = len(factors) // 2
+    return _product(factors[:half], universe) * _product(factors[half:], universe)
+
+
 def auxiliary_product(mu: Partition) -> Polynomial:
     """P(q): product over nonempty position subsets of
     1 + q + ... + q^(part sum - 1), one power per distinct part sum."""
     _check_cap(mu)
-    out = Polynomial.one(UNIVERSE_Q)
-    for s, m in subset_sum_counts(mu).items():
-        out = out * geometric_sum(UNIVERSE_Q, "q", s) ** m
-    return out
+    return _product(
+        [geometric_sum(UNIVERSE_Q, "q", s) ** m for s, m in subset_sum_counts(mu).items()],
+        UNIVERSE_Q,
+    )
 
 
 def _homogeneous_quotient(x_power: int, c: int) -> Polynomial:
@@ -89,10 +108,11 @@ def _homogeneous_quotient(x_power: int, c: int) -> Polynomial:
     return Polynomial(UNIVERSE_QT, terms)
 
 
-def positivity_polynomial(mu: Partition) -> Polynomial:
-    """H(q, t) = N * L.  The rearrangement peel sums the quotients over the
-    [s_i]_q = 1 + ... + q^(s_i - 1) as N / prod_{s in D} [s]_q, and L is the
-    product of the subset factors of P left over after one per s in D."""
+def _numerator_and_leftover(mu: Partition) -> tuple:
+    """(N, L) with H = N * L: the rearrangement peel sums the quotients over
+    the [s_i]_q = 1 + ... + q^(s_i - 1) as N / prod_{s in D} [s]_q, N lifted
+    to (q, t), and L in q is the product of the subset factors of P left
+    over after one per s in D."""
     _check_cap(mu)
     length = mu.length
     pool = subset_sum_counts(mu)
@@ -101,11 +121,22 @@ def positivity_polynomial(mu: Partition) -> Polynomial:
         lambda i, total, c: _homogeneous_quotient(length - i, c),
         lambda s: geometric_sum(UNIVERSE_QT, "q", s),
     )
-    leftover = Polynomial.one(UNIVERSE_Q)
     if not sums <= pool.keys():
         raise InternalConsistencyError(f"peel sums {sorted(sums)} are not all subset sums")
-    for s, m in pool.items():
-        leftover = leftover * geometric_sum(UNIVERSE_Q, "q", s) ** (m - (s in sums))
+    if isinstance(num, int):
+        # The empty partition: its peel is the int 1.
+        num = Polynomial.constant(UNIVERSE_QT, num)
+    leftover = _product(
+        [geometric_sum(UNIVERSE_Q, "q", s) ** (m - (s in sums)) for s, m in pool.items()],
+        UNIVERSE_Q,
+    )
+    return num, leftover
+
+
+def positivity_polynomial(mu: Partition) -> Polynomial:
+    """H(q, t) = N * L, the peel's numerator N times the leftover subset
+    product L (see ``_numerator_and_leftover``)."""
+    num, leftover = _numerator_and_leftover(mu)
     return num * leftover.substitute({}, universe=UNIVERSE_QT)
 
 
@@ -125,15 +156,26 @@ def positivity_report(mu: Partition) -> PositivityReport:
     """Full check: coefficient positivity, polynomiality of the q -> 1/q
     companion Hbar, the factorization identity against the monomial
     specialization at a = 1, b = t, and the auxiliary identity
-    (length!/prod m_i!) * P(q) = prod_{i<=l} (1 + ... + q^(i-1)) * Hbar."""
+    (length!/prod m_i!) * P(q) = prod_{i<=l} (1 + ... + q^(i-1)) * Hbar.
+
+    H = N * L is built once, for the output, the coefficients, Hbar and the
+    auxiliary identity.  The factorization identity is decided as
+    spec = count * prod_i (q^(i-1) - t) * N / (prod_i (1 - q^i) * Nbar):
+    L in Z[q] has L(0) = 1 and, like N, positive coefficients, so Hbar =
+    Nbar * L, Hbar is a polynomial exactly when Nbar is, and H / Hbar =
+    N / Nbar.  The verdict is the cross-multiplication's with H and Hbar,
+    from which L cancels; the auxiliary identity, against P built on its
+    own, is the check that tests L."""
     P = auxiliary_product(mu)
-    H = positivity_polynomial(mu)
+    N, L = _numerator_and_leftover(mu)
+    H = N * L.substitute({}, universe=UNIVERSE_QT)
     length = mu.length
-    weight = mu.weight
-    Hbar = inverted_polynomial(H, weight - length)
-    nonneg = all(Fraction(c).denominator == 1 and c > 0 for _, c in H.items())
+    shift = mu.weight - length
+    Hbar = inverted_polynomial(H, shift)
+    Nbar = inverted_polynomial(N, shift)
+    nonneg = all(type(c) is int and c > 0 for _, c in H.items())
     identity = auxiliary = False
-    if Hbar is not None and not Hbar.is_zero:
+    if Nbar is not None and not Nbar.is_zero:
         t = Polynomial.variable(UNIVERSE_QT, "t")
         lhs = monomial_spec(mu).value.substitute({"a": 1, "b": t}, universe=UNIVERSE_QT)
         num = Polynomial.constant(UNIVERSE_QT, mu.rearrangement_count())
@@ -143,14 +185,11 @@ def positivity_report(mu: Partition) -> PositivityReport:
             den.append(
                 Polynomial.one(UNIVERSE_QT) - Polynomial.variable(UNIVERSE_QT, "q", i)
             )
-        num = num * H
-        den.append(Hbar.substitute({}, universe=UNIVERSE_QT))
-        identity = frac_eq(lhs, FactoredFraction(num, den))
+        den.append(Nbar.substitute({}, universe=UNIVERSE_QT))
+        identity = frac_eq(lhs, FactoredFraction(num * N, den))
     if Hbar is not None:
-        rhs = Hbar
-        for i in range(1, length + 1):
-            rhs = rhs * geometric_sum(UNIVERSE_Q, "q", i)
-        auxiliary = P * mu.rearrangement_count() == rhs
+        brackets = [geometric_sum(UNIVERSE_Q, "q", i) for i in range(1, length + 1)]
+        auxiliary = P * mu.rearrangement_count() == _product(brackets, UNIVERSE_Q) * Hbar
     return PositivityReport(mu, P, H, Hbar, nonneg, identity, auxiliary)
 
 

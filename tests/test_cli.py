@@ -431,7 +431,8 @@ class TestVerifyCommand:
         self, capsys, monkeypatch, cold_memos
     ):
         # Up to the cap the cycle side is the prefix side term for term, so
-        # each side=R instance takes the verdict of its side=L twin.
+        # each side=R instance takes the verdict of its side=L twin: six
+        # recurrence checks, and at n = 2 one check of f_1 per relation.
         monkeypatch.delenv("QMONO_THREADS", raising=False)
         requests, decided = [], []
         side, eq = identities.symmetrized_side, identities.frac_eq
@@ -443,7 +444,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert json.loads(out)["instances_checked"] == 12
-        assert len(decided) == 6
+        assert len(decided) == 8
         assert len(requests) == 24
         assert identities._symmetrized.cache_info().misses == 8
 
@@ -474,6 +475,33 @@ class TestVerifyCommand:
         assert len(results) == 8
         for result in results:
             assert result["ok"] != result["instance"].endswith(f"side={wrong}"), result
+
+    @pytest.mark.parametrize("threads", [None, "2"], ids=["serial", "pooled"])
+    @pytest.mark.parametrize("wrong", ["R", "L"])
+    def test_a_doubled_appendix_side_fails_its_base_instances(
+        self, capsys, monkeypatch, cold_memos, wrong, threads
+    ):
+        # A side doubled at every n still satisfies the linear recurrences;
+        # only the n = 2 check of f_1 against (y1 - x1)/(1 - x1) sees it.
+        if threads is None:
+            monkeypatch.delenv("QMONO_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("QMONO_THREADS", threads)
+        form = {"L": identities.SIDE_LEFT, "R": identities.SIDE_CYCLE}[wrong]
+        peeled = identities._peeled
+
+        def doubled(f, X, Y):
+            value = peeled(f, X, Y)
+            return value * 2 if f == form else value
+
+        monkeypatch.setattr(identities, "_peeled", doubled)
+        argv = ("verify", "--identity", "appendix", "--n", "3", "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_VERIFY_FAILED
+        results = json.loads(out)["results"]
+        assert len(results) == 8
+        failed = sorted(result["instance"] for result in results if not result["ok"])
+        assert failed == [f"n=2 relation={r} side={wrong}" for r in (13, 14)]
 
     def test_pooled_appendix_matches_sequential(self, capsys, monkeypatch):
         # The serial run goes first, so the workers fork from a warm memo;

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from qmono import positivity
-from qmono.algebra import Polynomial, geometric_sum
+from qmono.algebra import FactoredFraction, Polynomial, frac_eq, geometric_sum
 from qmono.errors import NotApplicableError, ResourceLimitError
 from qmono.partitions import Partition, partitions_of, partitions_up_to, subset_sum_counts
 from qmono.positivity import (
@@ -15,20 +15,49 @@ from qmono.positivity import (
     positivity_report,
     two_row_closed_form,
 )
+from qmono.specialize import monomial_spec
 
 
 def qt(terms):
     return Polynomial(UNIVERSE_QT, terms)
 
 
-def sequential_product(mu):
+def sequential_product(mu, leftover=False):
     """P by its definition: one factor [s]_q per nonempty position subset,
-    s its part sum, the subsets listed literally."""
+    s its part sum, the subsets listed literally and multiplied in left to
+    right.  With ``leftover``, the first subset of each part sum is skipped,
+    which gives L, the subset factors of P left over after one per part sum."""
     out = Polynomial.one(UNIVERSE_Q)
+    skipped = set()
     for k in range(1, mu.length + 1):
         for combo in itertools.combinations(mu.parts, k):
-            out = out * geometric_sum(UNIVERSE_Q, "q", sum(combo))
+            s = sum(combo)
+            if leftover and s not in skipped:
+                skipped.add(s)
+                continue
+            out = out * geometric_sum(UNIVERSE_Q, "q", s)
     return out
+
+
+def reference_identity(mu, H, Hbar):
+    """The factorization identity by cross-multiplication with H and Hbar
+    themselves, the reference for the decision on N: False when Hbar is not a
+    polynomial or is zero."""
+    if Hbar is None or Hbar.is_zero:
+        return False
+    t = Polynomial.variable(UNIVERSE_QT, "t")
+    lhs = monomial_spec(mu).value.substitute({"a": 1, "b": t}, universe=UNIVERSE_QT)
+    num = Polynomial.constant(UNIVERSE_QT, mu.rearrangement_count())
+    den = []
+    for i in range(1, mu.length + 1):
+        num = num * (Polynomial.variable(UNIVERSE_QT, "q", i - 1) - t)
+        den.append(Polynomial.one(UNIVERSE_QT) - Polynomial.variable(UNIVERSE_QT, "q", i))
+    den.append(Hbar.substitute({}, universe=UNIVERSE_QT))
+    return frac_eq(lhs, FactoredFraction(num * H, den))
+
+
+# The slowest inputs the positivity caps admit (README "Caps").
+CAP_EDGE = [(18, 2, 2, 1, 1, 1, 1), (6, 5, 3, 2, 2, 2, 1), (6, 5, 4, 3, 2, 1)]
 
 
 class TestAuxiliaryProduct:
@@ -54,6 +83,20 @@ class TestAuxiliaryProduct:
     def test_powers_of_equal_part_sums_match_the_sequential_product(self, weight):
         for mu in partitions_of(weight):
             assert auxiliary_product(mu) == sequential_product(mu), mu
+
+    @pytest.mark.parametrize("weight", range(1, 9))
+    def test_balanced_leftover_matches_the_sequential_product(self, weight):
+        for mu in partitions_of(weight):
+            _, leftover = positivity._numerator_and_leftover(mu)
+            assert leftover == sequential_product(mu, leftover=True), mu
+
+    def test_balanced_product_matches_the_left_to_right_product(self):
+        for length in range(9):
+            brackets = [geometric_sum(UNIVERSE_Q, "q", i) for i in range(1, length + 1)]
+            expected = Polynomial.one(UNIVERSE_Q)
+            for factor in brackets:
+                expected = expected * factor
+            assert positivity._product(brackets, UNIVERSE_Q) == expected, length
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -132,6 +175,63 @@ class TestReports:
             report = positivity_report(mu)
             assert report.passed(), mu
             assert report.auxiliary_identity_holds, mu
+
+
+class TestIdentityOnTheNumerator:
+    """The factorization identity is decided on N, not on H = N * L."""
+
+    @pytest.mark.parametrize(
+        "parts",
+        [tuple(mu.parts) for mu in partitions_up_to(8)] + CAP_EDGE,
+        ids=lambda parts: ",".join(map(str, parts)),
+    )
+    def test_verdict_is_the_cross_multiplication_with_H(self, parts):
+        mu = Partition(parts)
+        report = positivity_report(mu)
+        N, _ = positivity._numerator_and_leftover(mu)
+        Nbar = inverted_polynomial(N, mu.weight - mu.length)
+        assert (Nbar is None) == (report.Hbar is None)
+        assert report.identity_holds == reference_identity(mu, report.H, report.Hbar)
+        assert report.passed()
+
+    def test_empty_partition_lifts_its_numerator(self):
+        N, leftover = positivity._numerator_and_leftover(Partition(()))
+        assert N == Polynomial.one(UNIVERSE_QT)
+        assert leftover == Polynomial.one(UNIVERSE_Q)
+        assert positivity_report(Partition(())).passed()
+
+    @pytest.mark.parametrize("parts", [(2, 1), (3, 2, 1), (2, 2, 1)])
+    def test_a_wrong_numerator_fails_the_identity(self, parts, monkeypatch):
+        split = positivity._numerator_and_leftover
+
+        def wrong(mu):
+            N, leftover = split(mu)
+            return N + Polynomial.variable(UNIVERSE_QT, "t"), leftover
+
+        monkeypatch.setattr(positivity, "_numerator_and_leftover", wrong)
+        report = positivity_report(Partition(parts))
+        # Nbar is still a polynomial, so the identity itself is decided.
+        assert report.Hbar is not None
+        assert not report.identity_holds
+        assert not report.passed()
+
+    @pytest.mark.parametrize("parts", [(2, 1), (3, 2, 1), (2, 2, 1)])
+    def test_a_wrong_leftover_fails_only_the_auxiliary_identity(self, parts, monkeypatch):
+        # L cancels from the factorization identity; only the auxiliary
+        # identity, against P built on its own, tests it.
+        split = positivity._numerator_and_leftover
+
+        def wrong(mu):
+            N, leftover = split(mu)
+            return N, leftover * geometric_sum(UNIVERSE_Q, "q", 2)
+
+        monkeypatch.setattr(positivity, "_numerator_and_leftover", wrong)
+        report = positivity_report(Partition(parts))
+        assert report.all_coefficients_nonnegative_integers
+        assert report.Hbar is not None
+        assert report.identity_holds
+        assert not report.auxiliary_identity_holds
+        assert not report.passed()
 
 
 class TestTwoRowClosedForm:
