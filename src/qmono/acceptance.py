@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable
 
-from .algebra import FactoredFraction, Polynomial, frac_eq
+from .algebra import FactoredFraction, Polynomial, frac_eq, product
+from .errors import ComparatorError
 from .identities import (
     SIDE_CYCLE,
     SIDE_LEFT,
@@ -104,6 +105,16 @@ class Report:
         }
 
 
+def comparator_control():
+    """Raise ComparatorError unless ``frac_eq`` rejects (y1 - x1)/(1 - x1)
+    against twice itself; ``selftest`` and ``verify`` run it first, as a
+    comparator that accepted every pair would pass all their instances."""
+    x1, y1 = (Polynomial.variable(xy_universe(1), v) for v in ("x1", "y1"))
+    f = FactoredFraction(y1 - x1, [1 - x1])
+    if frac_eq(f, 2 * f):
+        raise ComparatorError("frac_eq accepts (y1 - x1)/(1 - x1) against twice itself")
+
+
 def criterion_1_two_forms() -> Report:
     """Both closed forms of the monomial specialization agree."""
     r = Report("two closed forms agree", 1)
@@ -147,12 +158,10 @@ def criterion_4_gauss_polynomials() -> Report:
     for N in range(1, 7):
         for k in range(1, N + 1):
             got = monomial_spec(Partition((1,) * k)).value.substitute({"a": 1, "b": q ** N})
-            num = Polynomial.variable(UNIVERSE_ABQ, "q", k * (k - 1) // 2)
-            den = []
-            for i in range(1, k + 1):
-                num = num * (one - q ** (N - i + 1))
-                den.append(one - q ** i)
-            r.check(frac_eq(got, FactoredFraction(num, den)), f"k={k} N={N}")
+            num = product([one - q ** (N - i + 1) for i in range(1, k + 1)], UNIVERSE_ABQ)
+            den = [one - q ** i for i in range(1, k + 1)]
+            expected = FactoredFraction(num * q ** (k * (k - 1) // 2), den)
+            r.check(frac_eq(got, expected), f"k={k} N={N}")
     return r.stop()
 
 

@@ -51,18 +51,21 @@ A monomial packs its one key directly, the text reads each exponent by a
 shift of its field, and :meth:`Polynomial.sort_key` is computed once per
 polynomial and kept, as is whether every coefficient is an int, which the
 rows need; an integral Fraction is always stored as an int.  A fraction
-whose factors all come from normalized fractions (a product of two, the
-common denominator of a sum) is built without checking and sign-normalizing
-them again.  The kept sort key and hash rely on a term map never changing
-after its constructor returns; no code writes into one
-(``tests/test_runtime.py`` checks this).
+whose factors all come from normalized fractions (a product, negation, power
+or scalar multiple, the common denominator of a sum) is built without
+checking and sign-normalizing them again.  The kept sort key and hash rely
+on a term map never changing after its constructor returns; no code writes
+into one (``tests/test_runtime.py`` checks this).
 
 Fractions are never reduced by multivariate gcd.  They stay in factored form
-(numerator polynomial over a multiset of denominator factors) and equality is
-decided by cross-multiplication.  A sum is added up a balanced tree over its
-distinct denominators (von zur Gathen and Gerhard, *Modern Computer Algebra*,
-ch. 10): each node is a numerator over the lcm of its leaves, so a factor
-that several terms lack multiplies their partial sum once.  The one reduction
+(numerator polynomial over a multiset of denominator factors).  A sum is
+added up a balanced tree over its distinct denominators (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 10): each node is a numerator over
+the lcm of its leaves, so a factor that several terms lack multiplies their
+partial sum once.  Equality lifts both numerators over the lcm of the two
+denominators and compares them: one lift (:func:`_lifted`) serves sums and
+equality, and one balanced list product (:func:`product`) serves the lift
+and every caller that multiplies a list of polynomials.  The one reduction
 the kernel offers is exact division by a known factor
 (:meth:`Polynomial.exact_quotient`), which callers use to cancel a
 denominator factor they know.  Substitution is a monomial map, as each
@@ -77,7 +80,6 @@ function, so values can be shared freely between threads.
 from __future__ import annotations
 
 import heapq
-import math
 import sys
 from fractions import Fraction
 from itertools import repeat
@@ -453,9 +455,7 @@ class Polynomial:
         return Polynomial._raw(self.universe, terms, self._width, self._degree, self._ints)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.universe, other)
-        if not isinstance(other, Polynomial):
+        if not isinstance(other, (int, Fraction, Polynomial)):
             return NotImplemented
         return self + (-other)
 
@@ -704,12 +704,23 @@ class Polynomial:
         return f"Polynomial({self.text()!r})"
 
 
+def product(factors: list, universe) -> Polynomial:
+    """The product of a list of polynomials over ``universe``, up a balanced
+    tree in list order, so that no long partial product meets a short factor."""
+    if not factors:
+        return Polynomial.one(universe)
+    if len(factors) == 1:
+        return factors[0]
+    half = len(factors) // 2
+    return product(factors[:half], universe) * product(factors[half:], universe)
+
+
 def _lifted(num: Polynomial, have: list, to: list, factors: list) -> Polynomial:
     """num over the powers ``have`` of ``factors`` brought over the powers
     ``to``, each at least its own: the factor powers it lacks are multiplied
     together first, then once into num."""
     lift = [f ** (t - h) for f, t, h in zip(factors, to, have) if t > h]
-    return num * math.prod(lift[1:], start=lift[0]) if lift and num.terms else num
+    return num * product(lift, num.universe) if lift and num.terms else num
 
 
 def _merged(nodes: list, factors: list) -> tuple:
@@ -824,7 +835,7 @@ class FactoredFraction:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FactoredFraction(self.numerator * other, self.denominator)
+            return FactoredFraction._normalized(self.numerator * other, dict(self.denominator))
         other = self._coerced(other)
         if other is None:
             return NotImplemented
@@ -840,12 +851,11 @@ class FactoredFraction:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise UsageError("fraction powers must be non-negative integers")
-        return FactoredFraction(
-            self.numerator ** n, ((f, m * n) for f, m in self.denominator if n)
-        )
+        den = {f: m * n for f, m in self.denominator if n}
+        return FactoredFraction._normalized(self.numerator ** n, den)
 
     def __neg__(self):
-        return FactoredFraction(-self.numerator, self.denominator)
+        return FactoredFraction._normalized(-self.numerator, dict(self.denominator))
 
     def _coerced(self, other):
         """An int, Fraction, Polynomial or fraction as a fraction, else None."""
@@ -924,27 +934,21 @@ class FactoredFraction:
 
     def eq(self, other) -> bool:
         """Cross-multiplication equality with a fraction, Polynomial, int or
-        Fraction; common denominator factors cancel before multiplying out."""
+        Fraction: both numerators are lifted over the lcm of the two
+        denominators, so common factors cancel before multiplying out."""
         other, given = self._coerced(other), other
         if other is None:
             raise UsageError(f"cannot compare a fraction with {type(given).__name__}")
         if self.universe != other.universe:
             raise UsageError("variable universes differ")
-        mine = dict(self.denominator)
-        theirs = dict(other.denominator)
-        for f in set(mine) & set(theirs):
-            m = min(mine[f], theirs[f])
-            mine[f] -= m
-            theirs[f] -= m
-        lhs = self.numerator
-        for f, m in theirs.items():
-            if m:
-                lhs = lhs * f ** m
-        rhs = other.numerator
-        for f, m in mine.items():
-            if m:
-                rhs = rhs * f ** m
-        return lhs == rhs
+        # The lcm's factors in this denominator's order, then the other's new
+        # ones: a fixed order, so the lifts multiply alike in every process.
+        mine, theirs = dict(self.denominator), dict(other.denominator)
+        factors = list(mine) + [f for f in theirs if f not in mine]
+        have, got = ([d.get(f, 0) for f in factors] for d in (mine, theirs))
+        to = list(map(max, have, got))
+        lhs = _lifted(self.numerator, have, to, factors)
+        return lhs == _lifted(other.numerator, got, to, factors)
 
     def __eq__(self, other):
         if not isinstance(other, FactoredFraction):

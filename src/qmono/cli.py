@@ -23,7 +23,7 @@ import sys
 
 from . import acceptance
 from .algebra import Polynomial
-from .errors import QmonoError, ResourceLimitError, UsageError
+from .errors import ComparatorError, QmonoError, ResourceLimitError, UsageError
 from .macdonald import BASES, eigencheck, row_expansion_table
 from .partitions import Partition, partitions_up_to
 from .positivity import positivity_report
@@ -209,6 +209,7 @@ def cmd_verify(args) -> acceptance.Report:
     tasks = family.instances(size)
     if not tasks:
         raise UsageError(f"{args.identity} has no instance up to size {size}")
+    acceptance.comparator_control()
     # Tasks that read one memoized value go to one worker together, so
     # each value is built once; the rest go one task to a group.
     groups = {}
@@ -322,6 +323,7 @@ def cmd_eigencheck(args) -> acceptance.Report:
 
 def cmd_selftest(args) -> acceptance.Report:
     report = acceptance.Report("selftest")
+    acceptance.comparator_control()
     results = []
     for criterion in acceptance.ALL_CRITERIA:
         res = criterion()
@@ -421,6 +423,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except ComparatorError as exc:
+        print(f"comparator control failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     except QmonoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

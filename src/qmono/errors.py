@@ -25,5 +25,9 @@ class InternalConsistencyError(QmonoError):
     """Internal bookkeeping failed; indicates a bug, not a caller mistake."""
 
 
+class ComparatorError(QmonoError):
+    """The fraction comparator accepted a pair it must reject."""
+
+
 class NotApplicableError(UsageError):
     """The requested value is excluded by hypothesis (e.g. equal row lengths)."""

@@ -43,7 +43,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import FactoredFraction, Polynomial, frac_eq
+from .algebra import FactoredFraction, Polynomial, frac_eq, product
 from .errors import ResourceLimitError, UsageError
 from .partitions import Partition, rearrangement_peel
 from .specialize import UNIVERSE_ABQ, monomial_spec
@@ -68,11 +68,6 @@ def x_only_universe(n: int) -> tuple:
 
 def xy_universe(n: int) -> tuple:
     return x_only_universe(n) + tuple(f"y{i}" for i in range(1, n + 1))
-
-
-def _image_product(images: tuple, labels) -> Polynomial:
-    """The product of the images of the given labels."""
-    return math.prod((images[k - 1] for k in labels), start=Polynomial.one(images[0].universe))
 
 
 def _check_size(n: int, cap: int):
@@ -107,8 +102,9 @@ def _denominator(form: str, X: tuple, prefix: tuple, x_prefix: Polynomial) -> Po
 def _cycle_weight(X: tuple, Y: tuple, cycle: tuple) -> FactoredFraction:
     """The factor of one cycle in the cycle form (thm7-right).  A
     permutation's summand is the product over its cycles."""
-    x_cycle = _image_product(X, cycle)
-    return FactoredFraction(_image_product(Y, cycle) - x_cycle, [1 - x_cycle])
+    uni = X[0].universe
+    x_cycle = product([X[k - 1] for k in cycle], uni)
+    return FactoredFraction(product([Y[k - 1] for k in cycle], uni) - x_cycle, [1 - x_cycle])
 
 
 def _peels(form: str, X: tuple, Y: tuple, subset: tuple, x_subset: Polynomial):
@@ -147,7 +143,7 @@ def _peeled(form: str, X: tuple, Y: tuple) -> FactoredFraction:
 
     def value(subset: tuple) -> FactoredFraction:
         if subset not in memo:
-            x_subset = _image_product(X, subset)
+            x_subset = product([X[k - 1] for k in subset], uni)
             total = FactoredFraction.sum(
                 [value(rest) * factor for rest, factor in _peels(form, X, Y, subset, x_subset)],
                 universe=uni,

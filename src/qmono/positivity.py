@@ -16,18 +16,18 @@ through an exact factorization identity.
 The factorization identity is decided on N, not on H = N * L.  L is in Z[q]
 with L(0) = 1, so it is not zero and Hbar = Nbar * L exactly, Nbar the
 q -> 1/q companion of N.  N and L have positive coefficients, so no term of
-their product cancels and Hbar is a polynomial exactly when Nbar is.  Hence
-H / Hbar = N / Nbar as rational functions, and the verdict is the one the
-cross-multiplication with H and Hbar reaches.  L cancels from that
-identity either way; only the auxiliary identity, against the separately
-built P, tests it.
+their product cancels and Hbar is a polynomial exactly when Nbar is; Hbar is
+built as Nbar * L, never by inverting H.  Hence H / Hbar = N / Nbar as
+rational functions, and the verdict is the one the cross-multiplication
+with H and Hbar reaches.  L cancels from that identity either way; only
+the auxiliary identity, against the separately built P, tests it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FactoredFraction, Polynomial, frac_eq, geometric_sum
+from .algebra import FactoredFraction, Polynomial, frac_eq, geometric_sum, product
 from .errors import (
     InternalConsistencyError,
     NotApplicableError,
@@ -77,22 +77,11 @@ def _check_cap(mu: Partition):
         )
 
 
-def _product(factors: list, universe) -> Polynomial:
-    """The product of the factors, multiplied up a balanced tree in list
-    order, so that no long partial product meets a short factor."""
-    if not factors:
-        return Polynomial.one(universe)
-    if len(factors) == 1:
-        return factors[0]
-    half = len(factors) // 2
-    return _product(factors[:half], universe) * _product(factors[half:], universe)
-
-
 def auxiliary_product(mu: Partition) -> Polynomial:
     """P(q): product over nonempty position subsets of
     1 + q + ... + q^(part sum - 1), one power per distinct part sum."""
     _check_cap(mu)
-    return _product(
+    return product(
         [geometric_sum(UNIVERSE_Q, "q", s) ** m for s, m in subset_sum_counts(mu).items()],
         UNIVERSE_Q,
     )
@@ -126,7 +115,7 @@ def _numerator_and_leftover(mu: Partition) -> tuple:
     if isinstance(num, int):
         # The empty partition: its peel is the int 1.
         num = Polynomial.constant(UNIVERSE_QT, num)
-    leftover = _product(
+    leftover = product(
         [geometric_sum(UNIVERSE_Q, "q", s) ** (m - (s in sums)) for s, m in pool.items()],
         UNIVERSE_Q,
     )
@@ -158,38 +147,30 @@ def positivity_report(mu: Partition) -> PositivityReport:
     specialization at a = 1, b = t, and the auxiliary identity
     (length!/prod m_i!) * P(q) = prod_{i<=l} (1 + ... + q^(i-1)) * Hbar.
 
-    H = N * L is built once, for the output, the coefficients, Hbar and the
-    auxiliary identity.  The factorization identity is decided as
-    spec = count * prod_i (q^(i-1) - t) * N / (prod_i (1 - q^i) * Nbar):
-    L in Z[q] has L(0) = 1 and, like N, positive coefficients, so Hbar =
-    Nbar * L, Hbar is a polynomial exactly when Nbar is, and H / Hbar =
-    N / Nbar.  The verdict is the cross-multiplication's with H and Hbar,
-    from which L cancels; the auxiliary identity, against P built on its
-    own, is the check that tests L."""
+    H = N * L is built for the output and read once, by the coefficient
+    check; Hbar is built as Nbar * L.  The factorization identity is decided
+    as spec = count * prod_i (q^(i-1) - t) * N / (prod_i (1 - q^i) * Nbar),
+    the verdict of the cross-multiplication with H and Hbar (see the module
+    docstring); the auxiliary identity, against P built on its own, tests L."""
     P = auxiliary_product(mu)
     N, L = _numerator_and_leftover(mu)
     H = N * L.substitute({}, universe=UNIVERSE_QT)
     length = mu.length
-    shift = mu.weight - length
-    Hbar = inverted_polynomial(H, shift)
-    Nbar = inverted_polynomial(N, shift)
+    Nbar = inverted_polynomial(N, mu.weight - length)
+    Hbar = None if Nbar is None else Nbar * L
     nonneg = all(type(c) is int and c > 0 for _, c in H.items())
     identity = auxiliary = False
     if Nbar is not None and not Nbar.is_zero:
         t = Polynomial.variable(UNIVERSE_QT, "t")
         lhs = monomial_spec(mu).value.substitute({"a": 1, "b": t}, universe=UNIVERSE_QT)
-        num = Polynomial.constant(UNIVERSE_QT, mu.rearrangement_count())
-        den = []
-        for i in range(1, length + 1):
-            num = num * (Polynomial.variable(UNIVERSE_QT, "q", i - 1) - t)
-            den.append(
-                Polynomial.one(UNIVERSE_QT) - Polynomial.variable(UNIVERSE_QT, "q", i)
-            )
+        q = [Polynomial.variable(UNIVERSE_QT, "q", i) for i in range(length + 1)]
+        num = product([q[i] - t for i in range(length)], UNIVERSE_QT) * mu.rearrangement_count()
+        den = [1 - q[i] for i in range(1, length + 1)]
         den.append(Nbar.substitute({}, universe=UNIVERSE_QT))
         identity = frac_eq(lhs, FactoredFraction(num * N, den))
     if Hbar is not None:
         brackets = [geometric_sum(UNIVERSE_Q, "q", i) for i in range(1, length + 1)]
-        auxiliary = P * mu.rearrangement_count() == _product(brackets, UNIVERSE_Q) * Hbar
+        auxiliary = P * mu.rearrangement_count() == product(brackets, UNIVERSE_Q) * Hbar
     return PositivityReport(mu, P, H, Hbar, nonneg, identity, auxiliary)
 
 

@@ -358,6 +358,64 @@ def test_frac_eq_is_an_equivalence(num, den, s, t):
     assert frac_eq(g, h) and frac_eq(f, h)
 
 
+def _loop_eq(f, g):
+    """Cross-multiplication as the kernel once wrote it, the reference for
+    the lift over the lcm: cancel the common factor powers, then multiply
+    each numerator by the other's remaining factor powers one at a time."""
+    mine, theirs = dict(f.denominator), dict(g.denominator)
+    for h in set(mine) & set(theirs):
+        m = min(mine[h], theirs[h])
+        mine[h] -= m
+        theirs[h] -= m
+    lhs, rhs = f.numerator, g.numerator
+    for h, m in theirs.items():
+        if m:
+            lhs = lhs * h ** m
+    for h, m in mine.items():
+        if m:
+            rhs = rhs * h ** m
+    return lhs == rhs
+
+
+@st.composite
+def fraction_pairs(draw):
+    """Two fractions over one pool of factors, each factor at its own
+    multiplicity on each side; the second is an independent draw, the first
+    times h^k / h^k for pool factors h, or that scaled by a constant.
+    Numerators may be zero or constant."""
+    pool = [p for p in draw(st.lists(nonzero_polys(), max_size=4)) if not p.is_constant()]
+    multiplicity = st.integers(min_value=0, max_value=3)
+    numerators = st.one_of(small_polys(), _coeffs.map(lambda c: Polynomial.constant(("a", "q"), c)))
+
+    def fraction():
+        den = [(h, m) for h in pool if (m := draw(multiplicity))]
+        return FactoredFraction(draw(numerators), den)
+
+    f = fraction()
+    kind = draw(st.sampled_from(["independent", "equal", "scaled"]))
+    if kind == "independent":
+        return f, fraction(), None
+    extra = [(h, m) for h in pool if (m := draw(multiplicity))]
+    num = f.numerator
+    for h, m in extra:
+        num = num * h ** m
+    g = FactoredFraction(num, list(f.denominator) + extra)
+    if kind == "equal":
+        return f, g, True
+    return f, g * draw(st.sampled_from([2, -1, Fraction(1, 3)])), f.is_zero
+
+
+@settings(max_examples=150, deadline=None)
+@given(fraction_pairs())
+def test_eq_is_the_loop_cross_multiplication(pair):
+    f, g, equal = pair
+    assert f.eq(g) == _loop_eq(f, g)
+    assert g.eq(f) == _loop_eq(g, f)
+    assert f.eq(f) and g.eq(g)
+    if equal is not None:
+        assert f.eq(g) == equal
+
+
 def _substitute_reference(p, bindings, target):
     """Sum of c * prod v_i^e_i, built with the ring operations."""
     total = Polynomial.zero(target)
@@ -1165,16 +1223,21 @@ def test_fraction_factors_keep_the_canonical_order(seed):
 
 
 def test_normalized_fractions_equal_the_public_constructor():
-    # Products and sums are built from normalized factors without
-    # re-normalizing; rebuilt through the constructor they are unchanged.
+    # Products, sums, negations, scalar multiples and powers are built from
+    # normalized factors without re-normalizing; rebuilt through the
+    # constructor they are unchanged.
     rng = Random(11)
     for universe in (QT, ("x1", "x2", "y1")):
         for _ in range(40):
             items = _random_items(rng, universe)
             a, b = rng.choice(items), rng.choice(items)
+            k, c = rng.randint(0, 3), rng.choice((0, -1, 2, Fraction(-3, 4)))
             for got, expected in (
                 (a * b, FactoredFraction(a.numerator * b.numerator, a.denominator + b.denominator)),
                 (a * FactoredFraction.zero(universe), FactoredFraction.zero(universe)),
+                (-a, FactoredFraction(-a.numerator, a.denominator)),
+                (a * c, FactoredFraction(a.numerator * c, a.denominator)),
+                (a ** k, FactoredFraction(a.numerator ** k, [(f, m * k) for f, m in a.denominator if k])),
                 (FactoredFraction.sum(items), None),
             ):
                 rebuilt = FactoredFraction(got.numerator, got.denominator)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from qmono import acceptance, cli, identities, macdonald, positivity, specialize
-from qmono.algebra import Polynomial
+from qmono.algebra import FactoredFraction, Polynomial
 from qmono.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -768,6 +768,28 @@ class TestSelftestCommand:
             line,
         )
         assert re.fullmatch(r"selftest FAIL: 21 instances, 4 failures, \d+\.\ds", total)
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["selftest"],
+            ["selftest", "--format", "json"],
+            ["verify", "--identity", "prop5", "--max-weight", "3"],
+            ["verify", "--identity", "prop5", "--max-weight", "3", "--format", "json"],
+        ],
+    )
+    def test_a_comparator_that_accepts_every_pair_fails_the_run(self, capsys, monkeypatch, argv):
+        # Every instance passes under an eq that is always true; the control
+        # runs first, so the run fails and prints no PASS or ok line.
+        monkeypatch.setattr(FactoredFraction, "eq", lambda self, other: True)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VERIFY_FAILED
+        assert out == ""
+        assert err == (
+            "comparator control failed: "
+            "frac_eq accepts (y1 - x1)/(1 - x1) against twice itself\n"
+        )
 
 
 class TestClosedPipe:

@@ -7,7 +7,7 @@ import pytest
 
 from qmono import identities
 from qmono.acceptance import _display_example_n2
-from qmono.algebra import FactoredFraction, Polynomial, frac_eq
+from qmono.algebra import FactoredFraction, Polynomial, frac_eq, product
 from qmono.errors import ResourceLimitError, UsageError
 from qmono.identities import (
     _CONSTANT_KINDS,
@@ -19,7 +19,6 @@ from qmono.identities import (
     _check_size,
     _cycle_weight,
     _denominator,
-    _image_product,
     _numerator,
     _peeled,
     appendix_step,
@@ -59,7 +58,7 @@ def symmetrized_enumerated(n: int, form: str) -> FactoredFraction:
         for sigma in itertools.permutations(range(1, n + 1)):
             factors = []
             for i, k in enumerate(sigma, start=1):
-                x_prefix = _image_product(X, sigma[:i])
+                x_prefix = product([X[k - 1] for k in sigma[:i]], uni)
                 factors.append(
                     FactoredFraction(
                         _numerator(form, X, Y, k, i, x_prefix),

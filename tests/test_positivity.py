@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from qmono import positivity
-from qmono.algebra import FactoredFraction, Polynomial, frac_eq, geometric_sum
+from qmono.algebra import FactoredFraction, Polynomial, frac_eq, geometric_sum, product
 from qmono.errors import NotApplicableError, ResourceLimitError
 from qmono.partitions import Partition, partitions_of, partitions_up_to, subset_sum_counts
 from qmono.positivity import (
@@ -96,7 +96,7 @@ class TestAuxiliaryProduct:
             expected = Polynomial.one(UNIVERSE_Q)
             for factor in brackets:
                 expected = expected * factor
-            assert positivity._product(brackets, UNIVERSE_Q) == expected, length
+            assert product(brackets, UNIVERSE_Q) == expected, length
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -191,6 +191,8 @@ class TestIdentityOnTheNumerator:
         N, _ = positivity._numerator_and_leftover(mu)
         Nbar = inverted_polynomial(N, mu.weight - mu.length)
         assert (Nbar is None) == (report.Hbar is None)
+        # Hbar is built as Nbar * L; inverting H itself is the reference.
+        assert report.Hbar == inverted_polynomial(report.H, mu.weight - mu.length)
         assert report.identity_holds == reference_identity(mu, report.H, report.Hbar)
         assert report.passed()
 

@@ -179,6 +179,33 @@ def test_only_a_product_multiplies_term_pairs():
     assert callers == {("algebra.py", "Polynomial.__mul__")}
 
 
+def test_one_lift_brings_a_numerator_over_the_lcm():
+    # A sum and an equality bring a numerator over the denominator factor
+    # powers it lacks in one place, so a change to the lift lands once.
+    callers = set().union(*(_callers(p, "_lifted") for p in SOURCES))
+    assert callers == {
+        ("algebra.py", "_merged"),
+        ("algebra.py", "FactoredFraction.sum"),
+        ("algebra.py", "FactoredFraction.eq"),
+    }
+
+
+def test_the_list_product_is_defined_once():
+    # algebra.product is the one helper that multiplies a list of
+    # polynomials; math.prod is left to lists of ints.
+    defined = {
+        (p.name, node.name)
+        for p in SOURCES
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name.lstrip("_") in ("product", "image_product")
+    }
+    assert defined == {("algebra.py", "product")}
+    callers = set().union(*(_callers(p, "prod") for p in SOURCES))
+    assert callers == {("identities.py", "constant_identity"), ("partitions.py", "check_peel_cost")}
+    users = {module for p in SOURCES for module, _ in _callers(p, "product")}
+    assert users == {"acceptance.py", "algebra.py", "identities.py", "positivity.py"}
+
+
 @pytest.mark.parametrize("callee", ["_evaluate", "_read", "_slot_size"])
 def test_only_the_row_product_builds_kronecker_ints(callee):
     # One dense path: a power squares through the product, so rows are
