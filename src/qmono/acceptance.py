@@ -35,6 +35,8 @@ from .identities import (
     xy_universe,
 )
 from .macdonald import (
+    BASIS_DEFORMED_COMPLETE,
+    BASIS_DEFORMED_ELEMENTARY,
     alphabet_shift_check,
     coefficient_sum_identities,
     deformed_basis_check,
@@ -173,11 +175,15 @@ def rearrangement_sum(mu: Partition, form: str) -> FactoredFraction:
     terms = []
     for entries in derangements(mu):
         sums = tuple(itertools.accumulate(entries, initial=0))
-        num, den = one, []
-        for i, c in enumerate(entries, start=1):
-            e = sums[i - 1] if form == "theorem1" else (mu.length - i) * c
-            num = num * Polynomial(UNIVERSE_ABQ, {(c, 0, e): 1, (0, c, 0): -1})
-            den.append(one - Polynomial.variable(UNIVERSE_ABQ, "q", sums[i]))
+        if form == "theorem1":
+            exponents = sums[:-1]
+        else:
+            exponents = [(mu.length - i) * c for i, c in enumerate(entries, start=1)]
+        num = product(
+            [Polynomial(UNIVERSE_ABQ, {(c, 0, e): 1, (0, c, 0): -1}) for c, e in zip(entries, exponents)],
+            UNIVERSE_ABQ,
+        )
+        den = [one - Polynomial.variable(UNIVERSE_ABQ, "q", s) for s in sums[1:]]
         terms.append(FactoredFraction(num, den))
     return FactoredFraction.sum(terms, universe=UNIVERSE_ABQ)
 
@@ -463,9 +469,9 @@ def criterion_10_macdonald() -> Report:
         r.check(inverse_expansions_check(n, N), f"inverse expansions n={n}")
     for mu in partitions_up_to(5):
         r.check(omega_duality_check(mu), f"omega duality mu={mu}")
-    for kind in ("E", "H"):
+    for basis in (BASIS_DEFORMED_ELEMENTARY, BASIS_DEFORMED_COMPLETE):
         for n in range(1, 6):
-            r.check(deformed_basis_check(kind, n, N), f"deformed {kind} n={n}")
+            r.check(deformed_basis_check(basis, n, N), f"{basis} n={n}")
     return r.stop()
 
 

@@ -289,7 +289,7 @@ class Polynomial:
     coefficients; no zero coefficient is ever stored.  Two polynomials are
     equal iff they share the universe and the term map.  Only this module
     reads ``terms``; :meth:`items` gives the terms with dense exponent
-    tuples.
+    tuples, and :meth:`coefficients` the coefficients alone, unordered.
     """
 
     __slots__ = ("universe", "terms", "_width", "_degree", "_hash", "_sort_key", "_ints")
@@ -395,6 +395,10 @@ class Polynomial:
         """The (dense exponent tuple, coefficient) pairs in canonical order."""
         n, w = len(self.universe), self._width
         return [(_unpack(k, n, w), self.terms[k]) for k in self._canonical()]
+
+    def coefficients(self):
+        """The nonzero coefficients, in no particular order."""
+        return self.terms.values()
 
     def _canonical(self) -> list:
         """The keys in canonical term order."""

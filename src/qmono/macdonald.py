@@ -10,10 +10,16 @@ structural and the n <= 5, N = 3 sizes trivial.  Every basis element comes
 from ``_basis_element`` and every product over the letters of a one-letter
 series from ``_letter_product``.  The one-letter ratios are expanded by
 ``_letter_series`` as a polynomial times a geometric sum.
+
+A monomial table builds its Heine coefficients once, ``_per_part`` builds
+every scale * prod_p (1 - u^p)/(1 - v^p) over the parts p of a partition,
+and ``_fraction_product`` every other product of fractions, as one fraction.
+A deformed basis has one name everywhere: ``deformed-h`` or ``deformed-e``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -24,6 +30,7 @@ from .algebra import (
     Polynomial,
     frac_eq,
     geometric_sum,
+    product,
 )
 from .errors import ResourceLimitError, UsageError
 from .partitions import Partition, partitions_of, z_of
@@ -34,7 +41,7 @@ OPERATOR_N_CAP = 3
 # 33 MB, and the cost grows quickly with n.
 EIGENCHECK_DEGREE_CAP = 8
 # Largest degree of the power and monomial expansions: monomial at n = 20
-# (627 partitions) takes 2.4-3.2 s and 48 MB, at n = 25 over half a minute.
+# (627 partitions) takes 1.7-1.8 s and 46 MB, at n = 25 over half a minute.
 EXPANSION_DEGREE_CAP = 20
 # Largest degree of the four bases that specialize once per partition: the
 # slowest, elementary, takes 1.2-1.6 s and 25 MB at n = 13, 2.8 s at 14.
@@ -220,12 +227,38 @@ def heine_coefficient(k: int) -> FactoredFraction:
     (t x; q)_inf / (x; q)_inf: product over j = 1..k of
     (1 - t q^(j-1))/(1 - q^j)."""
     one = Polynomial.one(UNIVERSE_QT)
-    num = one
-    den = []
-    for j in range(1, k + 1):
-        num = num * (one - Polynomial.monomial(UNIVERSE_QT, {"t": 1, "q": j - 1}))
-        den.append(one - _qt_var("q", j))
-    return FactoredFraction(num, den)
+    num = [one - Polynomial.monomial(UNIVERSE_QT, {"t": 1, "q": j - 1}) for j in range(1, k + 1)]
+    den = [one - _qt_var("q", j) for j in range(1, k + 1)]
+    return FactoredFraction(product(num, UNIVERSE_QT), den)
+
+
+def _fraction_product(fractions: list) -> FactoredFraction:
+    """The product of a list of fractions over (q, t) as one fraction: the
+    numerators multiplied by ``product``, over all their denominator factors."""
+    return FactoredFraction(
+        product([f.numerator for f in fractions], UNIVERSE_QT),
+        [factor for f in fractions for factor in f.denominator],
+    )
+
+
+def _per_part(mu: Partition, scale, u: str, v: str | None) -> FactoredFraction:
+    """scale * prod over the parts p of mu of (1 - u^p)/(1 - v^p), with no
+    denominator when v is None."""
+    one = Polynomial.one(UNIVERSE_QT)
+    return FactoredFraction(
+        product([one - _qt_var(u, p) for p in mu.parts], UNIVERSE_QT) * scale,
+        [] if v is None else [one - _qt_var(v, p) for p in mu.parts],
+    )
+
+
+# The four bases whose coefficient of g_n is the monomial specialization at
+# (a, b); the elementary-type ones also carry the sign (-1)^n.
+_SPECIALIZED = {
+    BASIS_COMPLETE: (1, _qt_var("t"), False),
+    BASIS_ELEMENTARY: (_qt_var("t"), 1, True),
+    BASIS_DEFORMED_COMPLETE: (1, 0, False),
+    BASIS_DEFORMED_ELEMENTARY: (0, 1, True),
+}
 
 
 def row_expansion_table(n: int, basis: str) -> ExpansionTable:
@@ -234,32 +267,21 @@ def row_expansion_table(n: int, basis: str) -> ExpansionTable:
         raise UsageError(f"unknown basis {basis!r}")
     if n < 0:
         raise UsageError("degree must be non-negative")
-    cap = EXPANSION_DEGREE_CAP if basis in (BASIS_POWER, BASIS_MONOMIAL) else SPEC_EXPANSION_CAP
+    cap = SPEC_EXPANSION_CAP if basis in _SPECIALIZED else EXPANSION_DEGREE_CAP
     if n > cap:
         raise ResourceLimitError(f"degree {n} exceeds the {basis} expansion cap {cap}")
-    t = _qt_var("t")
-    sign = -1 if n % 2 else 1
-    one = Polynomial.one(UNIVERSE_QT)
+    heine = [heine_coefficient(k) for k in range(n + 1)] if basis == BASIS_MONOMIAL else []
     entries = []
     for mu in partitions_of(n):
         if basis == BASIS_POWER:
-            coeff = FactoredFraction.constant(UNIVERSE_QT, Fraction(1, z_of(mu)))
-            for part in mu.parts:
-                coeff = coeff * FactoredFraction(
-                    one - _qt_var("t", part), [one - _qt_var("q", part)]
-                )
+            coeff = _per_part(mu, Fraction(1, z_of(mu)), "t", "q")
         elif basis == BASIS_MONOMIAL:
-            coeff = _qt_one()
-            for part in mu.parts:
-                coeff = coeff * heine_coefficient(part)
-        elif basis == BASIS_COMPLETE:
-            coeff = spec_value_at(mu, 1, t)
-        elif basis == BASIS_ELEMENTARY:
-            coeff = spec_value_at(mu, t, 1) * sign
-        elif basis == BASIS_DEFORMED_COMPLETE:
-            coeff = spec_value_at(mu, 1, 0)
+            coeff = _fraction_product([heine[part] for part in mu.parts])
         else:
-            coeff = spec_value_at(mu, 0, 1) * sign
+            a, b, signed = _SPECIALIZED[basis]
+            coeff = spec_value_at(mu, a, b)
+            if signed and n % 2:
+                coeff = -coeff
         entries.append((mu, coeff))
     return ExpansionTable(n, basis, tuple(entries))
 
@@ -302,13 +324,16 @@ def _basis_element(basis: str, mu: Partition, N: int, param: str = "t") -> Symme
     return out
 
 
+def _sum(polys: list, N: int) -> SymmetricPolynomial:
+    """The sum of a list of symmetric polynomials on N variables."""
+    return functools.reduce(SymmetricPolynomial.add, polys, SymmetricPolynomial.zero(N))
+
+
 def _linear_combination(basis: str, entries, N: int, param: str = "t") -> SymmetricPolynomial:
     """Sum of coefficient * basis element over (mu, coefficient) pairs."""
-    out = SymmetricPolynomial.zero(N)
-    for mu, coeff in entries:
-        if not coeff.is_zero:
-            out = out.add(_basis_element(basis, mu, N, param).scale(coeff))
-    return out
+    return _sum(
+        [_basis_element(basis, mu, N, param).scale(c) for mu, c in entries if not c.is_zero], N
+    )
 
 
 # One letter y of the alphabet, for one-letter series.
@@ -341,10 +366,8 @@ def _letter_product(coeffs, N: int) -> SymmetricPolynomial:
     out = {}
     for n in range(len(coeffs)):
         for lam in partitions_of(n, N):
-            f = coeffs[0] ** (N - lam.length)
-            for part in lam.parts:
-                f = f * coeffs[part]
-            out[tuple(lam.parts)] = f
+            factors = [coeffs[0]] * (N - lam.length) + [coeffs[part] for part in lam.parts]
+            out[tuple(lam.parts)] = _fraction_product(factors)
     return SymmetricPolynomial(N, out)
 
 
@@ -380,24 +403,23 @@ def expansion_agreement(n: int, N: int) -> bool:
 # Deformed generators three ways
 
 
-_DEFORMED_KINDS = {"E": BASIS_DEFORMED_ELEMENTARY, "H": BASIS_DEFORMED_COMPLETE}
-
-
-def deformed_basis_check(kind: str, n: int, N: int) -> bool:
-    """Whether the deformed generator (elementary kind "E" or complete kind
-    "H") on N variables comes out the same three ways:
+def deformed_basis_check(basis: str, n: int, N: int) -> bool:
+    """Whether the generator of degree n of a deformed basis (deformed-e or
+    deformed-h) on N variables comes out the same three ways:
 
     1. degree-n part of the generating product over the letters
-       (E: prod (1 + x_i)/(1 + t x_i); H: prod (1 - t x_i)/(1 - x_i)),
+       (deformed-e: prod (1 + x_i)/(1 + t x_i);
+       deformed-h: prod (1 - t x_i)/(1 - x_i)),
     2. substitution q -> 0 into the monomial table of g_n
-       (E also flips t -> 1/t and scales by (-t)^n),
+       (deformed-e also flips t -> 1/t and scales by (-t)^n),
     3. the closed monomial-orbit expansion.
     """
-    if kind not in _DEFORMED_KINDS:
-        raise UsageError(f"unknown deformed kind {kind!r}")
+    if basis not in (BASIS_DEFORMED_ELEMENTARY, BASIS_DEFORMED_COMPLETE):
+        raise UsageError(f"unknown deformed basis {basis!r}")
     if n < 1 or N < 1:
         raise UsageError("need n >= 1 and N >= 1")
-    if kind == "E":
+    elementary = basis == BASIS_DEFORMED_ELEMENTARY
+    if elementary:
         series = _letter_series(_ONE_Y + _Y, -_T, n)
     else:
         series = _letter_series(_ONE_Y - _T * _Y, 1, n)
@@ -408,7 +430,7 @@ def deformed_basis_check(kind: str, n: int, N: int) -> bool:
         # At q = 0 every denominator 1 - q^j of the table is 1, which leaves
         # a polynomial in t of degree at most n.
         f = f.substitute({"q": 0})
-        if kind == "E":
+        if elementary:
             # (-t)^n f(1/t), by reversing the exponents of t.
             f = FactoredFraction(Polynomial(
                 UNIVERSE_QT, {(0, n - j): (-1) ** n * c for (_, j), c in f.numerator.items()}
@@ -416,7 +438,7 @@ def deformed_basis_check(kind: str, n: int, N: int) -> bool:
         coeffs[key] = f
     from_substitution = SymmetricPolynomial(N, coeffs)
 
-    closed = _basis_element(_DEFORMED_KINDS[kind], Partition((n,)), N)
+    closed = _basis_element(basis, Partition((n,)), N)
     return from_series.eq(closed) and from_substitution.eq(closed)
 
 
@@ -426,20 +448,12 @@ def deformed_basis_check(kind: str, n: int, N: int) -> bool:
 
 def operator_coefficient(i: int, N: int, universe) -> FactoredFraction:
     """A_i = product over j != i of (t x_i - x_j)/(x_i - x_j)."""
-    num = Polynomial.one(universe)
-    den = []
-    for j in range(1, N + 1):
-        if j == i:
-            continue
-        num = num * (
-            Polynomial.monomial(universe, {"t": 1, f"x{i}": 1})
-            - Polynomial.variable(universe, f"x{j}")
-        )
-        den.append(
-            Polynomial.variable(universe, f"x{i}")
-            - Polynomial.variable(universe, f"x{j}")
-        )
-    return FactoredFraction(num, den)
+    t_xi = Polynomial.monomial(universe, {"t": 1, f"x{i}": 1})
+    xi = Polynomial.variable(universe, f"x{i}")
+    others = [Polynomial.variable(universe, f"x{j}") for j in range(1, N + 1) if j != i]
+    return FactoredFraction(
+        product([t_xi - xj for xj in others], universe), [xi - xj for xj in others]
+    )
 
 
 def eigencheck(n: int, N: int) -> bool:
@@ -497,23 +511,15 @@ def coefficient_sum_identities(N: int) -> bool:
     plain = FactoredFraction.sum(coeffs, universe=uni)
     if not frac_eq(plain, FactoredFraction(geometric_sum(uni, "t", N))):
         return False
+    t_x = [one - Polynomial.monomial(uni, {"t": 1, f"x{j}": 1}) for j in range(1, N + 1)]
+    x = [one - Polynomial.variable(uni, f"x{j}") for j in range(1, N + 1)]
     weighted_terms = []
     for i, A in enumerate(coeffs, start=1):
-        weight = FactoredFraction(
-            Polynomial.variable(uni, f"x{i}"),
-            [one - Polynomial.monomial(uni, {"t": 1, f"x{i}": 1})],
-        )
+        weight = FactoredFraction(Polynomial.variable(uni, f"x{i}"), [t_x[i - 1]])
         weighted_terms.append(weight * A)
     weighted = FactoredFraction.sum(weighted_terms, universe=uni)
-    prod_t = one
-    prod_plain = one
-    den = [one - Polynomial.variable(uni, "t")]
-    for j in range(1, N + 1):
-        prod_t = prod_t * (one - Polynomial.monomial(uni, {"t": 1, f"x{j}": 1}))
-        prod_plain = prod_plain * (one - Polynomial.variable(uni, f"x{j}"))
-        den.append(one - Polynomial.monomial(uni, {"t": 1, f"x{j}": 1}))
-    num = Polynomial.variable(uni, "t", N - 1) * (prod_t - prod_plain)
-    return frac_eq(weighted, FactoredFraction(num, den))
+    num = Polynomial.variable(uni, "t", N - 1) * (product(t_x, uni) - product(x, uni))
+    return frac_eq(weighted, FactoredFraction(num, [one - Polynomial.variable(uni, "t")] + t_x))
 
 
 # ---------------------------------------------------------------------------
@@ -523,42 +529,35 @@ def coefficient_sum_identities(N: int) -> bool:
 def _omega_factor(mu: Partition) -> FactoredFraction:
     """Action on the coefficient of a power-sum product:
     (-1)^(weight - length) * prod (1 - q^part)/(1 - t^part)."""
-    one = Polynomial.one(UNIVERSE_QT)
-    sign = -1 if (mu.weight - mu.length) % 2 else 1
-    out = FactoredFraction.constant(UNIVERSE_QT, sign)
-    for part in mu.parts:
-        out = out * FactoredFraction(
-            one - _qt_var("q", part), [one - _qt_var("t", part)]
-        )
-    return out
+    return _per_part(mu, -1 if (mu.weight - mu.length) % 2 else 1, "q", "t")
 
 
 def omega_row_is_elementary(n: int) -> bool:
     """omega(g_n) has the power-basis coefficients of e_n, omega being the
     degree-homogeneous involution f -> (-1)^deg f[(q - 1)/(1 - t) X], which
-    scales each power-basis coefficient by ``_omega_factor``."""
+    scales each power-basis coefficient by ``_omega_factor``.  At q = 0 they
+    are the deformed complete generator's with parameter t, which pins the
+    scale of ``_deformed_power_table`` (``omega_duality_check`` cannot see it)."""
+    deformed = _deformed_power_table(BASIS_DEFORMED_COMPLETE, n, "t")
     for mu, coeff in row_expansion_table(n, BASIS_POWER).entries:
         sign = -1 if (n - mu.length) % 2 else 1
         expected = FactoredFraction.constant(UNIVERSE_QT, Fraction(sign, z_of(mu)))
         if not frac_eq(coeff * _omega_factor(mu), expected):
             return False
+        if not frac_eq(coeff.substitute({"q": 0}), deformed[mu]):
+            return False
     return True
 
 
-def _deformed_power_table(kind: str, n: int, param: str) -> dict:
-    """Power-basis coefficients of a single deformed generator:
-    E: (-1)^(n - length)/z * prod (1 - param^part);
-    H: 1/z * prod (1 - param^part)."""
-    one = Polynomial.one(UNIVERSE_QT)
+def _deformed_power_table(basis: str, n: int, param: str) -> dict:
+    """Power-basis coefficients of the generator of degree n of a deformed
+    basis: 1/z * prod (1 - param^part), times (-1)^(n - length) for
+    deformed-e."""
+    signed = basis == BASIS_DEFORMED_ELEMENTARY
     out = {}
     for lam in partitions_of(n):
-        poly = one
-        for part in lam.parts:
-            poly = poly * (one - _qt_var(param, part))
-        c = Fraction(1, z_of(lam))
-        if kind == "E" and (n - lam.length) % 2:
-            c = -c
-        out[lam] = FactoredFraction(poly * c)
+        sign = -1 if signed and (n - lam.length) % 2 else 1
+        out[lam] = _per_part(lam, Fraction(sign, z_of(lam)), param, None)
     return out
 
 
@@ -572,10 +571,10 @@ def _power_table_product(t1: dict, t2: dict) -> dict:
     return out
 
 
-def _deformed_product_power_table(kind: str, mu: Partition, param: str) -> dict:
+def _deformed_product_power_table(basis: str, mu: Partition, param: str) -> dict:
     out = {Partition(()): _qt_one()}
     for part in mu.parts:
-        out = _power_table_product(out, _deformed_power_table(kind, part, param))
+        out = _power_table_product(out, _deformed_power_table(basis, part, param))
     return out
 
 
@@ -583,8 +582,8 @@ def omega_duality_check(mu: Partition) -> bool:
     """omega sends the deformed elementary product with parameter t to the
     deformed complete product with parameter q, coefficient by coefficient
     on the power basis."""
-    e_table = _deformed_product_power_table("E", mu, "t")
-    h_table = _deformed_product_power_table("H", mu, "q")
+    e_table = _deformed_product_power_table(BASIS_DEFORMED_ELEMENTARY, mu, "t")
+    h_table = _deformed_product_power_table(BASIS_DEFORMED_COMPLETE, mu, "q")
     zero = FactoredFraction.zero(UNIVERSE_QT)
     for lam in partitions_of(mu.weight):
         lhs = e_table.get(lam, zero) * _omega_factor(lam)
@@ -630,22 +629,13 @@ def inverse_expansions_check(n: int, N: int) -> bool:
     return True
 
 
-def _row_sum(N: int, degree: int) -> SymmetricPolynomial:
-    """g_0 + g_1 + ... + g_degree on N variables."""
-    total = SymmetricPolynomial.zero(N)
-    for n in range(degree + 1):
-        total = total.add(row_polynomial(n, N))
-    return total
-
-
 def generating_shift_check(N: int, degree: int) -> bool:
     """Scaling the degree marker by q multiplies the generating function by
     prod (1 - x_i)/(1 - t x_i); checked to total x-degree <= degree."""
-    shifted = SymmetricPolynomial.zero(N)
-    for n in range(degree + 1):
-        shifted = shifted.add(row_polynomial(n, N).scale(_qt_var("q", n)))
+    rows = [row_polynomial(n, N) for n in range(degree + 1)]
+    shifted = _sum([g.scale(_qt_var("q", n)) for n, g in enumerate(rows)], N)
     ratio = _letter_product(_letter_series(_ONE_Y - _Y, _T, degree), N)
-    return shifted.eq(ratio.mul(_row_sum(N, degree), max_degree=degree))
+    return shifted.eq(ratio.mul(_sum(rows, N), max_degree=degree))
 
 
 def alphabet_shift_check(N: int, degree: int) -> bool:
@@ -660,4 +650,5 @@ def alphabet_shift_check(N: int, degree: int) -> bool:
         N,
     )
     alternating = _letter_product(_letter_series(_ONE_Y - _Y, 0, degree), N)
-    return lhs.eq(alternating.mul(_row_sum(N, degree), max_degree=degree))
+    total = _sum([row_polynomial(n, N) for n in range(degree + 1)], N)
+    return lhs.eq(alternating.mul(total, max_degree=degree))

@@ -60,10 +60,7 @@ class Partition:
 
     def repetition_factor(self) -> int:
         """Product of the factorials of the part multiplicities."""
-        out = 1
-        for m in self.multiplicities().values():
-            out *= math.factorial(m)
-        return out
+        return math.prod(map(math.factorial, self.multiplicities().values()))
 
     def rearrangement_count(self) -> int:
         """The number of distinct rearrangements of the parts,
@@ -141,19 +138,22 @@ def subset_sum_counts(mu: Partition) -> dict:
     return dict(sorted(counts.items()))
 
 
-def check_peel_cost(mu: Partition, max_states: int, max_degree: int, what: str):
+def check_peel_cost(mu: Partition, max_states: int, max_degree: int, what: str) -> dict:
     """Refuse mu before any work when its rearrangement peel has more than
     ``max_states`` states, prod(m_i + 1), or a common denominator of degree
     over ``max_degree``, the sum of the distinct subset part sums.  The
-    states, counted first, bound the cost of the sums, so length needs no cap."""
+    states, counted first, bound the cost of the sums, so length needs no cap.
+    Returns the ``subset_sum_counts`` of mu that the degree is read from."""
     states = math.prod(m + 1 for m in mu.multiplicities().values())
     if states > max_states:
         raise ResourceLimitError(f"{states} sub-multisets of {mu} exceed {what} cap {max_states}")
-    degree = sum(subset_sum_counts(mu))
+    counts = subset_sum_counts(mu)
+    degree = sum(counts)
     if degree > max_degree:
         raise ResourceLimitError(
             f"denominator degree {degree} of {mu} exceeds {what} cap {max_degree}"
         )
+    return counts
 
 
 def rearrangement_peel(mu: Partition, factor, den):
@@ -192,10 +192,7 @@ def rearrangement_peel(mu: Partition, factor, den):
 def z_of(mu: Partition) -> int:
     """The centralizer size of a permutation of cycle type mu:
     product over i of i^m_i * m_i!."""
-    out = 1
-    for i, m in mu.multiplicities().items():
-        out *= i ** m * math.factorial(m)
-    return out
+    return math.prod(i ** m * math.factorial(m) for i, m in mu.multiplicities().items())
 
 
 def _cycles_of(mapping: tuple) -> tuple:

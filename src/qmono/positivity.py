@@ -33,7 +33,7 @@ from .errors import (
     NotApplicableError,
     ResourceLimitError,
 )
-from .partitions import Partition, check_peel_cost, rearrangement_peel, subset_sum_counts
+from .partitions import Partition, check_peel_cost, rearrangement_peel
 from .specialize import UNIVERSE_QT, monomial_spec
 
 # The caps of the peel behind H, and of the degree of P, which bounds the
@@ -68,21 +68,25 @@ class PositivityReport:
         )
 
 
-def _check_cap(mu: Partition):
-    check_peel_cost(mu, POSITIVITY_STATE_CAP, POSITIVITY_DEGREE_CAP, "positivity")
-    degree = sum((s - 1) * m for s, m in subset_sum_counts(mu).items())
+def _check_cap(mu: Partition) -> dict:
+    """Refuse mu over any of the three caps before any work, else return its
+    ``subset_sum_counts``, which the caps read and P and L are built from."""
+    counts = check_peel_cost(mu, POSITIVITY_STATE_CAP, POSITIVITY_DEGREE_CAP, "positivity")
+    degree = sum((s - 1) * m for s, m in counts.items())
     if degree > POSITIVITY_P_DEGREE_CAP:
         raise ResourceLimitError(
             f"degree {degree} of P for {mu} exceeds positivity cap {POSITIVITY_P_DEGREE_CAP}"
         )
+    return counts
 
 
-def auxiliary_product(mu: Partition) -> Polynomial:
-    """P(q): product over nonempty position subsets of
-    1 + q + ... + q^(part sum - 1), one power per distinct part sum."""
-    _check_cap(mu)
+def _subset_product(counts: dict, used) -> Polynomial:
+    """The product over the subset part sums s of
+    (1 + q + ... + q^(s - 1))^(count of s, less one if s is in ``used``).
+    With nothing used it is P(q), the product over the nonempty position
+    subsets of 1 + q + ... + q^(part sum - 1)."""
     return product(
-        [geometric_sum(UNIVERSE_Q, "q", s) ** m for s, m in subset_sum_counts(mu).items()],
+        [geometric_sum(UNIVERSE_Q, "q", s) ** (m - (s in used)) for s, m in counts.items()],
         UNIVERSE_Q,
     )
 
@@ -97,14 +101,13 @@ def _homogeneous_quotient(x_power: int, c: int) -> Polynomial:
     return Polynomial(UNIVERSE_QT, terms)
 
 
-def _numerator_and_leftover(mu: Partition) -> tuple:
+def _numerator_and_leftover(mu: Partition, pool: dict) -> tuple:
     """(N, L) with H = N * L: the rearrangement peel sums the quotients over
     the [s_i]_q = 1 + ... + q^(s_i - 1) as N / prod_{s in D} [s]_q, N lifted
     to (q, t), and L in q is the product of the subset factors of P left
-    over after one per s in D."""
-    _check_cap(mu)
+    over after one per s in D.  ``pool`` is ``_check_cap(mu)``, so mu is
+    refused before any work."""
     length = mu.length
-    pool = subset_sum_counts(mu)
     num, sums = rearrangement_peel(
         mu,
         lambda i, total, c: _homogeneous_quotient(length - i, c),
@@ -115,17 +118,13 @@ def _numerator_and_leftover(mu: Partition) -> tuple:
     if isinstance(num, int):
         # The empty partition: its peel is the int 1.
         num = Polynomial.constant(UNIVERSE_QT, num)
-    leftover = product(
-        [geometric_sum(UNIVERSE_Q, "q", s) ** (m - (s in sums)) for s, m in pool.items()],
-        UNIVERSE_Q,
-    )
-    return num, leftover
+    return num, _subset_product(pool, sums)
 
 
 def positivity_polynomial(mu: Partition) -> Polynomial:
     """H(q, t) = N * L, the peel's numerator N times the leftover subset
     product L (see ``_numerator_and_leftover``)."""
-    num, leftover = _numerator_and_leftover(mu)
+    num, leftover = _numerator_and_leftover(mu, _check_cap(mu))
     return num * leftover.substitute({}, universe=UNIVERSE_QT)
 
 
@@ -147,18 +146,21 @@ def positivity_report(mu: Partition) -> PositivityReport:
     specialization at a = 1, b = t, and the auxiliary identity
     (length!/prod m_i!) * P(q) = prod_{i<=l} (1 + ... + q^(i-1)) * Hbar.
 
-    H = N * L is built for the output and read once, by the coefficient
-    check; Hbar is built as Nbar * L.  The factorization identity is decided
+    The caps are checked once, and P and L are built from the one
+    ``subset_sum_counts`` that check returns.  H = N * L is built for the
+    output and read once, by the coefficient check, through its coefficients
+    alone; Hbar is built as Nbar * L.  The factorization identity is decided
     as spec = count * prod_i (q^(i-1) - t) * N / (prod_i (1 - q^i) * Nbar),
     the verdict of the cross-multiplication with H and Hbar (see the module
     docstring); the auxiliary identity, against P built on its own, tests L."""
-    P = auxiliary_product(mu)
-    N, L = _numerator_and_leftover(mu)
+    counts = _check_cap(mu)
+    P = _subset_product(counts, ())
+    N, L = _numerator_and_leftover(mu, counts)
     H = N * L.substitute({}, universe=UNIVERSE_QT)
     length = mu.length
     Nbar = inverted_polynomial(N, mu.weight - length)
     Hbar = None if Nbar is None else Nbar * L
-    nonneg = all(type(c) is int and c > 0 for _, c in H.items())
+    nonneg = all(type(c) is int and c > 0 for c in H.coefficients())
     identity = auxiliary = False
     if Nbar is not None and not Nbar.is_zero:
         t = Polynomial.variable(UNIVERSE_QT, "t")

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import FactoredFraction, Polynomial
+from .algebra import FactoredFraction, Polynomial, product
 from .errors import UsageError
 from .partitions import (
     Partition,
@@ -110,9 +110,8 @@ def oracle_powersum(mu: Partition) -> SpecResult:
     )
     terms = []
     for sums, count in counts.items():
-        num = Polynomial.constant(UNIVERSE_ABQ, (-1) ** (length - len(sums)) * count)
-        for s in sums:
-            num = num * Polynomial(UNIVERSE_ABQ, {(s, 0, 0): 1, (0, s, 0): -1})
+        factors = [Polynomial(UNIVERSE_ABQ, {(s, 0, 0): 1, (0, s, 0): -1}) for s in sums]
+        num = product(factors, UNIVERSE_ABQ) * ((-1) ** (length - len(sums)) * count)
         terms.append(FactoredFraction(num, [_one_minus_q_power(s) for s in sums]))
     total = FactoredFraction.sum(terms, universe=UNIVERSE_ABQ)
     total = total * Fraction(1, mu.repetition_factor())

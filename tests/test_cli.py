@@ -27,7 +27,7 @@ from qmono.cli import (
     thread_count,
 )
 from qmono.errors import UsageError
-from qmono.partitions import Partition, partitions_up_to
+from qmono.partitions import Partition, partitions_up_to, subset_sum_counts
 from qmono.specialize import UNIVERSE_ABQ
 
 
@@ -685,15 +685,17 @@ class TestPositivityCommand:
         assert json.loads(seq)["results"] == json.loads(par)["results"]
 
     def test_ok_is_the_four_fact_verdict_of_criterion_9(self, capsys, monkeypatch):
-        # Break only the auxiliary identity of (2,1): P(q) is read by that
-        # identity alone, so the other three facts still hold.
-        real = positivity.auxiliary_product
+        # Break only the auxiliary identity of (2,1): P(q), the subset
+        # product with no part sum used, is read by that identity alone, so
+        # the other three facts still hold.
+        real = positivity._subset_product
+        counts_21 = subset_sum_counts(Partition((2, 1)))
 
-        def broken(mu):
-            P = real(mu)
-            return P + 1 if mu == Partition((2, 1)) else P
+        def broken(counts, used):
+            P = real(counts, used)
+            return P + 1 if counts == counts_21 and not used else P
 
-        monkeypatch.setattr(positivity, "auxiliary_product", broken)
+        monkeypatch.setattr(positivity, "_subset_product", broken)
         monkeypatch.delenv("QMONO_THREADS", raising=False)
         code, out, _ = run(capsys, "positivity", "--mu", "2,1", "--format", "json")
         assert code == EXIT_VERIFY_FAILED

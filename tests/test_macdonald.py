@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmono import macdonald
 from qmono.algebra import FactoredFraction, Polynomial, frac_eq
 from qmono.errors import ResourceLimitError, UsageError
 from qmono.macdonald import (
@@ -87,6 +88,19 @@ class TestExpansionTables:
         with pytest.raises(UsageError):
             row_expansion_table(2, "schur")
 
+    @pytest.mark.parametrize("n", [0, 1, 8])
+    def test_a_monomial_table_builds_each_heine_coefficient_once(self, n, monkeypatch):
+        calls = []
+        heine = macdonald.heine_coefficient
+        monkeypatch.setattr(macdonald, "heine_coefficient", lambda k: calls.append(k) or heine(k))
+        table = row_expansion_table(n, BASIS_MONOMIAL)
+        assert sorted(calls) == list(range(n + 1))
+        for mu, coeff in table.entries:
+            expected = FactoredFraction.one(UNIVERSE_QT)
+            for part in mu.parts:
+                expected = expected * heine(part)
+            assert coeff == expected, mu
+
 
 class TestRowPolynomial:
     def test_degree_zero_is_one(self):
@@ -116,11 +130,11 @@ class TestDeformedBases:
         assert set(sp.coeffs) == {(2,)}
         assert frac_eq(sp.coeffs[(2,)], FactoredFraction(T ** 2 - T))
 
-    @pytest.mark.parametrize("kind", ["E", "H"])
+    @pytest.mark.parametrize("basis", [BASIS_DEFORMED_ELEMENTARY, BASIS_DEFORMED_COMPLETE])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("N", [1, 2, 3])
-    def test_three_ways_agree(self, kind, n, N):
-        assert deformed_basis_check(kind, n, N)
+    def test_three_ways_agree(self, basis, n, N):
+        assert deformed_basis_check(basis, n, N)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_complete_monomial_coefficients(self, n):
@@ -135,7 +149,7 @@ class TestDeformedBases:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_elementary_power_coefficients(self, n):
-        table = _deformed_power_table("E", n, "t")
+        table = _deformed_power_table(BASIS_DEFORMED_ELEMENTARY, n, "t")
         for mu in partitions_of(n):
             sign = -1 if (n - mu.length) % 2 else 1
             poly = Polynomial.constant(UNIVERSE_QT, Fraction(sign, z_of(mu)))
@@ -143,9 +157,10 @@ class TestDeformedBases:
                 poly = poly * (ONE - T ** part)
             assert frac_eq(table[mu], FactoredFraction(poly))
 
-    def test_unknown_kind(self):
+    @pytest.mark.parametrize("name", ["G", "E", "H", BASIS_COMPLETE])
+    def test_only_the_deformed_basis_names_are_taken(self, name):
         with pytest.raises(UsageError):
-            deformed_basis_check("G", 2, 2)
+            deformed_basis_check(name, 2, 2)
 
 
 class TestOperator:

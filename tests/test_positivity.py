@@ -9,7 +9,6 @@ from qmono.partitions import Partition, partitions_of, partitions_up_to, subset_
 from qmono.positivity import (
     UNIVERSE_Q,
     UNIVERSE_QT,
-    auxiliary_product,
     inverted_polynomial,
     positivity_polynomial,
     positivity_report,
@@ -20,6 +19,16 @@ from qmono.specialize import monomial_spec
 
 def qt(terms):
     return Polynomial(UNIVERSE_QT, terms)
+
+
+def auxiliary_product(mu):
+    """P(q) as the report builds it, from the counts its cap check returns."""
+    return positivity._subset_product(positivity._check_cap(mu), ())
+
+
+def split(mu):
+    """(N, L) as the report splits H, from the counts its cap check returns."""
+    return positivity._numerator_and_leftover(mu, positivity._check_cap(mu))
 
 
 def sequential_product(mu, leftover=False):
@@ -87,7 +96,7 @@ class TestAuxiliaryProduct:
     @pytest.mark.parametrize("weight", range(1, 9))
     def test_balanced_leftover_matches_the_sequential_product(self, weight):
         for mu in partitions_of(weight):
-            _, leftover = positivity._numerator_and_leftover(mu)
+            _, leftover = split(mu)
             assert leftover == sequential_product(mu, leftover=True), mu
 
     def test_balanced_product_matches_the_left_to_right_product(self):
@@ -100,7 +109,7 @@ class TestAuxiliaryProduct:
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
-            auxiliary_product(Partition((1,) * 9))
+            positivity_report(Partition((1,) * 9))
 
     def test_rearrangement_cap(self, monkeypatch):
         # (6,5,4,3,2,1) is at the state cap (64) and under the degree caps
@@ -121,7 +130,7 @@ class TestAuxiliaryProduct:
             with pytest.raises(ResourceLimitError, match=message):
                 positivity_polynomial(Partition(parts))
             with pytest.raises(ResourceLimitError, match=message):
-                auxiliary_product(Partition(parts))
+                positivity_report(Partition(parts))
         assert len(calls) == 1
 
 
@@ -161,6 +170,14 @@ class TestReports:
         assert report.auxiliary_identity_holds
         assert report.passed()
 
+    def test_the_caps_are_checked_once(self, monkeypatch):
+        # P and L are built from the subset sum counts of the one cap check.
+        calls = []
+        check = positivity._check_cap
+        monkeypatch.setattr(positivity, "_check_cap", lambda mu: calls.append(mu) or check(mu))
+        assert positivity_report(Partition((3, 2, 1))).passed()
+        assert calls == [Partition((3, 2, 1))]
+
     def test_single_part_reduces_to_generator_product(self):
         # For one row the factorization collapses onto the complete-generator
         # product, so the identity check doubles as that anchor.
@@ -188,7 +205,7 @@ class TestIdentityOnTheNumerator:
     def test_verdict_is_the_cross_multiplication_with_H(self, parts):
         mu = Partition(parts)
         report = positivity_report(mu)
-        N, _ = positivity._numerator_and_leftover(mu)
+        N, _ = split(mu)
         Nbar = inverted_polynomial(N, mu.weight - mu.length)
         assert (Nbar is None) == (report.Hbar is None)
         # Hbar is built as Nbar * L; inverting H itself is the reference.
@@ -197,17 +214,17 @@ class TestIdentityOnTheNumerator:
         assert report.passed()
 
     def test_empty_partition_lifts_its_numerator(self):
-        N, leftover = positivity._numerator_and_leftover(Partition(()))
+        N, leftover = split(Partition(()))
         assert N == Polynomial.one(UNIVERSE_QT)
         assert leftover == Polynomial.one(UNIVERSE_Q)
         assert positivity_report(Partition(())).passed()
 
     @pytest.mark.parametrize("parts", [(2, 1), (3, 2, 1), (2, 2, 1)])
     def test_a_wrong_numerator_fails_the_identity(self, parts, monkeypatch):
-        split = positivity._numerator_and_leftover
+        real = positivity._numerator_and_leftover
 
-        def wrong(mu):
-            N, leftover = split(mu)
+        def wrong(mu, pool):
+            N, leftover = real(mu, pool)
             return N + Polynomial.variable(UNIVERSE_QT, "t"), leftover
 
         monkeypatch.setattr(positivity, "_numerator_and_leftover", wrong)
@@ -221,10 +238,10 @@ class TestIdentityOnTheNumerator:
     def test_a_wrong_leftover_fails_only_the_auxiliary_identity(self, parts, monkeypatch):
         # L cancels from the factorization identity; only the auxiliary
         # identity, against P built on its own, tests it.
-        split = positivity._numerator_and_leftover
+        real = positivity._numerator_and_leftover
 
-        def wrong(mu):
-            N, leftover = split(mu)
+        def wrong(mu, pool):
+            N, leftover = real(mu, pool)
             return N, leftover * geometric_sum(UNIVERSE_Q, "q", 2)
 
         monkeypatch.setattr(positivity, "_numerator_and_leftover", wrong)

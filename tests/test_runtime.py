@@ -29,7 +29,8 @@ def test_the_package_sources_are_found():
 )
 def test_only_the_kernel_reads_the_term_map(path):
     # Polynomial.terms is keyed by packed monomials; every other module
-    # reads a polynomial's terms through Polynomial.items().
+    # reads a polynomial's terms through Polynomial.items(), or its
+    # coefficients alone through Polynomial.coefficients().
     tree = ast.parse(path.read_text(), filename=str(path))
     reads = [
         node.lineno
@@ -201,9 +202,66 @@ def test_the_list_product_is_defined_once():
     }
     assert defined == {("algebra.py", "product")}
     callers = set().union(*(_callers(p, "prod") for p in SOURCES))
-    assert callers == {("identities.py", "constant_identity"), ("partitions.py", "check_peel_cost")}
+    assert callers == {
+        ("identities.py", "constant_identity"),
+        ("partitions.py", "Partition.repetition_factor"),
+        ("partitions.py", "check_peel_cost"),
+        ("partitions.py", "z_of"),
+    }
     users = {module for p in SOURCES for module, _ in _callers(p, "product")}
-    assert users == {"acceptance.py", "algebra.py", "identities.py", "positivity.py"}
+    assert users == {
+        "acceptance.py", "algebra.py", "identities.py", "macdonald.py", "positivity.py", "specialize.py"
+    }
+
+
+def _product_accumulations(source):
+    """The enclosing top-level definition of each ``x = x * y``,
+    ``x = y * x`` or ``x *= y`` inside a loop of ``source``."""
+    owners = set()
+    for top in ast.parse(source).body:
+        for loop in ast.walk(top):
+            if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+                continue
+            for node in ast.walk(loop):
+                if isinstance(node, ast.AugAssign):
+                    hit = isinstance(node.op, ast.Mult) and isinstance(node.target, ast.Name)
+                elif isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp):
+                    names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+                    operands = (node.value.left, node.value.right)
+                    hit = isinstance(node.value.op, ast.Mult) and any(
+                        isinstance(o, ast.Name) and o.id in names for o in operands
+                    )
+                else:
+                    hit = False
+                if hit:
+                    owners.add(top.name)
+    return owners
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f(xs):\n    p = 1\n    for x in xs:\n        p = p * x",
+        "def f(xs):\n    p = 1\n    for x in xs:\n        p = x * p",
+        "def f(xs):\n    p = 1\n    while xs:\n        p *= xs.pop()",
+        "class C:\n    def m(self, xs):\n        for x in xs:\n            for y in x:\n                p = p * y",
+    ],
+)
+def test_the_accumulation_check_sees_each_form(source):
+    assert _product_accumulations(source) != set()
+
+
+def test_no_loop_accumulates_a_product():
+    # A product of a list is one algebra.product (math.prod for ints).  Only
+    # the kernel and the rearrangement peel, whose values may be ints, keep a
+    # running product.
+    owners = {
+        (p.name, owner)
+        for p in SOURCES
+        if p.name != "algebra.py"
+        for owner in _product_accumulations(p.read_text())
+    }
+    assert owners == {("partitions.py", "rearrangement_peel")}
 
 
 @pytest.mark.parametrize("callee", ["_evaluate", "_read", "_slot_size"])
