@@ -237,7 +237,15 @@ def criterion_5_recurrences() -> Report:
 #
 # An instance is an int or a plain tuple of ints and strings, so a worker
 # process can take it; a check is a module-level function of one instance
-# that builds its own expected value and returns whether the identity holds.
+# and the memo of its share group that builds its own expected value and
+# returns whether the identity holds.
+
+
+def _check_group(check, tasks: list) -> list:
+    """(task, verdict) for each task of one share group, every check given
+    the same fresh memo: it lives for this group of this sweep only."""
+    memo = {}
+    return [(task, check(task, memo)) for task in tasks]
 
 
 @dataclass(frozen=True)
@@ -248,15 +256,28 @@ class Family:
     and ``cap`` is the largest value of it that ``verify`` admits; a larger
     one is refused before any instance is built.  ``instances(size)`` lists
     the instances up to that size.  ``share``, when set, maps an instance
-    to the memoized value its check reads; ``verify`` sends the instances
-    that share one to the same pool worker."""
+    to the key of the values its check memoizes: the instances with one key
+    form a group that is checked by one worker against one memo, so each
+    value is built once per sweep.  A process-wide value (appendix: one side
+    of the three-way identity) is kept by its own memo; the rearrangement
+    peel of prop5 and prop6 keeps its states in the group's memo."""
 
     size_flag: str
     cap: int
     instances: Callable[[int], list]
     label: Callable[[object], str]
-    check: Callable[[object], bool]
+    check: Callable[[object, dict], bool]
     share: Callable[[object], object] | None = None
+
+    def verdicts(self, tasks: list, mapper=map) -> dict:
+        """{task: verdict} for ``tasks``, checked group by group through
+        ``mapper`` (``verify`` passes its worker pool); without ``share``,
+        each task is a group of its own."""
+        groups = {}
+        for task in tasks:
+            groups.setdefault(task if self.share is None else self.share(task), []).append(task)
+        checked = mapper(partial(_check_group, self.check), list(groups.values()))
+        return dict(pair for group in checked for pair in group)
 
 
 def _sizes(n: int) -> list:
@@ -298,32 +319,38 @@ def _mu_label(parts) -> str:
     return f"mu={list(parts)}"
 
 
-def _thm6(n) -> bool:
+def _thm6(n, memo) -> bool:
     return frac_eq(symmetrized_side(n, SIDE_LEFT), symmetrized_side(n, SIDE_RIGHT))
 
 
-def _thm7(n) -> bool:
+def _thm7(n, memo) -> bool:
     return frac_eq(symmetrized_side(n, SIDE_LEFT), symmetrized_side(n, SIDE_CYCLE))
 
 
-def _prop5(parts) -> bool:
+def _prop5(parts, memo) -> bool:
     mu = Partition(parts)
     expected = FactoredFraction.constant(("q",), mu.rearrangement_count())
-    return frac_eq(constant_identity(mu, "prop5"), expected)
+    return frac_eq(constant_identity(mu, "prop5", memo), expected)
 
 
-def _prop6(parts) -> bool:
+def _prop6(parts, memo) -> bool:
     mu = Partition(parts)
     expected = FactoredFraction.constant((), Fraction(1, z_of(mu)))
-    return frac_eq(constant_identity(mu, "littlewood"), expected)
+    return frac_eq(constant_identity(mu, "littlewood", memo), expected)
 
 
-def _prop7(n) -> bool:
+def _one_group(parts) -> None:
+    """The share key of prop6: its peel's factor reads nothing, so the
+    whole sweep is one group."""
+    return None
+
+
+def _prop7(n, memo) -> bool:
     expected = FactoredFraction.constant(x_only_universe(n), math.factorial(n))
     return frac_eq(symmetrized_constant(n, "prop7"), expected)
 
 
-def _prop8(n) -> bool:
+def _prop8(n, memo) -> bool:
     uni = x_only_universe(n)
     expected = FactoredFraction(
         Polynomial.one(uni),
@@ -332,18 +359,23 @@ def _prop8(n) -> bool:
     return frac_eq(symmetrized_constant(n, "prop8"), expected)
 
 
-def _appendix(task) -> bool:
+def _appendix(task, memo) -> bool:
     return appendix_step(*task)
 
 
-# Weight caps: each admits the largest sweep that finishes in under 2 s.
-# prop5 (at most 6 parts) up to weight 16 takes 1.2-1.5 s (17: 2.2-2.6 s);
-# prop6 (at most 7 parts) up to weight 24 takes 1.3-1.8 s (25: 1.8-2.1 s).
+# Weight caps: each admits the largest sweep that finished in under 2 s in
+# every fresh process timed, each share group peeling once.  prop5 (at
+# most 6 parts) up to weight 18 takes 1.0-1.8 s (19: 1.3-2.6 s); prop6 (at
+# most 7 parts) up to weight 32 takes 1.0-1.9 s (33: 1.1-2.1 s).
 VERIFY_FAMILIES = {
     "thm6": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm6),
     "thm7": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm7),
-    "prop5": Family("max_weight", 16, partial(_short_partitions, max_length=6), _mu_label, _prop5),
-    "prop6": Family("max_weight", 24, partial(_short_partitions, max_length=7), _mu_label, _prop6),
+    "prop5": Family(
+        "max_weight", 18, partial(_short_partitions, max_length=6), _mu_label, _prop5, len
+    ),
+    "prop6": Family(
+        "max_weight", 32, partial(_short_partitions, max_length=7), _mu_label, _prop6, _one_group
+    ),
     "prop7": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop7),
     "prop8": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop8),
     "appendix": Family(
@@ -353,11 +385,14 @@ VERIFY_FAMILIES = {
 
 
 def _check_families(r: Report, runs) -> None:
-    """Check every instance of each (family name, size)."""
+    """Check every instance of each (family name, size), grouped as
+    ``verify`` groups them."""
     for name, size in runs:
         family = VERIFY_FAMILIES[name]
-        for task in family.instances(size):
-            r.check(family.check(task), f"{name} {family.label(task)}")
+        tasks = family.instances(size)
+        verdicts = family.verdicts(tasks)
+        for task in tasks:
+            r.check(verdicts[task], f"{name} {family.label(task)}")
 
 
 def _display_example_n2() -> dict:

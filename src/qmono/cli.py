@@ -7,8 +7,10 @@ lifts a cap.  Set QMONO_THREADS to a positive integer to let sweep commands
 dispatch independent instances to a worker pool, no larger than the CPUs
 this process may run on.  Sweeps list their instances smallest first; the
 pool deals them last-listed first, round robin, into a few chunks per
-worker, and a verify family whose tasks share a memoized value (appendix:
-one side of the three-way identity) sends each group of them to one worker.
+worker, and a verify family whose tasks share memoized values sends each
+group of them to one worker: appendix groups by the side of the three-way
+identity, prop5 by partition length and prop6 as a whole, and each group's
+checks share one rearrangement-peel memo that lives for that group only.
 Output order is by instance descriptor, never by completion time.  The
 argument parser is built once per process and reused by every ``execute``.
 """
@@ -190,10 +192,6 @@ def cmd_specialize(args) -> acceptance.Report:
 _VERIFY_SIZE_DEFAULTS = {"n": 4, "max_weight": 9}
 
 
-def _check_all(check, tasks: list) -> list:
-    return [(task, check(task)) for task in tasks]
-
-
 def cmd_verify(args) -> acceptance.Report:
     report = acceptance.Report("verify")
     family = acceptance.VERIFY_FAMILIES[args.identity]
@@ -210,14 +208,7 @@ def cmd_verify(args) -> acceptance.Report:
     if not tasks:
         raise UsageError(f"{args.identity} has no instance up to size {size}")
     acceptance.comparator_control()
-    # Tasks that read one memoized value go to one worker together, so
-    # each value is built once; the rest go one task to a group.
-    groups = {}
-    for task in tasks:
-        key = task if family.share is None else family.share(task)
-        groups.setdefault(key, []).append(task)
-    checked = _parallel_map(functools.partial(_check_all, family.check), list(groups.values()))
-    outcome = dict(pair for group in checked for pair in group)
+    outcome = family.verdicts(tasks, _parallel_map)
     results = [{"instance": family.label(t), "ok": outcome[t]} for t in tasks]
     for res in results:
         report.check(res["ok"], res["instance"])

@@ -19,7 +19,6 @@ A deformed basis has one name everywhere: ``deformed-h`` or ``deformed-e``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -114,18 +113,6 @@ class SymmetricPolynomial:
         return cls(N, {tuple(mu.parts): _qt_one()})
 
     # -- arithmetic --------------------------------------------------------
-
-    def add(self, other: "SymmetricPolynomial") -> "SymmetricPolynomial":
-        if self.N != other.N:
-            raise UsageError("alphabet sizes differ")
-        out = dict(self.coeffs)
-        for key, f in other.coeffs.items():
-            s = out[key] + f if key in out else f
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return SymmetricPolynomial(self.N, out)
 
     def scale(self, c) -> "SymmetricPolynomial":
         return SymmetricPolynomial(
@@ -325,8 +312,15 @@ def _basis_element(basis: str, mu: Partition, N: int, param: str = "t") -> Symme
 
 
 def _sum(polys: list, N: int) -> SymmetricPolynomial:
-    """The sum of a list of symmetric polynomials on N variables."""
-    return functools.reduce(SymmetricPolynomial.add, polys, SymmetricPolynomial.zero(N))
+    """The sum of a list of symmetric polynomials on N variables, each
+    orbit's coefficients added by one ``FactoredFraction.sum``."""
+    orbits = {}
+    for poly in polys:
+        if poly.N != N:
+            raise UsageError("alphabet sizes differ")
+        for key, f in poly.coeffs.items():
+            orbits.setdefault(key, []).append(f)
+    return SymmetricPolynomial(N, {key: FactoredFraction.sum(fs) for key, fs in orbits.items()})
 
 
 def _linear_combination(basis: str, entries, N: int, param: str = "t") -> SymmetricPolynomial:

@@ -11,7 +11,6 @@ lexicographic for rearrangements and permutations.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -156,7 +155,7 @@ def check_peel_cost(mu: Partition, max_states: int, max_degree: int, what: str) 
     return counts
 
 
-def rearrangement_peel(mu: Partition, factor, den):
+def rearrangement_peel(mu: Partition, factor, den, memo: dict):
     """The sum over the distinct rearrangements c of mu's parts of
     prod_i factor(i, s_i, c_i) / den(s_i), s_i the prefix sum through i, as
     (N, D) with sum = N / prod_{s in D} den(s), D the distinct subset part sums.
@@ -166,9 +165,18 @@ def rearrangement_peel(mu: Partition, factor, den):
     sum M, c) * prod den(s) over s in D(M), not in D(M - c), not sum M: the
     paper's peeling recurrence, with prod(m_i + 1) states instead of
     length!/prod(m_i!) terms.  The values may be polynomials, fractions or
-    ints; N of the empty partition is 1."""
-    den = functools.cache(den)
-    memo = {(): (1, frozenset())}
+    ints; N of the empty partition is 1.
+
+    ``memo`` keeps the states, under the parts of M, and the den values,
+    under s.  A state's value depends on M and on what the factor reads,
+    so calls whose factor and den read the same values may share one memo,
+    and one call takes a fresh dict."""
+    memo.setdefault((), (1, frozenset()))
+
+    def den_of(s: int):
+        if s not in memo:
+            memo[s] = den(s)
+        return memo[s]
 
     def state(parts: tuple):
         if parts not in memo:
@@ -181,7 +189,7 @@ def rearrangement_peel(mu: Partition, factor, den):
                     sums = rest_sums | {c} | {s + c for s in rest_sums}
                 term = rest * factor(length, total, c)
                 for s in sorted(sums - rest_sums - {total}):
-                    term = term * den(s)
+                    term = term * den_of(s)
                 num = num + term
             memo[parts] = (num, sums)
         return memo[parts]

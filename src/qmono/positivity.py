@@ -112,6 +112,7 @@ def _numerator_and_leftover(mu: Partition, pool: dict) -> tuple:
         mu,
         lambda i, total, c: _homogeneous_quotient(length - i, c),
         lambda s: geometric_sum(UNIVERSE_QT, "q", s),
+        {},
     )
     if not sums <= pool.keys():
         raise InternalConsistencyError(f"peel sums {sorted(sums)} are not all subset sums")

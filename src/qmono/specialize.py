@@ -81,7 +81,7 @@ def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
         e = total - c if form == FORM_THEOREM1 else (length - i) * c
         return Polynomial(UNIVERSE_ABQ, {(c, 0, e): 1, (0, c, 0): -1})
 
-    num, sums = rearrangement_peel(mu, factor, _one_minus_q_power)
+    num, sums = rearrangement_peel(mu, factor, _one_minus_q_power, {})
     value = FactoredFraction(
         Polynomial.one(UNIVERSE_ABQ) * num, [_one_minus_q_power(s) for s in sorted(sums)]
     )

@@ -271,7 +271,7 @@ class TestVerifyCommand:
         monkeypatch.setitem(
             acceptance.VERIFY_FAMILIES,
             "thm6",
-            dataclasses.replace(family, check=lambda n: n != 2),
+            dataclasses.replace(family, check=lambda n, memo: n != 2),
         )
         monkeypatch.delenv("QMONO_THREADS", raising=False)
         code, out, _ = run(capsys, "verify", "--identity", "thm6", "--n", "3", "--format", "json")
@@ -382,7 +382,7 @@ class TestVerifyCommand:
         monkeypatch.setitem(
             acceptance.VERIFY_FAMILIES,
             identity,
-            dataclasses.replace(family, check=lambda task: True),
+            dataclasses.replace(family, check=lambda task, memo: True),
         )
         code, out, _ = run(capsys, "verify", "--identity", identity, "--format", "json")
         assert code == EXIT_OK
@@ -396,10 +396,10 @@ class TestVerifyCommand:
             ["--identity", "appendix", "--n", "6"],
             ["--identity", "thm6", "--n", "5"],
             ["--identity", "appendix", "--n", "5"],
-            ["--identity", "prop5", "--max-weight", "17"],
-            ["--identity", "prop6", "--max-weight", "25"],
+            ["--identity", "prop5", "--max-weight", "19"],
+            ["--identity", "prop6", "--max-weight", "33"],
         ],
-        ids=["prop8", "thm6", "appendix", "thm6-n5", "appendix-n5", "prop5-w17", "prop6-w25"],
+        ids=["prop8", "thm6", "appendix", "thm6-n5", "appendix-n5", "prop5-w19", "prop6-w33"],
     )
     def test_cap_is_checked_before_any_work(self, capsys, monkeypatch, argv):
         identity = argv[1]
@@ -411,7 +411,7 @@ class TestVerifyCommand:
             dataclasses.replace(
                 family,
                 instances=lambda size: calls.append(size) or family.instances(size),
-                check=lambda task: calls.append(task) or True,
+                check=lambda task, memo: calls.append(task) or True,
             ),
         )
         code, out, err = run(capsys, "verify", *argv)
@@ -534,7 +534,7 @@ class TestVerifyCommand:
         monkeypatch.setitem(
             acceptance.VERIFY_FAMILIES,
             "appendix",
-            dataclasses.replace(family, check=lambda task: True),
+            dataclasses.replace(family, check=lambda task, memo: True),
         )
         code, out, _ = run(
             capsys, "verify", "--identity", "appendix", "--n", "4", "--format", "json"
@@ -547,6 +547,51 @@ class TestVerifyCommand:
         ]
         assert sorted(sides) == [["L"], ["R"]]
         assert sum(len(group) for chunk in fake_pool.dispatched for _, group in chunk) == 12
+
+    @pytest.mark.parametrize("identity", ["prop5", "prop6"])
+    def test_pooled_peel_groups_go_to_one_chunk_each(
+        self, capsys, monkeypatch, fake_pool, identity
+    ):
+        # prop5's peel states depend on the partition length, prop6's on
+        # nothing: one group per length, and all of prop6 in one group,
+        # which needs no pool.
+        monkeypatch.setenv("QMONO_THREADS", "2")
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        argv = ("verify", "--identity", identity, "--max-weight", "4", "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["instances_checked"] == 5 + 3 + 2 + 1
+        lengths = sorted(
+            sorted({len(task) for _, group in chunk for task in group})
+            for chunk in fake_pool.dispatched
+        )
+        assert lengths == ([[1], [2], [3], [4]] if identity == "prop5" else [])
+        assert fake_pool.sizes == ([2] if identity == "prop5" else [])
+
+    def test_no_peel_state_outlives_a_sweep(self, capsys, monkeypatch):
+        # Each share group peels into a fresh memo, so a second sweep in the
+        # same process builds every state again: one memo per length.
+        monkeypatch.delenv("QMONO_THREADS", raising=False)
+        peel = identities.rearrangement_peel
+        memos, built = {}, []
+
+        def states(memo):
+            return sum(isinstance(key, tuple) for key in memo)
+
+        def counting(mu, factor, den, memo):
+            before = states(memo)
+            value = peel(mu, factor, den, memo)
+            memos[id(memo)] = memo
+            built[-1] += states(memo) - before
+            return value
+
+        monkeypatch.setattr(identities, "rearrangement_peel", counting)
+        for _ in range(2):
+            built.append(0)
+            memos.clear()
+            assert run(capsys, "verify", "--identity", "prop5", "--max-weight", "6")[0] == EXIT_OK
+            assert len(memos) == 6
+        assert built[0] == built[1] > 0
 
     def test_parallel_matches_sequential(self, capsys, monkeypatch):
         code, seq, _ = run(

@@ -190,26 +190,26 @@ class TestConstantIdentities:
         q = Polynomial.variable(uni, "q")
         lhs = (one + q ** 2) * (one - q) + (one + q) * (one - q ** 2)
         assert lhs == (one - q ** 3) * 2
-        got = constant_identity(Partition((2, 1)), "prop5")
+        got = constant_identity(Partition((2, 1)), "prop5", {})
         assert frac_eq(got, FactoredFraction.constant(uni, 2))
 
     def test_littlewood_examples(self):
-        got = constant_identity(Partition((2, 1)), "littlewood")
+        got = constant_identity(Partition((2, 1)), "littlewood", {})
         # 1/(2*3) + 1/(1*3) = 1/2 = 1/z.
         assert got.numerator.constant_value() == Fraction(1, 2)
         assert Fraction(1, z_of(Partition((2, 1)))) == Fraction(1, 2)
-        got = constant_identity(Partition((1, 1)), "littlewood")
+        got = constant_identity(Partition((1, 1)), "littlewood", {})
         assert got.numerator.constant_value() == Fraction(1, 2)
 
     @pytest.mark.parametrize("w", range(1, 7))
     def test_littlewood_sweep(self, w):
         for mu in partitions_up_to(w):
-            got = constant_identity(mu, "littlewood")
+            got = constant_identity(mu, "littlewood", {})
             assert got.numerator.constant_value() == Fraction(1, z_of(mu)), mu
 
     def test_unknown_kind(self):
         with pytest.raises(UsageError):
-            constant_identity(Partition((2,)), "prop9")
+            constant_identity(Partition((2,)), "prop9", {})
 
 
 class TestSymmetrizedConstants:

@@ -43,6 +43,7 @@ def table_scaled(scale):
 
 
 def numerator_doubled(f):
+    """A function returning (N, D) or (N, L) whose N is doubled."""
     def split(*args):
         N, L = f(*args)
         return N * 2, L
@@ -58,6 +59,12 @@ def value_doubled(f):
 
 def always_equal(f):
     return lambda *args: True
+
+
+def prop5_shared_across_lengths(families):
+    """prop5 in one share group, so one peel memo serves every length."""
+    prop5 = dataclasses.replace(families["prop5"], share=lambda parts: None)
+    return {**families, "prop5": prop5}
 
 
 # name: (module, attribute, mutation, the criteria, by number, that must fail)
@@ -80,6 +87,10 @@ MUTANTS = {
         "macdonald", "_deformed_power_table", table_scaled(z_of), (10,)
     ),
     "positivity N x2": ("positivity", "_numerator_and_leftover", numerator_doubled, (9,)),
+    "rearrangement_peel numerator x2": ("partitions", "rearrangement_peel", numerator_doubled, (7, 2)),
+    "prop5 memo shared across lengths": (
+        "acceptance", "VERIFY_FAMILIES", prop5_shared_across_lengths, (7,)
+    ),
     "oracle_powersum x2": ("specialize", "oracle_powersum", value_doubled, (2,)),
     "frac_eq always true": ("algebra", "frac_eq", always_equal, (CONTROL,)),
 }
@@ -112,6 +123,6 @@ def test_the_listed_criteria_kill_the_mutant(name, monkeypatch):
     assert [k for k in killers if not rejects(k)] == []
 
 
-@pytest.mark.parametrize("killer", [CONTROL, 2, 9, 10])
+@pytest.mark.parametrize("killer", [CONTROL, 2, 7, 9, 10])
 def test_the_killers_pass_the_unmutated_code(killer):
     assert not rejects(killer)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmono.acceptance import rearrangement_sum
+from qmono.acceptance import VERIFY_FAMILIES, rearrangement_sum
 from qmono.algebra import FactoredFraction, Polynomial, frac_eq, geometric_sum
 from qmono.identities import constant_identity
 from qmono.partitions import (
@@ -86,8 +86,8 @@ def test_positivity_polynomial_equals_the_rearrangement_sum(w):
 @pytest.mark.parametrize("w", WEIGHTS)
 def test_constants_equal_the_rearrangement_sums(w):
     for mu in partitions_of(w):
-        assert frac_eq(constant_identity(mu, "prop5"), literal_prop5(mu)), mu
-        littlewood = constant_identity(mu, "littlewood")
+        assert frac_eq(constant_identity(mu, "prop5", {}), literal_prop5(mu)), mu
+        littlewood = constant_identity(mu, "littlewood", {})
         assert littlewood == FactoredFraction.constant((), literal_littlewood(mu)), mu
 
 
@@ -96,7 +96,23 @@ def test_peel_counts_rearrangements_and_prefix_sums(w):
     # With every factor 1 the peel counts the distinct rearrangements, and
     # D is the set of prefix sums that occur in them.
     for mu in partitions_of(w):
-        num, sums = rearrangement_peel(mu, lambda i, total, c: 1, lambda s: 1)
+        num, sums = rearrangement_peel(mu, lambda i, total, c: 1, lambda s: 1, {})
         assert num == mu.rearrangement_count(), mu
         prefix_sums = {s for d in derangements(mu) for s in itertools.accumulate(d)}
         assert sums == set(subset_sum_counts(mu)) == prefix_sums, mu
+
+
+@pytest.mark.parametrize("order", ["listed", "reversed"])
+@pytest.mark.parametrize(
+    "identity, kind, weight", [("prop5", "prop5", 12), ("prop6", "littlewood", 16)]
+)
+def test_a_shared_peel_memo_gives_the_fresh_values(identity, kind, weight, order):
+    # Instances with one share key peel into one memo; each value must be
+    # the one a fresh memo gives, whichever instance built a state first.
+    family = VERIFY_FAMILIES[identity]
+    tasks = family.instances(weight)
+    memos = {}
+    for parts in tasks if order == "listed" else tasks[::-1]:
+        mu = Partition(parts)
+        shared = constant_identity(mu, kind, memos.setdefault(family.share(parts), {}))
+        assert shared == constant_identity(mu, kind, {}), mu
