@@ -235,10 +235,11 @@ def criterion_5_recurrences() -> Report:
 
 # -- the verify families -------------------------------------------------------
 #
-# An instance is an int or a plain tuple of ints and strings, so a worker
-# process can take it; a check is a module-level function of one instance
-# and the memo of its share group that builds its own expected value and
-# returns whether the identity holds.
+# An instance is an int, a plain tuple of ints and strings, or a
+# ``Partition`` as the enumerator built it; each is hashable and pickles,
+# so a worker process can take it.  A check is a module-level function of
+# one instance and the memo of its share group that builds its own
+# expected value and returns whether the identity holds.
 
 
 def _check_group(check, tasks: list) -> list:
@@ -255,7 +256,9 @@ class Family:
     ``size_flag`` names the flag that sizes a run (``n`` or ``max_weight``),
     and ``cap`` is the largest value of it that ``verify`` admits; a larger
     one is refused before any instance is built.  ``instances(size)`` lists
-    the instances up to that size.  ``share``, when set, maps an instance
+    the instances up to that size; prop5 and prop6 list the ``Partition``
+    objects of ``partitions_up_to`` under a length bound, and their checks
+    take those objects as they are.  ``share``, when set, maps an instance
     to the key of the values its check memoizes: the instances with one key
     form a group that is checked by one worker against one memo, so each
     value is built once per sweep.  A process-wide value (appendix: one side
@@ -293,15 +296,6 @@ def _appendix_instances(n: int) -> list:
     ]
 
 
-def _short_partitions(max_weight: int, max_length: int) -> list:
-    """Partitions of weight 1..max_weight with at most max_length parts."""
-    return [
-        tuple(mu.parts)
-        for mu in partitions_up_to(max_weight)
-        if mu.length <= max_length
-    ]
-
-
 def _n_label(n) -> str:
     return f"n={n}"
 
@@ -315,8 +309,8 @@ def _appendix_side(task) -> str:
     return task[2]
 
 
-def _mu_label(parts) -> str:
-    return f"mu={list(parts)}"
+def _mu_label(mu) -> str:
+    return f"mu={list(mu)}"
 
 
 def _thm6(n, memo) -> bool:
@@ -327,19 +321,16 @@ def _thm7(n, memo) -> bool:
     return frac_eq(symmetrized_side(n, SIDE_LEFT), symmetrized_side(n, SIDE_CYCLE))
 
 
-def _prop5(parts, memo) -> bool:
-    mu = Partition(parts)
+def _prop5(mu, memo) -> bool:
     expected = FactoredFraction.constant(("q",), mu.rearrangement_count())
     return frac_eq(constant_identity(mu, "prop5", memo), expected)
 
 
-def _prop6(parts, memo) -> bool:
-    mu = Partition(parts)
-    expected = FactoredFraction.constant((), Fraction(1, z_of(mu)))
-    return frac_eq(constant_identity(mu, "littlewood", memo), expected)
+def _prop6(mu, memo) -> bool:
+    return constant_identity(mu, "littlewood", memo) == Fraction(1, z_of(mu))
 
 
-def _one_group(parts) -> None:
+def _one_group(mu) -> None:
     """The share key of prop6: its peel's factor reads nothing, so the
     whole sweep is one group."""
     return None
@@ -363,18 +354,19 @@ def _appendix(task, memo) -> bool:
     return appendix_step(*task)
 
 
-# Weight caps: each admits the largest sweep that finished in under 2 s in
-# every fresh process timed, each share group peeling once.  prop5 (at
-# most 6 parts) up to weight 18 takes 1.0-1.8 s (19: 1.3-2.6 s); prop6 (at
-# most 7 parts) up to weight 32 takes 1.0-1.9 s (33: 1.1-2.1 s).
+# Weight caps: each admitted the largest sweep that finished in under 2 s
+# in every fresh process timed, each share group peeling once.  Re-timed
+# with the length-bounded enumeration, caps unchanged: prop5 (at most 6
+# parts) up to weight 18 takes 1.0-1.4 s and 22 MB (19: 1.3-1.6 s); prop6
+# (at most 7 parts) up to weight 32 takes 0.6-0.8 s and 48 MB (33: 0.8-1.0 s).
 VERIFY_FAMILIES = {
     "thm6": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm6),
     "thm7": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm7),
     "prop5": Family(
-        "max_weight", 18, partial(_short_partitions, max_length=6), _mu_label, _prop5, len
+        "max_weight", 18, partial(partitions_up_to, max_length=6), _mu_label, _prop5, len
     ),
     "prop6": Family(
-        "max_weight", 32, partial(_short_partitions, max_length=7), _mu_label, _prop6, _one_group
+        "max_weight", 32, partial(partitions_up_to, max_length=7), _mu_label, _prop6, _one_group
     ),
     "prop7": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop7),
     "prop8": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop8),
@@ -459,9 +451,7 @@ def criterion_9_positivity() -> Report:
     """Positivity polynomial: coefficients, the q -> 1/q companion, the
     factorization identity, the two-row closed form."""
     r = Report("positivity polynomial", 9)
-    for mu in partitions_up_to(8):
-        if mu.length > 5:
-            continue
+    for mu in partitions_up_to(8, 5):
         report = positivity_report(mu)
         r.check(
             report.all_coefficients_nonnegative_integers,

@@ -249,12 +249,10 @@ def cmd_expand(args) -> acceptance.Report:
 # -- positivity --------------------------------------------------------------
 
 
-def _positivity_instance(task):
-    parts = task
-    mu = Partition(parts)
+def _positivity_instance(mu: Partition):
     rep = positivity_report(mu)
     return {
-        "mu": list(parts),
+        "mu": mu.to_json(),
         "P": rep.P.text(),
         "H": rep.H.text(),
         "Hbar": rep.Hbar.text() if rep.Hbar is not None else None,
@@ -279,8 +277,7 @@ def cmd_positivity(args) -> acceptance.Report:
         partitions = partitions_up_to(max_weight)
         if not partitions:
             raise UsageError(f"positivity has no partition up to weight {max_weight}")
-    tasks = [tuple(mu.parts) for mu in partitions]
-    results = _parallel_map(_positivity_instance, tasks)
+    results = _parallel_map(_positivity_instance, partitions)
     for res in results:
         report.check(res["ok"], f"mu={res['mu']}")
     report.stop()

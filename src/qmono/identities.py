@@ -183,7 +183,7 @@ def symmetrized_side(n: int, side: str) -> FactoredFraction:
     return _symmetrized(side, n)
 
 
-def constant_identity(mu: Partition, kind: str, memo: dict) -> FactoredFraction:
+def constant_identity(mu: Partition, kind: str, memo: dict) -> FactoredFraction | Fraction:
     """Rearrangement sums with constant value, summed by the rearrangement
     peel over the sub-multisets of the parts.
 
@@ -191,7 +191,8 @@ def constant_identity(mu: Partition, kind: str, memo: dict) -> FactoredFraction:
       (1 - q^((l - i + 1) c_i)) / (1 - q^(prefix sum i)); equals
       length! / prod(multiplicity!).
     * "littlewood": sum over rearrangements of prod_i 1/(prefix sum i),
-      an exact rational equal to 1/z; the peel runs on ints.
+      an exact rational equal to 1/z; the peel runs on ints and the value
+      is returned as the ``Fraction`` it is, not as a fraction in q.
 
     ``memo`` is the peel's (see ``rearrangement_peel``): the prop5 factor
     reads the length l, so calls of one kind may share a memo when they
@@ -210,7 +211,7 @@ def constant_identity(mu: Partition, kind: str, memo: dict) -> FactoredFraction:
         return FactoredFraction(one * num, [one_minus_q(s) for s in sorted(sums)])
     if kind == "littlewood":
         num, sums = rearrangement_peel(mu, lambda i, total, c: 1, int, memo)
-        return FactoredFraction.constant((), Fraction(num, math.prod(sums)))
+        return Fraction(num, math.prod(sums))
     raise UsageError(f"unknown constant identity {kind!r}")
 
 

@@ -1,9 +1,11 @@
-"""Partition combinatorics: enumeration, multiplicities, the centralizer
-size z, the distinct rearrangements of the parts, the subset part sums
-counted without listing the subsets, the sub-multiset peel that sums over the
-rearrangements without listing them, and the cycle decompositions of the
-full symmetric group.  Only the symmetric-group enumerations grow with
-length!, and they share one cap, PERMUTATION_CAP.
+"""Partition combinatorics: enumeration, optionally bounded in length,
+multiplicities, the centralizer size z, the distinct rearrangements of the
+parts, the subset part sums counted without listing the subsets, the
+sub-multiset peel that sums over the rearrangements without listing them,
+and the cycle decompositions of the full symmetric group.  Only the
+symmetric-group enumerations grow with length!, and they share one cap,
+PERMUTATION_CAP.  A length bound on partitions prunes the enumeration
+itself, so it builds only the partitions it returns.
 
 Enumeration orders are deterministic: reverse-lexicographic for partitions,
 lexicographic for rearrangements and permutations.
@@ -21,9 +23,10 @@ from .errors import ResourceLimitError, UsageError
 PERMUTATION_CAP = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
-    """Weakly decreasing sequence of positive integers (possibly empty)."""
+    """Weakly decreasing sequence of positive integers (possibly empty).
+    Slotted: a sweep holds thousands of them as its instances."""
 
     parts: tuple
 
@@ -79,36 +82,40 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def _partitions_rec(n: int, max_part: int, prefix: list, out: list):
+def _partitions_rec(n: int, max_part: int, room: int, prefix: list, out: list):
     if n == 0:
         out.append(Partition(prefix))
         return
+    if n > max_part * room:
+        return
     for p in range(min(n, max_part), 0, -1):
         prefix.append(p)
-        _partitions_rec(n - p, p, prefix, out)
+        _partitions_rec(n - p, p, room - 1, prefix, out)
         prefix.pop()
 
 
 def partitions_of(n: int, max_length: int | None = None) -> list:
-    """All partitions of n in reverse-lexicographic order; n = 0 gives the
-    empty partition."""
+    """All partitions of n with at most ``max_length`` parts (any number when
+    None), in reverse-lexicographic order; n = 0 gives the empty partition.
+    The bound prunes the recursion: a branch stops once the parts it has
+    left room for cannot make up the rest of n, so no partition is built
+    only to be dropped."""
     if n < 0:
         raise UsageError("weight must be non-negative")
     out: list = []
-    _partitions_rec(n, n, [], out)
-    if max_length is not None:
-        out = [mu for mu in out if mu.length <= max_length]
+    _partitions_rec(n, n, n if max_length is None else max_length, [], out)
     return out
 
 
-def partitions_up_to(w: int) -> list:
-    """All partitions of each weight 1..w, ascending weight, reverse-lex
-    within a weight."""
+def partitions_up_to(w: int, max_length: int | None = None) -> list:
+    """All partitions of each weight 1..w with at most ``max_length`` parts,
+    ascending weight, reverse-lex within a weight; the bound goes to
+    :func:`partitions_of`, which prunes on it."""
     if w < 0:
         raise UsageError("weight must be non-negative")
     out: list = []
     for n in range(1, w + 1):
-        out.extend(partitions_of(n))
+        out.extend(partitions_of(n, max_length))
     return out
 
 

@@ -57,6 +57,14 @@ def value_doubled(f):
     return oracle
 
 
+def littlewood_doubled(f):
+    """constant_identity with its Littlewood value doubled, prop5 untouched."""
+    def identity(mu, kind, memo):
+        value = f(mu, kind, memo)
+        return value * 2 if kind == "littlewood" else value
+    return identity
+
+
 def always_equal(f):
     return lambda *args: True
 
@@ -88,6 +96,7 @@ MUTANTS = {
     ),
     "positivity N x2": ("positivity", "_numerator_and_leftover", numerator_doubled, (9,)),
     "rearrangement_peel numerator x2": ("partitions", "rearrangement_peel", numerator_doubled, (7, 2)),
+    "littlewood value x2": ("identities", "constant_identity", littlewood_doubled, (7,)),
     "prop5 memo shared across lengths": (
         "acceptance", "VERIFY_FAMILIES", prop5_shared_across_lengths, (7,)
     ),

@@ -64,10 +64,36 @@ class TestEnumeration:
     def test_zero_weight(self):
         assert partitions_up_to(0) == []
         assert partitions_of(0) == [Partition(())]
+        assert partitions_of(0, 0) == [Partition(())]
 
     def test_counts(self):
         # Partition numbers p(1)..p(8): 1 1 2 3 5 7 11 15 22 summed = 66.
         assert len(partitions_up_to(8)) == 66
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_length_bound_equals_the_filtered_list(self, n):
+        everything = partitions_of(n)
+        for L in range(n + 2):
+            assert partitions_of(n, L) == [mu for mu in everything if mu.length <= L], L
+
+    def test_up_to_passes_the_bound(self):
+        assert [p.parts for p in partitions_up_to(4, 2)] == [
+            (1,), (2,), (1, 1), (3,), (2, 1), (4,), (3, 1), (2, 2)
+        ]
+
+    def test_length_bound_builds_only_what_it_returns(self, monkeypatch):
+        # prop6's sweep at its cap keeps 16,456 partitions of length <= 7;
+        # listing every partition of each weight and filtering built 43,819.
+        built = []
+        init = Partition.__init__
+
+        def counting_init(self, parts=()):
+            built.append(1)
+            init(self, parts)
+
+        monkeypatch.setattr(Partition, "__init__", counting_init)
+        kept = partitions_up_to(32, 7)
+        assert len(kept) == len(built) == 16456
 
 
 class TestSubsetSumCounts:
