@@ -6,10 +6,12 @@ coefficient identities that drive the operator computation.
 
 Symmetric polynomials on a finite alphabet are stored one coefficient per
 monomial orbit (partition-shaped exponent vector), which keeps symmetry
-structural and the n <= 5, N = 3 sizes trivial.  Every basis element comes
-from ``_basis_element`` and every product over the letters of a one-letter
-series from ``_letter_product``.  The one-letter ratios are expanded by
-``_letter_series`` as a polynomial times a geometric sum.
+structural and the n <= 5, N = 3 sizes trivial.  ``_generator`` builds the
+closed orbit form of every generator; a basis element other than a monomial
+folds one generator per part, each built once per sum, and every product
+over the letters of a one-letter series comes from ``_letter_product``.  The
+one-letter ratios are expanded by ``_letter_series`` as a polynomial times a
+geometric sum.
 
 A monomial table builds its Heine coefficients once, ``_per_part`` builds
 every scale * prod_p (1 - u^p)/(1 - v^p) over the parts p of a partition,
@@ -19,6 +21,7 @@ A deformed basis has one name everywhere: ``deformed-h`` or ``deformed-e``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -67,10 +70,6 @@ def x_universe(N: int) -> tuple:
     return ("q", "t") + tuple(f"x{i}" for i in range(1, N + 1))
 
 
-def _qt_one() -> FactoredFraction:
-    return FactoredFraction.one(UNIVERSE_QT)
-
-
 def _qt_var(name: str, power: int = 1, coeff=1) -> Polynomial:
     return Polynomial.variable(UNIVERSE_QT, name, power, coeff)
 
@@ -103,14 +102,10 @@ class SymmetricPolynomial:
         return cls(N, {})
 
     @classmethod
-    def one(cls, N: int) -> "SymmetricPolynomial":
-        return cls(N, {(): _qt_one()})
-
-    @classmethod
     def monomial(cls, mu: Partition, N: int) -> "SymmetricPolynomial":
         if mu.length > N:
             return cls.zero(N)
-        return cls(N, {tuple(mu.parts): _qt_one()})
+        return cls(N, {tuple(mu.parts): FactoredFraction.one(UNIVERSE_QT)})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -277,38 +272,32 @@ def row_expansion_table(n: int, basis: str) -> ExpansionTable:
 # Basis elements and generating products on a finite alphabet
 
 
-def _basis_element(basis: str, mu: Partition, N: int, param: str = "t") -> SymmetricPolynomial:
-    """The element of a named basis indexed by mu on x_1..x_N.  Every basis
-    but the monomial one multiplies one generator per part of mu; the
-    generator of degree n carries, on the orbit of each partition lam of n
-    with length l:
+def _generator(basis: str, n: int, N: int, param: str = "t") -> SymmetricPolynomial:
+    """The generator of degree n of a basis other than the monomial one on
+    x_1..x_N, in its closed orbit form: on the orbit of each partition lam
+    of n with length l it carries
     power 1 if l = 1; complete 1; elementary 1 if l = n;
     deformed complete (h_n on (1 - param) X) (1 - param)^l;
     deformed elementary (e_n on (1 - param) X) (-param)^(n - l) (1 - param)^l;
     and 0 otherwise."""
-    if basis == BASIS_MONOMIAL:
-        return SymmetricPolynomial.monomial(mu, N)
     one = Polynomial.one(UNIVERSE_QT)
     zero = Polynomial.zero(UNIVERSE_QT)
     deform = one - _qt_var(param)
-    out = SymmetricPolynomial.one(N)
-    for n in mu.parts:
-        coeffs = {}
-        for lam in partitions_of(n, N):
-            l = lam.length
-            if basis == BASIS_POWER:
-                c = one if l == 1 else zero
-            elif basis == BASIS_COMPLETE:
-                c = one
-            elif basis == BASIS_ELEMENTARY:
-                c = one if l == n else zero
-            elif basis == BASIS_DEFORMED_COMPLETE:
-                c = deform ** l
-            else:
-                c = _qt_var(param, n - l, (-1) ** (n - l)) * deform ** l
-            coeffs[tuple(lam.parts)] = FactoredFraction(c)
-        out = out.mul(SymmetricPolynomial(N, coeffs))
-    return out
+    coeffs = {}
+    for lam in partitions_of(n, N):
+        l = lam.length
+        if basis == BASIS_POWER:
+            c = one if l == 1 else zero
+        elif basis == BASIS_COMPLETE:
+            c = one
+        elif basis == BASIS_ELEMENTARY:
+            c = one if l == n else zero
+        elif basis == BASIS_DEFORMED_COMPLETE:
+            c = deform ** l
+        else:
+            c = _qt_var(param, n - l, (-1) ** (n - l)) * deform ** l
+        coeffs[tuple(lam.parts)] = FactoredFraction(c)
+    return SymmetricPolynomial(N, coeffs)
 
 
 def _sum(polys: list, N: int) -> SymmetricPolynomial:
@@ -324,10 +313,20 @@ def _sum(polys: list, N: int) -> SymmetricPolynomial:
 
 
 def _linear_combination(basis: str, entries, N: int, param: str = "t") -> SymmetricPolynomial:
-    """Sum of coefficient * basis element over (mu, coefficient) pairs."""
-    return _sum(
-        [_basis_element(basis, mu, N, param).scale(c) for mu, c in entries if not c.is_zero], N
-    )
+    """Sum of coefficient * basis element over (mu, coefficient) pairs.  A
+    monomial element is its orbit, and so is the unit, the element of the
+    empty partition; every other element folds the generators of its parts
+    with ``SymmetricPolynomial.mul``, each distinct part's built once."""
+    entries = [(mu, c) for mu, c in entries if not c.is_zero]
+    parts = set() if basis == BASIS_MONOMIAL else {p for mu, _ in entries for p in mu.parts}
+    generators = {p: _generator(basis, p, N, param) for p in parts}
+
+    def element(mu):
+        if basis == BASIS_MONOMIAL or not mu.parts:
+            return SymmetricPolynomial.monomial(mu, N)
+        return functools.reduce(SymmetricPolynomial.mul, [generators[p] for p in mu.parts])
+
+    return _sum([element(mu).scale(c) for mu, c in entries], N)
 
 
 # One letter y of the alphabet, for one-letter series.
@@ -432,7 +431,7 @@ def deformed_basis_check(basis: str, n: int, N: int) -> bool:
         coeffs[key] = f
     from_substitution = SymmetricPolynomial(N, coeffs)
 
-    closed = _basis_element(basis, Partition((n,)), N)
+    closed = _generator(basis, n, N)
     return from_series.eq(closed) and from_substitution.eq(closed)
 
 
@@ -565,19 +564,20 @@ def _power_table_product(t1: dict, t2: dict) -> dict:
     return out
 
 
-def _deformed_product_power_table(basis: str, mu: Partition, param: str) -> dict:
-    out = {Partition(()): _qt_one()}
-    for part in mu.parts:
-        out = _power_table_product(out, _deformed_power_table(basis, part, param))
-    return out
-
-
 def omega_duality_check(mu: Partition) -> bool:
     """omega sends the deformed elementary product with parameter t to the
     deformed complete product with parameter q, coefficient by coefficient
-    on the power basis."""
-    e_table = _deformed_product_power_table(BASIS_DEFORMED_ELEMENTARY, mu, "t")
-    h_table = _deformed_product_power_table(BASIS_DEFORMED_COMPLETE, mu, "q")
+    on the power basis.  Each product folds the power tables of the parts
+    of mu with ``_power_table_product``, each distinct part's built once."""
+    if not mu.parts:
+        raise UsageError("need a partition of positive weight")
+
+    def product_table(basis, param):
+        tables = {p: _deformed_power_table(basis, p, param) for p in set(mu.parts)}
+        return functools.reduce(_power_table_product, [tables[p] for p in mu.parts])
+
+    e_table = product_table(BASIS_DEFORMED_ELEMENTARY, "t")
+    h_table = product_table(BASIS_DEFORMED_COMPLETE, "q")
     zero = FactoredFraction.zero(UNIVERSE_QT)
     for lam in partitions_of(mu.weight):
         lhs = e_table.get(lam, zero) * _omega_factor(lam)
@@ -595,8 +595,8 @@ def inverse_expansions_check(n: int, N: int) -> bool:
     parameter q, plus the t = q collapse of g_n."""
     if n < 1 or N < 1:
         raise UsageError("need n >= 1 and N >= 1")
-    h = _basis_element(BASIS_COMPLETE, Partition((n,)), N)
-    e = _basis_element(BASIS_ELEMENTARY, Partition((n,)), N)
+    h = _generator(BASIS_COMPLETE, n, N)
+    e = _generator(BASIS_ELEMENTARY, n, N)
     q = _qt_var("q")
 
     collapsed = SymmetricPolynomial(

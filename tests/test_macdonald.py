@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmono import macdonald
+from qmono import acceptance, macdonald
 from qmono.algebra import FactoredFraction, Polynomial, frac_eq
 from qmono.errors import ResourceLimitError, UsageError
 from qmono.macdonald import (
@@ -17,8 +17,8 @@ from qmono.macdonald import (
     BASIS_POWER,
     SymmetricPolynomial,
     UNIVERSE_QT,
-    _basis_element,
     _deformed_power_table,
+    _generator,
     _letter_product,
     _letter_series,
     _linear_combination,
@@ -127,7 +127,7 @@ class TestRowPolynomial:
 
 class TestDeformedBases:
     def test_elementary_two_on_one_letter(self):
-        sp = _basis_element(BASIS_DEFORMED_ELEMENTARY, Partition((2,)), 1)
+        sp = _generator(BASIS_DEFORMED_ELEMENTARY, 2, 1)
         assert set(sp.coeffs) == {(2,)}
         assert frac_eq(sp.coeffs[(2,)], FactoredFraction(T ** 2 - T))
 
@@ -139,7 +139,7 @@ class TestDeformedBases:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_complete_monomial_coefficients(self, n):
-        sp = _basis_element(BASIS_DEFORMED_COMPLETE, Partition((n,)), 3)
+        sp = _generator(BASIS_DEFORMED_COMPLETE, n, 3)
         for mu in partitions_of(n):
             if mu.length > 3:
                 continue
@@ -227,6 +227,10 @@ class TestOmega:
         for mu in partitions_of(w):
             assert omega_duality_check(mu), mu
 
+    def test_duality_needs_a_part(self):
+        with pytest.raises(UsageError):
+            omega_duality_check(Partition(()))
+
 
 class TestInverseExpansions:
     def test_degree_one(self):
@@ -247,7 +251,7 @@ class TestInverseExpansions:
 
 class TestSymmetricPolynomial:
     def test_multiplication_collects_orbits(self):
-        e1 = _basis_element(BASIS_ELEMENTARY, Partition((1,)), 2)
+        e1 = _generator(BASIS_ELEMENTARY, 1, 2)
         sq = e1.mul(e1)
         # (x1 + x2)^2 = m_2 + 2 m_11.
         assert frac_eq(sq.coeffs[(2,)], FactoredFraction.one(UNIVERSE_QT))
@@ -261,19 +265,90 @@ class TestSymmetricPolynomial:
             assert sp.eq(row_polynomial(2, 2)), basis
 
     def test_vanishing_above_alphabet(self):
-        assert _basis_element(BASIS_ELEMENTARY, Partition((3,)), 2).coeffs == {}
+        assert _generator(BASIS_ELEMENTARY, 3, 2).coeffs == {}
         assert SymmetricPolynomial.monomial(Partition((1, 1, 1)), 2).coeffs == {}
 
     def test_homogeneous_part(self):
         total = _sum(
             [
-                _basis_element(BASIS_COMPLETE, Partition((2,)), 2),
-                _basis_element(BASIS_ELEMENTARY, Partition((1,)), 2),
+                _generator(BASIS_COMPLETE, 2, 2),
+                _generator(BASIS_ELEMENTARY, 1, 2),
             ],
             2,
         )
         assert set(total.homogeneous_part(1).coeffs) == {(1,)}
         assert set(total.homogeneous_part(2).coeffs) == {(2,), (1, 1)}
+
+
+def _reference_element(basis, mu, N, param):
+    """The basis element built part by part from the unit: every generator
+    rebuilt for each partition that holds it, in the closed orbit form."""
+    if basis == BASIS_MONOMIAL:
+        return SymmetricPolynomial.monomial(mu, N)
+    deform = ONE - Polynomial.variable(UNIVERSE_QT, param)
+    out = SymmetricPolynomial(N, {(): FactoredFraction.one(UNIVERSE_QT)})
+    for n in mu.parts:
+        coeffs = {}
+        for lam in partitions_of(n, N):
+            l = lam.length
+            if basis == BASIS_POWER:
+                c = ONE if l == 1 else Polynomial.zero(UNIVERSE_QT)
+            elif basis == BASIS_COMPLETE:
+                c = ONE
+            elif basis == BASIS_ELEMENTARY:
+                c = ONE if l == n else Polynomial.zero(UNIVERSE_QT)
+            elif basis == BASIS_DEFORMED_COMPLETE:
+                c = deform ** l
+            else:
+                c = Polynomial.variable(UNIVERSE_QT, param, n - l, (-1) ** (n - l)) * deform ** l
+            coeffs[tuple(lam.parts)] = FactoredFraction(c)
+        out = out.mul(SymmetricPolynomial(N, coeffs))
+    return out
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("param", ["t", "q"])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("basis", BASES)
+    def test_the_folded_sum_is_the_per_element_sum(self, basis, n, N, param):
+        entries = row_expansion_table(n, basis).entries
+        reference = _sum(
+            [_reference_element(basis, mu, N, param).scale(c) for mu, c in entries if not c.is_zero],
+            N,
+        )
+        assert _linear_combination(basis, entries, N, param).coeffs == reference.coeffs
+
+    @pytest.mark.parametrize("basis", [b for b in BASES if b != BASIS_MONOMIAL])
+    def test_one_sum_builds_each_generator_once(self, basis, monkeypatch):
+        calls = []
+        build = macdonald._generator
+        monkeypatch.setattr(macdonald, "_generator", lambda *args: calls.append(args) or build(*args))
+        _linear_combination(basis, row_expansion_table(5, basis).entries, 3, "q")
+        assert sorted(calls) == [(basis, p, 3, "q") for p in range(1, 6)]
+
+    def test_criterion_10_folds_from_the_generators(self, monkeypatch):
+        # Building every element part by part from the unit takes 360
+        # products (170 with the unit as an operand), 358 generator builds
+        # and 89 deformed power tables.
+        products, constants, builds, tables = [], [], [], []
+        mul = SymmetricPolynomial.mul
+        build = macdonald._generator
+        table = macdonald._deformed_power_table
+
+        def counted_mul(self, other, max_degree=None):
+            products.append(1)
+            constants.extend(p for p in (self, other) if set(p.coeffs) == {()})
+            return mul(self, other, max_degree)
+
+        monkeypatch.setattr(SymmetricPolynomial, "mul", counted_mul)
+        monkeypatch.setattr(macdonald, "_generator", lambda *args: builds.append(args) or build(*args))
+        monkeypatch.setattr(macdonald, "_deformed_power_table", lambda *args: tables.append(args) or table(*args))
+        report = acceptance.criterion_10_macdonald()
+        assert (report.passed, report.instances) == (True, 61)
+        assert (len(products), constants) == (190, [])
+        assert len(builds) == 138
+        assert len(tables) == 57
 
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)

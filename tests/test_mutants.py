@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from qmono import acceptance
+from qmono import acceptance, identities
 from qmono.algebra import Polynomial
 from qmono.errors import ComparatorError
 from qmono.macdonald import ExpansionTable
@@ -17,6 +17,7 @@ from qmono.partitions import z_of
 from qmono.specialize import UNIVERSE_QT
 
 Q = Polynomial.variable(UNIVERSE_QT, "q")
+T = Polynomial.variable(UNIVERSE_QT, "t")
 CONTROL = "comparator control"
 
 
@@ -42,19 +43,43 @@ def table_scaled(scale):
     return mutate
 
 
+def split_mutated(numerator, leftover):
+    """A function returning (N, L) whose N and L are passed through the two
+    maps."""
+    def mutate(f):
+        def split(*args):
+            N, L = f(*args)
+            return numerator(N), leftover(L)
+        return split
+    return mutate
+
+
 def numerator_doubled(f):
     """A function returning (N, D) or (N, L) whose N is doubled."""
-    def split(*args):
-        N, L = f(*args)
-        return N * 2, L
-    return split
+    return split_mutated(lambda N: N * 2, lambda L: L)(f)
 
 
 def value_doubled(f):
-    def oracle(mu):
-        result = f(mu)
+    def oracle(*args):
+        result = f(*args)
         return dataclasses.replace(result, value=result.value * 2)
     return oracle
+
+
+def side_doubled(side):
+    """_symmetrized with the sum of one form doubled, the others untouched."""
+    def mutate(f):
+        return lambda form, n: f(form, n) * 2 if form == side else f(form, n)
+    return mutate
+
+
+def thm6_right_exponent_raised(f):
+    """_numerator with thm6-right's exponent of x_k one higher at position 2."""
+    def numerator(form, X, Y, k, i, x_prefix):
+        if form == identities.SIDE_RIGHT and i == 2:
+            return Y[k - 1] - X[k - 1] ** (len(X) - i + 2)
+        return f(form, X, Y, k, i, x_prefix)
+    return numerator
 
 
 def littlewood_doubled(f):
@@ -76,6 +101,9 @@ def prop5_shared_across_lengths(families):
 
 
 # name: (module, attribute, mutation, the criteria, by number, that must fail)
+# Criteria 5, 6, 9 and 10 also kill the doubled closed forms; the row lists
+# only the three cheap ones.  The thm6-right exponent row runs criterion 6
+# alone: under it prop7 loses its cancellation and criterion 7 takes ~20 s.
 MUTANTS = {
     "heine_coefficient x2": ("macdonald", "heine_coefficient", doubled, (10,)),
     "row_expansion_table entries x2": (
@@ -94,7 +122,29 @@ MUTANTS = {
     "_deformed_power_table without its 1/z": (
         "macdonald", "_deformed_power_table", table_scaled(z_of), (10,)
     ),
+    "_generator x2": (
+        "macdonald", "_generator", lambda f: lambda *args: f(*args).scale(2), (10,)
+    ),
     "positivity N x2": ("positivity", "_numerator_and_leftover", numerator_doubled, (9,)),
+    "positivity N + t": (
+        "positivity", "_numerator_and_leftover", split_mutated(lambda N: N + T, lambda L: L), (9,)
+    ),
+    "positivity L x (1 + q)": (
+        "positivity",
+        "_numerator_and_leftover",
+        split_mutated(
+            lambda N: N,
+            lambda L: L * (Polynomial.one(L.universe) + Polynomial.variable(L.universe, "q")),
+        ),
+        (9,),
+    ),
+    "thm6-left x2": ("identities", "_symmetrized", side_doubled(identities.SIDE_LEFT), (6, 8)),
+    "thm7-right x2": ("identities", "_symmetrized", side_doubled(identities.SIDE_CYCLE), (6, 8)),
+    "thm6-right x2": ("identities", "_symmetrized", side_doubled(identities.SIDE_RIGHT), (6,)),
+    "thm6-right exponent +1 at position 2": (
+        "identities", "_numerator", thm6_right_exponent_raised, (6,)
+    ),
+    "closed forms x2": ("specialize", "monomial_spec", value_doubled, (2, 3, 4)),
     "rearrangement_peel numerator x2": ("partitions", "rearrangement_peel", numerator_doubled, (7, 2)),
     "littlewood value x2": ("identities", "constant_identity", littlewood_doubled, (7,)),
     "prop5 memo shared across lengths": (
@@ -112,6 +162,18 @@ def rebind(monkeypatch, original, replacement):
         for attr, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, attr, replacement)
+
+
+@pytest.fixture(autouse=True)
+def fresh_sides():
+    """No side kept from an earlier run hides a mutant, and no mutated side
+    outlives its row."""
+    cached = identities._symmetrized
+    cached.cache_clear()
+    identities._verdicts.clear()
+    yield
+    cached.cache_clear()
+    identities._verdicts.clear()
 
 
 def rejects(killer) -> bool:
@@ -132,6 +194,6 @@ def test_the_listed_criteria_kill_the_mutant(name, monkeypatch):
     assert [k for k in killers if not rejects(k)] == []
 
 
-@pytest.mark.parametrize("killer", [CONTROL, 2, 7, 9, 10])
+@pytest.mark.parametrize("killer", [CONTROL, 2, 3, 4, 6, 7, 8, 9, 10])
 def test_the_killers_pass_the_unmutated_code(killer):
     assert not rejects(killer)
