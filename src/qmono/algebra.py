@@ -46,6 +46,16 @@ three cap-edge inputs (Python 3.11, 2 vCPU): from 4 to 32 per row pair and 1
 to 4 per slot the total moved by about 2%, and was lowest at 3 per slot.
 Every other product goes term pair by term pair through :func:`_mul_terms`.
 
+A rearrangement peel (``partitions.rearrangement_peel``) runs on Kronecker
+ints too, through :class:`PeelInts`.  Its values are in ``q`` and at most
+one more variable y, flattened: c y^j q^k is c X^(j D + k), X = 2^(8 K), D
+a strict bound on the degree in ``q``.  ``K`` holds a strict l1 bound of
+the value read back, which the caller computes before the work by the same
+peel on ints, each factor and denominator factor replaced by its l1 norm.
+A factor has few terms spread far apart (``a^c q^e - b^c``, ``1 - q^s``),
+so it multiplies by shifts, never as its long, nearly empty int.  The value
+is read back once, by the rows' slot reader.
+
 Most operations of a command are on small operands, which take short paths.
 A monomial packs its one key directly, the text reads each exponent by a
 shift of its field, and :meth:`Polynomial.sort_key` is computed once per
@@ -97,9 +107,8 @@ _NARROW = 16
 # pairs per row pair plus _SLOT_COST per slot.
 _ROW_COST = 16
 _SLOT_COST = 3
-# The slot sizes memoryview.cast reads as unsigned ints in this byte order;
-# no dense product has 1-byte slots (see _slot_size).
-_SLOT_FORMATS = {calcsize(f): f for f in "HIQ"} if sys.byteorder == "little" else {}
+# The slot sizes memoryview.cast reads as unsigned ints in this byte order.
+_SLOT_FORMATS = {calcsize(f): f for f in "BHIQ"} if sys.byteorder == "little" else {}
 
 
 def _norm_coeff(c):
@@ -172,7 +181,7 @@ def _slot_size(bound: int) -> int:
 
     A dense product never gets 1: the rule admits none with fewer than 169
     term pairs (13 x 13 in one row), and its bound ``|a|_1 |b|_1`` is at
-    least its number of term pairs, so at least 2^7."""
+    least its number of term pairs, so at least 2^7.  A small peel does."""
     size = bound.bit_length() // 8 + 1
     return size if size > 8 else 1 << (size - 1).bit_length()
 
@@ -213,8 +222,8 @@ def _evaluate(row: dict, lo: int, hi: int, size: int) -> int:
     return int.from_bytes(raw, "little") - bias
 
 
-def _read(value: int, slots: int, size: int, key: int, step: int) -> dict:
-    """The term map whose coefficient at ``key + i * step`` is the i-th
+def _read(value: int, slots: int, size: int, keys: Iterable[int]) -> dict:
+    """The term map whose coefficient at the i-th of ``keys`` is the i-th
     signed ``size``-byte slot of ``value``.  The bias of :func:`_evaluate`
     makes each slot non-negative without a carry, so the slots read as
     unsigned ints."""
@@ -223,14 +232,13 @@ def _read(value: int, slots: int, size: int, key: int, step: int) -> dict:
         raw = (value + bias).to_bytes(slots * size, "little")
     except OverflowError:
         raise InternalConsistencyError(
-            f"a dense product outgrew its {slots} slots of {size} bytes"
+            f"a Kronecker int outgrew its {slots} slots of {size} bytes"
         ) from None
     fmt = _SLOT_FORMATS.get(size)
     if fmt:
         digits = memoryview(raw).cast(fmt).tolist()
     else:
         digits = [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
-    keys = range(key, key + slots * step, step)
     return {k: d - half for k, d in zip(keys, digits) if d != half}
 
 
@@ -278,8 +286,56 @@ def _row_product(a: dict, b: dict, n: int, at: int, w: int):
     terms = {}
     for r, value in sums.items():
         lo, hi = out[r]
-        terms.update(_read(value, hi - lo + 1, size, r + lo * step, step))
+        keys = range(r + lo * step, r + (hi + 1) * step, step)
+        terms.update(_read(value, hi - lo + 1, size, keys))
     return terms
+
+
+class _Shifts(tuple):
+    """A multiplier of Kronecker ints with few terms, as (coefficient, bit
+    shifts) pairs: ``value * f`` adds up shifted copies of value, never
+    multiplying by the long, nearly empty int that f evaluates to."""
+
+    __slots__ = ()
+
+    def __rmul__(self, value: int) -> int:
+        total = 0
+        for c, shifts in self:
+            part = value << shifts[0]
+            for s in shifts[1:]:
+                part += value << s
+            if c != 1:
+                part = -part if c == -1 else c * part
+            total = part if total == 0 else total + part
+        return total
+
+
+class PeelInts:
+    """A peel's values in q and at most one more variable as Kronecker ints
+    (see the module docstring), ``span`` the D of the flattened index."""
+
+    __slots__ = ("span", "size")
+
+    def __init__(self, span: int, bound: int):
+        self.span, self.size = span, _slot_size(bound)
+
+    def multiplier(self, terms: Mapping[tuple, int]) -> _Shifts:
+        """The value {(j, k): c y^j q^k} as a multiplier by shifts."""
+        groups = {}
+        for (j, k), c in terms.items():
+            groups.setdefault(c, []).append((j * self.span + k) * 8 * self.size)
+        return _Shifts(groups.items())
+
+    def polynomial(self, value: int, universe, rows: list) -> "Polynomial":
+        """The polynomial over ``universe`` whose term at q^k times the
+        monomial of exponent tuple ``rows[j]`` is slot j span + k of value."""
+        n, at = len(universe), universe.index("q")
+        w = _width_for(max(map(sum, rows)) + self.span - 1)
+        step = (1 << (n * w)) + (1 << (w * (n - 1 - at)))  # q^k adds k * step
+        powers = range(0, self.span * step, step)
+        keys = (r + k for r in [_pack(row, w) for row in rows] for k in powers)
+        terms = _read(value, len(rows) * self.span, self.size, keys)
+        return Polynomial._narrowest(universe, terms, w, True)
 
 
 class Polynomial:
@@ -289,7 +345,8 @@ class Polynomial:
     coefficients; no zero coefficient is ever stored.  Two polynomials are
     equal iff they share the universe and the term map.  Only this module
     reads ``terms``; :meth:`items` gives the terms with dense exponent
-    tuples, and :meth:`coefficients` the coefficients alone, unordered.
+    tuples, :meth:`unordered_items` the same without the canonical order,
+    and :meth:`coefficients` the coefficients alone, unordered.
     """
 
     __slots__ = ("universe", "terms", "_width", "_degree", "_hash", "_sort_key", "_ints")
@@ -395,6 +452,12 @@ class Polynomial:
         """The (dense exponent tuple, coefficient) pairs in canonical order."""
         n, w = len(self.universe), self._width
         return [(_unpack(k, n, w), self.terms[k]) for k in self._canonical()]
+
+    def unordered_items(self):
+        """The (dense exponent tuple, coefficient) pairs, in no particular
+        order: :meth:`items` without the sort."""
+        n, w = len(self.universe), self._width
+        return [(_unpack(k, n, w), c) for k, c in self.terms.items()]
 
     def coefficients(self):
         """The nonzero coefficients, in no particular order."""

@@ -171,8 +171,12 @@ def rearrangement_peel(mu: Partition, factor, den, memo: dict):
     M - c, so N(M) = sum over distinct c in M of N(M - c) * factor(|M|,
     sum M, c) * prod den(s) over s in D(M), not in D(M - c), not sum M: the
     paper's peeling recurrence, with prod(m_i + 1) states instead of
-    length!/prod(m_i!) terms.  The values may be polynomials, fractions or
-    ints; N of the empty partition is 1.
+    length!/prod(m_i!) terms.  N of the empty partition is the int 1, and
+    the values are ints or anything an int adds and multiplies with.  The
+    closed forms, prop5 and positivity peel on Kronecker ints
+    (``algebra.PeelInts``), their factors multiplying by shifts, and the
+    closed forms drop a by homogeneity (see ``specialize.monomial_spec``);
+    Littlewood and the l1 bound that sizes the slots peel on plain ints.
 
     ``memo`` keeps the states, under the parts of M, and the den values,
     under s.  A state's value depends on M and on what the factor reads,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FactoredFraction, Polynomial, frac_eq, geometric_sum, product
+from .algebra import FactoredFraction, PeelInts, Polynomial, frac_eq, geometric_sum, product
 from .errors import (
     InternalConsistencyError,
     NotApplicableError,
@@ -103,23 +103,29 @@ def _homogeneous_quotient(x_power: int, c: int) -> Polynomial:
 
 def _numerator_and_leftover(mu: Partition, pool: dict) -> tuple:
     """(N, L) with H = N * L: the rearrangement peel sums the quotients over
-    the [s_i]_q = 1 + ... + q^(s_i - 1) as N / prod_{s in D} [s]_q, N lifted
-    to (q, t), and L in q is the product of the subset factors of P left
-    over after one per s in D.  ``pool`` is ``_check_cap(mu)``, so mu is
-    refused before any work."""
-    length = mu.length
+    the [s_i]_q = 1 + ... + q^(s_i - 1) as N / prod_{s in D} [s]_q, N in
+    (q, t), and L in q is the product of the subset factors of P left over
+    after one per s in D.  ``pool`` is ``_check_cap(mu)``, so mu is refused
+    before any work.
+
+    The peel's values are Kronecker ints in t and q, of t-degree at most
+    |mu| - l.  The quotients' q-degrees (l - i)(c_i - 1) and [s]_q's s - 1
+    are below the closed forms', so N's q-degree is too (see
+    ``monomial_spec``).  The l1 norms are c and s."""
+    length, weight = mu.length, mu.weight
+    bound, sums = rearrangement_peel(mu, lambda i, total, c: c, lambda s: s, {})
+    ints = PeelInts(sum(sums) - weight + 1, bound)
+
+    def quotient(i, total, c):
+        return ints.multiplier({(c - 1 - j, (length - i) * j): 1 for j in range(c)})
+
     num, sums = rearrangement_peel(
-        mu,
-        lambda i, total, c: _homogeneous_quotient(length - i, c),
-        lambda s: geometric_sum(UNIVERSE_QT, "q", s),
-        {},
+        mu, quotient, lambda s: ints.multiplier({(0, k): 1 for k in range(s)}), {}
     )
     if not sums <= pool.keys():
         raise InternalConsistencyError(f"peel sums {sorted(sums)} are not all subset sums")
-    if isinstance(num, int):
-        # The empty partition: its peel is the int 1.
-        num = Polynomial.constant(UNIVERSE_QT, num)
-    return num, _subset_product(pool, sums)
+    rows = [(0, j) for j in range(weight - length + 1)]
+    return ints.polynomial(num, UNIVERSE_QT, rows), _subset_product(pool, sums)
 
 
 def positivity_polynomial(mu: Partition) -> Polynomial:
@@ -133,7 +139,7 @@ def inverted_polynomial(H: Polynomial, shift: int) -> Polynomial | None:
     """q^shift * H(q, 1/q) as a polynomial in q, or None when a negative
     exponent survives the shift."""
     terms = {}
-    for (eq, et), c in H.items():
+    for (eq, et), c in H.unordered_items():
         e = eq - et + shift
         if e < 0:
             return None

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import FactoredFraction, Polynomial, product
+from .algebra import FactoredFraction, PeelInts, Polynomial, product
 from .errors import UsageError
 from .partitions import (
     Partition,
@@ -71,19 +71,32 @@ def _one_minus_q_power(m: int) -> Polynomial:
 def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
     """The monomial symmetric function of shape mu on (a - b)/(1 - q), as a
     single fraction over the common denominator, summed by the rearrangement
-    peel.  Partitions over the peel caps are refused before any work."""
+    peel.  Partitions over the peel caps are refused before any work.
+
+    The peel's values are Kronecker ints (``algebra.PeelInts``) in b and q:
+    each factor a^c q^e - b^c is homogeneous of degree c in (a, b), so the
+    numerator is homogeneous of degree |mu| and a's exponent is
+    |mu| - deg_b.  A rearrangement's term has q-degree at most
+    sum e_i + sum D - sum s_i over its prefix sums s_i, and both forms have
+    sum e_i = sum_(i<l) s_i, so every q-degree is below sum D - |mu| + 1.
+    Every factor has l1 norm 2."""
     if form not in (FORM_THEOREM1, FORM_THEOREM3):
         raise UsageError(f"unknown form {form!r}")
     check_peel_cost(mu, PEEL_STATE_CAP, PEEL_DEGREE_CAP, "closed-form")
-    length = mu.length
+    length, weight = mu.length, mu.weight
+    bound, sums = rearrangement_peel(mu, lambda i, total, c: 2, lambda s: 2, {})
+    ints = PeelInts(sum(sums) - weight + 1, bound)
 
     def factor(i, total, c):
         e = total - c if form == FORM_THEOREM1 else (length - i) * c
-        return Polynomial(UNIVERSE_ABQ, {(c, 0, e): 1, (0, c, 0): -1})
+        return ints.multiplier({(0, e): 1, (c, 0): -1})
 
-    num, sums = rearrangement_peel(mu, factor, _one_minus_q_power, {})
+    num, sums = rearrangement_peel(
+        mu, factor, lambda s: ints.multiplier({(0, 0): 1, (0, s): -1}), {}
+    )
+    rows = [(weight - j, j, 0) for j in range(weight + 1)]
     value = FactoredFraction(
-        Polynomial.one(UNIVERSE_ABQ) * num, [_one_minus_q_power(s) for s in sorted(sums)]
+        ints.polynomial(num, UNIVERSE_ABQ, rows), [_one_minus_q_power(s) for s in sorted(sums)]
     )
     return SpecResult(mu, value, form)
 

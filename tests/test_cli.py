@@ -569,29 +569,26 @@ class TestVerifyCommand:
         assert fake_pool.sizes == ([2] if identity == "prop5" else [])
 
     def test_no_peel_state_outlives_a_sweep(self, capsys, monkeypatch):
-        # Each share group peels into a fresh memo, so a second sweep in the
-        # same process builds every state again: one memo per length.
+        # Each share group peels into a fresh memo of its own, so a second
+        # sweep in the same process starts from empty memos again: one memo
+        # per length, and none is handed to two sweeps.
         monkeypatch.delenv("QMONO_THREADS", raising=False)
-        peel = identities.rearrangement_peel
-        memos, built = {}, []
+        identity = acceptance.constant_identity
+        sweeps = []
 
-        def states(memo):
-            return sum(isinstance(key, tuple) for key in memo)
+        def recording(mu, kind, memo):
+            if id(memo) not in sweeps[-1]:
+                assert memo == {}
+                sweeps[-1][id(memo)] = memo
+            return identity(mu, kind, memo)
 
-        def counting(mu, factor, den, memo):
-            before = states(memo)
-            value = peel(mu, factor, den, memo)
-            memos[id(memo)] = memo
-            built[-1] += states(memo) - before
-            return value
-
-        monkeypatch.setattr(identities, "rearrangement_peel", counting)
+        monkeypatch.setattr(acceptance, "constant_identity", recording)
         for _ in range(2):
-            built.append(0)
-            memos.clear()
+            sweeps.append({})
             assert run(capsys, "verify", "--identity", "prop5", "--max-weight", "6")[0] == EXIT_OK
-            assert len(memos) == 6
-        assert built[0] == built[1] > 0
+            assert len(sweeps[-1]) == 6
+            assert all(memo for memo in sweeps[-1].values())
+        assert not sweeps[0].keys() & sweeps[1].keys()
 
     def test_parallel_matches_sequential(self, capsys, monkeypatch):
         code, seq, _ = run(

@@ -29,8 +29,9 @@ def test_the_package_sources_are_found():
 )
 def test_only_the_kernel_reads_the_term_map(path):
     # Polynomial.terms is keyed by packed monomials; every other module
-    # reads a polynomial's terms through Polynomial.items(), or its
-    # coefficients alone through Polynomial.coefficients().
+    # reads a polynomial's terms through Polynomial.items() or
+    # Polynomial.unordered_items(), or its coefficients alone through
+    # Polynomial.coefficients().
     tree = ast.parse(path.read_text(), filename=str(path))
     reads = [
         node.lineno
@@ -264,12 +265,23 @@ def test_no_loop_accumulates_a_product():
     assert owners == {("partitions.py", "rearrangement_peel")}
 
 
-@pytest.mark.parametrize("callee", ["_evaluate", "_read", "_slot_size"])
-def test_only_the_row_product_builds_kronecker_ints(callee):
+# The callers of each Kronecker codec helper: a dense product's rows and a
+# rearrangement peel's ints are read back by the one slot reader and sized
+# by the one slot bound.
+_CODEC_CALLERS = {
+    "_evaluate": {"_row_product"},
+    "_read": {"_row_product", "PeelInts.polynomial"},
+    "_slot_size": {"_row_product", "PeelInts.__init__"},
+    "_bias": {"_evaluate", "_read"},
+}
+
+
+@pytest.mark.parametrize("callee", _CODEC_CALLERS)
+def test_one_kronecker_codec(callee):
     # One dense path: a power squares through the product, so rows are
-    # evaluated, read back and given their slot bound in one place.
+    # evaluated in one place; a peel evaluates its factors by shifts.
     callers = set().union(*(_callers(p, callee) for p in SOURCES))
-    assert callers == {("algebra.py", "_row_product")}
+    assert callers == {("algebra.py", owner) for owner in _CODEC_CALLERS[callee]}
 
 
 def test_only_the_reference_enumerates_rearrangements():

@@ -96,29 +96,33 @@ class TestPrefixForm:
         # No length cap of its own: (1^34) has 35 peel states and denominator
         # degree 595 and is admitted; (1^35) has degree 630, over the degree
         # cap, and a far longer column is over the state cap, which is
-        # counted first.  Both are refused before the peel starts.
+        # counted first.  Both are refused before the peel starts; the
+        # admitted one peels twice, for its l1 bound and for its value.
         calls = []
+        peel = specialize.rearrangement_peel
         monkeypatch.setattr(
-            specialize, "rearrangement_peel", lambda mu, *a: calls.append(mu) or (1, frozenset())
+            specialize, "rearrangement_peel", lambda mu, *a: calls.append(mu) or peel(mu, *a)
         )
         monomial_spec(Partition((1,) * 34))
-        assert calls == [Partition((1,) * 34)]
+        assert calls == [Partition((1,) * 34)] * 2
         with pytest.raises(ResourceLimitError, match="degree 630"):
             monomial_spec(Partition((1,) * 35))
         with pytest.raises(ResourceLimitError, match="100001 sub-multisets"):
             monomial_spec(Partition((1,) * 10 ** 5))
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     def test_rearrangement_cap(self, monkeypatch):
         # (8,7,6,5,4,3,2) is at both peel caps (128 states, denominator
-        # degree 595) and admitted; one more state or degree is refused
-        # before the peel starts.
+        # degree 595) and admitted, and peels twice, for its l1 bound and
+        # for its value; one more state or degree is refused before the
+        # peel starts.
         calls = []
+        peel = specialize.rearrangement_peel
         monkeypatch.setattr(
-            specialize, "rearrangement_peel", lambda mu, *a: calls.append(mu) or (1, frozenset())
+            specialize, "rearrangement_peel", lambda mu, *a: calls.append(mu) or peel(mu, *a)
         )
         monomial_spec(Partition((8, 7, 6, 5, 4, 3, 2)))
-        assert calls == [Partition((8, 7, 6, 5, 4, 3, 2))]
+        assert calls == [Partition((8, 7, 6, 5, 4, 3, 2))] * 2
         for parts, message in (
             ((7, 6, 5, 4, 3, 2, 1, 1), "192 sub-multisets"),
             ((10, 10, 10, 9, 1, 1, 1, 1), "degree 602"),
@@ -127,7 +131,7 @@ class TestPrefixForm:
             for form in ("theorem1", "theorem3"):
                 with pytest.raises(ResourceLimitError, match=message):
                     monomial_spec(Partition(parts), form)
-        assert len(calls) == 1
+        assert len(calls) == 2
 
 
 class TestTriangularForm:
