@@ -153,6 +153,11 @@ def test_a_share_group_keeps_its_states_at_one_slot_size():
                     assert ints.polynomial(state[0], UNIVERSE_Q, [(0,)]) == expected, parts
 
 
+def in_qt(terms: dict) -> Polynomial:
+    """The value {(j, k): c t^j q^k} as a polynomial in (q, t)."""
+    return Polynomial(UNIVERSE_QT, {(k, j): c for (j, k), c in terms.items()})
+
+
 @pytest.mark.parametrize("size", [1, 2, 4, 8, 9, 13])
 def test_the_largest_coefficient_of_a_slot_reads_back(size):
     # A bound of 2^(8 size - 1) - 1 is the largest a slot of ``size`` bytes
@@ -165,16 +170,14 @@ def test_the_largest_coefficient_of_a_slot_reads_back(size):
     for c in (edge, -edge):
         terms = {(0, 0): c, (0, 2): -c, (1, 1): c, (1, 2): -c}
         value = 1 * ints.multiplier(terms)
-        expected = Polynomial(UNIVERSE_QT, {(k, j): c for (j, k), c in terms.items()})
-        assert ints.polynomial(value, UNIVERSE_QT, rows) == expected
+        assert ints.polynomial(value, UNIVERSE_QT, rows) == in_qt(terms)
 
 
 def test_a_value_past_its_top_slot_raises():
     ints = PeelInts(3, 100)
     rows = [(0, 0), (0, 1)]
-    assert ints.polynomial(1 * ints.multiplier({(1, 2): -100}), UNIVERSE_QT, rows) == Polynomial(
-        UNIVERSE_QT, {(2, 1): -100}
-    )
+    top = {(1, 2): -100}
+    assert ints.polynomial(1 * ints.multiplier(top), UNIVERSE_QT, rows) == in_qt(top)
     for past in ({(2, 0): 1}, {(1, 3): -1}, {(0, 0): 1, (5, 1): 7}):
         with pytest.raises(InternalConsistencyError, match="outgrew"):
             ints.polynomial(1 * ints.multiplier(past), UNIVERSE_QT, rows)
@@ -186,10 +189,6 @@ def test_a_multiplier_by_shifts_is_the_product():
     rows = [(0, j) for j in range(4)]
     f = {(0, 0): 3, (0, 4): 3, (1, 2): -1, (2, 0): 1, (0, 9): -2}
     g = {(0, 1): 5, (1, 0): -7}
-    as_polynomial = {
-        key: Polynomial(UNIVERSE_QT, {(k, j): c for (j, k), c in terms.items()})
-        for key, terms in (("f", f), ("g", g))
-    }
     value = 1 * ints.multiplier(g) * ints.multiplier(f)
-    assert ints.polynomial(value, UNIVERSE_QT, rows) == as_polynomial["f"] * as_polynomial["g"]
+    assert ints.polynomial(value, UNIVERSE_QT, rows) == in_qt(f) * in_qt(g)
     assert 0 * ints.multiplier(f) == 0
