@@ -46,15 +46,11 @@ three cap-edge inputs (Python 3.11, 2 vCPU): from 4 to 32 per row pair and 1
 to 4 per slot the total moved by about 2%, and was lowest at 3 per slot.
 Every other product goes term pair by term pair through :func:`_mul_terms`.
 
-A rearrangement peel (``partitions.rearrangement_peel``) runs on Kronecker
-ints too, through :class:`PeelInts`.  Its values are in ``q`` and at most
-one more variable y, flattened: c y^j q^k is c X^(j D + k), X = 2^(8 K), D
-a strict bound on the degree in ``q``.  ``K`` holds a strict l1 bound of
-the value read back, which the caller computes before the work by the same
-peel on ints, each factor and denominator factor replaced by its l1 norm.
-A factor has few terms spread far apart (``a^c q^e - b^c``, ``1 - q^s``),
-so it multiplies by shifts, never as its long, nearly empty int.  The value
-is read back once, by the rows' slot reader.
+A rearrangement peel runs on Kronecker ints too, through :class:`PeelInts`,
+which ``partitions.peel_polynomial`` alone builds and sizes: c y^j q^k is
+c X^(j D + k), D a strict bound on the degree in ``q``, each factor of few
+terms multiplies by shifts, and the value is read back once, by the rows'
+slot reader.
 
 Most operations of a command are on small operands, which take short paths.
 A monomial packs its one key directly, the text reads each exponent by a
@@ -317,6 +313,8 @@ class PeelInts:
     __slots__ = ("span", "size")
 
     def __init__(self, span: int, bound: int):
+        if span < 1:
+            raise InternalConsistencyError(f"a Kronecker span of {span} holds no power of q")
         self.span, self.size = span, _slot_size(bound)
 
     def multiplier(self, terms: Mapping[tuple, int]) -> _Shifts:

@@ -43,10 +43,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import FactoredFraction, PeelInts, Polynomial, frac_eq, product
+from .algebra import FactoredFraction, Polynomial, frac_eq, product
 from .errors import ResourceLimitError, UsageError
-from .partitions import Partition, rearrangement_peel
-from .specialize import UNIVERSE_ABQ, monomial_spec
+from .partitions import Partition, peel_polynomial, rearrangement_peel
+from .specialize import UNIVERSE_ABQ, monomial_spec, one_minus_q_power
 
 # Largest n of the three-way sides (thm6, thm7, appendix): one side at n = 5
 # has 3,383,040 numerator terms and takes minutes and more than a gigabyte.
@@ -194,31 +194,22 @@ def constant_identity(mu: Partition, kind: str, memo: dict) -> FactoredFraction 
       an exact rational equal to 1/z; the peel runs on ints and the value
       is returned as the ``Fraction`` it is, not as a fraction in q.
 
-    ``memo`` is the peel's (see ``rearrangement_peel``): the prop5 factor
-    reads the length l, so calls of one kind may share a memo when they
-    have the same length (prop5) or always (littlewood).
-
-    prop5 peels on Kronecker ints in q (``algebra.PeelInts``), of degree
-    below l |mu| + sum D + 1, every factor of l1 norm 2.  The memo keeps the
-    l1 bound's states under "l1" and the states of each slot size under
-    that size, so a group that outgrows its width starts fresh states."""
+    ``memo`` is the peel's (see ``peel_polynomial``): the prop5 factor reads
+    the length l, so calls of one kind may share a memo when they have the
+    same length (prop5) or always (littlewood).  prop5's span is the loose
+    l |mu| + sum D + 1, so a memo wrongly shared across lengths fails the
+    identity instead of outgrowing its slots."""
     if kind == "prop5":
         uni, length = ("q",), mu.length
-        l1 = memo.setdefault("l1", {})
-        bound, sums = rearrangement_peel(mu, lambda i, total, c: 2, lambda s: 2, l1)
-        ints = PeelInts(length * mu.weight + sum(sums) + 1, bound)
 
         def one_minus_q(s):
-            return ints.multiplier({(0, 0): 1, (0, s): -1})
+            return {(0, 0): 1, (0, s): -1}
 
-        num, sums = rearrangement_peel(
-            mu,
-            lambda i, total, c: one_minus_q((length - i + 1) * c),
-            one_minus_q,
-            memo.setdefault(ints.size, {}),
+        num, sums = peel_polynomial(
+            mu, lambda i, total, c: one_minus_q((length - i + 1) * c), one_minus_q,
+            lambda sums: length * mu.weight + sum(sums) + 1, uni, [(0,)], memo,
         )
-        dens = [1 - Polynomial.variable(uni, "q", s) for s in sorted(sums)]
-        return FactoredFraction(ints.polynomial(num, uni, [(0,)]), dens)
+        return FactoredFraction(num, [one_minus_q_power(uni, s) for s in sorted(sums)])
     if kind == "littlewood":
         num, sums = rearrangement_peel(mu, lambda i, total, c: 1, int, memo)
         return Fraction(num, math.prod(sums))

@@ -36,7 +36,7 @@ from .algebra import (
 )
 from .errors import ResourceLimitError, UsageError
 from .partitions import Partition, partitions_of, z_of
-from .specialize import UNIVERSE_QT, monomial_spec
+from .specialize import UNIVERSE_QT, monomial_spec, one_minus_q_power
 
 OPERATOR_N_CAP = 3
 # Largest degree n of eigencheck: n = 8 on N = 3 letters takes 0.3-0.5 s and
@@ -210,7 +210,7 @@ def heine_coefficient(k: int) -> FactoredFraction:
     (1 - t q^(j-1))/(1 - q^j)."""
     one = Polynomial.one(UNIVERSE_QT)
     num = [one - Polynomial.monomial(UNIVERSE_QT, {"t": 1, "q": j - 1}) for j in range(1, k + 1)]
-    den = [one - _qt_var("q", j) for j in range(1, k + 1)]
+    den = [one_minus_q_power(UNIVERSE_QT, j) for j in range(1, k + 1)]
     return FactoredFraction(product(num, UNIVERSE_QT), den)
 
 

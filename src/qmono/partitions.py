@@ -1,11 +1,12 @@
 """Partition combinatorics: enumeration, optionally bounded in length,
 multiplicities, the centralizer size z, the distinct rearrangements of the
 parts, the subset part sums counted without listing the subsets, the
-sub-multiset peel that sums over the rearrangements without listing them,
-and the cycle decompositions of the full symmetric group.  Only the
-symmetric-group enumerations grow with length!, and they share one cap,
-PERMUTATION_CAP.  A length bound on partitions prunes the enumeration
-itself, so it builds only the partitions it returns.
+sub-multiset peel that sums over the rearrangements without listing them
+(on ints, or on Kronecker ints read back as a polynomial), and the cycle
+decompositions of the full symmetric group.  Only the symmetric-group
+enumerations grow with length!, and they share one cap, PERMUTATION_CAP.  A
+length bound on partitions prunes the enumeration itself, so it builds only
+the partitions it returns.
 
 Enumeration orders are deterministic: reverse-lexicographic for partitions,
 lexicographic for rearrangements and permutations.
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+from .algebra import PeelInts
 from .errors import ResourceLimitError, UsageError
 
 PERMUTATION_CAP = 8
@@ -172,11 +174,9 @@ def rearrangement_peel(mu: Partition, factor, den, memo: dict):
     sum M, c) * prod den(s) over s in D(M), not in D(M - c), not sum M: the
     paper's peeling recurrence, with prod(m_i + 1) states instead of
     length!/prod(m_i!) terms.  N of the empty partition is the int 1, and
-    the values are ints or anything an int adds and multiplies with.  The
-    closed forms, prop5 and positivity peel on Kronecker ints
-    (``algebra.PeelInts``), their factors multiplying by shifts, and the
-    closed forms drop a by homogeneity (see ``specialize.monomial_spec``);
-    Littlewood and the l1 bound that sizes the slots peel on plain ints.
+    the values are ints or anything an int adds and multiplies with:
+    Littlewood peels on plain ints, and :func:`peel_polynomial` on the
+    l1 bound's ints and on Kronecker ints.
 
     ``memo`` keeps the states, under the parts of M, and the den values,
     under s.  A state's value depends on M and on what the factor reads,
@@ -206,6 +206,31 @@ def rearrangement_peel(mu: Partition, factor, den, memo: dict):
         return memo[parts]
 
     return state(mu.parts)
+
+
+def peel_polynomial(mu: Partition, factor, den, span, universe, rows: list, memo: dict):
+    """(N, D) of :func:`rearrangement_peel`, N read back as a polynomial over
+    ``universe``.  ``factor(i, total, c)`` and ``den(s)`` return term maps
+    {(j, k): c}, one entry per term c y^j q^k, y one more variable.
+
+    It peels the maps' l1 norms on ints, for a strict l1 bound of N and for
+    D, ``span(D)`` being a strict bound on N's q-degree; then the maps on
+    Kronecker ints sized by that bound (``algebra.PeelInts``), each map
+    multiplying by shifts, and reads back N's term at q^k times the
+    monomial ``rows[j]`` from slot j span + k.  ``memo`` keeps the bound's
+    states under "l1" and one dict of states per slot size, so calls that
+    outgrow a width start fresh.  A state reads the span only through y, so
+    calls whose maps all have j = 0 may share a memo as the peel allows."""
+
+    def peel(lift, states: dict):
+        return rearrangement_peel(
+            mu, lambda i, total, c: lift(factor(i, total, c)), lambda s: lift(den(s)), states
+        )
+
+    bound, sums = peel(lambda terms: sum(map(abs, terms.values())), memo.setdefault("l1", {}))
+    ints = PeelInts(span(sums), bound)
+    num, sums = peel(ints.multiplier, memo.setdefault(ints.size, {}))
+    return ints.polynomial(num, universe, rows), sums
 
 
 def z_of(mu: Partition) -> int:

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FactoredFraction, PeelInts, Polynomial, frac_eq, geometric_sum, product
+from .algebra import FactoredFraction, Polynomial, frac_eq, geometric_sum, product
 from .errors import (
     InternalConsistencyError,
     NotApplicableError,
     ResourceLimitError,
 )
-from .partitions import Partition, check_peel_cost, rearrangement_peel
-from .specialize import UNIVERSE_QT, monomial_spec
+from .partitions import Partition, check_peel_cost, peel_polynomial
+from .specialize import UNIVERSE_QT, monomial_spec, one_minus_q_power
 
 # The caps of the peel behind H, and of the degree of P, which bounds the
 # cost of P, of H = N * L and of the identity check (README "Caps").  P's
@@ -93,12 +93,8 @@ def _subset_product(counts: dict, used) -> Polynomial:
 
 def _homogeneous_quotient(x_power: int, c: int) -> Polynomial:
     """(x^c - t^c)/(x - t) with x = q^x_power, expanded directly as
-    sum_j q^(x_power j) t^(c - 1 - j)."""
-    terms = {}
-    for j in range(c):
-        e = (x_power * j, c - 1 - j)
-        terms[e] = terms.get(e, 0) + 1
-    return Polynomial(UNIVERSE_QT, terms)
+    sum_j q^(x_power j) t^(c - 1 - j), whose terms have distinct powers of t."""
+    return Polynomial(UNIVERSE_QT, {(x_power * j, c - 1 - j): 1 for j in range(c)})
 
 
 def _numerator_and_leftover(mu: Partition, pool: dict) -> tuple:
@@ -108,24 +104,18 @@ def _numerator_and_leftover(mu: Partition, pool: dict) -> tuple:
     after one per s in D.  ``pool`` is ``_check_cap(mu)``, so mu is refused
     before any work.
 
-    The peel's values are Kronecker ints in t and q, of t-degree at most
-    |mu| - l.  The quotients' q-degrees (l - i)(c_i - 1) and [s]_q's s - 1
-    are below the closed forms', so N's q-degree is too (see
-    ``monomial_spec``).  The l1 norms are c and s."""
+    The peel runs in t and q, N of t-degree at most |mu| - l.  The
+    quotients' q-degrees (l - i)(c_i - 1) and [s]_q's s - 1 are below the
+    closed forms', so N's q-degree is too (see ``monomial_spec``)."""
     length, weight = mu.length, mu.weight
-    bound, sums = rearrangement_peel(mu, lambda i, total, c: c, lambda s: s, {})
-    ints = PeelInts(sum(sums) - weight + 1, bound)
-
-    def quotient(i, total, c):
-        return ints.multiplier({(c - 1 - j, (length - i) * j): 1 for j in range(c)})
-
-    num, sums = rearrangement_peel(
-        mu, quotient, lambda s: ints.multiplier({(0, k): 1 for k in range(s)}), {}
+    num, sums = peel_polynomial(
+        mu, lambda i, total, c: {(c - 1 - j, (length - i) * j): 1 for j in range(c)},
+        lambda s: {(0, k): 1 for k in range(s)}, lambda sums: sum(sums) - weight + 1,
+        UNIVERSE_QT, [(0, j) for j in range(weight - length + 1)], {},
     )
     if not sums <= pool.keys():
         raise InternalConsistencyError(f"peel sums {sorted(sums)} are not all subset sums")
-    rows = [(0, j) for j in range(weight - length + 1)]
-    return ints.polynomial(num, UNIVERSE_QT, rows), _subset_product(pool, sums)
+    return num, _subset_product(pool, sums)
 
 
 def positivity_polynomial(mu: Partition) -> Polynomial:
@@ -172,9 +162,9 @@ def positivity_report(mu: Partition) -> PositivityReport:
     if Nbar is not None and not Nbar.is_zero:
         t = Polynomial.variable(UNIVERSE_QT, "t")
         lhs = monomial_spec(mu).value.substitute({"a": 1, "b": t}, universe=UNIVERSE_QT)
-        q = [Polynomial.variable(UNIVERSE_QT, "q", i) for i in range(length + 1)]
+        q = [Polynomial.variable(UNIVERSE_QT, "q", i) for i in range(length)]
         num = product([q[i] - t for i in range(length)], UNIVERSE_QT) * mu.rearrangement_count()
-        den = [1 - q[i] for i in range(1, length + 1)]
+        den = [one_minus_q_power(UNIVERSE_QT, i) for i in range(1, length + 1)]
         den.append(Nbar.substitute({}, universe=UNIVERSE_QT))
         identity = frac_eq(lhs, FactoredFraction(num * N, den))
     if Hbar is not None:

@@ -24,19 +24,16 @@ but builds one fraction per multiset of cycle sums.  The direct oracle
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import FactoredFraction, PeelInts, Polynomial, product
+from .algebra import FactoredFraction, Polynomial, product
 from .errors import UsageError
 from .partitions import (
-    Partition,
-    check_peel_cost,
-    check_permutation_cap,
-    permutations_with_cycles,
-    rearrangement_peel,
+    Partition, check_peel_cost, check_permutation_cap, peel_polynomial, permutations_with_cycles
 )
 
 UNIVERSE_ABQ = ("a", "b", "q")
@@ -64,8 +61,11 @@ class SpecResult:
     formula: str
 
 
-def _one_minus_q_power(m: int) -> Polynomial:
-    return Polynomial.one(UNIVERSE_ABQ) - Polynomial.variable(UNIVERSE_ABQ, "q", m)
+@functools.cache
+def one_minus_q_power(universe: tuple, s: int) -> Polynomial:
+    """1 - q^s over ``universe``, built once per process for each (universe,
+    s); the caps keep s at most 600, so the cache stays small."""
+    return Polynomial.one(universe) - Polynomial.variable(universe, "q", s)
 
 
 def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
@@ -73,31 +73,26 @@ def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
     single fraction over the common denominator, summed by the rearrangement
     peel.  Partitions over the peel caps are refused before any work.
 
-    The peel's values are Kronecker ints (``algebra.PeelInts``) in b and q:
-    each factor a^c q^e - b^c is homogeneous of degree c in (a, b), so the
-    numerator is homogeneous of degree |mu| and a's exponent is
-    |mu| - deg_b.  A rearrangement's term has q-degree at most
-    sum e_i + sum D - sum s_i over its prefix sums s_i, and both forms have
-    sum e_i = sum_(i<l) s_i, so every q-degree is below sum D - |mu| + 1.
-    Every factor has l1 norm 2."""
+    The peel runs in b and q: each factor a^c q^e - b^c is homogeneous of
+    degree c in (a, b), so the numerator is homogeneous of degree |mu| and
+    a's exponent is |mu| - deg_b.  A rearrangement's term has q-degree at
+    most sum e_i + sum D - sum s_i over its prefix sums s_i, and both forms
+    have sum e_i = sum_(i<l) s_i, so every q-degree is below
+    sum D - |mu| + 1."""
     if form not in (FORM_THEOREM1, FORM_THEOREM3):
         raise UsageError(f"unknown form {form!r}")
     check_peel_cost(mu, PEEL_STATE_CAP, PEEL_DEGREE_CAP, "closed-form")
     length, weight = mu.length, mu.weight
-    bound, sums = rearrangement_peel(mu, lambda i, total, c: 2, lambda s: 2, {})
-    ints = PeelInts(sum(sums) - weight + 1, bound)
 
     def factor(i, total, c):
         e = total - c if form == FORM_THEOREM1 else (length - i) * c
-        return ints.multiplier({(0, e): 1, (c, 0): -1})
+        return {(0, e): 1, (c, 0): -1}
 
-    num, sums = rearrangement_peel(
-        mu, factor, lambda s: ints.multiplier({(0, 0): 1, (0, s): -1}), {}
+    num, sums = peel_polynomial(
+        mu, factor, lambda s: {(0, 0): 1, (0, s): -1}, lambda sums: sum(sums) - weight + 1,
+        UNIVERSE_ABQ, [(weight - j, j, 0) for j in range(weight + 1)], {},
     )
-    rows = [(weight - j, j, 0) for j in range(weight + 1)]
-    value = FactoredFraction(
-        ints.polynomial(num, UNIVERSE_ABQ, rows), [_one_minus_q_power(s) for s in sorted(sums)]
-    )
+    value = FactoredFraction(num, [one_minus_q_power(UNIVERSE_ABQ, s) for s in sorted(sums)])
     return SpecResult(mu, value, form)
 
 
@@ -125,7 +120,7 @@ def oracle_powersum(mu: Partition) -> SpecResult:
     for sums, count in counts.items():
         factors = [Polynomial(UNIVERSE_ABQ, {(s, 0, 0): 1, (0, s, 0): -1}) for s in sums]
         num = product(factors, UNIVERSE_ABQ) * ((-1) ** (length - len(sums)) * count)
-        terms.append(FactoredFraction(num, [_one_minus_q_power(s) for s in sums]))
+        terms.append(FactoredFraction(num, [one_minus_q_power(UNIVERSE_ABQ, s) for s in sums]))
     total = FactoredFraction.sum(terms, universe=UNIVERSE_ABQ)
     total = total * Fraction(1, mu.repetition_factor())
     return SpecResult(mu, total, FORM_ORACLE_POWERSUM)

@@ -208,7 +208,7 @@ class TestSpecializeCommand:
         # power-sum oracle also refuses (1^9), longer than its permutation
         # cap.  (1^34), of degree 595, is admitted.
         calls = []
-        monkeypatch.setattr(specialize, "rearrangement_peel", lambda mu, *a: calls.append(mu))
+        monkeypatch.setattr(specialize, "peel_polynomial", lambda mu, *a: calls.append(mu))
         monkeypatch.setattr(specialize, "permutations_with_cycles", lambda n: calls.append(n))
         for form in ("theorem1", "theorem3", "oracle-powersum"):
             for mu in (",".join(["1"] * 35), "97,89,83,79,73"):
@@ -232,7 +232,7 @@ class TestSpecializeCommand:
         # Seven distinct parts and a repeated one have 192 peel states, over
         # the cap of 128.
         calls = []
-        monkeypatch.setattr(specialize, "rearrangement_peel", lambda mu, *a: calls.append(mu))
+        monkeypatch.setattr(specialize, "peel_polynomial", lambda mu, *a: calls.append(mu))
         code, out, err = run(capsys, "specialize", "--mu", "7,6,5,4,3,2,1,1")
         assert code == EXIT_RESOURCE
         assert out == ""
@@ -709,7 +709,7 @@ class TestPositivityCommand:
     def test_rearrangements_over_cap_are_refused_before_any_work(self, capsys, monkeypatch):
         # Seven distinct parts have 128 peel states, over the cap of 64.
         calls = []
-        monkeypatch.setattr(positivity, "rearrangement_peel", lambda mu, *a: calls.append(mu))
+        monkeypatch.setattr(positivity, "peel_polynomial", lambda mu, *a: calls.append(mu))
         code, out, err = run(capsys, "positivity", "--mu", "7,6,5,4,3,2,1")
         assert code == EXIT_RESOURCE
         assert out == ""

@@ -4,12 +4,12 @@ the slot edges of the peel's codec."""
 
 import pytest
 
-from qmono import identities, positivity, specialize
+from qmono import partitions
 from qmono.acceptance import VERIFY_FAMILIES
 from qmono.algebra import FactoredFraction, PeelInts, Polynomial, geometric_sum
 from qmono.errors import InternalConsistencyError
 from qmono.identities import constant_identity
-from qmono.partitions import Partition, partitions_up_to, rearrangement_peel
+from qmono.partitions import Partition, partitions_up_to, peel_polynomial, rearrangement_peel
 from qmono.positivity import UNIVERSE_QT, _check_cap, _homogeneous_quotient, _numerator_and_leftover
 from qmono.specialize import UNIVERSE_ABQ, monomial_spec
 
@@ -83,8 +83,9 @@ def read_back(monkeypatch):
             seen.append((self.bound, self.span, p))
             return p
 
-    for module in (specialize, identities, positivity):
-        monkeypatch.setattr(module, "PeelInts", Recording)
+    # The one place that builds the codec: a caller that built its own
+    # would escape the recording, and the assert below would see nothing.
+    monkeypatch.setattr(partitions, "PeelInts", Recording)
     yield seen
     # The bounds are strict: every coefficient fits its slot, and every
     # power of q its span.
@@ -192,3 +193,19 @@ def test_a_multiplier_by_shifts_is_the_product():
     value = 1 * ints.multiplier(g) * ints.multiplier(f)
     assert ints.polynomial(value, UNIVERSE_QT, rows) == in_qt(f) * in_qt(g)
     assert 0 * ints.multiplier(f) == 0
+
+
+@pytest.mark.parametrize("span", [0, -20])
+def test_a_span_below_one_raises(span):
+    # A span below one holds no power of q; below 1 - (the top row's
+    # degree) it once sized the read-back by a width that never stopped
+    # growing.  (6,5,4,3,2,1) reads N back from rows of t-degree up to 15.
+    with pytest.raises(InternalConsistencyError, match="span"):
+        PeelInts(span, 100)
+    mu = Partition((6, 5, 4, 3, 2, 1))
+    rows = [(0, j) for j in range(16)]
+    with pytest.raises(InternalConsistencyError, match="span"):
+        peel_polynomial(
+            mu, lambda i, total, c: {(c, 0): 1}, lambda s: {(0, 0): 1}, lambda sums: span,
+            UNIVERSE_QT, rows, {},
+        )

@@ -113,16 +113,15 @@ class TestAuxiliaryProduct:
 
     def test_rearrangement_cap(self, monkeypatch):
         # (6,5,4,3,2,1) is at the state cap (64) and under the degree caps
-        # and admitted, and peels twice, for its l1 bound and for its
-        # value; over any of the three caps is refused before the peel
-        # starts.
+        # and admitted, and is peeled once; over any of the three caps is
+        # refused before the peel starts.
         calls = []
-        peel = positivity.rearrangement_peel
+        peel = positivity.peel_polynomial
         monkeypatch.setattr(
-            positivity, "rearrangement_peel", lambda mu, *a: calls.append(mu) or peel(mu, *a)
+            positivity, "peel_polynomial", lambda mu, *a: calls.append(mu) or peel(mu, *a)
         )
         positivity_polynomial(Partition((6, 5, 4, 3, 2, 1)))
-        assert calls == [Partition((6, 5, 4, 3, 2, 1))] * 2
+        assert calls == [Partition((6, 5, 4, 3, 2, 1))]
         for parts, message in (
             ((7, 6, 5, 4, 3, 2, 1), "128 sub-multisets"),
             ((13, 11, 7, 5, 3), "degree 546"),
@@ -133,7 +132,7 @@ class TestAuxiliaryProduct:
                 positivity_polynomial(Partition(parts))
             with pytest.raises(ResourceLimitError, match=message):
                 positivity_report(Partition(parts))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestPositivityPolynomial:

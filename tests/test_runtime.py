@@ -284,6 +284,34 @@ def test_one_kronecker_codec(callee):
     assert callers == {("algebra.py", owner) for owner in _CODEC_CALLERS[callee]}
 
 
+def _names(path):
+    """Every name a module reads, imports or defines."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            out.add(node.name)
+    return out
+
+
+def test_one_function_sizes_peels_and_reads_back():
+    # The closed forms, prop5 and positivity hand term maps to
+    # partitions.peel_polynomial, which derives the l1 bound, builds the
+    # codec, peels and reads back.  No other module names the codec, and
+    # the only other peel is Littlewood's on ints, so no caller sizes slots
+    # or states an l1 norm of its own.
+    builders = set().union(*(_callers(p, "PeelInts") for p in SOURCES))
+    assert builders == {("partitions.py", "peel_polynomial")}
+    assert {p.name for p in SOURCES if "PeelInts" in _names(p)} == {"algebra.py", "partitions.py"}
+    peels = set().union(*(_callers(p, "rearrangement_peel") for p in SOURCES))
+    assert peels == {("partitions.py", "peel_polynomial"), ("identities.py", "constant_identity")}
+
+
 def test_only_the_reference_enumerates_rearrangements():
     # Every rearrangement sum goes through partitions.rearrangement_peel.
     # Criterion 5's literal reference is the one place outside

@@ -97,32 +97,31 @@ class TestPrefixForm:
         # degree 595 and is admitted; (1^35) has degree 630, over the degree
         # cap, and a far longer column is over the state cap, which is
         # counted first.  Both are refused before the peel starts; the
-        # admitted one peels twice, for its l1 bound and for its value.
+        # admitted one is peeled once.
         calls = []
-        peel = specialize.rearrangement_peel
+        peel = specialize.peel_polynomial
         monkeypatch.setattr(
-            specialize, "rearrangement_peel", lambda mu, *a: calls.append(mu) or peel(mu, *a)
+            specialize, "peel_polynomial", lambda mu, *a: calls.append(mu) or peel(mu, *a)
         )
         monomial_spec(Partition((1,) * 34))
-        assert calls == [Partition((1,) * 34)] * 2
+        assert calls == [Partition((1,) * 34)]
         with pytest.raises(ResourceLimitError, match="degree 630"):
             monomial_spec(Partition((1,) * 35))
         with pytest.raises(ResourceLimitError, match="100001 sub-multisets"):
             monomial_spec(Partition((1,) * 10 ** 5))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_rearrangement_cap(self, monkeypatch):
         # (8,7,6,5,4,3,2) is at both peel caps (128 states, denominator
-        # degree 595) and admitted, and peels twice, for its l1 bound and
-        # for its value; one more state or degree is refused before the
-        # peel starts.
+        # degree 595) and admitted, and is peeled once; one more state or
+        # degree is refused before the peel starts.
         calls = []
-        peel = specialize.rearrangement_peel
+        peel = specialize.peel_polynomial
         monkeypatch.setattr(
-            specialize, "rearrangement_peel", lambda mu, *a: calls.append(mu) or peel(mu, *a)
+            specialize, "peel_polynomial", lambda mu, *a: calls.append(mu) or peel(mu, *a)
         )
         monomial_spec(Partition((8, 7, 6, 5, 4, 3, 2)))
-        assert calls == [Partition((8, 7, 6, 5, 4, 3, 2))] * 2
+        assert calls == [Partition((8, 7, 6, 5, 4, 3, 2))]
         for parts, message in (
             ((7, 6, 5, 4, 3, 2, 1, 1), "192 sub-multisets"),
             ((10, 10, 10, 9, 1, 1, 1, 1), "degree 602"),
@@ -131,7 +130,7 @@ class TestPrefixForm:
             for form in ("theorem1", "theorem3"):
                 with pytest.raises(ResourceLimitError, match=message):
                     monomial_spec(Partition(parts), form)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestTriangularForm:
