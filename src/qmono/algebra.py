@@ -48,9 +48,10 @@ Every other product goes term pair by term pair through :func:`_mul_terms`.
 
 A rearrangement peel runs on Kronecker ints too, through :class:`PeelInts`,
 which ``partitions.peel_polynomial`` alone builds and sizes: c y^j q^k is
-c X^(j D + k), D a strict bound on the degree in ``q``, each factor of few
-terms multiplies by shifts, and the value is read back once, by the rows'
-slot reader.
+c X^(k R + j), R a strict bound on the degree in the other variable y, each
+factor of few terms multiplies by shifts, and the value is read back once,
+by the rows' slot reader, from as many slots as it holds.  With q outermost
+the degree in q needs no bound.
 
 Most operations of a command are on small operands, which take short paths.
 A monomial packs its one key directly, the text reads each exponent by a
@@ -307,32 +308,34 @@ class _Shifts(tuple):
 
 
 class PeelInts:
-    """A peel's values in q and at most one more variable as Kronecker ints
-    (see the module docstring), ``span`` the D of the flattened index."""
+    """A peel's values in q and at most one more variable y as Kronecker
+    ints (see the module docstring), ``ys`` a strict bound on the degree
+    in y, the R of the flattened index."""
 
-    __slots__ = ("span", "size")
+    __slots__ = ("ys", "size")
 
-    def __init__(self, span: int, bound: int):
-        if span < 1:
-            raise InternalConsistencyError(f"a Kronecker span of {span} holds no power of q")
-        self.span, self.size = span, _slot_size(bound)
+    def __init__(self, ys: int, bound: int):
+        self.ys, self.size = ys, _slot_size(bound)
 
     def multiplier(self, terms: Mapping[tuple, int]) -> _Shifts:
         """The value {(j, k): c y^j q^k} as a multiplier by shifts."""
         groups = {}
         for (j, k), c in terms.items():
-            groups.setdefault(c, []).append((j * self.span + k) * 8 * self.size)
+            groups.setdefault(c, []).append((k * self.ys + j) * 8 * self.size)
         return _Shifts(groups.items())
 
     def polynomial(self, value: int, universe, rows: list) -> "Polynomial":
         """The polynomial over ``universe`` whose term at q^k times the
-        monomial of exponent tuple ``rows[j]`` is slot j span + k of value."""
+        monomial of exponent tuple ``rows[j]`` is slot k ys + j of value,
+        for every slot the value holds."""
         n, at = len(universe), universe.index("q")
-        w = _width_for(max(map(sum, rows)) + self.span - 1)
+        slots = abs(value).bit_length() // (8 * self.size) + 1
+        blocks = (slots - 1) // self.ys + 1
+        w = _width_for(max(map(sum, rows)) + blocks - 1)
         step = (1 << (n * w)) + (1 << (w * (n - 1 - at)))  # q^k adds k * step
-        powers = range(0, self.span * step, step)
-        keys = (r + k for r in [_pack(row, w) for row in rows] for k in powers)
-        terms = _read(value, len(rows) * self.span, self.size, keys)
+        packed = [_pack(row, w) for row in rows]
+        keys = (r + k for k in range(0, blocks * step, step) for r in packed)
+        terms = _read(value, slots, self.size, keys)
         return Polynomial._narrowest(universe, terms, w, True)
 
 

@@ -196,9 +196,7 @@ def constant_identity(mu: Partition, kind: str, memo: dict) -> FactoredFraction 
 
     ``memo`` is the peel's (see ``peel_polynomial``): the prop5 factor reads
     the length l, so calls of one kind may share a memo when they have the
-    same length (prop5) or always (littlewood).  prop5's span is the loose
-    l |mu| + sum D + 1, so a memo wrongly shared across lengths fails the
-    identity instead of outgrowing its slots."""
+    same length (prop5) or always (littlewood)."""
     if kind == "prop5":
         uni, length = ("q",), mu.length
 
@@ -207,7 +205,7 @@ def constant_identity(mu: Partition, kind: str, memo: dict) -> FactoredFraction 
 
         num, sums = peel_polynomial(
             mu, lambda i, total, c: one_minus_q((length - i + 1) * c), one_minus_q,
-            lambda sums: length * mu.weight + sum(sums) + 1, uni, [(0,)], memo,
+            uni, [(0,)], memo,
         )
         return FactoredFraction(num, [one_minus_q_power(uni, s) for s in sorted(sums)])
     if kind == "littlewood":

@@ -208,19 +208,19 @@ def rearrangement_peel(mu: Partition, factor, den, memo: dict):
     return state(mu.parts)
 
 
-def peel_polynomial(mu: Partition, factor, den, span, universe, rows: list, memo: dict):
+def peel_polynomial(mu: Partition, factor, den, universe, rows: list, memo: dict):
     """(N, D) of :func:`rearrangement_peel`, N read back as a polynomial over
     ``universe``.  ``factor(i, total, c)`` and ``den(s)`` return term maps
-    {(j, k): c}, one entry per term c y^j q^k, y one more variable.
+    {(j, k): c}, one entry per term c y^j q^k, y one more variable whose
+    degree in every state is below ``len(rows)``.
 
     It peels the maps' l1 norms on ints, for a strict l1 bound of N and for
-    D, ``span(D)`` being a strict bound on N's q-degree; then the maps on
-    Kronecker ints sized by that bound (``algebra.PeelInts``), each map
-    multiplying by shifts, and reads back N's term at q^k times the
-    monomial ``rows[j]`` from slot j span + k.  ``memo`` keeps the bound's
-    states under "l1" and one dict of states per slot size, so calls that
-    outgrow a width start fresh.  A state reads the span only through y, so
-    calls whose maps all have j = 0 may share a memo as the peel allows."""
+    D; then the maps on Kronecker ints sized by that bound
+    (``algebra.PeelInts``), each map multiplying by shifts, and reads back
+    N's term at q^k times the monomial ``rows[j]`` from slot k len(rows) + j.
+    ``memo`` keeps the bound's states under "l1" and one dict of states per
+    slot size, so calls that outgrow a width start fresh.  A state's slots
+    depend on ``len(rows)``, so calls that share a memo share ``rows``."""
 
     def peel(lift, states: dict):
         return rearrangement_peel(
@@ -228,7 +228,7 @@ def peel_polynomial(mu: Partition, factor, den, span, universe, rows: list, memo
         )
 
     bound, sums = peel(lambda terms: sum(map(abs, terms.values())), memo.setdefault("l1", {}))
-    ints = PeelInts(span(sums), bound)
+    ints = PeelInts(len(rows), bound)
     num, sums = peel(ints.multiplier, memo.setdefault(ints.size, {}))
     return ints.polynomial(num, universe, rows), sums
 

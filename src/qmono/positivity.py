@@ -104,14 +104,12 @@ def _numerator_and_leftover(mu: Partition, pool: dict) -> tuple:
     after one per s in D.  ``pool`` is ``_check_cap(mu)``, so mu is refused
     before any work.
 
-    The peel runs in t and q, N of t-degree at most |mu| - l.  The
-    quotients' q-degrees (l - i)(c_i - 1) and [s]_q's s - 1 are below the
-    closed forms', so N's q-degree is too (see ``monomial_spec``)."""
+    The peel runs in t and q, N of t-degree at most |mu| - l."""
     length, weight = mu.length, mu.weight
     num, sums = peel_polynomial(
         mu, lambda i, total, c: {(c - 1 - j, (length - i) * j): 1 for j in range(c)},
-        lambda s: {(0, k): 1 for k in range(s)}, lambda sums: sum(sums) - weight + 1,
-        UNIVERSE_QT, [(0, j) for j in range(weight - length + 1)], {},
+        lambda s: {(0, k): 1 for k in range(s)}, UNIVERSE_QT,
+        [(0, j) for j in range(weight - length + 1)], {},
     )
     if not sums <= pool.keys():
         raise InternalConsistencyError(f"peel sums {sorted(sums)} are not all subset sums")

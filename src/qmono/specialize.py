@@ -75,10 +75,7 @@ def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
 
     The peel runs in b and q: each factor a^c q^e - b^c is homogeneous of
     degree c in (a, b), so the numerator is homogeneous of degree |mu| and
-    a's exponent is |mu| - deg_b.  A rearrangement's term has q-degree at
-    most sum e_i + sum D - sum s_i over its prefix sums s_i, and both forms
-    have sum e_i = sum_(i<l) s_i, so every q-degree is below
-    sum D - |mu| + 1."""
+    a's exponent is |mu| - deg_b."""
     if form not in (FORM_THEOREM1, FORM_THEOREM3):
         raise UsageError(f"unknown form {form!r}")
     check_peel_cost(mu, PEEL_STATE_CAP, PEEL_DEGREE_CAP, "closed-form")
@@ -89,8 +86,8 @@ def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
         return {(0, e): 1, (c, 0): -1}
 
     num, sums = peel_polynomial(
-        mu, factor, lambda s: {(0, 0): 1, (0, s): -1}, lambda sums: sum(sums) - weight + 1,
-        UNIVERSE_ABQ, [(weight - j, j, 0) for j in range(weight + 1)], {},
+        mu, factor, lambda s: {(0, 0): 1, (0, s): -1}, UNIVERSE_ABQ,
+        [(weight - j, j, 0) for j in range(weight + 1)], {},
     )
     value = FactoredFraction(num, [one_minus_q_power(UNIVERSE_ABQ, s) for s in sorted(sums)])
     return SpecResult(mu, value, form)

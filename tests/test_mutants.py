@@ -94,6 +94,15 @@ def always_equal(f):
     return lambda *args: True
 
 
+def rows_one_short(f):
+    """peel_polynomial reading back from its rows less the last; a list of
+    one row stays whole, as none would be left to read from.  The slots are
+    laid out by the row count, so a short list misreads instead of raising."""
+    def peel(mu, factor, den, universe, rows, memo):
+        return f(mu, factor, den, universe, rows[:-1] or rows, memo)
+    return peel
+
+
 def prop5_shared_across_lengths(families):
     """prop5 in one share group, so one peel memo serves every length."""
     prop5 = dataclasses.replace(families["prop5"], share=lambda parts: None)
@@ -146,6 +155,8 @@ MUTANTS = {
     ),
     "closed forms x2": ("specialize", "monomial_spec", value_doubled, (2, 3, 4)),
     "rearrangement_peel numerator x2": ("partitions", "rearrangement_peel", numerator_doubled, (7, 2)),
+    # Both closed forms share the peel, so criterion 1 cannot see this one.
+    "peel_polynomial rows one short": ("partitions", "peel_polynomial", rows_one_short, (2, 9)),
     "littlewood value x2": ("identities", "constant_identity", littlewood_doubled, (7,)),
     "prop5 memo shared across lengths": (
         "acceptance", "VERIFY_FAMILIES", prop5_shared_across_lengths, (7,)

@@ -7,7 +7,6 @@ import pytest
 from qmono import partitions
 from qmono.acceptance import VERIFY_FAMILIES
 from qmono.algebra import FactoredFraction, PeelInts, Polynomial, geometric_sum
-from qmono.errors import InternalConsistencyError
 from qmono.identities import constant_identity
 from qmono.partitions import Partition, partitions_up_to, peel_polynomial, rearrangement_peel
 from qmono.positivity import UNIVERSE_QT, _check_cap, _homogeneous_quotient, _numerator_and_leftover
@@ -68,32 +67,31 @@ def reference_numerator(mu: Partition) -> Polynomial:
 
 @pytest.fixture
 def read_back(monkeypatch):
-    """(l1 bound, span, polynomial) of every value a peel reads back."""
+    """(l1 bound, ys, rows, polynomial) of every value a peel reads back."""
     seen = []
 
     class Recording(PeelInts):
         __slots__ = ("bound",)
 
-        def __init__(self, span, bound):
-            super().__init__(span, bound)
+        def __init__(self, ys, bound):
+            super().__init__(ys, bound)
             self.bound = bound
 
         def polynomial(self, value, universe, rows):
             p = super().polynomial(value, universe, rows)
-            seen.append((self.bound, self.span, p))
+            seen.append((self.bound, self.ys, rows, p))
             return p
 
     # The one place that builds the codec: a caller that built its own
     # would escape the recording, and the assert below would see nothing.
     monkeypatch.setattr(partitions, "PeelInts", Recording)
     yield seen
-    # The bounds are strict: every coefficient fits its slot, and every
-    # power of q its span.
+    # The l1 bound is strict: every coefficient fits its slot.  The slots
+    # are laid out by the rows the value is read back from.
     assert seen
-    for bound, span, p in seen:
-        at = p.universe.index("q")
+    for bound, ys, rows, p in seen:
         assert sum(map(abs, p.coefficients())) <= bound
-        assert all(exps[at] < span for exps, _ in p.unordered_items())
+        assert ys == len(rows)
 
 
 @pytest.mark.parametrize("form", ["theorem1", "theorem3"])
@@ -146,7 +144,7 @@ def test_a_share_group_keeps_its_states_at_one_slot_size():
         for size, states in memo.items():
             if size == "l1":
                 continue
-            ints = PeelInts(200, 2 ** (8 * size - 1) - 1)
+            ints = PeelInts(1, 2 ** (8 * size - 1) - 1)
             assert ints.size == size
             for parts, state in states.items():
                 if isinstance(parts, tuple):
@@ -164,30 +162,20 @@ def test_the_largest_coefficient_of_a_slot_reads_back(size):
     # A bound of 2^(8 size - 1) - 1 is the largest a slot of ``size`` bytes
     # holds with its sign; one more takes a wider slot.
     edge = 2 ** (8 * size - 1) - 1
-    ints = PeelInts(3, edge)
-    assert ints.size == size
-    assert PeelInts(3, edge + 1).size > size
     rows = [(0, 0), (0, 1)]
+    ints = PeelInts(len(rows), edge)
+    assert ints.size == size
+    assert PeelInts(len(rows), edge + 1).size > size
     for c in (edge, -edge):
         terms = {(0, 0): c, (0, 2): -c, (1, 1): c, (1, 2): -c}
         value = 1 * ints.multiplier(terms)
         assert ints.polynomial(value, UNIVERSE_QT, rows) == in_qt(terms)
 
 
-def test_a_value_past_its_top_slot_raises():
-    ints = PeelInts(3, 100)
-    rows = [(0, 0), (0, 1)]
-    top = {(1, 2): -100}
-    assert ints.polynomial(1 * ints.multiplier(top), UNIVERSE_QT, rows) == in_qt(top)
-    for past in ({(2, 0): 1}, {(1, 3): -1}, {(0, 0): 1, (5, 1): 7}):
-        with pytest.raises(InternalConsistencyError, match="outgrew"):
-            ints.polynomial(1 * ints.multiplier(past), UNIVERSE_QT, rows)
-
-
 def test_a_multiplier_by_shifts_is_the_product():
     # Repeated and mixed coefficients, and a zero value.
-    ints = PeelInts(12, 10 ** 6)
     rows = [(0, j) for j in range(4)]
+    ints = PeelInts(len(rows), 10 ** 6)
     f = {(0, 0): 3, (0, 4): 3, (1, 2): -1, (2, 0): 1, (0, 9): -2}
     g = {(0, 1): 5, (1, 0): -7}
     value = 1 * ints.multiplier(g) * ints.multiplier(f)
@@ -195,17 +183,24 @@ def test_a_multiplier_by_shifts_is_the_product():
     assert 0 * ints.multiplier(f) == 0
 
 
-@pytest.mark.parametrize("span", [0, -20])
-def test_a_span_below_one_raises(span):
-    # A span below one holds no power of q; below 1 - (the top row's
-    # degree) it once sized the read-back by a width that never stopped
-    # growing.  (6,5,4,3,2,1) reads N back from rows of t-degree up to 15.
-    with pytest.raises(InternalConsistencyError, match="span"):
-        PeelInts(span, 100)
-    mu = Partition((6, 5, 4, 3, 2, 1))
-    rows = [(0, j) for j in range(16)]
-    with pytest.raises(InternalConsistencyError, match="span"):
-        peel_polynomial(
-            mu, lambda i, total, c: {(c, 0): 1}, lambda s: {(0, 0): 1}, lambda sums: span,
-            UNIVERSE_QT, rows, {},
+def test_a_q_degree_far_past_the_rows_reads_back(read_back):
+    # Nothing bounds the degree in q: a factor 1 - t q^c and a den of
+    # 1 - q^(600 + s) put N's q-degree in the thousands, over at most six
+    # rows in t, and every slot the value holds is read back.
+    for parts in [(3, 2, 1), (4, 4, 1, 1), (5, 3, 3, 2, 1)]:
+        mu = Partition(parts)
+        num, sums = peel_polynomial(
+            mu, lambda i, total, c: {(0, 0): 1, (1, c): -1},
+            lambda s: {(0, 0): 1, (0, 600 + s): -1},
+            UNIVERSE_QT, [(0, j) for j in range(mu.length + 1)], {},
         )
+        one = Polynomial.one(UNIVERSE_QT)
+        t = Polynomial.variable(UNIVERSE_QT, "t")
+        expected, expected_sums = rearrangement_peel(
+            mu,
+            lambda i, total, c: one - t * Polynomial.variable(UNIVERSE_QT, "q", c),
+            lambda s: one_minus_q(UNIVERSE_QT, 600 + s),
+            {},
+        )
+        assert (num, sums) == (one * expected, expected_sums), parts
+        assert max(exps[0] for exps, _ in num.unordered_items()) > 1800
