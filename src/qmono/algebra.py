@@ -310,11 +310,14 @@ class _Shifts(tuple):
 class PeelInts:
     """A peel's values in q and at most one more variable y as Kronecker
     ints (see the module docstring), ``ys`` a strict bound on the degree
-    in y, the R of the flattened index."""
+    in y, the R of the flattened index: the span of slots that one power
+    of q takes."""
 
     __slots__ = ("ys", "size")
 
     def __init__(self, ys: int, bound: int):
+        if ys < 1:
+            raise InternalConsistencyError(f"a Kronecker span of {ys} rows holds no term")
         self.ys, self.size = ys, _slot_size(bound)
 
     def multiplier(self, terms: Mapping[tuple, int]) -> _Shifts:

@@ -7,6 +7,7 @@ import pytest
 from qmono import partitions
 from qmono.acceptance import VERIFY_FAMILIES
 from qmono.algebra import FactoredFraction, PeelInts, Polynomial, geometric_sum
+from qmono.errors import InternalConsistencyError
 from qmono.identities import constant_identity
 from qmono.partitions import Partition, partitions_up_to, peel_polynomial, rearrangement_peel
 from qmono.positivity import UNIVERSE_QT, _check_cap, _homogeneous_quotient, _numerator_and_leftover
@@ -181,6 +182,20 @@ def test_a_multiplier_by_shifts_is_the_product():
     value = 1 * ints.multiplier(g) * ints.multiplier(f)
     assert ints.polynomial(value, UNIVERSE_QT, rows) == in_qt(f) * in_qt(g)
     assert 0 * ints.multiplier(f) == 0
+
+
+@pytest.mark.parametrize("span", [0, -20])
+def test_a_span_below_one_raises(span):
+    # A span below one row holds no term, and would leave the read-back
+    # without a number of powers of q to split the value's slots into.
+    with pytest.raises(InternalConsistencyError, match="span"):
+        PeelInts(span, 100)
+    # A peel read back from no rows at all has a span of zero.
+    mu = Partition((3, 2, 1))
+    with pytest.raises(InternalConsistencyError, match="span"):
+        peel_polynomial(
+            mu, lambda i, total, c: {(0, c): 1}, lambda s: {(0, 0): 1}, UNIVERSE_QT, [], {}
+        )
 
 
 def test_a_q_degree_far_past_the_rows_reads_back(read_back):
