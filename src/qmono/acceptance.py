@@ -21,11 +21,11 @@ from typing import Callable
 from .algebra import FactoredFraction, Polynomial, frac_eq, product
 from .errors import ComparatorError
 from .identities import (
+    CONSTANT_CAP,
     SIDE_CYCLE,
     SIDE_LEFT,
     SIDE_RIGHT,
     SYMMETRIZED_CAP,
-    _CONSTANT_CAP,
     appendix_step,
     constant_identity,
     specialization_chain_check,
@@ -56,6 +56,7 @@ from .positivity import (
 )
 from .specialize import (
     UNIVERSE_ABQ,
+    UNIVERSE_Q,
     UNIVERSE_QT,
     monomial_spec,
     oracle_direct,
@@ -322,7 +323,7 @@ def _thm7(n, memo) -> bool:
 
 
 def _prop5(mu, memo) -> bool:
-    expected = FactoredFraction.constant(("q",), mu.rearrangement_count())
+    expected = FactoredFraction.constant(UNIVERSE_Q, mu.rearrangement_count())
     return frac_eq(constant_identity(mu, "prop5", memo), expected)
 
 
@@ -368,8 +369,8 @@ VERIFY_FAMILIES = {
     "prop6": Family(
         "max_weight", 32, partial(partitions_up_to, max_length=7), _mu_label, _prop6, _one_group
     ),
-    "prop7": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop7),
-    "prop8": Family("n", _CONSTANT_CAP, _sizes, _n_label, _prop8),
+    "prop7": Family("n", CONSTANT_CAP, _sizes, _n_label, _prop7),
+    "prop8": Family("n", CONSTANT_CAP, _sizes, _n_label, _prop8),
     "appendix": Family(
         "n", SYMMETRIZED_CAP, _appendix_instances, _appendix_label, _appendix, _appendix_side
     ),

@@ -349,8 +349,7 @@ class Polynomial:
     coefficients; no zero coefficient is ever stored.  Two polynomials are
     equal iff they share the universe and the term map.  Only this module
     reads ``terms``; :meth:`items` gives the terms with dense exponent
-    tuples, :meth:`unordered_items` the same without the canonical order,
-    and :meth:`coefficients` the coefficients alone, unordered.
+    tuples, and :meth:`coefficients` the coefficients alone, unordered.
     """
 
     __slots__ = ("universe", "terms", "_width", "_degree", "_hash", "_sort_key", "_ints")
@@ -456,12 +455,6 @@ class Polynomial:
         """The (dense exponent tuple, coefficient) pairs in canonical order."""
         n, w = len(self.universe), self._width
         return [(_unpack(k, n, w), self.terms[k]) for k in self._canonical()]
-
-    def unordered_items(self):
-        """The (dense exponent tuple, coefficient) pairs, in no particular
-        order: :meth:`items` without the sort."""
-        n, w = len(self.universe), self._width
-        return [(_unpack(k, n, w), c) for k, c in self.terms.items()]
 
     def coefficients(self):
         """The nonzero coefficients, in no particular order."""

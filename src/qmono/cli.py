@@ -359,8 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=sorted(acceptance.VERIFY_FAMILIES),
     )
-    p.add_argument("--n", type=int, help="largest alphabet/sum size (default 4)")
-    p.add_argument("--max-weight", type=int, help="partition sweep bound (default 9)")
+    sizes = _VERIFY_SIZE_DEFAULTS
+    p.add_argument("--n", type=int, help=f"largest alphabet/sum size (default {sizes['n']})")
+    p.add_argument(
+        "--max-weight", type=int, help=f"partition sweep bound (default {sizes['max_weight']})"
+    )
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(fn=cmd_verify)
 
@@ -371,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("positivity", help="positivity polynomial reports")
-    p.add_argument("--max-weight", type=int, help="partition sweep bound (default 8)")
+    p.add_argument(
+        "--max-weight", type=int, help=f"partition sweep bound (default {POSITIVITY_SWEEP_CAP})"
+    )
     p.add_argument("--mu", default=None, help="single partition instead of a sweep")
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(fn=cmd_positivity)

@@ -46,14 +46,14 @@ from fractions import Fraction
 from .algebra import FactoredFraction, Polynomial, frac_eq, product
 from .errors import ResourceLimitError, UsageError
 from .partitions import Partition, peel_polynomial, rearrangement_peel
-from .specialize import UNIVERSE_ABQ, monomial_spec, one_minus_q_power
+from .specialize import UNIVERSE_ABQ, UNIVERSE_Q, monomial_spec, one_minus_q_power, one_minus_q_terms
 
 # Largest n of the three-way sides (thm6, thm7, appendix): one side at n = 5
 # has 3,383,040 numerator terms and takes minutes and more than a gigabyte.
 SYMMETRIZED_CAP = 4
 # Largest n of the constant symmetrizations prop7 and prop8: with the peel's
 # cancellation, prop7 at n = 7 takes under a second and about 20 MB.
-_CONSTANT_CAP = 7
+CONSTANT_CAP = 7
 
 SIDE_LEFT = "thm6-left"
 SIDE_RIGHT = "thm6-right"
@@ -164,7 +164,7 @@ def _peeled(form: str, X: tuple, Y: tuple) -> FactoredFraction:
 def _symmetrized(form: str, n: int) -> FactoredFraction:
     """The sum at the variables themselves (prop7 is thm6-right at y = 1),
     kept for the life of the process: values are immutable, and the caps
-    admit at most 3 * SYMMETRIZED_CAP + 2 * _CONSTANT_CAP = 26 of them,
+    admit at most 3 * SYMMETRIZED_CAP + 2 * CONSTANT_CAP = 26 of them,
     about 5 MB in all; values at other images are not kept.  The memo sits
     below ``symmetrized_side`` and ``symmetrized_constant``, which still
     check their arguments on every call."""
@@ -198,16 +198,12 @@ def constant_identity(mu: Partition, kind: str, memo: dict) -> FactoredFraction 
     the length l, so calls of one kind may share a memo when they have the
     same length (prop5) or always (littlewood)."""
     if kind == "prop5":
-        uni, length = ("q",), mu.length
-
-        def one_minus_q(s):
-            return {(0, 0): 1, (0, s): -1}
-
+        length = mu.length
         num, sums = peel_polynomial(
-            mu, lambda i, total, c: one_minus_q((length - i + 1) * c), one_minus_q,
-            uni, [(0,)], memo,
+            mu, lambda i, total, c: one_minus_q_terms((length - i + 1) * c), one_minus_q_terms,
+            UNIVERSE_Q, [(0,)], memo,
         )
-        return FactoredFraction(num, [one_minus_q_power(uni, s) for s in sorted(sums)])
+        return FactoredFraction(num, [one_minus_q_power(UNIVERSE_Q, s) for s in sorted(sums)])
     if kind == "littlewood":
         num, sums = rearrangement_peel(mu, lambda i, total, c: 1, int, memo)
         return Fraction(num, math.prod(sums))
@@ -223,7 +219,7 @@ def symmetrized_constant(n: int, kind: str) -> FactoredFraction:
     * "prop8": reciprocal prefix sums; equals prod_i 1/x_i."""
     if kind not in _CONSTANT_KINDS:
         raise UsageError(f"unknown symmetrized constant {kind!r}")
-    _check_size(n, _CONSTANT_CAP)
+    _check_size(n, CONSTANT_CAP)
     return _symmetrized(kind, n)
 
 

@@ -36,7 +36,7 @@ from .algebra import (
 )
 from .errors import ResourceLimitError, UsageError
 from .partitions import Partition, partitions_of, z_of
-from .specialize import UNIVERSE_QT, monomial_spec, one_minus_q_power
+from .specialize import UNIVERSE_QT, one_minus_q_power, spec_value_at
 
 OPERATOR_N_CAP = 3
 # Largest degree n of eigencheck: n = 8 on N = 3 letters takes 0.3-0.5 s and
@@ -194,14 +194,6 @@ class ExpansionTable:
     n: int
     basis: str
     entries: tuple
-
-
-def spec_value_at(mu: Partition, a_value, b_value) -> FactoredFraction:
-    """The monomial specialization with the letters a, b bound to the given
-    values (0, 1, or polynomials in q, t), over the (q, t) universe."""
-    return monomial_spec(mu).value.substitute(
-        {"a": a_value, "b": b_value}, universe=UNIVERSE_QT
-    )
 
 
 def heine_coefficient(k: int) -> FactoredFraction:
@@ -555,13 +547,13 @@ def _deformed_power_table(basis: str, n: int, param: str) -> dict:
 
 
 def _power_table_product(t1: dict, t2: dict) -> dict:
-    out = {}
+    """The product of two power tables, each entry added up in one sum."""
+    products = {}
     for lam1, f1 in t1.items():
         for lam2, f2 in t2.items():
             key = Partition(sorted(lam1.parts + lam2.parts, reverse=True))
-            prod = f1 * f2
-            out[key] = out[key] + prod if key in out else prod
-    return out
+            products.setdefault(key, []).append(f1 * f2)
+    return {key: FactoredFraction.sum(fs) for key, fs in products.items()}
 
 
 def omega_duality_check(mu: Partition) -> bool:

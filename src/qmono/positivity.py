@@ -34,7 +34,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .partitions import Partition, check_peel_cost, peel_polynomial
-from .specialize import UNIVERSE_QT, monomial_spec, one_minus_q_power
+from .specialize import UNIVERSE_Q, UNIVERSE_QT, one_minus_q_power, spec_value_at
 
 # The caps of the peel behind H, and of the degree of P, which bounds the
 # cost of P, of H = N * L and of the identity check (README "Caps").  P's
@@ -42,8 +42,6 @@ from .specialize import UNIVERSE_QT, monomial_spec, one_minus_q_power
 POSITIVITY_STATE_CAP = 64
 POSITIVITY_DEGREE_CAP = 240
 POSITIVITY_P_DEGREE_CAP = 1600
-
-UNIVERSE_Q = ("q",)
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ def inverted_polynomial(H: Polynomial, shift: int) -> Polynomial | None:
     """q^shift * H(q, 1/q) as a polynomial in q, or None when a negative
     exponent survives the shift."""
     terms = {}
-    for (eq, et), c in H.unordered_items():
+    for (eq, et), c in H.items():
         e = eq - et + shift
         if e < 0:
             return None
@@ -159,7 +157,7 @@ def positivity_report(mu: Partition) -> PositivityReport:
     identity = auxiliary = False
     if Nbar is not None and not Nbar.is_zero:
         t = Polynomial.variable(UNIVERSE_QT, "t")
-        lhs = monomial_spec(mu).value.substitute({"a": 1, "b": t}, universe=UNIVERSE_QT)
+        lhs = spec_value_at(mu, 1, t)
         q = [Polynomial.variable(UNIVERSE_QT, "q", i) for i in range(length)]
         num = product([q[i] - t for i in range(length)], UNIVERSE_QT) * mu.rearrangement_count()
         den = [one_minus_q_power(UNIVERSE_QT, i) for i in range(1, length + 1)]

@@ -38,6 +38,7 @@ from .partitions import (
 
 UNIVERSE_ABQ = ("a", "b", "q")
 UNIVERSE_QT = ("q", "t")
+UNIVERSE_Q = ("q",)
 
 FORM_THEOREM1 = "theorem1"
 FORM_THEOREM3 = "theorem3"
@@ -68,6 +69,11 @@ def one_minus_q_power(universe: tuple, s: int) -> Polynomial:
     return Polynomial.one(universe) - Polynomial.variable(universe, "q", s)
 
 
+def one_minus_q_terms(s: int) -> dict:
+    """1 - q^s as a ``peel_polynomial`` term map, {(j, k): c} for c y^j q^k."""
+    return {(0, 0): 1, (0, s): -1}
+
+
 def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
     """The monomial symmetric function of shape mu on (a - b)/(1 - q), as a
     single fraction over the common denominator, summed by the rearrangement
@@ -86,11 +92,19 @@ def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
         return {(0, e): 1, (c, 0): -1}
 
     num, sums = peel_polynomial(
-        mu, factor, lambda s: {(0, 0): 1, (0, s): -1}, UNIVERSE_ABQ,
+        mu, factor, one_minus_q_terms, UNIVERSE_ABQ,
         [(weight - j, j, 0) for j in range(weight + 1)], {},
     )
     value = FactoredFraction(num, [one_minus_q_power(UNIVERSE_ABQ, s) for s in sorted(sums)])
     return SpecResult(mu, value, form)
+
+
+def spec_value_at(mu: Partition, a_value, b_value) -> FactoredFraction:
+    """The monomial specialization with the letters a, b bound to the given
+    values (0, 1, or polynomials in q, t), over the (q, t) universe."""
+    return monomial_spec(mu).value.substitute(
+        {"a": a_value, "b": b_value}, universe=UNIVERSE_QT
+    )
 
 
 def oracle_powersum(mu: Partition) -> SpecResult:
@@ -125,16 +139,16 @@ def oracle_powersum(mu: Partition) -> SpecResult:
 
 def oracle_direct(mu: Partition, N: int) -> SpecResult:
     """Independent oracle: evaluate the monomial function on the explicit
-    alphabet {1, q, ..., q^(N-1)} as a polynomial in q (empty denominator).
-    It enumerates all N! orderings, so N is capped like the other
-    symmetric-group sums."""
+    alphabet {1, q, ..., q^(N-1)} as a polynomial in q (empty denominator),
+    built once from the count of distinct arrangements per power of q.  It
+    enumerates all N! orderings, so N is capped like the other symmetric-group
+    sums."""
     if N < mu.length:
         raise UsageError("alphabet size must be at least the partition length")
     check_permutation_cap(N, "alphabet size")
     padded = tuple(mu.parts) + (0,) * (N - mu.length)
-    total = Polynomial.zero(UNIVERSE_ABQ)
     # Small N only; set-dedup of full permutations is plenty here.
-    for exps in sorted(set(itertools.permutations(padded))):
-        power = sum(i * e for i, e in enumerate(exps))
-        total = total + Polynomial.variable(UNIVERSE_ABQ, "q", power)
+    arrangements = set(itertools.permutations(padded))
+    powers = Counter(sum(i * e for i, e in enumerate(exps)) for exps in arrangements)
+    total = Polynomial(UNIVERSE_ABQ, {(0, 0, p): c for p, c in powers.items()})
     return SpecResult(mu, FactoredFraction(total), FORM_ORACLE_DIRECT)

@@ -38,17 +38,6 @@ def run(capsys, *argv):
 
 
 @pytest.fixture
-def cold_memos():
-    """Empty the kept three-way sides and appendix verdicts before and after
-    the test, as in a fresh process, so no test sees another's values."""
-    identities._symmetrized.cache_clear()
-    identities._verdicts.clear()
-    yield
-    identities._symmetrized.cache_clear()
-    identities._verdicts.clear()
-
-
-@pytest.fixture
 def fake_pool(monkeypatch):
     """Put an in-process stand-in for ``multiprocessing.Pool`` in its place,
     one that runs the chunks it is sent in reverse.  Returns its record: the

@@ -110,9 +110,7 @@ class TestSymmetrizedSides:
         assert frac_eq(left, displayed[SIDE_CYCLE])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_peeled_assembly_matches_enumeration(self, n):
-        identities._symmetrized.cache_clear()
-        identities._verdicts.clear()
+    def test_peeled_assembly_matches_enumeration(self, n, cold_memos):
         for side in SIDES:
             assert frac_eq(symmetrized_side(n, side), symmetrized_enumerated(n, side))
 
@@ -231,9 +229,7 @@ class TestSymmetrizedConstants:
         assert frac_eq(got, FactoredFraction(Polynomial.one(uni), [x1, x2]))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_peeled_matches_enumeration(self, n):
-        identities._symmetrized.cache_clear()
-        identities._verdicts.clear()
+    def test_peeled_matches_enumeration(self, n, cold_memos):
         for kind in ("prop7", "prop8"):
             assert frac_eq(
                 symmetrized_constant(n, kind),

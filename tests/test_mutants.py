@@ -19,6 +19,9 @@ from qmono.specialize import UNIVERSE_QT
 Q = Polynomial.variable(UNIVERSE_QT, "q")
 T = Polynomial.variable(UNIVERSE_QT, "t")
 CONTROL = "comparator control"
+# No side kept from an earlier run hides a mutant, and no mutated side
+# outlives its row.
+pytestmark = pytest.mark.usefixtures("cold_memos")
 
 
 def doubled(f):
@@ -173,18 +176,6 @@ def rebind(monkeypatch, original, replacement):
         for attr, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, attr, replacement)
-
-
-@pytest.fixture(autouse=True)
-def fresh_sides():
-    """No side kept from an earlier run hides a mutant, and no mutated side
-    outlives its row."""
-    cached = identities._symmetrized
-    cached.cache_clear()
-    identities._verdicts.clear()
-    yield
-    cached.cache_clear()
-    identities._verdicts.clear()
 
 
 def rejects(killer) -> bool:

@@ -14,6 +14,7 @@ from qmono.partitions import (
     subset_sum_counts,
     z_of,
 )
+from test_acceptance import SWEEP_INSTANCES
 
 
 def subset_part_sums(mu: Partition) -> list:
@@ -82,7 +83,7 @@ class TestEnumeration:
         ]
 
     def test_length_bound_builds_only_what_it_returns(self, monkeypatch):
-        # prop6's sweep at its cap keeps 16,456 partitions of length <= 7;
+        # prop6's sweep at its cap keeps the partitions of length <= 7;
         # listing every partition of each weight and filtering built 43,819.
         built = []
         init = Partition.__init__
@@ -93,7 +94,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(Partition, "__init__", counting_init)
         kept = partitions_up_to(32, 7)
-        assert len(kept) == len(built) == 16456
+        assert len(kept) == len(built) == SWEEP_INSTANCES["prop6"]
 
 
 class TestSubsetSumCounts:

@@ -10,8 +10,8 @@ from qmono.algebra import FactoredFraction, PeelInts, Polynomial, geometric_sum
 from qmono.errors import InternalConsistencyError
 from qmono.identities import constant_identity
 from qmono.partitions import Partition, partitions_up_to, peel_polynomial, rearrangement_peel
-from qmono.positivity import UNIVERSE_QT, _check_cap, _homogeneous_quotient, _numerator_and_leftover
-from qmono.specialize import UNIVERSE_ABQ, monomial_spec
+from qmono.positivity import _check_cap, _homogeneous_quotient, _numerator_and_leftover
+from qmono.specialize import UNIVERSE_ABQ, UNIVERSE_Q, UNIVERSE_QT, monomial_spec
 
 # The slowest inputs the closed-form and positivity caps admit.
 CLOSED_FORM_EDGES = [
@@ -20,7 +20,6 @@ CLOSED_FORM_EDGES = [
     ((17, 5, 3, 2, 2, 2, 1, 1, 1), "theorem3"),
 ]
 POSITIVITY_EDGES = [(18, 2, 2, 1, 1, 1, 1), (6, 5, 3, 2, 2, 2, 1), (6, 5, 4, 3, 2, 1)]
-UNIVERSE_Q = ("q",)
 
 
 def one_minus_q(universe, s):
@@ -218,4 +217,4 @@ def test_a_q_degree_far_past_the_rows_reads_back(read_back):
             {},
         )
         assert (num, sums) == (one * expected, expected_sums), parts
-        assert max(exps[0] for exps, _ in num.unordered_items()) > 1800
+        assert max(exps[0] for exps, _ in num.items()) > 1800

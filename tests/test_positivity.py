@@ -7,14 +7,12 @@ from qmono.algebra import FactoredFraction, Polynomial, frac_eq, geometric_sum, 
 from qmono.errors import NotApplicableError, ResourceLimitError
 from qmono.partitions import Partition, partitions_of, partitions_up_to, subset_sum_counts
 from qmono.positivity import (
-    UNIVERSE_Q,
-    UNIVERSE_QT,
     inverted_polynomial,
     positivity_polynomial,
     positivity_report,
     two_row_closed_form,
 )
-from qmono.specialize import monomial_spec
+from qmono.specialize import UNIVERSE_Q, UNIVERSE_QT, monomial_spec
 
 
 def qt(terms):

@@ -29,9 +29,8 @@ def test_the_package_sources_are_found():
 )
 def test_only_the_kernel_reads_the_term_map(path):
     # Polynomial.terms is keyed by packed monomials; every other module
-    # reads a polynomial's terms through Polynomial.items() or
-    # Polynomial.unordered_items(), or its coefficients alone through
-    # Polynomial.coefficients().
+    # reads a polynomial's terms through Polynomial.items(), or its
+    # coefficients alone through Polynomial.coefficients().
     tree = ast.parse(path.read_text(), filename=str(path))
     reads = [
         node.lineno

@@ -323,7 +323,7 @@ class TestProperties:
     @pytest.mark.parametrize("w", range(1, 6))
     def test_evaluation_agreement(self, w):
         for mu in partitions_up_to(w):
-            for N in range(mu.length, 5):
+            for N in range(mu.length, PERMUTATION_CAP + 1):
                 got = monomial_spec(mu).value.substitute({"a": 1, "b": Q ** N})
                 assert frac_eq(got, oracle_direct(mu, N).value), (mu, N)
 
