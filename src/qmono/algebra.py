@@ -46,12 +46,12 @@ three cap-edge inputs (Python 3.11, 2 vCPU): from 4 to 32 per row pair and 1
 to 4 per slot the total moved by about 2%, and was lowest at 3 per slot.
 Every other product goes term pair by term pair through :func:`_mul_terms`.
 
-A rearrangement peel runs on Kronecker ints too, through :class:`PeelInts`,
-which ``partitions.peel_polynomial`` alone builds and sizes: c y^j q^k is
-c X^(k R + j), R a strict bound on the degree in the other variable y, each
-factor of few terms multiplies by shifts, and the value is read back once,
-by the rows' slot reader, from as many slots as it holds.  With q outermost
-the degree in q needs no bound.
+A peel over sub-multisets runs on Kronecker ints too, through
+:class:`PeelInts`, which ``partitions.peel_polynomial`` alone builds and
+sizes: c y^j q^k is c X^(k R + j), R a strict bound on the degree in the
+other variable y, each factor of few terms multiplies by shifts, and the
+value is read back once, by the rows' slot reader, from as many slots as it
+holds.  With q outermost the degree in q needs no bound.
 
 Most operations of a command are on small operands, which take short paths.
 A monomial packs its one key directly, the text reads each exponent by a
@@ -86,6 +86,7 @@ function, so values can be shared freely between threads.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import sys
 from fractions import Fraction
@@ -307,6 +308,14 @@ class _Shifts(tuple):
         return total
 
 
+@functools.lru_cache(maxsize=256)
+def _packed_rows(rows: tuple, w: int) -> tuple:
+    """The keys of a peel's read-back rows at width w.  A caller reads back
+    at the same few rows call after call (the closed forms and the power-sum
+    oracle at one row per degree in b), so the keys are packed once."""
+    return tuple(_pack(row, w) for row in rows)
+
+
 class PeelInts:
     """A peel's values in q and at most one more variable y as Kronecker
     ints (see the module docstring), ``ys`` a strict bound on the degree
@@ -336,7 +345,7 @@ class PeelInts:
         blocks = (slots - 1) // self.ys + 1
         w = _width_for(max(map(sum, rows)) + blocks - 1)
         step = (1 << (n * w)) + (1 << (w * (n - 1 - at)))  # q^k adds k * step
-        packed = [_pack(row, w) for row in rows]
+        packed = _packed_rows(tuple(rows), w)
         keys = (r + k for k in range(0, blocks * step, step) for r in packed)
         terms = _read(value, slots, self.size, keys)
         return Polynomial._narrowest(universe, terms, w, True)

@@ -200,7 +200,8 @@ def constant_identity(mu: Partition, kind: str, memo: dict) -> FactoredFraction 
     if kind == "prop5":
         length = mu.length
         num, sums = peel_polynomial(
-            mu, lambda i, total, c: one_minus_q_terms((length - i + 1) * c), one_minus_q_terms,
+            mu, rearrangement_peel,
+            lambda i, total, c: one_minus_q_terms((length - i + 1) * c), one_minus_q_terms,
             UNIVERSE_Q, [(0,)], memo,
         )
         return FactoredFraction(num, [one_minus_q_power(UNIVERSE_Q, s) for s in sorted(sums)])

@@ -1,12 +1,14 @@
 """Partition combinatorics: enumeration, optionally bounded in length,
 multiplicities, the centralizer size z, the distinct rearrangements of the
-parts, the subset part sums counted without listing the subsets, the
-sub-multiset peel that sums over the rearrangements without listing them
-(on ints, or on Kronecker ints read back as a polynomial), and the cycle
-decompositions of the full symmetric group.  Only the symmetric-group
-enumerations grow with length!, and they share one cap, PERMUTATION_CAP.  A
-length bound on partitions prunes the enumeration itself, so it builds only
-the partitions it returns.
+parts, the subset part sums counted without listing the subsets, two peels
+over sub-multisets, one over the rearrangements and one over the set
+partitions of the positions, each summing without listing (on ints, or on
+Kronecker ints read back as a polynomial), and the cycle decompositions of
+the full symmetric group.  Only the symmetric-group enumerations grow with
+length!, and they share one cap, PERMUTATION_CAP; they are the literal
+references of criterion 5 and of the tests, and every other sum over them
+goes through a peel.  A length bound on partitions prunes the enumeration
+itself, so it builds only the partitions it returns.
 
 Enumeration orders are deterministic: reverse-lexicographic for partitions,
 lexicographic for rearrangements and permutations.
@@ -208,9 +210,70 @@ def rearrangement_peel(mu: Partition, factor, den, memo: dict):
     return state(mu.parts)
 
 
-def peel_polynomial(mu: Partition, factor, den, universe, rows: list, memo: dict):
-    """(N, D) of :func:`rearrangement_peel`, N read back as a polynomial over
-    ``universe``.  ``factor(i, total, c)`` and ``den(s)`` return term maps
+def _sub_multisets(parts: tuple) -> list:
+    """(rest, size, total, ways) for each sub-multiset E of the weakly
+    decreasing ``parts``: the parts left once E is taken, E's length and
+    sum, and the number of sets of positions whose parts make up E,
+    prod over distinct v of binom(m_v, e_v)."""
+    out = [((), 0, 0, 1)]
+    for v in dict.fromkeys(parts):
+        m = parts.count(v)
+        out = [
+            (rest + (v,) * (m - e), size + e, total + v * e, ways * math.comb(m, e))
+            for rest, size, total, ways in out
+            for e in range(m + 1)
+        ]
+    return out
+
+
+def block_peel(mu: Partition, block, den, memo: dict):
+    """The sum over the set partitions of mu's positions of the product over
+    blocks B of block(|B|, s_B) / den(s_B), s_B the sum of B's parts, as
+    (N, D): sum = N / prod_s den(s)^D[s], D = {s: multiplicity} the lcm of
+    the terms' denominators.
+
+    The block holding one largest part c of a sub-multiset M takes along a
+    sub-multiset E of the rest, in ways(E) sets of positions, so N(M) = sum
+    over E of ways(E) * N(M - c - E) * block(|E| + 1, c + sum E), lifted by
+    the den(s) that D(M) holds more often than D(M - c - E) + {c + sum E}.
+    The states, mu and the sub-multisets of mu less one largest part, are
+    at most prod(m_i + 1), and ``memo`` keeps them and the den values as
+    :func:`rearrangement_peel` does, whose contract on values holds too.
+    The ways are positive ints, so a peel on l1 norms still bounds N."""
+    memo.setdefault((), (1, {}))
+
+    def den_of(s: int):
+        if s not in memo:
+            memo[s] = den(s)
+        return memo[s]
+
+    def state(parts: tuple):
+        if parts not in memo:
+            c, steps, lcm = parts[0], [], {}
+            for rest, size, total, ways in _sub_multisets(parts[1:]):
+                num, sums = state(rest)
+                s = c + total
+                have = {**sums, s: sums.get(s, 0) + 1}
+                for t, m in have.items():
+                    if lcm.get(t, 0) < m:
+                        lcm[t] = m
+                steps.append((num * ways * block(size + 1, s), have))
+            num = 0
+            for term, have in steps:
+                for t, m in lcm.items():
+                    for _ in range(m - have.get(t, 0)):
+                        term = term * den_of(t)
+                num = num + term
+            memo[parts] = (num, lcm)
+        return memo[parts]
+
+    return state(mu.parts)
+
+
+def peel_polynomial(mu: Partition, walker, step, den, universe, rows: list, memo: dict):
+    """(N, D) of the peel ``walker`` (:func:`rearrangement_peel` or
+    :func:`block_peel`), N read back as a polynomial over ``universe``.
+    ``step`` (the walker's factor or block) and ``den(s)`` return term maps
     {(j, k): c}, one entry per term c y^j q^k, y one more variable whose
     degree in every state is below ``len(rows)``.
 
@@ -223,9 +286,7 @@ def peel_polynomial(mu: Partition, factor, den, universe, rows: list, memo: dict
     depend on ``len(rows)``, so calls that share a memo share ``rows``."""
 
     def peel(lift, states: dict):
-        return rearrangement_peel(
-            mu, lambda i, total, c: lift(factor(i, total, c)), lambda s: lift(den(s)), states
-        )
+        return walker(mu, lambda *args: lift(step(*args)), lambda s: lift(den(s)), states)
 
     bound, sums = peel(lambda terms: sum(map(abs, terms.values())), memo.setdefault("l1", {}))
     ints = PeelInts(len(rows), bound)
@@ -262,7 +323,8 @@ def _cycles_of(mapping: tuple) -> tuple:
 
 def permutations_with_cycles(n: int) -> list:
     """The cycles of each of the n! permutations of {1..n}, one tuple of
-    cycles per permutation, the permutations in lexicographic order."""
+    cycles per permutation, the permutations in lexicographic order: the
+    literal reference for :func:`block_peel`'s power-sum oracle."""
     if n < 0:
         raise UsageError("n must be non-negative")
     check_permutation_cap(n, "permutation degree")

@@ -33,7 +33,7 @@ from .errors import (
     NotApplicableError,
     ResourceLimitError,
 )
-from .partitions import Partition, check_peel_cost, peel_polynomial
+from .partitions import Partition, check_peel_cost, peel_polynomial, rearrangement_peel
 from .specialize import UNIVERSE_Q, UNIVERSE_QT, one_minus_q_power, spec_value_at
 
 # The caps of the peel behind H, and of the degree of P, which bounds the
@@ -105,7 +105,8 @@ def _numerator_and_leftover(mu: Partition, pool: dict) -> tuple:
     The peel runs in t and q, N of t-degree at most |mu| - l."""
     length, weight = mu.length, mu.weight
     num, sums = peel_polynomial(
-        mu, lambda i, total, c: {(c - 1 - j, (length - i) * j): 1 for j in range(c)},
+        mu, rearrangement_peel,
+        lambda i, total, c: {(c - 1 - j, (length - i) * j): 1 for j in range(c)},
         lambda s: {(0, k): 1 for k in range(s)}, UNIVERSE_QT,
         [(0, j) for j in range(weight - length + 1)], {},
     )

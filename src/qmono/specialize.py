@@ -16,24 +16,25 @@ distinct subset part sum s; the peel's states and that denominator's degree
 are capped, and checked before any work.
 
 The power-sum oracle (``oracle_powersum``) expands the monomial function
-over symmetric-group cycle decompositions: it enumerates every permutation
-but builds one fraction per multiset of cycle sums.  The direct oracle
-(``oracle_direct``) evaluates on the explicit finite alphabet
-{1, q, ..., q^(N-1)}.  Both are independent of the closed forms.
+over the set partitions of its positions, each block weighted by the Moebius
+function of the partition lattice, and sums it by the block peel over the
+same sub-multisets.  The direct oracle (``oracle_direct``) evaluates on the
+explicit finite alphabet {1, q, ..., q^(N-1)}, letter by letter.  Both are
+independent of the closed forms.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-from collections import Counter
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import FactoredFraction, Polynomial, product
+from .algebra import FactoredFraction, Polynomial
 from .errors import UsageError
 from .partitions import (
-    Partition, check_peel_cost, check_permutation_cap, peel_polynomial, permutations_with_cycles
+    Partition, block_peel, check_peel_cost, check_permutation_cap, peel_polynomial,
+    rearrangement_peel,
 )
 
 UNIVERSE_ABQ = ("a", "b", "q")
@@ -46,9 +47,10 @@ FORM_ORACLE_POWERSUM = "oracle-powersum"
 FORM_ORACLE_DIRECT = "oracle-direct"
 
 # The peel's cost follows its states and its denominator degree, so the closed
-# forms cap both; the power-sum oracle obeys both caps and enumerates length!
-# permutations, so it also caps the length (README "Caps" has the cap-edge
-# runs).
+# forms cap both.  The power-sum oracle's block peel obeys both and keeps the
+# permutation cap on its length: its denominator holds 1 - q^s once per
+# disjoint block of sum s, far above the closed forms' degree, and (1^34)
+# took 5-7 s without the cap (README "Caps" has the cap-edge runs).
 PEEL_STATE_CAP = 128
 PEEL_DEGREE_CAP = 600
 
@@ -74,6 +76,11 @@ def one_minus_q_terms(s: int) -> dict:
     return {(0, 0): 1, (0, s): -1}
 
 
+def _ab_rows(weight: int) -> list:
+    """The read-back rows a^(weight - j) b^j of a numerator of that degree."""
+    return [(weight - j, j, 0) for j in range(weight + 1)]
+
+
 def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
     """The monomial symmetric function of shape mu on (a - b)/(1 - q), as a
     single fraction over the common denominator, summed by the rearrangement
@@ -85,15 +92,14 @@ def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
     if form not in (FORM_THEOREM1, FORM_THEOREM3):
         raise UsageError(f"unknown form {form!r}")
     check_peel_cost(mu, PEEL_STATE_CAP, PEEL_DEGREE_CAP, "closed-form")
-    length, weight = mu.length, mu.weight
+    length = mu.length
 
     def factor(i, total, c):
         e = total - c if form == FORM_THEOREM1 else (length - i) * c
         return {(0, e): 1, (c, 0): -1}
 
     num, sums = peel_polynomial(
-        mu, factor, one_minus_q_terms, UNIVERSE_ABQ,
-        [(weight - j, j, 0) for j in range(weight + 1)], {},
+        mu, rearrangement_peel, factor, one_minus_q_terms, UNIVERSE_ABQ, _ab_rows(mu.weight), {}
     )
     value = FactoredFraction(num, [one_minus_q_power(UNIVERSE_ABQ, s) for s in sorted(sums)])
     return SpecResult(mu, value, form)
@@ -108,47 +114,70 @@ def spec_value_at(mu: Partition, a_value, b_value) -> FactoredFraction:
 
 
 def oracle_powersum(mu: Partition) -> SpecResult:
-    """Independent oracle: expand the monomial function over the cycle
-    decompositions of the symmetric group on its positions.
+    """Independent oracle: expand the monomial function over the set
+    partitions of its positions (Doubilet, Stud. Appl. Math. 51, 1972).
 
-    (1 / prod m_i!) * sum over permutations of (-1)^(length - #cycles)
-    * product over cycles of (a^s - b^s)/(1 - q^s), where s is the sum of
-    the parts whose positions the cycle contains.  The summand depends only
-    on the multiset of cycle sums, which also fixes the number of cycles, so
-    the permutations are counted per multiset and each multiset adds one
-    fraction, with numerator +-count * prod(a^s - b^s).  Capped like the
-    closed forms and to the permutation cap, all before any permutation is
-    listed."""
+    (1 / prod m_i!) * sum over set partitions of the product over blocks B
+    of (-1)^(|B| - 1) (|B| - 1)! (a^s - b^s)/(1 - q^s), s the sum of the
+    parts at B's positions: the sum over permutations of their signed
+    cycle products, a block holding (|B| - 1)! cycles.  The block peel sums
+    it over the sub-multisets of the parts.  The sign and (|B| - 1)! sit in
+    the block's term map: the peel's own multipliers are positive ints, so
+    its l1 pass bounds N.  The denominator is the lcm of the blocks'
+    1 - q^s.  Capped like the closed forms and to the permutation cap, all
+    before any work."""
     check_peel_cost(mu, PEEL_STATE_CAP, PEEL_DEGREE_CAP, "closed-form")
     check_permutation_cap(mu.length, "partition length")
-    length = mu.length
-    parts = mu.parts
-    counts = Counter(
-        tuple(sorted(sum(parts[j - 1] for j in cyc) for cyc in cycles))
-        for cycles in permutations_with_cycles(length)
+
+    def block(k, s):
+        c = (-1) ** (k - 1) * math.factorial(k - 1)
+        return {(0, 0): c, (s, 0): -c}
+
+    num, sums = peel_polynomial(
+        mu, block_peel, block, one_minus_q_terms, UNIVERSE_ABQ, _ab_rows(mu.weight), {}
     )
-    terms = []
-    for sums, count in counts.items():
-        factors = [Polynomial(UNIVERSE_ABQ, {(s, 0, 0): 1, (0, s, 0): -1}) for s in sums]
-        num = product(factors, UNIVERSE_ABQ) * ((-1) ** (length - len(sums)) * count)
-        terms.append(FactoredFraction(num, [one_minus_q_power(UNIVERSE_ABQ, s) for s in sums]))
-    total = FactoredFraction.sum(terms, universe=UNIVERSE_ABQ)
-    total = total * Fraction(1, mu.repetition_factor())
-    return SpecResult(mu, total, FORM_ORACLE_POWERSUM)
+    repeats = mu.repetition_factor()
+    if repeats > 1:
+        num = num * Fraction(1, repeats)
+    dens = [(one_minus_q_power(UNIVERSE_ABQ, s), m) for s, m in sums.items()]
+    return SpecResult(mu, FactoredFraction(num, dens), FORM_ORACLE_POWERSUM)
 
 
 def oracle_direct(mu: Partition, N: int) -> SpecResult:
     """Independent oracle: evaluate the monomial function on the explicit
-    alphabet {1, q, ..., q^(N-1)} as a polynomial in q (empty denominator),
-    built once from the count of distinct arrangements per power of q.  It
-    enumerates all N! orderings, so N is capped like the other symmetric-group
-    sums."""
+    alphabet {1, q, ..., q^(N-1)} as a polynomial in q (empty denominator).
+
+    Letter i holds one of the distinct parts c left, adding i * c to the
+    power of q, or 0 while letters outnumber parts: a DP over the letters
+    counts the distinct arrangements per power, one layer of {parts left:
+    {power: count}} per letter.  N keeps the permutation cap."""
     if N < mu.length:
         raise UsageError("alphabet size must be at least the partition length")
     check_permutation_cap(N, "alphabet size")
-    padded = tuple(mu.parts) + (0,) * (N - mu.length)
-    # Small N only; set-dedup of full permutations is plenty here.
-    arrangements = set(itertools.permutations(padded))
-    powers = Counter(sum(i * e for i, e in enumerate(exps)) for exps in arrangements)
-    total = Polynomial(UNIVERSE_ABQ, {(0, 0, p): c for p, c in powers.items()})
+    layer = {mu.parts: {0: 1}}
+    for i in range(N):
+        after = {}
+        for parts, counts in layer.items():
+            for at, c in enumerate(parts):
+                if at and c == parts[at - 1]:
+                    continue
+                rest, shift = parts[:at] + parts[at + 1:], i * c
+                out = after.get(rest)
+                if out is None:
+                    after[rest] = {p + shift: n for p, n in counts.items()}
+                    continue
+                for p, n in counts.items():
+                    out[p + shift] = out.get(p + shift, 0) + n
+            if N - i > len(parts):
+                # Letter i holds 0.  The counts pass on as they are: this
+                # layer has read them, and only the next one adds to them.
+                out = after.get(parts)
+                if out is None:
+                    after[parts] = counts
+                    continue
+                for p, n in counts.items():
+                    out[p] = out.get(p, 0) + n
+        layer = after
+    counts = layer[()]
+    total = Polynomial(UNIVERSE_ABQ, {(0, 0, p): c for p, c in counts.items()})
     return SpecResult(mu, FactoredFraction(total), FORM_ORACLE_DIRECT)

@@ -194,11 +194,11 @@ class TestSpecializeCommand:
     def test_resource_cap_exit_code(self, capsys, monkeypatch):
         # (1^35), whose denominator degree 630 is over the degree cap, and
         # five distinct parts of degree 6,315: refused before any work.  The
-        # power-sum oracle also refuses (1^9), longer than its permutation
-        # cap.  (1^34), of degree 595, is admitted.
+        # power-sum oracle, which peels through the same function, also
+        # refuses (1^9), longer than its permutation cap.  (1^34), of degree
+        # 595, is admitted.
         calls = []
         monkeypatch.setattr(specialize, "peel_polynomial", lambda mu, *a: calls.append(mu))
-        monkeypatch.setattr(specialize, "permutations_with_cycles", lambda n: calls.append(n))
         for form in ("theorem1", "theorem3", "oracle-powersum"):
             for mu in (",".join(["1"] * 35), "97,89,83,79,73"):
                 code, out, err = run(capsys, "specialize", "--mu", mu, "--form", form)
@@ -227,9 +227,8 @@ class TestSpecializeCommand:
         assert out == ""
         assert "cap" in err
         assert calls == []
-        # The power-sum oracle obeys the same state cap, before it
-        # enumerates any permutation.
-        monkeypatch.setattr(specialize, "permutations_with_cycles", lambda n: calls.append(n))
+        # The power-sum oracle obeys the same state cap, before its block
+        # peel starts.
         code, out, err = run(
             capsys, "specialize", "--mu", "7,6,5,4,3,2,1,1", "--form", "oracle-powersum"
         )

@@ -101,9 +101,15 @@ def rows_one_short(f):
     """peel_polynomial reading back from its rows less the last; a list of
     one row stays whole, as none would be left to read from.  The slots are
     laid out by the row count, so a short list misreads instead of raising."""
-    def peel(mu, factor, den, universe, rows, memo):
-        return f(mu, factor, den, universe, rows[:-1] or rows, memo)
+    def peel(mu, walker, step, den, universe, rows, memo):
+        return f(mu, walker, step, den, universe, rows[:-1] or rows, memo)
     return peel
+
+
+def ways_dropped(f):
+    """_sub_multisets with every sub-multiset counted once, as if it came from
+    one set of positions: the block peel without its binomials."""
+    return lambda parts: [(rest, size, total, 1) for rest, size, total, _ in f(parts)]
 
 
 def prop5_shared_across_lengths(families):
@@ -158,8 +164,13 @@ MUTANTS = {
     ),
     "closed forms x2": ("specialize", "monomial_spec", value_doubled, (2, 3, 4)),
     "rearrangement_peel numerator x2": ("partitions", "rearrangement_peel", numerator_doubled, (7, 2)),
-    # Both closed forms share the peel, so criterion 1 cannot see this one.
-    "peel_polynomial rows one short": ("partitions", "peel_polynomial", rows_one_short, (2, 9)),
+    # Both closed forms and the power-sum oracle share the peel's codec, and
+    # misread alike, so neither criterion 1 nor 2 sees this one; criterion
+    # 3's direct oracle counts arrangements without it.
+    "peel_polynomial rows one short": ("partitions", "peel_polynomial", rows_one_short, (3, 9)),
+    "block_peel binomial multiplicity dropped": (
+        "partitions", "_sub_multisets", ways_dropped, (2,)
+    ),
     "littlewood value x2": ("identities", "constant_identity", littlewood_doubled, (7,)),
     "prop5 memo shared across lengths": (
         "acceptance", "VERIFY_FAMILIES", prop5_shared_across_lengths, (7,)

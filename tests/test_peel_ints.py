@@ -193,7 +193,8 @@ def test_a_span_below_one_raises(span):
     mu = Partition((3, 2, 1))
     with pytest.raises(InternalConsistencyError, match="span"):
         peel_polynomial(
-            mu, lambda i, total, c: {(0, c): 1}, lambda s: {(0, 0): 1}, UNIVERSE_QT, [], {}
+            mu, rearrangement_peel, lambda i, total, c: {(0, c): 1}, lambda s: {(0, 0): 1},
+            UNIVERSE_QT, [], {},
         )
 
 
@@ -204,7 +205,7 @@ def test_a_q_degree_far_past_the_rows_reads_back(read_back):
     for parts in [(3, 2, 1), (4, 4, 1, 1), (5, 3, 3, 2, 1)]:
         mu = Partition(parts)
         num, sums = peel_polynomial(
-            mu, lambda i, total, c: {(0, 0): 1, (1, c): -1},
+            mu, rearrangement_peel, lambda i, total, c: {(0, 0): 1, (1, c): -1},
             lambda s: {(0, 0): 1, (0, 600 + s): -1},
             UNIVERSE_QT, [(0, j) for j in range(mu.length + 1)], {},
         )

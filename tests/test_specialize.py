@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,17 @@ def literal_oracle_powersum(mu: Partition) -> FactoredFraction:
         terms.append(FactoredFraction(num, den))
     total = FactoredFraction.sum(terms, universe=UNIVERSE_ABQ)
     return total * Fraction(1, mu.repetition_factor())
+
+
+def literal_oracle_direct(mu: Partition, N: int) -> FactoredFraction:
+    """m_mu(1, q, ..., q^(N-1)) from the list of the distinct arrangements
+    of mu's parts padded with zeros to N letters: the literal reference for
+    ``oracle_direct``, which counts them letter by letter."""
+    padded = mu.parts + (0,) * (N - mu.length)
+    total = Polynomial.zero(UNIVERSE_ABQ)
+    for exps in set(itertools.permutations(padded)):
+        total = total + Q ** sum(i * e for i, e in enumerate(exps))
+    return FactoredFraction(total)
 
 
 class TestPrefixForm:
@@ -228,11 +240,14 @@ class TestOracles:
 
     def test_permutation_cap(self, monkeypatch):
         # The oracle obeys the closed forms' caps, on the peel's states and
-        # its denominator degree, and the permutation cap, all before
-        # enumerating a permutation; six distinct parts, 720 rearrangements,
-        # pass them all.
+        # its denominator degree, and the permutation cap, all before its
+        # block peel starts; six distinct parts, 720 rearrangements, pass
+        # them all.
         calls = []
-        monkeypatch.setattr(specialize, "permutations_with_cycles", lambda n: calls.append(n) or [])
+        peel = specialize.peel_polynomial
+        monkeypatch.setattr(
+            specialize, "peel_polynomial", lambda mu, *a: calls.append(mu.length) or peel(mu, *a)
+        )
         oracle_powersum(Partition((13, 11, 7, 5, 3)))
         oracle_powersum(Partition((6, 5, 4, 3, 2, 1)))
         assert calls == [5, 6]
@@ -260,22 +275,34 @@ class TestOracles:
         assert frac_eq(oracle_powersum(mu).value, monomial_spec(mu).value)
 
     @pytest.mark.parametrize(
-        "parts, distinct", [((1,) * 6, 11), ((3, 2, 1), 5), ((2, 2), 2), ((), 1)]
+        "parts, states", [((1,) * 6, 7), ((3, 2, 1), 5), ((3, 3, 1), 5), ((2, 2), 3), ((), 1)]
     )
-    def test_powersum_sums_one_term_per_cycle_sum_multiset(self, monkeypatch, parts, distinct):
-        # 1^6: one term per partition of 6, not one per each of 720
-        # permutations; (3,2,1): {3,2,1}, {5,1}, {4,2}, {3,3} and {6}.
-        sizes = []
-        plain_sum = FactoredFraction.sum
+    def test_powersum_peels_one_state_per_sub_multiset(self, monkeypatch, parts, states):
+        # 1^6: seven states in each of the peel's two passes, not one term
+        # per each of 720 permutations or 203 set partitions.  The block
+        # peel visits mu and the sub-multisets of mu less one largest part,
+        # 1 + m_1 * prod over the other parts of (m_i + 1): (3,2,1) has 5,
+        # below the rearrangement peel's 8.
+        memos = []
+        peel = specialize.peel_polynomial
 
-        def counting_sum(items, universe=None):
-            items = list(items)
-            sizes.append(len(items))
-            return plain_sum(items, universe)
+        def recording(mu, walker, step, den, universe, rows, memo):
+            memos.append(memo)
+            return peel(mu, walker, step, den, universe, rows, memo)
 
-        monkeypatch.setattr(FactoredFraction, "sum", staticmethod(counting_sum))
+        monkeypatch.setattr(specialize, "peel_polynomial", recording)
         oracle_powersum(Partition(parts))
-        assert sizes == [distinct]
+        [memo] = memos
+        counts = [sum(isinstance(key, tuple) for key in passed) for passed in memo.values()]
+        assert counts == [states, states]
+
+    @pytest.mark.parametrize("w", range(7))
+    def test_direct_matches_the_listed_arrangements(self, w):
+        # The DP over letters against the distinct arrangements of the
+        # padded alphabet, listed, for every alphabet size up to the cap.
+        for mu in partitions_of(w):
+            for N in range(max(mu.length, 1), PERMUTATION_CAP + 1):
+                assert oracle_direct(mu, N).value == literal_oracle_direct(mu, N), (mu, N)
 
     def test_direct_alphabet_cap(self):
         # The largest alphabet allowed: m_1 on {1, q, ..., q^7}.
