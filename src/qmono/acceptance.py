@@ -357,9 +357,9 @@ def _appendix(task, memo) -> bool:
 
 # Weight caps: each admitted the largest sweep that finished in under 2 s
 # in every fresh process timed, each share group peeling once.  Re-timed
-# with the length-bounded enumeration, caps unchanged: prop5 (at most 6
-# parts) up to weight 18 takes 1.0-1.4 s and 22 MB (19: 1.3-1.6 s); prop6
-# (at most 7 parts) up to weight 32 takes 0.6-0.8 s and 48 MB (33: 0.8-1.0 s).
+# with one peel walker, caps unchanged: prop5 (at most 6 parts) up to
+# weight 18 takes 0.36-0.37 s and 20 MB (19: 0.51-0.58 s); prop6 (at most 7
+# parts) up to weight 32 takes 0.71-0.76 s and 50 MB (33: 0.96-0.97 s).
 VERIFY_FAMILIES = {
     "thm6": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm6),
     "thm7": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm7),

@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from .algebra import FactoredFraction, Polynomial, frac_eq, product
 from .errors import ResourceLimitError, UsageError
-from .partitions import Partition, peel_polynomial, rearrangement_peel
+from .partitions import Partition, peel, peel_polynomial, rearrangement_steps
 from .specialize import UNIVERSE_ABQ, UNIVERSE_Q, monomial_spec, one_minus_q_power, one_minus_q_terms
 
 # Largest n of the three-way sides (thm6, thm7, appendix): one side at n = 5
@@ -200,14 +200,15 @@ def constant_identity(mu: Partition, kind: str, memo: dict) -> FactoredFraction 
     if kind == "prop5":
         length = mu.length
         num, sums = peel_polynomial(
-            mu, rearrangement_peel,
+            mu, rearrangement_steps,
             lambda i, total, c: one_minus_q_terms((length - i + 1) * c), one_minus_q_terms,
             UNIVERSE_Q, [(0,)], memo,
         )
-        return FactoredFraction(num, [one_minus_q_power(UNIVERSE_Q, s) for s in sorted(sums)])
+        dens = [(one_minus_q_power(UNIVERSE_Q, s), m) for s, m in sums.items()]
+        return FactoredFraction(num, dens)
     if kind == "littlewood":
-        num, sums = rearrangement_peel(mu, lambda i, total, c: 1, int, memo)
-        return Fraction(num, math.prod(sums))
+        num, sums = peel(mu, rearrangement_steps, lambda i, total, c: 1, int, memo)
+        return Fraction(num, math.prod(s ** m for s, m in sums.items()))
     raise UsageError(f"unknown constant identity {kind!r}")
 
 

@@ -39,14 +39,14 @@ from .partitions import Partition, partitions_of, z_of
 from .specialize import UNIVERSE_QT, one_minus_q_power, spec_value_at
 
 OPERATOR_N_CAP = 3
-# Largest degree n of eigencheck: n = 8 on N = 3 letters takes 0.3-0.5 s and
-# 33 MB, and the cost grows quickly with n.
+# Largest degree n of eigencheck: n = 8 on N = 3 letters takes 0.20-0.25 s
+# and 32 MB, and the cost grows quickly with n.
 EIGENCHECK_DEGREE_CAP = 8
 # Largest degree of the power and monomial expansions: monomial at n = 20
-# (627 partitions) takes 1.7-1.8 s and 46 MB, at n = 25 over half a minute.
+# (627 partitions) takes 0.81-0.91 s and 45 MB; n = 25 took over 30 s.
 EXPANSION_DEGREE_CAP = 20
 # Largest degree of the four bases that specialize once per partition: the
-# slowest, elementary, takes 1.2-1.6 s and 25 MB at n = 13, 2.8 s at 14.
+# slowest, elementary, takes 0.25-0.26 s and 23 MB at n = 13, 0.40 s at 14.
 SPEC_EXPANSION_CAP = 13
 COEFFICIENT_IDENTITY_N_CAP = 4
 

@@ -1,10 +1,10 @@
 """Partition combinatorics: enumeration, optionally bounded in length,
 multiplicities, the centralizer size z, the distinct rearrangements of the
-parts, the subset part sums counted without listing the subsets, two peels
-over sub-multisets, one over the rearrangements and one over the set
-partitions of the positions, each summing without listing (on ints, or on
-Kronecker ints read back as a polynomial), and the cycle decompositions of
-the full symmetric group.  Only the symmetric-group enumerations grow with
+parts, the subset part sums counted without listing the subsets, one peel
+over sub-multisets with two step rules, over the rearrangements and over
+the set partitions of the positions, summing without listing (on ints, or
+on Kronecker ints read back as a polynomial), and the cycle decompositions
+of the full symmetric group.  Only the symmetric-group enumerations grow with
 length!, and they share one cap, PERMUTATION_CAP; they are the literal
 references of criterion 5 and of the tests, and every other sum over them
 goes through a peel.  A length bound on partitions prunes the enumeration
@@ -37,7 +37,7 @@ class Partition:
     def __init__(self, parts=()):
         parts = tuple(parts)
         for i, p in enumerate(parts):
-            if not isinstance(p, int) or p < 1:
+            if isinstance(p, bool) or not isinstance(p, int) or p < 1:
                 raise UsageError(f"partition parts must be positive ints, got {p!r}")
             if i and parts[i - 1] < p:
                 raise UsageError(f"parts must be weakly decreasing, got {parts}")
@@ -131,8 +131,8 @@ def check_permutation_cap(n: int, what: str):
 
 def derangements(mu: Partition) -> list:
     """The distinct rearrangements of mu's parts as tuples, lexicographic
-    order.  The sums over rearrangements go through
-    :func:`rearrangement_peel`; this list is their literal reference."""
+    order.  The sums over rearrangements go through :func:`peel` under
+    :func:`rearrangement_steps`; this list is their literal reference."""
     check_permutation_cap(mu.length, "partition length")
     return sorted(set(itertools.permutations(mu.parts)))
 
@@ -149,10 +149,10 @@ def subset_sum_counts(mu: Partition) -> dict:
 
 
 def check_peel_cost(mu: Partition, max_states: int, max_degree: int, what: str) -> dict:
-    """Refuse mu before any work when its rearrangement peel has more than
-    ``max_states`` states, prod(m_i + 1), or a common denominator of degree
-    over ``max_degree``, the sum of the distinct subset part sums.  The
-    states, counted first, bound the cost of the sums, so length needs no cap.
+    """Refuse mu before any work when its peel has more than ``max_states``
+    states, prod(m_i + 1), or a common denominator of degree over
+    ``max_degree``, the sum of the distinct subset part sums.  The states,
+    counted first, bound the cost of the sums, so length needs no cap.
     Returns the ``subset_sum_counts`` of mu that the degree is read from."""
     states = math.prod(m + 1 for m in mu.multiplicities().values())
     if states > max_states:
@@ -166,48 +166,19 @@ def check_peel_cost(mu: Partition, max_states: int, max_degree: int, what: str) 
     return counts
 
 
-def rearrangement_peel(mu: Partition, factor, den, memo: dict):
-    """The sum over the distinct rearrangements c of mu's parts of
-    prod_i factor(i, s_i, c_i) / den(s_i), s_i the prefix sum through i, as
-    (N, D) with sum = N / prod_{s in D} den(s), D the distinct subset part sums.
-
-    A rearrangement of a sub-multiset M ends in some part c, after one of
-    M - c, so N(M) = sum over distinct c in M of N(M - c) * factor(|M|,
-    sum M, c) * prod den(s) over s in D(M), not in D(M - c), not sum M: the
-    paper's peeling recurrence, with prod(m_i + 1) states instead of
-    length!/prod(m_i!) terms.  N of the empty partition is the int 1, and
-    the values are ints or anything an int adds and multiplies with:
-    Littlewood peels on plain ints, and :func:`peel_polynomial` on the
-    l1 bound's ints and on Kronecker ints.
-
-    ``memo`` keeps the states, under the parts of M, and the den values,
-    under s.  A state's value depends on M and on what the factor reads,
-    so calls whose factor and den read the same values may share one memo,
-    and one call takes a fresh dict."""
-    memo.setdefault((), (1, frozenset()))
-
-    def den_of(s: int):
-        if s not in memo:
-            memo[s] = den(s)
-        return memo[s]
-
-    def state(parts: tuple):
-        if parts not in memo:
-            length, total = len(parts), sum(parts)
-            num, sums = 0, None
-            for c in dict.fromkeys(parts):
-                i = parts.index(c)
-                rest, rest_sums = state(parts[:i] + parts[i + 1:])
-                if sums is None:
-                    sums = rest_sums | {c} | {s + c for s in rest_sums}
-                term = rest * factor(length, total, c)
-                for s in sorted(sums - rest_sums - {total}):
-                    term = term * den_of(s)
-                num = num + term
-            memo[parts] = (num, sums)
-        return memo[parts]
-
-    return state(mu.parts)
+def rearrangement_steps(parts: tuple) -> list:
+    """The rearrangement rule of :func:`peel`, for the sum over the distinct
+    rearrangements c of prod_i factor(i, s_i, c_i) / den(s_i), s_i the
+    prefix sum through i: a rearrangement of M ends in a distinct part c,
+    after one of M - c, in one way, entering sum M, and the factor reads
+    (|M|, sum M, c).  Every nonempty proper sub-multiset of M lies in some
+    M - c and sum M in none, so D holds each distinct subset part sum once."""
+    length, total = len(parts), sum(parts)
+    return [
+        (parts[:i] + parts[i + 1:], 1, total, (length, total, c))
+        for i, c in enumerate(parts)
+        if not i or parts[i - 1] != c
+    ]
 
 
 def _sub_multisets(parts: tuple) -> list:
@@ -226,21 +197,39 @@ def _sub_multisets(parts: tuple) -> list:
     return out
 
 
-def block_peel(mu: Partition, block, den, memo: dict):
-    """The sum over the set partitions of mu's positions of the product over
-    blocks B of block(|B|, s_B) / den(s_B), s_B the sum of B's parts, as
-    (N, D): sum = N / prod_s den(s)^D[s], D = {s: multiplicity} the lcm of
-    the terms' denominators.
+def block_steps(parts: tuple) -> list:
+    """The block rule of :func:`peel`, for the sum over the set partitions
+    of the positions of prod over blocks B of block(|B|, s_B) / den(s_B),
+    s_B the sum of B's parts: the block holding one largest part c of M
+    takes a sub-multiset E of the rest along, in ways(E) sets of positions,
+    entering sum c + sum E, and the block reads (|E| + 1, c + sum E).  The
+    states are mu and the sub-multisets of mu less one largest part."""
+    c = parts[0]
+    return [
+        (rest, ways, c + total, (size + 1, c + total))
+        for rest, size, total, ways in _sub_multisets(parts[1:])
+    ]
 
-    The block holding one largest part c of a sub-multiset M takes along a
-    sub-multiset E of the rest, in ways(E) sets of positions, so N(M) = sum
-    over E of ways(E) * N(M - c - E) * block(|E| + 1, c + sum E), lifted by
-    the den(s) that D(M) holds more often than D(M - c - E) + {c + sum E}.
-    The states, mu and the sub-multisets of mu less one largest part, are
-    at most prod(m_i + 1), and ``memo`` keeps them and the den values as
-    :func:`rearrangement_peel` does, whose contract on values holds too.
-    The ways are positive ints, so a peel on l1 norms still bounds N."""
-    memo.setdefault((), (1, {}))
+
+def peel(mu: Partition, steps, step, den, memo: dict):
+    """The sum over the paths from mu's parts down to none, a step weighing
+    ways * step(*args) / den(s), as (N, D): sum = N / prod_s den(s)^D[s],
+    D = {s: multiplicity} the lcm of the paths' denominators.  The rule
+    ``steps`` (:func:`rearrangement_steps` or :func:`block_steps`) lists
+    (rest, ways, s, args) per step out of a sub-multiset M of the parts.
+
+    N(M) sums ways * N(rest) * step(*args) over the steps, each lifted by
+    the den(t) that D(M) holds more often than D(rest) + {s}, smallest t
+    first: at most prod(m_i + 1) states, not a term per path.  A state keeps
+    D as the pairs (s, k), k = 1..D[s], so the lcm is a union and the lift
+    a difference.  N of no parts is the int 1, and values are ints or
+    anything an int adds and multiplies with (Littlewood's plain ints, the
+    l1 norms and Kronecker ints of :func:`peel_polynomial`); the ways are
+    positive, so a peel on l1 norms bounds N.
+
+    ``memo`` keeps the states under the parts of M and the den values under
+    s; calls whose rule, step and den read the same values may share one."""
+    memo.setdefault((), (1, frozenset()))
 
     def den_of(s: int):
         if s not in memo:
@@ -249,33 +238,36 @@ def block_peel(mu: Partition, block, den, memo: dict):
 
     def state(parts: tuple):
         if parts not in memo:
-            c, steps, lcm = parts[0], [], {}
-            for rest, size, total, ways in _sub_multisets(parts[1:]):
-                num, sums = state(rest)
-                s = c + total
-                have = {**sums, s: sums.get(s, 0) + 1}
-                for t, m in have.items():
-                    if lcm.get(t, 0) < m:
-                        lcm[t] = m
-                steps.append((num * ways * block(size + 1, s), have))
+            terms, lcm = [], set()
+            for rest, ways, s, args in steps(parts):
+                num, have = state(rest)
+                k = 1
+                while (s, k) in have:
+                    k += 1
+                have = have | {(s, k)}
+                lcm |= have
+                terms.append((num * ways * step(*args), have))
             num = 0
-            for term, have in steps:
-                for t, m in lcm.items():
-                    for _ in range(m - have.get(t, 0)):
-                        term = term * den_of(t)
+            for term, have in terms:
+                for t, _ in sorted(lcm - have):
+                    term = term * den_of(t)
                 num = num + term
             memo[parts] = (num, lcm)
         return memo[parts]
 
-    return state(mu.parts)
+    num, pairs = state(mu.parts)
+    sums = {}
+    for s, _ in pairs:
+        sums[s] = sums.get(s, 0) + 1
+    return num, sums
 
 
-def peel_polynomial(mu: Partition, walker, step, den, universe, rows: list, memo: dict):
-    """(N, D) of the peel ``walker`` (:func:`rearrangement_peel` or
-    :func:`block_peel`), N read back as a polynomial over ``universe``.
-    ``step`` (the walker's factor or block) and ``den(s)`` return term maps
-    {(j, k): c}, one entry per term c y^j q^k, y one more variable whose
-    degree in every state is below ``len(rows)``.
+def peel_polynomial(mu: Partition, steps, step, den, universe, rows: list, memo: dict):
+    """(N, D) of :func:`peel` under the rule ``steps``, N read back as a
+    polynomial over ``universe``.  ``step`` (the rearrangement factor or
+    the block weight) and ``den(s)`` return term maps {(j, k): c}, one
+    entry per term c y^j q^k, y one more variable whose degree in every
+    state is below ``len(rows)``.
 
     It peels the maps' l1 norms on ints, for a strict l1 bound of N and for
     D; then the maps on Kronecker ints sized by that bound
@@ -285,12 +277,12 @@ def peel_polynomial(mu: Partition, walker, step, den, universe, rows: list, memo
     slot size, so calls that outgrow a width start fresh.  A state's slots
     depend on ``len(rows)``, so calls that share a memo share ``rows``."""
 
-    def peel(lift, states: dict):
-        return walker(mu, lambda *args: lift(step(*args)), lambda s: lift(den(s)), states)
+    def walk(lift, states: dict):
+        return peel(mu, steps, lambda *args: lift(step(*args)), lambda s: lift(den(s)), states)
 
-    bound, sums = peel(lambda terms: sum(map(abs, terms.values())), memo.setdefault("l1", {}))
+    bound, _ = walk(lambda terms: sum(map(abs, terms.values())), memo.setdefault("l1", {}))
     ints = PeelInts(len(rows), bound)
-    num, sums = peel(ints.multiplier, memo.setdefault(ints.size, {}))
+    num, sums = walk(ints.multiplier, memo.setdefault(ints.size, {}))
     return ints.polynomial(num, universe, rows), sums
 
 
@@ -324,7 +316,7 @@ def _cycles_of(mapping: tuple) -> tuple:
 def permutations_with_cycles(n: int) -> list:
     """The cycles of each of the n! permutations of {1..n}, one tuple of
     cycles per permutation, the permutations in lexicographic order: the
-    literal reference for :func:`block_peel`'s power-sum oracle."""
+    literal reference for the power-sum oracle's :func:`block_steps`."""
     if n < 0:
         raise UsageError("n must be non-negative")
     check_permutation_cap(n, "permutation degree")

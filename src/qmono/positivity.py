@@ -5,13 +5,13 @@ all nonempty position subsets, one factor (1 - q^(subset part sum))/(1 - q)
 per subset.  The bivariate polynomial H(q, t) sums, over the distinct
 rearrangements c of the parts, the product of the homogeneous quotients
 (q^((l-i)c_i) - t^(c_i)) / (q^(l-i) - t) times the subset factors of P left
-over after cancelling one factor per prefix sum.  The rearrangement peel sums
-it over the sub-multisets of the parts, and the leftover factors multiply in
-once.  Every quotient is emitted directly as its polynomial expansion, so H is
-a polynomial with nonnegative integer coefficients; the interesting content
-is that the substitution t -> 1/q (after the q^(weight - length) shift) is
-again a polynomial and that H ties back to the monomial specialization
-through an exact factorization identity.
+over after cancelling one factor per prefix sum.  The peel's rearrangement
+rule sums it over the sub-multisets of the parts, and the leftover factors
+multiply in once.  Every quotient is emitted directly as its polynomial
+expansion, so H is a polynomial with nonnegative integer coefficients; the
+interesting content is that the substitution t -> 1/q (after the
+q^(weight - length) shift) is again a polynomial and that H ties back to the
+monomial specialization through an exact factorization identity.
 
 The factorization identity is decided on N, not on H = N * L.  L is in Z[q]
 with L(0) = 1, so it is not zero and Hbar = Nbar * L exactly, Nbar the
@@ -33,7 +33,7 @@ from .errors import (
     NotApplicableError,
     ResourceLimitError,
 )
-from .partitions import Partition, check_peel_cost, peel_polynomial, rearrangement_peel
+from .partitions import Partition, check_peel_cost, peel_polynomial, rearrangement_steps
 from .specialize import UNIVERSE_Q, UNIVERSE_QT, one_minus_q_power, spec_value_at
 
 # The caps of the peel behind H, and of the degree of P, which bounds the
@@ -105,12 +105,12 @@ def _numerator_and_leftover(mu: Partition, pool: dict) -> tuple:
     The peel runs in t and q, N of t-degree at most |mu| - l."""
     length, weight = mu.length, mu.weight
     num, sums = peel_polynomial(
-        mu, rearrangement_peel,
+        mu, rearrangement_steps,
         lambda i, total, c: {(c - 1 - j, (length - i) * j): 1 for j in range(c)},
         lambda s: {(0, k): 1 for k in range(s)}, UNIVERSE_QT,
         [(0, j) for j in range(weight - length + 1)], {},
     )
-    if not sums <= pool.keys():
+    if not sums.keys() <= pool.keys():
         raise InternalConsistencyError(f"peel sums {sorted(sums)} are not all subset sums")
     return num, _subset_product(pool, sums)
 

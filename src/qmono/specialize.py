@@ -11,15 +11,15 @@ position i.  Only the exponent e depends on the form:
 
 The two forms are equal as rational functions; verifying that equality
 across partitions is one of the package's main jobs.  Both are summed by the
-rearrangement peel over the sub-multisets of the parts, over one 1 - q^s per
-distinct subset part sum s; the peel's states and that denominator's degree
-are capped, and checked before any work.
+peel over the sub-multisets of the parts under its rearrangement rule, over
+one 1 - q^s per distinct subset part sum s; the peel's states and that
+denominator's degree are capped, and checked before any work.
 
 The power-sum oracle (``oracle_powersum``) expands the monomial function
 over the set partitions of its positions, each block weighted by the Moebius
-function of the partition lattice, and sums it by the block peel over the
-same sub-multisets.  The direct oracle (``oracle_direct``) evaluates on the
-explicit finite alphabet {1, q, ..., q^(N-1)}, letter by letter.  Both are
+function of the partition lattice, and sums it by the same peel under its
+block rule.  The direct oracle (``oracle_direct``) evaluates on the explicit
+finite alphabet {1, q, ..., q^(N-1)}, letter by letter.  Both are
 independent of the closed forms.
 """
 
@@ -33,8 +33,8 @@ from fractions import Fraction
 from .algebra import FactoredFraction, Polynomial
 from .errors import UsageError
 from .partitions import (
-    Partition, block_peel, check_peel_cost, check_permutation_cap, peel_polynomial,
-    rearrangement_peel,
+    Partition, block_steps, check_peel_cost, check_permutation_cap, peel_polynomial,
+    rearrangement_steps,
 )
 
 UNIVERSE_ABQ = ("a", "b", "q")
@@ -47,7 +47,7 @@ FORM_ORACLE_POWERSUM = "oracle-powersum"
 FORM_ORACLE_DIRECT = "oracle-direct"
 
 # The peel's cost follows its states and its denominator degree, so the closed
-# forms cap both.  The power-sum oracle's block peel obeys both and keeps the
+# forms cap both.  The power-sum oracle's peel obeys both and keeps the
 # permutation cap on its length: its denominator holds 1 - q^s once per
 # disjoint block of sum s, far above the closed forms' degree, and (1^34)
 # took 5-7 s without the cap (README "Caps" has the cap-edge runs).
@@ -99,10 +99,10 @@ def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
         return {(0, e): 1, (c, 0): -1}
 
     num, sums = peel_polynomial(
-        mu, rearrangement_peel, factor, one_minus_q_terms, UNIVERSE_ABQ, _ab_rows(mu.weight), {}
+        mu, rearrangement_steps, factor, one_minus_q_terms, UNIVERSE_ABQ, _ab_rows(mu.weight), {}
     )
-    value = FactoredFraction(num, [one_minus_q_power(UNIVERSE_ABQ, s) for s in sorted(sums)])
-    return SpecResult(mu, value, form)
+    dens = [(one_minus_q_power(UNIVERSE_ABQ, s), m) for s, m in sums.items()]
+    return SpecResult(mu, FactoredFraction(num, dens), form)
 
 
 def spec_value_at(mu: Partition, a_value, b_value) -> FactoredFraction:
@@ -120,10 +120,10 @@ def oracle_powersum(mu: Partition) -> SpecResult:
     (1 / prod m_i!) * sum over set partitions of the product over blocks B
     of (-1)^(|B| - 1) (|B| - 1)! (a^s - b^s)/(1 - q^s), s the sum of the
     parts at B's positions: the sum over permutations of their signed
-    cycle products, a block holding (|B| - 1)! cycles.  The block peel sums
-    it over the sub-multisets of the parts.  The sign and (|B| - 1)! sit in
-    the block's term map: the peel's own multipliers are positive ints, so
-    its l1 pass bounds N.  The denominator is the lcm of the blocks'
+    cycle products, a block holding (|B| - 1)! cycles.  The peel's block
+    rule sums it over the sub-multisets of the parts.  The sign and
+    (|B| - 1)! sit in the block's term map: the peel's own multipliers are
+    positive ints, so its l1 pass bounds N.  The denominator is the lcm of the blocks'
     1 - q^s.  Capped like the closed forms and to the permutation cap, all
     before any work."""
     check_peel_cost(mu, PEEL_STATE_CAP, PEEL_DEGREE_CAP, "closed-form")
@@ -134,7 +134,7 @@ def oracle_powersum(mu: Partition) -> SpecResult:
         return {(0, 0): c, (s, 0): -c}
 
     num, sums = peel_polynomial(
-        mu, block_peel, block, one_minus_q_terms, UNIVERSE_ABQ, _ab_rows(mu.weight), {}
+        mu, block_steps, block, one_minus_q_terms, UNIVERSE_ABQ, _ab_rows(mu.weight), {}
     )
     repeats = mu.repetition_factor()
     if repeats > 1:

@@ -1,4 +1,4 @@
-"""The block peel on ints against the literal sums over the set partitions
+"""The peel under the block rule, on ints, against the literal sums over the set partitions
 of a partition's positions, for every partition of weight at most 8."""
 
 import math
@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmono.partitions import Partition, block_peel, partitions_of
+from qmono.partitions import Partition, block_steps, partitions_of, peel
 
 WEIGHTS = range(9)
 
@@ -56,7 +56,7 @@ def test_weight_one_counts_the_set_partitions(w):
     # The ways count position subsets, so every mu peels to the Bell number
     # of its length, repeated parts or not.
     for mu in partitions_of(w):
-        num, _ = block_peel(mu, lambda k, s: 1, lambda s: 1, {})
+        num, _ = peel(mu, block_steps, lambda k, s: 1, lambda s: 1, {})
         assert num == bell(mu.length), mu
 
 
@@ -65,7 +65,7 @@ def test_moebius_weights_sum_to_zero_from_length_two(w):
     # sum over the partition lattice of mu(0, pi) is 1 at length 0 and 1, and
     # 0 from length 2 on.
     for mu in partitions_of(w):
-        num, _ = block_peel(mu, lambda k, s: moebius(k), lambda s: 1, {})
+        num, _ = peel(mu, block_steps, lambda k, s: moebius(k), lambda s: 1, {})
         assert num == (1 if mu.length < 2 else 0), mu
 
 
@@ -75,7 +75,7 @@ def test_the_peel_is_the_literal_set_partition_sum(w):
     # N / prod s^D[s] is the literal sum, and D is the lcm of the literal
     # terms' denominators, the most blocks of one sum any set partition has.
     for mu in partitions_of(w):
-        num, den = block_peel(mu, lambda k, s: 3 * k - s, lambda s: s, {})
+        num, den = peel(mu, block_steps, lambda k, s: 3 * k - s, lambda s: s, {})
         expected, lcm = Fraction(0), {}
         for blocks in set_partitions(tuple(range(mu.length))):
             sums = block_sums(mu, blocks)
@@ -90,10 +90,10 @@ def test_the_peel_is_the_literal_set_partition_sum(w):
 def test_the_states_are_mu_and_the_sub_multisets_below_one_largest_part(w):
     # One state per sub-multiset of mu less one copy of its largest part,
     # and mu itself: 1 + m_1 * prod over the other parts of (m_i + 1), at
-    # most the rearrangement peel's prod(m_i + 1).
+    # most the rearrangement rule's prod(m_i + 1).
     for mu in partitions_of(w):
         memo = {}
-        block_peel(mu, lambda k, s: 1, lambda s: 1, memo)
+        peel(mu, block_steps, lambda k, s: 1, lambda s: 1, memo)
         states = sum(isinstance(key, tuple) for key in memo)
         counts = list(mu.multiplicities().values())
         bound = math.prod(m + 1 for m in counts)

@@ -5,7 +5,9 @@ wherever a ``qmono`` module holds the original, so calls through imported
 names see it too; only the listed criteria run, to keep the file fast."""
 
 import dataclasses
+import inspect
 import sys
+import textwrap
 
 import pytest
 
@@ -101,9 +103,33 @@ def rows_one_short(f):
     """peel_polynomial reading back from its rows less the last; a list of
     one row stays whole, as none would be left to read from.  The slots are
     laid out by the row count, so a short list misreads instead of raising."""
-    def peel(mu, walker, step, den, universe, rows, memo):
-        return f(mu, walker, step, den, universe, rows[:-1] or rows, memo)
+    def peel(mu, steps, step, den, universe, rows, memo):
+        return f(mu, steps, step, den, universe, rows[:-1] or rows, memo)
     return peel
+
+
+def last_step_doubled(f):
+    """A step rule whose steps into the empty state count twice: every path
+    takes one such step, so the peel's N doubles and D stays."""
+    return lambda parts: [
+        (rest, ways if rest else 2 * ways, s, args) for rest, ways, s, args in f(parts)
+    ]
+
+
+def lift_one_short(f):
+    """The peel walker rebuilt from its source with the first term of each
+    state lifted by one fewer of the den factors it misses, the smallest."""
+    lifts = (
+        ("for term, have in terms:", "for at, (term, have) in enumerate(terms):"),
+        ("for t, _ in sorted(lcm - have):", "for t, _ in sorted(lcm - have)[at == 0:]:"),
+    )
+    source = textwrap.dedent(inspect.getsource(f))
+    for line, short in lifts:
+        assert source.count(line) == 1, line
+        source = source.replace(line, short)
+    namespace = dict(vars(sys.modules[f.__module__]))
+    exec(source, namespace)
+    return namespace[f.__name__]
 
 
 def ways_dropped(f):
@@ -163,12 +189,24 @@ MUTANTS = {
         "identities", "_numerator", thm6_right_exponent_raised, (6,)
     ),
     "closed forms x2": ("specialize", "monomial_spec", value_doubled, (2, 3, 4)),
-    "rearrangement_peel numerator x2": ("partitions", "rearrangement_peel", numerator_doubled, (7, 2)),
+    # The power-sum oracle peels under the block rule, so criterion 2 sees
+    # the closed forms change against it.
+    "rearrangement rule numerator x2": (
+        "partitions", "rearrangement_steps", last_step_doubled, (7, 2)
+    ),
     # Both closed forms and the power-sum oracle share the peel's codec, and
     # misread alike, so neither criterion 1 nor 2 sees this one; criterion
     # 3's direct oracle counts arrangements without it.
     "peel_polynomial rows one short": ("partitions", "peel_polynomial", rows_one_short, (3, 9)),
-    "block_peel binomial multiplicity dropped": (
+    # The closed forms and the power-sum oracle share the walker's lift, but
+    # the two rules leave different terms short, so criterion 2 still sees
+    # this one; so do every criterion that peels a partition with two
+    # distinct parts and criterion 3's direct oracle, which does not peel.
+    # Criterion 4 peels only (1^k), a state of one term, and passes it.
+    "peel lift one factor short": (
+        "partitions", "peel", lift_one_short, (1, 2, 3, 5, 6, 7, 9, 10)
+    ),
+    "block rule binomial multiplicity dropped": (
         "partitions", "_sub_multisets", ways_dropped, (2,)
     ),
     "littlewood value x2": ("identities", "constant_identity", littlewood_doubled, (7,)),

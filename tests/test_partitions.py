@@ -33,9 +33,10 @@ class TestPartition:
             Partition((2, 0))
         assert Partition(()).length == 0
 
-    @pytest.mark.parametrize("parts", [(2.7, 1), ("3",)])
+    @pytest.mark.parametrize("parts", [(2.7, 1), ("3",), (True,)])
     def test_parts_must_be_ints(self, parts):
-        # No silent truncation or parsing: (2.7, 1) is not (2, 1).
+        # No silent truncation or parsing: (2.7, 1) is not (2, 1), and a
+        # bool, an int subclass, is not the part 1.
         with pytest.raises(UsageError, match="positive ints"):
             Partition(parts)
 

@@ -9,7 +9,13 @@ from qmono.acceptance import VERIFY_FAMILIES
 from qmono.algebra import FactoredFraction, PeelInts, Polynomial, geometric_sum
 from qmono.errors import InternalConsistencyError
 from qmono.identities import constant_identity
-from qmono.partitions import Partition, partitions_up_to, peel_polynomial, rearrangement_peel
+from qmono.partitions import (
+    Partition,
+    partitions_up_to,
+    peel,
+    peel_polynomial,
+    rearrangement_steps,
+)
 from qmono.positivity import _check_cap, _homogeneous_quotient, _numerator_and_leftover
 from qmono.specialize import UNIVERSE_ABQ, UNIVERSE_Q, UNIVERSE_QT, monomial_spec
 
@@ -34,8 +40,8 @@ def reference_spec(mu: Partition, form: str) -> FactoredFraction:
         e = total - c if form == "theorem1" else (length - i) * c
         return Polynomial(UNIVERSE_ABQ, {(c, 0, e): 1, (0, c, 0): -1})
 
-    num, sums = rearrangement_peel(mu, factor, lambda s: one_minus_q(UNIVERSE_ABQ, s), {})
-    dens = [one_minus_q(UNIVERSE_ABQ, s) for s in sorted(sums)]
+    num, sums = peel(mu, rearrangement_steps, factor, lambda s: one_minus_q(UNIVERSE_ABQ, s), {})
+    dens = [(one_minus_q(UNIVERSE_ABQ, s), m) for s, m in sums.items()]
     return FactoredFraction(Polynomial.one(UNIVERSE_ABQ) * num, dens)
 
 
@@ -43,21 +49,23 @@ def reference_prop5(mu: Partition, memo: dict) -> FactoredFraction:
     """``constant_identity(mu, "prop5", ...)`` with the peel's values as
     polynomials."""
     length = mu.length
-    num, sums = rearrangement_peel(
+    num, sums = peel(
         mu,
+        rearrangement_steps,
         lambda i, total, c: one_minus_q(UNIVERSE_Q, (length - i + 1) * c),
         lambda s: one_minus_q(UNIVERSE_Q, s),
         memo,
     )
-    dens = [one_minus_q(UNIVERSE_Q, s) for s in sorted(sums)]
+    dens = [(one_minus_q(UNIVERSE_Q, s), m) for s, m in sums.items()]
     return FactoredFraction(Polynomial.one(UNIVERSE_Q) * num, dens)
 
 
 def reference_numerator(mu: Partition) -> Polynomial:
     """Positivity's N with the peel's values as polynomials."""
     length = mu.length
-    num, _ = rearrangement_peel(
+    num, _ = peel(
         mu,
+        rearrangement_steps,
         lambda i, total, c: _homogeneous_quotient(length - i, c),
         lambda s: geometric_sum(UNIVERSE_QT, "q", s),
         {},
@@ -193,7 +201,7 @@ def test_a_span_below_one_raises(span):
     mu = Partition((3, 2, 1))
     with pytest.raises(InternalConsistencyError, match="span"):
         peel_polynomial(
-            mu, rearrangement_peel, lambda i, total, c: {(0, c): 1}, lambda s: {(0, 0): 1},
+            mu, rearrangement_steps, lambda i, total, c: {(0, c): 1}, lambda s: {(0, 0): 1},
             UNIVERSE_QT, [], {},
         )
 
@@ -205,14 +213,15 @@ def test_a_q_degree_far_past_the_rows_reads_back(read_back):
     for parts in [(3, 2, 1), (4, 4, 1, 1), (5, 3, 3, 2, 1)]:
         mu = Partition(parts)
         num, sums = peel_polynomial(
-            mu, rearrangement_peel, lambda i, total, c: {(0, 0): 1, (1, c): -1},
+            mu, rearrangement_steps, lambda i, total, c: {(0, 0): 1, (1, c): -1},
             lambda s: {(0, 0): 1, (0, 600 + s): -1},
             UNIVERSE_QT, [(0, j) for j in range(mu.length + 1)], {},
         )
         one = Polynomial.one(UNIVERSE_QT)
         t = Polynomial.variable(UNIVERSE_QT, "t")
-        expected, expected_sums = rearrangement_peel(
+        expected, expected_sums = peel(
             mu,
+            rearrangement_steps,
             lambda i, total, c: one - t * Polynomial.variable(UNIVERSE_QT, "q", c),
             lambda s: one_minus_q(UNIVERSE_QT, 600 + s),
             {},

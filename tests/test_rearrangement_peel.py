@@ -8,18 +8,23 @@ import pytest
 
 from qmono.acceptance import VERIFY_FAMILIES, rearrangement_sum
 from qmono.algebra import FactoredFraction, Polynomial, frac_eq, geometric_sum
+from qmono.errors import ResourceLimitError
 from qmono.identities import constant_identity
 from qmono.partitions import (
     Partition,
+    check_peel_cost,
     derangements,
     partitions_of,
-    rearrangement_peel,
+    peel,
+    rearrangement_steps,
     subset_sum_counts,
 )
 from qmono.positivity import UNIVERSE_QT, _homogeneous_quotient, positivity_polynomial
 from qmono.specialize import monomial_spec
 
 WEIGHTS = range(9)
+# A state cap that no partition of these weights reaches.
+STATES = 2 ** 8
 
 
 def literal_positivity_polynomial(mu: Partition) -> Polynomial:
@@ -93,13 +98,21 @@ def test_constants_equal_the_rearrangement_sums(w):
 
 @pytest.mark.parametrize("w", WEIGHTS)
 def test_peel_counts_rearrangements_and_prefix_sums(w):
-    # With every factor 1 the peel counts the distinct rearrangements, and
-    # D is the set of prefix sums that occur in them.
+    # With every factor 1 the peel counts the distinct rearrangements.  D
+    # holds each prefix sum that occurs in them once: its keys are the
+    # distinct subset part sums, and its degree is the one the cost check
+    # counts before any work, so the check admits mu at that degree and
+    # refuses it one below.
     for mu in partitions_of(w):
-        num, sums = rearrangement_peel(mu, lambda i, total, c: 1, lambda s: 1, {})
+        num, sums = peel(mu, rearrangement_steps, lambda i, total, c: 1, lambda s: 1, {})
         assert num == mu.rearrangement_count(), mu
+        assert set(sums.values()) <= {1}, mu
         prefix_sums = {s for d in derangements(mu) for s in itertools.accumulate(d)}
-        assert sums == set(subset_sum_counts(mu)) == prefix_sums, mu
+        assert sums.keys() == subset_sum_counts(mu).keys() == prefix_sums, mu
+        degree = sum(s * m for s, m in sums.items())
+        check_peel_cost(mu, STATES, degree, "test")
+        with pytest.raises(ResourceLimitError, match=f"degree {degree} "):
+            check_peel_cost(mu, STATES, degree - 1, "test")
 
 
 @pytest.mark.parametrize("order", ["listed", "reversed"])

@@ -253,15 +253,15 @@ def test_the_accumulation_check_sees_each_form(source):
 
 def test_no_loop_accumulates_a_product():
     # A product of a list is one algebra.product (math.prod for ints).  Only
-    # the kernel and the two peels, whose values may be ints, keep a running
-    # product.
+    # the kernel and the one peel walker, whose values may be ints, keep a
+    # running product.
     owners = {
         (p.name, owner)
         for p in SOURCES
         if p.name != "algebra.py"
         for owner in _product_accumulations(p.read_text())
     }
-    assert owners == {("partitions.py", "rearrangement_peel"), ("partitions.py", "block_peel")}
+    assert owners == {("partitions.py", "peel")}
 
 
 # The callers of each Kronecker codec helper: a dense product's rows and a
@@ -300,23 +300,21 @@ def _names(path):
 
 def test_one_function_sizes_peels_and_reads_back():
     # The closed forms, prop5, positivity and the power-sum oracle hand a
-    # walker and its term maps to partitions.peel_polynomial, which derives
-    # the l1 bound, builds the codec, peels and reads back.  No other module
-    # names the codec, and the only peel called directly is Littlewood's on
-    # ints, so no caller sizes slots or states an l1 norm of its own.
+    # step rule and its term maps to partitions.peel_polynomial, which
+    # derives the l1 bound, builds the codec, peels and reads back.  No
+    # other module names the codec, and the only peel called directly is
+    # Littlewood's on ints, so no caller sizes slots or states an l1 norm of
+    # its own.
     builders = set().union(*(_callers(p, "PeelInts") for p in SOURCES))
     assert builders == {("partitions.py", "peel_polynomial")}
     assert {p.name for p in SOURCES if "PeelInts" in _names(p)} == {"algebra.py", "partitions.py"}
-    peels = set().union(
-        *(_callers(p, walker) for p in SOURCES for walker in ("rearrangement_peel", "block_peel"))
-    )
-    assert peels == {("identities.py", "constant_identity")}
-    drivers = set().union(*(_callers(p, "walker") for p in SOURCES))
-    assert drivers == {("partitions.py", "peel_polynomial")}
+    peels = set().union(*(_callers(p, "peel") for p in SOURCES))
+    assert peels == {("partitions.py", "peel_polynomial"), ("identities.py", "constant_identity")}
 
 
 def test_only_the_reference_enumerates_rearrangements():
-    # Every rearrangement sum goes through partitions.rearrangement_peel.
+    # Every rearrangement sum goes through partitions.peel under the
+    # rearrangement rule.
     # Criterion 5's literal reference is the one place outside
     # partitions.py that lists the rearrangements.
     callers = set().union(
