@@ -24,7 +24,7 @@ import os
 import sys
 
 from . import acceptance
-from .algebra import Polynomial
+from .algebra import Polynomial, fraction_text
 from .errors import ComparatorError, QmonoError, ResourceLimitError, UsageError
 from .macdonald import BASES, eigencheck, row_expansion_table
 from .partitions import Partition, partitions_up_to
@@ -179,9 +179,9 @@ def cmd_specialize(args) -> acceptance.Report:
     value = result.value
     if bindings:
         value = value.substitute(bindings)
-    print(value.text())
-    record = {"partition": mu.to_json(), **value.to_json()}
-    print(dumps(record))
+    strings = value.to_json()
+    print(fraction_text(strings))
+    print(dumps({"partition": mu.to_json(), **strings}))
     report.instances = 1
     return report.stop()
 

@@ -21,6 +21,10 @@ function of the partition lattice, and sums it by the same peel under its
 block rule.  The direct oracle (``oracle_direct``) evaluates on the explicit
 finite alphabet {1, q, ..., q^(N-1)}, letter by letter.  Both are
 independent of the closed forms.
+
+Each closed form, keyed by (mu, form), and each of its values at (a, b),
+keyed by (mu, a, b), is built once per process and kept in a bounded memo;
+the oracles are not kept.
 """
 
 from __future__ import annotations
@@ -53,6 +57,14 @@ FORM_ORACLE_DIRECT = "oracle-direct"
 # took 5-7 s without the cap (README "Caps" has the cap-edge runs).
 PEEL_STATE_CAP = 128
 PEEL_DEGREE_CAP = 600
+# The closed forms and their values at (a, b) are kept per process, each in
+# a memo of this many entries: values are immutable, so pool workers forked
+# later may share what the parent holds.  A queries pass of the benchmark
+# asks for 126 distinct (mu, form) and 113 distinct (mu, a, b), which take
+# 0.7 and 0.6 MB by tracemalloc, and selftest for 134 and 136; at 128
+# selftest rebuilds 54 closed forms, at 64 queries 38.  A value at the cap
+# edge takes about 7 MB.
+MEMO_BOUND = 256
 
 
 @dataclass(frozen=True)
@@ -88,7 +100,15 @@ def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
 
     The peel runs in b and q: each factor a^c q^e - b^c is homogeneous of
     degree c in (a, b), so the numerator is homogeneous of degree |mu| and
-    a's exponent is |mu| - deg_b."""
+    a's exponent is |mu| - deg_b.  Each (mu, form) is built once per
+    process and kept (see ``MEMO_BOUND``)."""
+    return _closed_form(mu, form)
+
+
+@functools.lru_cache(maxsize=MEMO_BOUND)
+def _closed_form(mu: Partition, form: str) -> SpecResult:
+    # The checks run here, inside the memo: it keeps no exception, so an
+    # input refused once is refused again.
     if form not in (FORM_THEOREM1, FORM_THEOREM3):
         raise UsageError(f"unknown form {form!r}")
     check_peel_cost(mu, PEEL_STATE_CAP, PEEL_DEGREE_CAP, "closed-form")
@@ -107,7 +127,13 @@ def monomial_spec(mu: Partition, form: str = FORM_THEOREM1) -> SpecResult:
 
 def spec_value_at(mu: Partition, a_value, b_value) -> FactoredFraction:
     """The monomial specialization with the letters a, b bound to the given
-    values (0, 1, or polynomials in q, t), over the (q, t) universe."""
+    values (0, 1, or polynomials in q, t), over the (q, t) universe.  Each
+    (mu, a, b) is built once per process and kept (see ``MEMO_BOUND``)."""
+    return _value_at(mu, a_value, b_value)
+
+
+@functools.lru_cache(maxsize=MEMO_BOUND)
+def _value_at(mu: Partition, a_value, b_value) -> FactoredFraction:
     return monomial_spec(mu).value.substitute(
         {"a": a_value, "b": b_value}, universe=UNIVERSE_QT
     )

@@ -5,18 +5,23 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from qmono import identities  # noqa: E402
+from qmono import identities, specialize  # noqa: E402
+
+# The per-process memos a mutant's value could stay in: the kept three-way
+# sides, the closed forms and their values at (a, b).  Held from import, so
+# a test that rebinds one of them still leaves the memo itself empty.
+MEMOS = (identities._symmetrized, specialize._closed_form, specialize._value_at)
 
 
 @pytest.fixture
 def cold_memos():
-    """Empty the kept three-way sides and appendix verdicts before and after
-    the test, as in a fresh process, so no test sees another's values.  The
-    memo is held from before the test, so a test that rebinds
-    ``identities._symmetrized`` still leaves it empty."""
-    cached = identities._symmetrized
-    cached.cache_clear()
+    """Empty the kept sides, closed forms, values at (a, b) and appendix
+    verdicts before and after the test, as in a fresh process, so no test
+    sees another's values."""
+    for memo in MEMOS:
+        memo.cache_clear()
     identities._verdicts.clear()
     yield
-    cached.cache_clear()
+    for memo in MEMOS:
+        memo.cache_clear()
     identities._verdicts.clear()

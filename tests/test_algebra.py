@@ -1184,6 +1184,75 @@ def test_text_matches_the_unpacking_reference(seed):
             assert r.text() == _text_reference(r)
 
 
+def _shifted_text(p):
+    """Polynomial.text as it was before the monomial table: each exponent
+    read from its field by a shift, term by term."""
+    if not p.terms:
+        return "0"
+    n, w = len(p.universe), p._width
+    mask = (1 << w) - 1
+    fields = [(name, w * (n - 1 - i)) for i, name in enumerate(p.universe)]
+    pieces = []
+    for k in p._canonical():
+        c = p.terms[k]
+        neg = c < 0
+        mag = -c if neg else c
+        body = []
+        if mag != 1 or not k:
+            body.append(str(mag))
+        for name, shift in fields:
+            x = (k >> shift) & mask
+            if x == 1:
+                body.append(name)
+            elif x > 1:
+                body.append(f"{name}^{x}")
+        s = " * ".join(body)
+        if not pieces:
+            pieces.append(f"-{s}" if neg else s)
+        else:
+            pieces.append(f" - {s}" if neg else f" + {s}")
+    return "".join(pieces)
+
+
+_TEXT_COEFFS = (1, -1, 3, -4, 10 ** 20, -(10 ** 20), Fraction(1, 2), Fraction(-7, 3))
+# 40,000 and 70,000 need 32-bit fields, 2^31 64-bit ones.
+_TEXT_EXPONENTS = (40_000, 70_000, 2 ** 31)
+
+
+def test_the_table_text_is_the_shifted_text():
+    rng = Random(5)
+    widths = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        universe = ("a", "b", "q", "t", "x")[:n]
+        terms = {}
+        for _ in range(rng.randint(0, 10)):
+            exps = tuple(
+                rng.choice(_TEXT_EXPONENTS) if rng.random() < 0.1 else rng.randint(0, 3)
+                for _ in universe
+            )
+            terms[exps] = rng.choice(_TEXT_COEFFS)
+        if rng.random() < 0.5:
+            terms[(0,) * n] = rng.choice(_TEXT_COEFFS)
+        p = Polynomial(universe, terms)
+        widths.add(p._width)
+        for r in (p, -p, p * Fraction(3, 2)):
+            assert r.text() == _shifted_text(r)
+    assert widths == {16, 32, 64}
+
+
+def test_the_table_text_of_a_cap_edge_numerator_and_the_table_bound(cold_memos):
+    # 18,696 terms, more distinct monomials than a table holds, so the
+    # table of (a, b, q) at width 16 empties itself while formatting.
+    from qmono.partitions import Partition
+    from qmono.specialize import monomial_spec
+
+    numerator = monomial_spec(Partition((13, 6, 5, 4, 3, 2, 1))).value.numerator
+    assert len(numerator.terms) > algebra._TEXT_TABLE_BOUND
+    assert numerator.text() == _shifted_text(numerator)
+    assert 0 < len(algebra._monomial_texts(ABQ, 16)) <= algebra._TEXT_TABLE_BOUND
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_a_cached_sort_key_equals_a_fresh_one(seed):
     # Every route to a polynomial starts with no key, even from an operand

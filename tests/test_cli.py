@@ -191,7 +191,7 @@ class TestSpecializeCommand:
         assert code == EXIT_USAGE
         assert "oracle-N" in err
 
-    def test_resource_cap_exit_code(self, capsys, monkeypatch):
+    def test_resource_cap_exit_code(self, capsys, monkeypatch, cold_memos):
         # (1^35), whose denominator degree 630 is over the degree cap, and
         # five distinct parts of degree 6,315: refused before any work.  The
         # power-sum oracle, which peels through the same function, also
@@ -217,7 +217,9 @@ class TestSpecializeCommand:
         assert code == EXIT_OK
         assert json.loads(out.splitlines()[-1])["partition"] == [1] * 34
 
-    def test_rearrangements_over_cap_are_refused_before_any_work(self, capsys, monkeypatch):
+    def test_rearrangements_over_cap_are_refused_before_any_work(
+        self, capsys, monkeypatch, cold_memos
+    ):
         # Seven distinct parts and a repeated one have 192 peel states, over
         # the cap of 128.
         calls = []

@@ -74,8 +74,9 @@ def reference_numerator(mu: Partition) -> Polynomial:
 
 
 @pytest.fixture
-def read_back(monkeypatch):
-    """(l1 bound, ys, rows, polynomial) of every value a peel reads back."""
+def read_back(monkeypatch, cold_memos):
+    """(l1 bound, ys, rows, polynomial) of every value a peel reads back,
+    every closed form built afresh under the recording."""
     seen = []
 
     class Recording(PeelInts):

@@ -382,3 +382,37 @@ def test_every_public_function_is_used_by_the_package():
             if not any(ref == name and owner != qualname for owner, ref in refs):
                 unused.append(f"{path.stem}.{qualname}")
     assert unused == ["partitions.permutations_with_cycles"]
+
+
+# Process-wide caches whose values no mutant of the kill matrix changes: the
+# polynomials 1 - q^s, the packed keys of read-back rows, the argument parser
+# and the tables of monomial strings, each a function of its key alone.
+_VALUE_FREE_CACHES = {
+    "specialize.one_minus_q_power",
+    "algebra._packed_rows",
+    "cli.build_parser",
+    "algebra._monomial_texts",
+}
+
+
+def _cached_functions(path):
+    """``module.name`` of every function a ``functools`` cache decorates."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.FunctionDef):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("cache", "lru_cache"):
+                    yield f"{path.stem}.{node.name}"
+
+
+def test_every_cache_is_emptied_by_cold_memos_or_holds_no_value_a_mutant_changes():
+    # A kept value a mutant built would outlive its kill row and hide the
+    # next row's mutant, so every cache that holds such values is one that
+    # ``cold_memos`` empties.
+    from conftest import MEMOS
+
+    cleared = {f"{memo.__module__.rpartition('.')[2]}.{memo.__wrapped__.__name__}" for memo in MEMOS}
+    cached = set().union(*(_cached_functions(p) for p in SOURCES))
+    assert cached - cleared - _VALUE_FREE_CACHES == set()
+    assert cleared | _VALUE_FREE_CACHES <= cached

@@ -14,10 +14,13 @@ from qmono.partitions import (
     permutations_with_cycles,
 )
 from qmono.specialize import (
+    MEMO_BOUND,
     UNIVERSE_ABQ,
+    UNIVERSE_QT,
     monomial_spec,
     oracle_direct,
     oracle_powersum,
+    spec_value_at,
 )
 
 ONE = Polynomial.one(UNIVERSE_ABQ)
@@ -104,7 +107,7 @@ class TestPrefixForm:
         with pytest.raises(UsageError):
             monomial_spec(Partition((1,)), "theorem2")
 
-    def test_length_cap(self, monkeypatch):
+    def test_length_cap(self, monkeypatch, cold_memos):
         # No length cap of its own: (1^34) has 35 peel states and denominator
         # degree 595 and is admitted; (1^35) has degree 630, over the degree
         # cap, and a far longer column is over the state cap, which is
@@ -123,7 +126,7 @@ class TestPrefixForm:
             monomial_spec(Partition((1,) * 10 ** 5))
         assert len(calls) == 1
 
-    def test_rearrangement_cap(self, monkeypatch):
+    def test_rearrangement_cap(self, monkeypatch, cold_memos):
         # (8,7,6,5,4,3,2) is at both peel caps (128 states, denominator
         # degree 595) and admitted, and is peeled once; one more state or
         # degree is refused before the peel starts.
@@ -238,7 +241,7 @@ class TestOracles:
         with pytest.raises(UsageError):
             oracle_direct(Partition((2, 1)), 1)
 
-    def test_permutation_cap(self, monkeypatch):
+    def test_permutation_cap(self, monkeypatch, cold_memos):
         # The oracle obeys the closed forms' caps, on the peel's states and
         # its denominator degree, and the permutation cap, all before its
         # block peel starts; six distinct parts, 720 rearrangements, pass
@@ -277,7 +280,9 @@ class TestOracles:
     @pytest.mark.parametrize(
         "parts, states", [((1,) * 6, 7), ((3, 2, 1), 5), ((3, 3, 1), 5), ((2, 2), 3), ((), 1)]
     )
-    def test_powersum_peels_one_state_per_sub_multiset(self, monkeypatch, parts, states):
+    def test_powersum_peels_one_state_per_sub_multiset(
+        self, monkeypatch, cold_memos, parts, states
+    ):
         # 1^6: seven states in each of the peel's two passes, not one term
         # per each of 720 permutations or 203 set partitions.  The block
         # peel visits mu and the sub-multisets of mu less one largest part,
@@ -395,3 +400,51 @@ class TestProperties:
                 universe=UNIVERSE_ABQ,
             )
             assert frac_eq(lhs, rhs), mu
+
+
+# The (a, b) at which the package asks for values: positivity and the
+# complete basis at (1, t), the elementary basis at (t, 1), the deformed
+# bases at (1, 0) and (0, 1), and the alphabet shift check at (q, t).
+QT_Q = Polynomial.variable(UNIVERSE_QT, "q")
+QT_T = Polynomial.variable(UNIVERSE_QT, "t")
+VALUE_POINTS = [(1, QT_T), (QT_T, 1), (1, 0), (0, 1), (QT_Q, QT_T)]
+
+
+@pytest.mark.usefixtures("cold_memos")
+class TestMemos:
+    @pytest.mark.parametrize("w", range(7))
+    def test_a_kept_value_is_the_value_built_afresh(self, w):
+        closed, at = specialize._closed_form, specialize._value_at
+        for mu in partitions_of(w):
+            for form in ("theorem1", "theorem3"):
+                fresh = closed.__wrapped__(mu, form)
+                first = monomial_spec(mu, form)
+                assert first == fresh, (mu, form)
+                assert monomial_spec(mu, form) is first
+            for a, b in VALUE_POINTS:
+                fresh = at.__wrapped__(mu, a, b)
+                first = spec_value_at(mu, a, b)
+                assert first == fresh, (mu, a, b)
+                assert spec_value_at(mu, a, b) is first
+
+    def test_a_refused_input_is_refused_again_and_not_kept(self):
+        over = Partition((1,) * 35)
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError, match="degree 630"):
+                monomial_spec(over)
+            with pytest.raises(ResourceLimitError, match="degree 630"):
+                spec_value_at(over, 1, QT_T)
+            with pytest.raises(UsageError, match="unknown form"):
+                monomial_spec(Partition((2, 1)), "theorem2")
+        assert specialize._closed_form.cache_info().currsize == 0
+        assert specialize._value_at.cache_info().currsize == 0
+
+    def test_the_memos_hold_at_most_their_bound(self):
+        # One-part partitions are the cheapest distinct inputs: two peel
+        # states each, and (n) has denominator degree n.
+        for n in range(1, MEMO_BOUND + 20):
+            spec_value_at(Partition((n,)), 1, QT_T)
+        for memo in (specialize._closed_form, specialize._value_at):
+            info = memo.cache_info()
+            assert info.misses == MEMO_BOUND + 19
+            assert info.currsize == MEMO_BOUND
