@@ -56,7 +56,7 @@ holds.  With q outermost the degree in q needs no bound.
 Most operations of a command are on small operands, which take short paths.
 A monomial packs its one key directly, the text reads each monomial's
 string from a table kept per universe and width, keyed by the packed key
-with its degree field masked off and emptied when it reaches its bound, and
+with its degree field masked off and filled no further than its bound, and
 :meth:`Polynomial.sort_key` is computed once per polynomial and kept, as is
 whether every coefficient is an int, which the rows need; an integral
 Fraction is always stored as an int.  A fraction whose factors all come
@@ -101,7 +101,6 @@ from typing import Iterable, Mapping, Sequence, Union
 from .errors import InternalConsistencyError, InvalidValueError, PoleError, UsageError
 
 Coeff = Union[int, Fraction]
-Universe = tuple
 
 # The narrowest field width, in bits, of a packed monomial key.
 _NARROW = 16
@@ -313,13 +312,14 @@ class _Shifts(tuple):
 
 
 # The monomial strings of the text, kept per (universe, width) and keyed by
-# the packed key without its degree field.  A table is emptied when it
-# reaches the bound, so it holds at most that many strings.  The 627 entries
+# the packed key without its degree field.  A full table takes no more
+# strings and keeps what it holds, so a polynomial with more distinct
+# monomials than the bound still finds the ones it met first.  The 627 entries
 # of ``expand --n 20 --basis monomial`` print 292,814 terms over 2,628
 # distinct monomials, which one table holds: their text took 0.16 s against
 # 0.31 s by shifting every field (Python 3.11, 2 vCPU, min of 5).  A process
 # formats in few universes, so 64 tables hold them all.  Threads may race on
-# a table: a lost insert or an emptied table costs only a rebuilt string.
+# a table: a lost insert costs only a rebuilt string.
 _TEXT_TABLE_BOUND = 4096
 
 
@@ -794,9 +794,9 @@ class Polynomial:
             k &= low
             monomial = table.get(k)
             if monomial is None:
-                if len(table) >= _TEXT_TABLE_BOUND:
-                    table.clear()
-                monomial = table[k] = _monomial_text(universe, w, k)
+                monomial = _monomial_text(universe, w, k)
+                if len(table) < _TEXT_TABLE_BOUND:
+                    table[k] = monomial
             if c < 0:
                 pieces.append(" - ")
                 c = -c

@@ -12,12 +12,14 @@ Each of the four sums over the symmetric group (thm6-left, thm6-right,
 thm7-right, prop8) has its summand defined once, over the images of
 x_1..x_n and y_1..y_n: the variables for the full-y sides, a point for the
 specialization chain, y = 1 for prop7, which is thm6-right there.  The
-summand is summed two ways.  The production route peels the last position
-(or, for the cycle form, the cycle through the smallest label) and memoizes
-on the remaining label subset: an exact regrouping of the permutation sum
-that costs 2^n fraction merges instead of n! cofactor assemblies.  Each memo
-level S brings in one new denominator factor, 1 - x_S (sum x_S for prop8).
-In prop8, and in thm6-right where every y of S is 1, the value has no pole
+summand is summed two ways.  The production route peels the multiset of
+image classes left to place (labels with equal images form a class) under
+the step rules of ``partitions``: a prefix form's last position, the cycle
+form's cycle through a label of the first class.  That costs 2^n fraction
+merges at the variables and prod(m_i + 1) at the chain point of mu, not n!
+cofactor assemblies.  Each memo level M brings in one new denominator
+factor, 1 - x_M (sum x_M for prop8).
+In prop8, and in thm6-right where every y of M is 1, the value has no pole
 there and the peel divides it out exactly whenever it divides, which
 reduces prop7 to n! and prop8 to 1/(x_1...x_n).  No gcd is ever taken.
 ``symmetrized_side`` and ``symmetrized_constant`` return the peeled sum as
@@ -39,13 +41,13 @@ side at n = 1, which anchors the chain.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .algebra import FactoredFraction, Polynomial, frac_eq, product
 from .errors import ResourceLimitError, UsageError
-from .partitions import Partition, peel, peel_polynomial, rearrangement_steps
+from .partitions import Partition, block_steps, peel, peel_polynomial, rearrangement_steps
 from .specialize import UNIVERSE_ABQ, UNIVERSE_Q, monomial_spec, one_minus_q_power, one_minus_q_terms
 
 # Largest n of the three-way sides (thm6, thm7, appendix): one side at n = 5
@@ -107,31 +109,18 @@ def _cycle_weight(X: tuple, Y: tuple, cycle: tuple) -> FactoredFraction:
     return FactoredFraction(product([Y[k - 1] for k in cycle], uni) - x_cycle, [1 - x_cycle])
 
 
-def _peels(form: str, X: tuple, Y: tuple, subset: tuple, x_subset: Polynomial):
-    """The (rest, factor) pairs with value(subset) = sum of value(rest) *
-    factor.  A prefix form peels its last position, which may hold any label
-    of the subset; the cycle form peels the cycle through the smallest label,
-    whose (size - 1)! cyclic orders share one weight."""
-    if form == SIDE_CYCLE:
-        anchor, others = subset[0], subset[1:]
-        for size in range(len(others) + 1):
-            for extra in itertools.combinations(others, size):
-                rest = tuple(k for k in others if k not in extra)
-                yield rest, _cycle_weight(X, Y, (anchor,) + extra) * math.factorial(size)
-    else:
-        den = [_denominator(form, X, subset, x_subset)]
-        for k in subset:
-            factor = FactoredFraction(_numerator(form, X, Y, k, len(subset), x_subset), den)
-            yield tuple(j for j in subset if j != k), factor
-
-
 def _peeled(form: str, X: tuple, Y: tuple) -> FactoredFraction:
     """The sum over all n! permutations, x_k and y_k taken at the images
-    X[k - 1] and Y[k - 1] (polynomials over one universe), memoized on the
-    label subset still to place: value(()) = 1, value(S) = sum of
-    value(rest) * factor.
+    X[k - 1] and Y[k - 1] (polynomials over one universe).  Labels with
+    equal images form a class, named by its smallest label; a state is the
+    multiset M of classes left to place, a weakly decreasing tuple of those
+    names, and value(()) = 1, value(M) = sum of value(rest) * factor over
+    the steps of a ``partitions`` rule.  A prefix form ends in a class k
+    (``rearrangement_steps``), which m_k(M) labels could hold; the cycle
+    form takes the cycle through a label of M's first class and labels of
+    the classes E = M[1:] - rest (``block_steps``), in ways * |E|! ways.
 
-    The factor d entering at S is divided out of the numerator whenever it
+    The factor d entering at M is divided out of the numerator whenever it
     divides, at every level of prop8 and at a level of thm6-right whose y
     images are all the constant 1: prop7's n! and prop8's 1/(x_1...x_n)
     have no pole at d.  Elsewhere, as on the full-y sides (where no factor
@@ -141,23 +130,39 @@ def _peeled(form: str, X: tuple, Y: tuple) -> FactoredFraction:
     one = Polynomial.one(uni)
     memo = {(): FactoredFraction.one(uni)}
 
-    def value(subset: tuple) -> FactoredFraction:
-        if subset not in memo:
-            x_subset = product([X[k - 1] for k in subset], uni)
+    def value(classes: tuple) -> FactoredFraction:
+        if classes not in memo:
+            x_all = product([X[k - 1] for k in classes], uni)
+            if form == SIDE_CYCLE:
+                steps = [
+                    (rest, ways * math.factorial(size - 1), _cycle_weight(
+                        X, Y, (classes[0], *(Counter(classes[1:]) - Counter(rest)).elements())
+                    ))
+                    for rest, ways, _, (size, _) in block_steps(classes)
+                ]
+            else:
+                den = [_denominator(form, X, classes, x_all)]
+                steps = [
+                    (rest, classes.count(k), FactoredFraction(
+                        _numerator(form, X, Y, k, len(classes), x_all), den
+                    ))
+                    for rest, _, _, (_, _, k) in rearrangement_steps(classes)
+                ]
             total = FactoredFraction.sum(
-                [value(rest) * factor for rest, factor in _peels(form, X, Y, subset, x_subset)],
-                universe=uni,
+                [value(rest) * (f if m == 1 else f * m) for rest, m, f in steps], universe=uni
             )
-            if form == "prop8" or (form == SIDE_RIGHT and all(Y[k - 1] == one for k in subset)):
-                d = _denominator(form, X, subset, x_subset)
+            if form == "prop8" or (form == SIDE_RIGHT and all(Y[k - 1] == one for k in classes)):
+                d = _denominator(form, X, classes, x_all)
                 quotient = total.numerator.exact_quotient(d)
                 if quotient is not None:
                     # d enters only here, so it is a simple factor of the sum.
                     total = FactoredFraction(quotient, [fm for fm in total.denominator if fm[0] != d])
-            memo[subset] = total
-        return memo[subset]
+            memo[classes] = total
+        return memo[classes]
 
-    return value(tuple(range(1, len(X) + 1)))
+    names: dict = {}
+    labels = (names.setdefault(image, k) for k, image in enumerate(zip(X, Y), 1))
+    return value(tuple(sorted(labels, reverse=True)))
 
 
 @functools.cache

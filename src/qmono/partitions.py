@@ -4,11 +4,13 @@ parts, the subset part sums counted without listing the subsets, one peel
 over sub-multisets with two step rules, over the rearrangements and over
 the set partitions of the positions, summing without listing (on ints, or
 on Kronecker ints read back as a polynomial), and the cycle decompositions
-of the full symmetric group.  Only the symmetric-group enumerations grow with
-length!, and they share one cap, PERMUTATION_CAP; they are the literal
-references of criterion 5 and of the tests, and every other sum over them
-goes through a peel.  A length bound on partitions prunes the enumeration
-itself, so it builds only the partitions it returns.
+of the full symmetric group.  The step rules also serve ``identities``,
+which peels its symmetrized sums over multisets of image classes.  Only the
+symmetric-group enumerations grow with length!, and they share one cap,
+PERMUTATION_CAP; they are the literal references of criterion 5 and of the
+tests, and every other sum over them goes through a peel.  A length bound
+on partitions prunes the enumeration itself, so it builds only the
+partitions it returns.
 
 Enumeration orders are deterministic: reverse-lexicographic for partitions,
 lexicographic for rearrangements and permutations.

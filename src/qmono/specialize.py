@@ -184,25 +184,17 @@ def oracle_direct(mu: Partition, N: int) -> SpecResult:
     for i in range(N):
         after = {}
         for parts, counts in layer.items():
-            for at, c in enumerate(parts):
-                if at and c == parts[at - 1]:
-                    continue
-                rest, shift = parts[:at] + parts[at + 1:], i * c
-                out = after.get(rest)
-                if out is None:
-                    after[rest] = {p + shift: n for p, n in counts.items()}
-                    continue
+            moves = [
+                (parts[:at] + parts[at + 1:], i * c)
+                for at, c in enumerate(parts)
+                if not at or c != parts[at - 1]
+            ]
+            if N - i > len(parts):
+                moves.append((parts, 0))  # letter i holds 0
+            for rest, shift in moves:
+                out = after.setdefault(rest, {})
                 for p, n in counts.items():
                     out[p + shift] = out.get(p + shift, 0) + n
-            if N - i > len(parts):
-                # Letter i holds 0.  The counts pass on as they are: this
-                # layer has read them, and only the next one adds to them.
-                out = after.get(parts)
-                if out is None:
-                    after[parts] = counts
-                    continue
-                for p, n in counts.items():
-                    out[p] = out.get(p, 0) + n
         layer = after
     counts = layer[()]
     total = Polynomial(UNIVERSE_ABQ, {(0, 0, p): c for p, c in counts.items()})

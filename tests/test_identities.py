@@ -29,14 +29,16 @@ from qmono.identities import (
     x_only_universe,
     xy_universe,
 )
-from qmono.partitions import Partition, partitions_up_to, permutations_with_cycles, z_of
+from qmono.partitions import (
+    Partition, partitions_up_to, permutations_with_cycles, rearrangement_steps, z_of,
+)
 from qmono.specialize import UNIVERSE_ABQ, monomial_spec
 
 
 def symmetrized_enumerated(n: int, form: str) -> FactoredFraction:
-    """Any of the four sums, one permutation at a time, with prop7 as
-    thm6-right at y = 1: the definitional reference for the peel behind
-    symmetrized_side and symmetrized_constant."""
+    """Any of the four sums at the variables, with prop7 as thm6-right at
+    y = 1: the definitional reference for the peel behind symmetrized_side
+    and symmetrized_constant."""
     if form not in SIDES + _CONSTANT_KINDS:
         raise UsageError(f"unknown symmetrized sum {form!r}")
     _check_size(n, SYMMETRIZED_CAP)
@@ -46,7 +48,13 @@ def symmetrized_enumerated(n: int, form: str) -> FactoredFraction:
         Y = tuple(Polynomial.variable(uni, f"y{k}") for k in range(1, n + 1))
     else:
         Y = (Polynomial.one(uni),) * n
-    form = SIDE_RIGHT if form == "prop7" else form
+    return enumerated_at(SIDE_RIGHT if form == "prop7" else form, X, Y)
+
+
+def enumerated_at(form: str, X: tuple, Y: tuple) -> FactoredFraction:
+    """A sum over all n! permutations, one permutation at a time, x_k and
+    y_k taken at the images X[k - 1] and Y[k - 1]."""
+    n, uni = len(X), X[0].universe
     one = FactoredFraction.one(uni)
     if form == SIDE_CYCLE:
         terms = [
@@ -333,6 +341,33 @@ class TestSpecializationChain:
             for side in SIDES:
                 substituted = symmetrized_side(n, side).substitute(bindings, UNIVERSE_ABQ)
                 assert frac_eq(_peeled(side, X, Y), substituted), (mu, side)
+
+    @pytest.mark.parametrize("parts", [(1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (2, 2, 1)])
+    def test_point_peel_matches_the_literal_sum(self, parts):
+        # Past length 4 no full-y side is built, so the literal sum over
+        # the permutations at the point is the oracle; these points repeat
+        # images, which the class peel counts.
+        X, Y = chain_point(Partition(parts))
+        for side in SIDES:
+            assert frac_eq(_peeled(side, X, Y), enumerated_at(side, X, Y)), (parts, side)
+
+    @pytest.mark.parametrize("parts", [(2, 1, 1, 1, 1), (2, 2, 1), (3, 2, 2, 1, 1, 1), (1,) * 10])
+    def test_a_prefix_form_peels_one_state_per_sub_multiset(self, parts, monkeypatch):
+        # A state is a multiset of image classes, so the point of mu has
+        # prod(m_i + 1) of them, not 2^l; the empty one seeds the memo.
+        mu = Partition(parts)
+        X, Y = chain_point(mu)
+        for form in (SIDE_LEFT, SIDE_RIGHT, "prop8"):
+            calls = []
+
+            def steps(classes):
+                calls.append(classes)
+                return rearrangement_steps(classes)
+
+            monkeypatch.setattr(identities, "rearrangement_steps", steps)
+            _peeled(form, X, Y)
+            states = math.prod(m + 1 for m in mu.multiplicities().values())
+            assert len(set(calls)) == len(calls) == states - 1, (parts, form)
 
     def test_the_chain_keeps_no_value(self):
         symmetrized_side(2, SIDE_LEFT)

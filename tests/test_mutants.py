@@ -116,20 +116,30 @@ def last_step_doubled(f):
     ]
 
 
-def lift_one_short(f):
-    """The peel walker rebuilt from its source with the first term of each
-    state lifted by one fewer of the den factors it misses, the smallest."""
-    lifts = (
-        ("for term, have in terms:", "for at, (term, have) in enumerate(terms):"),
-        ("for t, _ in sorted(lcm - have):", "for t, _ in sorted(lcm - have)[at == 0:]:"),
-    )
-    source = textwrap.dedent(inspect.getsource(f))
-    for line, short in lifts:
-        assert source.count(line) == 1, line
-        source = source.replace(line, short)
-    namespace = dict(vars(sys.modules[f.__module__]))
-    exec(source, namespace)
-    return namespace[f.__name__]
+def rewritten(*edits):
+    """A function rebuilt from its source with each (text, replacement) edit
+    made, each text found exactly once."""
+    def mutate(f):
+        source = textwrap.dedent(inspect.getsource(f))
+        for text, replacement in edits:
+            assert source.count(text) == 1, text
+            source = source.replace(text, replacement)
+        namespace = dict(vars(sys.modules[f.__module__]))
+        exec(source, namespace)
+        return namespace[f.__name__]
+    return mutate
+
+
+# The peel walker with the first term of each state lifted by one fewer of
+# the den factors it misses, the smallest.
+lift_one_short = rewritten(
+    ("for term, have in terms:", "for at, (term, have) in enumerate(terms):"),
+    ("for t, _ in sorted(lcm - have):", "for t, _ in sorted(lcm - have)[at == 0:]:"),
+)
+# The symmetrized peel counting one label per class where a prefix form's
+# class could stand last, or one set of labels per block of the cycle form.
+class_ways_dropped = rewritten(("(rest, classes.count(k), ", "(rest, 1, "))
+cycle_ways_dropped = rewritten(("(rest, ways * math.factorial", "(rest, math.factorial"))
 
 
 def ways_dropped(f):
@@ -206,6 +216,10 @@ MUTANTS = {
     "peel lift one factor short": (
         "partitions", "peel", lift_one_short, (1, 2, 3, 5, 6, 7, 9, 10)
     ),
+    # At the variables every class is one label, so only the chain points
+    # with repeated parts see these two.
+    "class peel ways dropped": ("identities", "_peeled", class_ways_dropped, (6,)),
+    "cycle block ways dropped": ("identities", "_peeled", cycle_ways_dropped, (6,)),
     "block rule binomial multiplicity dropped": (
         "partitions", "_sub_multisets", ways_dropped, (2,)
     ),
