@@ -56,7 +56,6 @@ from .positivity import (
 )
 from .specialize import (
     UNIVERSE_ABQ,
-    UNIVERSE_Q,
     UNIVERSE_QT,
     monomial_spec,
     oracle_direct,
@@ -323,8 +322,7 @@ def _thm7(n, memo) -> bool:
 
 
 def _prop5(mu, memo) -> bool:
-    expected = FactoredFraction.constant(UNIVERSE_Q, mu.rearrangement_count())
-    return frac_eq(constant_identity(mu, "prop5", memo), expected)
+    return constant_identity(mu, "prop5", memo) == mu.rearrangement_count()
 
 
 def _prop6(mu, memo) -> bool:
@@ -356,10 +354,10 @@ def _appendix(task, memo) -> bool:
 
 
 # Weight caps: each admitted the largest sweep that finished in under 2 s
-# in every fresh process timed, each share group peeling once.  Re-timed
-# with one peel walker, caps unchanged: prop5 (at most 6 parts) up to
-# weight 18 takes 0.36-0.37 s and 20 MB (19: 0.51-0.58 s); prop6 (at most 7
-# parts) up to weight 32 takes 0.71-0.76 s and 50 MB (33: 0.96-0.97 s).
+# in every fresh process timed, each share group peeling once.  Re-timed,
+# caps unchanged: prop5 (at most 6 parts) up to weight 18 takes 0.21-0.25 s
+# and 20 MB (19: 0.24-0.29 s); prop6 (at most 7 parts) up to weight 32
+# takes 0.71-0.76 s and 50 MB (33: 0.96-0.97 s).
 VERIFY_FAMILIES = {
     "thm6": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm6),
     "thm7": Family("n", SYMMETRIZED_CAP, _sizes, _n_label, _thm7),

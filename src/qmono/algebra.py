@@ -47,11 +47,11 @@ to 4 per slot the total moved by about 2%, and was lowest at 3 per slot.
 Every other product goes term pair by term pair through :func:`_mul_terms`.
 
 A peel over sub-multisets runs on Kronecker ints too, through
-:class:`PeelInts`, which ``partitions.peel_polynomial`` alone builds and
-sizes: c y^j q^k is c X^(k R + j), R a strict bound on the degree in the
-other variable y, each factor of few terms multiplies by shifts, and the
-value is read back once, by the rows' slot reader, from as many slots as it
-holds.  With q outermost the degree in q needs no bound.
+:class:`PeelInts`, which ``partitions`` alone builds and sizes: c y^j q^k
+is c X^(k R + j), R a strict bound on the degree in the other variable y,
+each factor of few terms multiplies by shifts, and the value is read back
+once, by the rows' slot reader, from as many slots as it holds (prop5's is
+decided at X instead).  With q outermost the degree in q needs no bound.
 
 Most operations of a command are on small operands, which take short paths.
 A monomial packs its one key directly, the text reads each monomial's

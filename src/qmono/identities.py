@@ -47,8 +47,8 @@ from fractions import Fraction
 
 from .algebra import FactoredFraction, Polynomial, frac_eq, product
 from .errors import ResourceLimitError, UsageError
-from .partitions import Partition, block_steps, peel, peel_polynomial, rearrangement_steps
-from .specialize import UNIVERSE_ABQ, UNIVERSE_Q, monomial_spec, one_minus_q_power, one_minus_q_terms
+from .partitions import Partition, block_steps, peel, peel_at_point, rearrangement_steps
+from .specialize import UNIVERSE_ABQ, monomial_spec, one_minus_q_terms
 
 # Largest n of the three-way sides (thm6, thm7, appendix): one side at n = 5
 # has 3,383,040 numerator terms and takes minutes and more than a gigabyte.
@@ -188,29 +188,30 @@ def symmetrized_side(n: int, side: str) -> FactoredFraction:
     return _symmetrized(side, n)
 
 
-def constant_identity(mu: Partition, kind: str, memo: dict) -> FactoredFraction | Fraction:
+def constant_identity(mu: Partition, kind: str, memo: dict) -> Fraction:
     """Rearrangement sums with constant value, summed by the rearrangement
-    peel over the sub-multisets of the parts.
+    peel over the sub-multisets of the parts, each returned as the exact
+    ``Fraction`` that equals the constant exactly when the identity holds.
 
     * "prop5": sum over rearrangements c of prod_i
       (1 - q^((l - i + 1) c_i)) / (1 - q^(prefix sum i)); equals
-      length! / prod(multiplicity!).
+      length! / prod(multiplicity!).  It is decided at the Kronecker
+      point X (``partitions.peel_at_point``, sized for that count) and
+      never read back: the value is N(X) / D(X).
     * "littlewood": sum over rearrangements of prod_i 1/(prefix sum i),
-      an exact rational equal to 1/z; the peel runs on ints and the value
-      is returned as the ``Fraction`` it is, not as a fraction in q.
+      an exact rational equal to 1/z; the peel runs on ints.
 
-    ``memo`` is the peel's (see ``peel_polynomial``): the prop5 factor reads
-    the length l, so calls of one kind may share a memo when they have the
-    same length (prop5) or always (littlewood)."""
+    ``memo`` is the peel's: the prop5 factor reads the length l, so calls
+    of one kind may share a memo when they have the same length (prop5) or
+    always (littlewood)."""
     if kind == "prop5":
         length = mu.length
-        num, sums = peel_polynomial(
+        num, den = peel_at_point(
             mu, rearrangement_steps,
             lambda i, total, c: one_minus_q_terms((length - i + 1) * c), one_minus_q_terms,
-            UNIVERSE_Q, [(0,)], memo,
+            mu.rearrangement_count(), memo,
         )
-        dens = [(one_minus_q_power(UNIVERSE_Q, s), m) for s, m in sums.items()]
-        return FactoredFraction(num, dens)
+        return Fraction(num, den)
     if kind == "littlewood":
         num, sums = peel(mu, rearrangement_steps, lambda i, total, c: 1, int, memo)
         return Fraction(num, math.prod(s ** m for s, m in sums.items()))

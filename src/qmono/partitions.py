@@ -3,9 +3,10 @@ multiplicities, the centralizer size z, the distinct rearrangements of the
 parts, the subset part sums counted without listing the subsets, one peel
 over sub-multisets with two step rules, over the rearrangements and over
 the set partitions of the positions, summing without listing (on ints, or
-on Kronecker ints read back as a polynomial), and the cycle decompositions
-of the full symmetric group.  The step rules also serve ``identities``,
-which peels its symmetrized sums over multisets of image classes.  Only the
+on Kronecker ints read back as a polynomial or, for prop5, decided at the
+codec's point), and the cycle decompositions of the full symmetric group.
+The step rules also serve ``identities``, which peels its symmetrized
+sums over multisets of image classes.  Only the
 symmetric-group enumerations grow with length!, and they share one cap,
 PERMUTATION_CAP; they are the literal references of criterion 5 and of the
 tests, and every other sum over them goes through a peel.  A length bound
@@ -226,7 +227,7 @@ def peel(mu: Partition, steps, step, den, memo: dict):
     D as the pairs (s, k), k = 1..D[s], so the lcm is a union and the lift
     a difference.  N of no parts is the int 1, and values are ints or
     anything an int adds and multiplies with (Littlewood's plain ints, the
-    l1 norms and Kronecker ints of :func:`peel_polynomial`); the ways are
+    l1 norms and Kronecker ints of :func:`_peel_ints`); the ways are
     positive, so a peel on l1 norms bounds N.
 
     ``memo`` keeps the states under the parts of M and the den values under
@@ -264,28 +265,50 @@ def peel(mu: Partition, steps, step, den, memo: dict):
     return num, sums
 
 
-def peel_polynomial(mu: Partition, steps, step, den, universe, rows: list, memo: dict):
-    """(N, D) of :func:`peel` under the rule ``steps``, N read back as a
-    polynomial over ``universe``.  ``step`` (the rearrangement factor or
-    the block weight) and ``den(s)`` return term maps {(j, k): c}, one
-    entry per term c y^j q^k, y one more variable whose degree in every
-    state is below ``len(rows)``.
+def _l1(terms: dict) -> int:
+    return sum(map(abs, terms.values()))
 
-    It peels the maps' l1 norms on ints, for a strict l1 bound of N and for
-    D; then the maps on Kronecker ints sized by that bound
-    (``algebra.PeelInts``), each map multiplying by shifts, and reads back
-    N's term at q^k times the monomial ``rows[j]`` from slot k len(rows) + j.
-    ``memo`` keeps the bound's states under "l1" and one dict of states per
-    slot size, so calls that outgrow a width start fresh.  A state's slots
-    depend on ``len(rows)``, so calls that share a memo share ``rows``."""
+
+def _peel_ints(mu: Partition, steps, step, den, ys: int, memo: dict, value: int = 0):
+    """(codec, N(X), D) of :func:`peel` under the rule ``steps``, ``step``
+    and ``den(s)`` returning term maps {(j, k): c}, one entry per term
+    c y^j q^k, y of degree below ``ys`` in every state.  It peels the maps'
+    l1 norms on ints, for a strict l1 bound of N and for D; then the maps
+    on Kronecker ints (``algebra.PeelInts``), each multiplying by shifts,
+    the slots holding that bound and, given a ``value``, also
+    value prod_s |den(s)|_1^D[s]: every coefficient of N and of value * D.
+    ``memo`` keeps the bound's
+    states under "l1" and one dict of states per slot size, so calls that
+    outgrow a width start fresh; calls that share it share ``ys``."""
 
     def walk(lift, states: dict):
         return peel(mu, steps, lambda *args: lift(step(*args)), lambda s: lift(den(s)), states)
 
-    bound, _ = walk(lambda terms: sum(map(abs, terms.values())), memo.setdefault("l1", {}))
-    ints = PeelInts(len(rows), bound)
+    bound, sums = walk(_l1, memo.setdefault("l1", {}))
+    if value:  # a read-back needs no floor: skip its den(s) calls
+        bound = max(bound, value * math.prod(_l1(den(s)) ** m for s, m in sums.items()))
+    ints = PeelInts(ys, bound)
     num, sums = walk(ints.multiplier, memo.setdefault(ints.size, {}))
+    return ints, num, sums
+
+
+def peel_polynomial(mu: Partition, steps, step, den, universe, rows: list, memo: dict):
+    """(N, D) of :func:`_peel_ints`, N read back over ``universe``: its term
+    at q^k times the monomial ``rows[j]`` is slot k len(rows) + j."""
+    ints, num, sums = _peel_ints(mu, steps, step, den, len(rows), memo)
     return ints.polynomial(num, universe, rows), sums
+
+
+def peel_at_point(mu: Partition, steps, step, den, value: int, memo: dict):
+    """(N(X), D(X)) of :func:`_peel_ints` at the codec's point X, the maps
+    in q alone, and nothing read back.  N / D = ``value`` exactly when
+    N(X) = value D(X): evaluation at X is injective on polynomials whose
+    coefficients the slots hold, as they hold N's and value * D's.  That
+    floor under the l1 bound fails a wrong peel, one that lifts a state by
+    a factor too few, whose bound falls below it; a right one meets it."""
+    ints, num, sums = _peel_ints(mu, steps, step, den, 1, memo, value)
+    # 1 * multiplier is the int that den(s) evaluates to at X.
+    return num, math.prod((1 * ints.multiplier(den(s))) ** m for s, m in sums.items())
 
 
 def z_of(mu: Partition) -> int:

@@ -84,7 +84,7 @@ def one_minus_q_power(universe: tuple, s: int) -> Polynomial:
 
 
 def one_minus_q_terms(s: int) -> dict:
-    """1 - q^s as a ``peel_polynomial`` term map, {(j, k): c} for c y^j q^k."""
+    """1 - q^s as a peel's term map, {(j, k): c} for c y^j q^k."""
     return {(0, 0): 1, (0, s): -1}
 
 

@@ -197,7 +197,8 @@ class TestConstantIdentities:
         lhs = (one + q ** 2) * (one - q) + (one + q) * (one - q ** 2)
         assert lhs == (one - q ** 3) * 2
         got = constant_identity(Partition((2, 1)), "prop5", {})
-        assert frac_eq(got, FactoredFraction.constant(uni, 2))
+        assert got == 2
+        assert isinstance(got, Fraction)
 
     def test_littlewood_examples(self):
         got = constant_identity(Partition((2, 1)), "littlewood", {})

@@ -140,6 +140,9 @@ lift_one_short = rewritten(
 # class could stand last, or one set of labels per block of the cycle form.
 class_ways_dropped = rewritten(("(rest, classes.count(k), ", "(rest, 1, "))
 cycle_ways_dropped = rewritten(("(rest, ways * math.factorial", "(rest, math.factorial"))
+# prop5's factor 1 - q^((l - i) c) for 1 - q^((l - i + 1) c): at i = l it
+# reads 1 - q^0.
+prop5_exponent_one_short = rewritten(("(length - i + 1) * c", "(length - i) * c"))
 
 
 def ways_dropped(f):
@@ -224,6 +227,9 @@ MUTANTS = {
         "partitions", "_sub_multisets", ways_dropped, (2,)
     ),
     "littlewood value x2": ("identities", "constant_identity", littlewood_doubled, (7,)),
+    "prop5 factor exponent one short": (
+        "identities", "constant_identity", prop5_exponent_one_short, (7,)
+    ),
     "prop5 memo shared across lengths": (
         "acceptance", "VERIFY_FAMILIES", prop5_shared_across_lengths, (7,)
     ),

@@ -1,23 +1,28 @@
 """The rearrangement peel on Kronecker ints against the same peel on
-polynomials, whose two-term factors multiply term pair by term pair, and
-the slot edges of the peel's codec."""
+polynomials, whose two-term factors multiply term pair by term pair;
+prop5's verdict at the codec's point against the read-back route; and the
+slot edges of the peel's codec."""
+
+import math
+from fractions import Fraction
 
 import pytest
 
-from qmono import partitions
+from qmono import identities, partitions
 from qmono.acceptance import VERIFY_FAMILIES
-from qmono.algebra import FactoredFraction, PeelInts, Polynomial, geometric_sum
+from qmono.algebra import FactoredFraction, PeelInts, Polynomial, frac_eq, geometric_sum
 from qmono.errors import InternalConsistencyError
 from qmono.identities import constant_identity
 from qmono.partitions import (
     Partition,
     partitions_up_to,
     peel,
+    peel_at_point,
     peel_polynomial,
     rearrangement_steps,
 )
 from qmono.positivity import _check_cap, _homogeneous_quotient, _numerator_and_leftover
-from qmono.specialize import UNIVERSE_ABQ, UNIVERSE_Q, UNIVERSE_QT, monomial_spec
+from qmono.specialize import UNIVERSE_ABQ, UNIVERSE_Q, UNIVERSE_QT, monomial_spec, one_minus_q_terms
 
 # The slowest inputs the closed-form and positivity caps admit.
 CLOSED_FORM_EDGES = [
@@ -45,9 +50,15 @@ def reference_spec(mu: Partition, form: str) -> FactoredFraction:
     return FactoredFraction(Polynomial.one(UNIVERSE_ABQ) * num, dens)
 
 
+def prop5_factor(length: int, shift: int = 1):
+    """prop5's factor 1 - q^((l - i + shift) c) as a term map; shift 1 is
+    the paper's, and any other a wrong factor whose verdicts must agree
+    too."""
+    return lambda i, total, c: one_minus_q_terms((length - i + shift) * c)
+
+
 def reference_prop5(mu: Partition, memo: dict) -> FactoredFraction:
-    """``constant_identity(mu, "prop5", ...)`` with the peel's values as
-    polynomials."""
+    """prop5's fraction with the peel's values as polynomials."""
     length = mu.length
     num, sums = peel(
         mu,
@@ -58,6 +69,24 @@ def reference_prop5(mu: Partition, memo: dict) -> FactoredFraction:
     )
     dens = [(one_minus_q(UNIVERSE_Q, s), m) for s, m in sums.items()]
     return FactoredFraction(Polynomial.one(UNIVERSE_Q) * num, dens)
+
+
+def read_back_verdict(mu: Partition, factor) -> bool:
+    """prop5's verdict by the route it took before it was decided at the
+    codec's point: the peel read back as a fraction in q, compared by
+    ``frac_eq`` with the constant count."""
+    num, sums = peel_polynomial(
+        mu, rearrangement_steps, factor, one_minus_q_terms, UNIVERSE_Q, [(0,)], {}
+    )
+    value = FactoredFraction(num, [(one_minus_q(UNIVERSE_Q, s), m) for s, m in sums.items()])
+    return frac_eq(value, FactoredFraction.constant(UNIVERSE_Q, mu.rearrangement_count()))
+
+
+def point_verdict(mu: Partition, factor, memo: dict) -> bool:
+    """prop5's verdict as ``constant_identity`` reaches it, for any factor."""
+    count = mu.rearrangement_count()
+    num, den = peel_at_point(mu, rearrangement_steps, factor, one_minus_q_terms, count, memo)
+    return Fraction(num, den) == count
 
 
 def reference_numerator(mu: Partition) -> Polynomial:
@@ -119,14 +148,83 @@ def test_closed_forms_at_the_cap_edge_equal_the_polynomial_peel(parts, form, rea
         assert monomial_spec(mu, any_form).value == expected, any_form
 
 
+@pytest.fixture
+def codecs(monkeypatch):
+    """(l1 bound after the floor, codec) of every codec a peel builds."""
+    seen = []
+
+    class Recording(PeelInts):
+        __slots__ = ()
+
+        def __init__(self, ys, bound):
+            super().__init__(ys, bound)
+            seen.append((bound, self))
+
+    monkeypatch.setattr(partitions, "PeelInts", Recording)
+    return seen
+
+
+def at(p: Polynomial, x: int) -> int:
+    """The polynomial in q alone at q = x."""
+    return sum(c * x ** k for (k,), c in p.items())
+
+
 @pytest.mark.parametrize("order", ["listed", "reversed"])
-def test_prop5_with_a_shared_memo_equals_the_polynomial_peel(order, read_back):
+def test_prop5_at_the_point_is_the_polynomial_peel_there(order, codecs):
+    # With a shared memo, whichever instance built a state first, N(X) and
+    # D(X) are the polynomial peel's N and D at the point X of the codec the
+    # call built, and the value is the count.
     family = VERIFY_FAMILIES["prop5"]
     tasks = family.instances(12)
     memos = {}
     for mu in tasks if order == "listed" else tasks[::-1]:
-        shared = constant_identity(mu, "prop5", memos.setdefault(family.share(mu), {}))
-        assert shared == reference_prop5(mu, {}), mu
+        memo = memos.setdefault(family.share(mu), {})
+        count = mu.rearrangement_count()
+        assert constant_identity(mu, "prop5", memo) == count, mu
+        num, den = peel_at_point(
+            mu, rearrangement_steps, prop5_factor(mu.length), one_minus_q_terms, count, memo
+        )
+        x = 1 << 8 * codecs[-1][1].size
+        expected = reference_prop5(mu, {})
+        assert num == at(expected.numerator, x), mu
+        assert den == math.prod(at(f, x) ** m for f, m in expected.denominator), mu
+
+
+@pytest.mark.parametrize("shift", [1, 0, 2])
+def test_prop5_verdicts_equal_the_read_back_route(shift):
+    # Every partition of weight 12 or less with at most 6 parts, under the
+    # paper's factor and two wrong ones, the shared memos of a sweep.
+    family = VERIFY_FAMILIES["prop5"]
+    memos, verdicts = {}, []
+    for mu in family.instances(12):
+        factor = prop5_factor(mu.length, shift)
+        verdict = point_verdict(mu, factor, memos.setdefault(family.share(mu), {}))
+        assert verdict == read_back_verdict(mu, factor), mu
+        verdicts.append(verdict)
+    assert all(verdicts) if shift == 1 else not any(verdicts)
+
+
+def test_the_slot_holds_the_count_times_d_above_a_short_l1_bound(codecs, monkeypatch):
+    # prop5 with a step that lost its factor, 1 in place of 1 - q^e: its l1
+    # bound falls below count * 2^|D|.  The slot still holds every
+    # coefficient of count * D, and the verdict is the read-back route's.
+    def lost(mu, steps, step, den, value, memo):
+        return peel_at_point(mu, steps, lambda *args: {(0, 0): 1}, den, value, memo)
+
+    monkeypatch.setattr(identities, "peel_at_point", lost)
+    widened = 0
+    for mu in VERIFY_FAMILIES["prop5"].instances(12):
+        count = mu.rearrangement_count()
+        assert not VERIFY_FAMILIES["prop5"].check(mu, {}), mu
+        floored, ints = codecs[-1]
+        assert not read_back_verdict(mu, lambda *args: {(0, 0): 1}), mu
+        bound, sums = peel(mu, rearrangement_steps, lambda *args: 1, lambda s: 2, {})
+        assert bound < count * 2 ** sum(sums.values()) <= floored, mu
+        d = math.prod(one_minus_q(UNIVERSE_Q, s) ** m for s, m in sums.items())
+        assert floored >= sum(map(abs, (d * count).coefficients())), mu
+        widened += PeelInts(1, bound).size < ints.size
+    # Without the floor, some of these slots would be narrower.
+    assert widened > 0
 
 
 @pytest.mark.parametrize("parts", [mu.parts for mu in partitions_up_to(8)] + POSITIVITY_EDGES)

@@ -205,6 +205,8 @@ def test_the_list_product_is_defined_once():
     assert callers == {
         ("identities.py", "constant_identity"),
         ("partitions.py", "Partition.repetition_factor"),
+        ("partitions.py", "_peel_ints"),
+        ("partitions.py", "peel_at_point"),
         ("partitions.py", "check_peel_cost"),
         ("partitions.py", "z_of"),
     }
@@ -299,17 +301,22 @@ def _names(path):
 
 
 def test_one_function_sizes_peels_and_reads_back():
-    # The closed forms, prop5, positivity and the power-sum oracle hand a
-    # step rule and its term maps to partitions.peel_polynomial, which
-    # derives the l1 bound, builds the codec, peels and reads back.  No
-    # other module names the codec, and the only peel called directly is
-    # Littlewood's on ints, so no caller sizes slots or states an l1 norm of
-    # its own.
+    # The closed forms, positivity and the power-sum oracle hand a step rule
+    # and its term maps to partitions.peel_polynomial, which reads back, and
+    # prop5 to partitions.peel_at_point, which decides at the codec's point.
+    # Both go through partitions._peel_ints, which derives the l1 bound,
+    # builds the codec and peels.  No other module names the codec, and the
+    # only peel called directly is Littlewood's on ints, so no caller sizes
+    # slots or states an l1 norm of its own.
     builders = set().union(*(_callers(p, "PeelInts") for p in SOURCES))
-    assert builders == {("partitions.py", "peel_polynomial")}
+    assert builders == {("partitions.py", "_peel_ints")}
     assert {p.name for p in SOURCES if "PeelInts" in _names(p)} == {"algebra.py", "partitions.py"}
+    walks = set().union(*(_callers(p, "_peel_ints") for p in SOURCES))
+    assert walks == {("partitions.py", "peel_polynomial"), ("partitions.py", "peel_at_point")}
     peels = set().union(*(_callers(p, "peel") for p in SOURCES))
-    assert peels == {("partitions.py", "peel_polynomial"), ("identities.py", "constant_identity")}
+    assert peels == {("partitions.py", "_peel_ints"), ("identities.py", "constant_identity")}
+    deciders = set().union(*(_callers(p, "peel_at_point") for p in SOURCES))
+    assert deciders == {("identities.py", "constant_identity")}
 
 
 def test_only_the_reference_enumerates_rearrangements():
