@@ -53,13 +53,22 @@ each factor of few terms multiplies by shifts, and the value is read back
 once, by the rows' slot reader, from as many slots as it holds (prop5's is
 decided at X instead).  With q outermost the degree in q needs no bound.
 
+Two products of polynomials are compared at one Kronecker point, with
+nothing read back, by :func:`equal_at_point`, which decides both of
+``positivity``'s identities: q = X innermost, so a factor in q alone stays
+a short int, every other variable a power of t = X^Q, Q above both sides'
+degree in q, and the slot holding the two sides' l1 bounds summed; a
+binomial multiplies by shifts.
+
 Most operations of a command are on small operands, which take short paths.
 A monomial packs its one key directly, the text reads each monomial's
 string from a table kept per universe and width, keyed by the packed key
 with its degree field masked off and filled no further than its bound, and
 :meth:`Polynomial.sort_key` is computed once per polynomial and kept, as is
 whether every coefficient is an int, which the rows need; an integral
-Fraction is always stored as an int.  A fraction whose factors all come
+Fraction is always stored as an int, and an int-valued polynomial scaled by
+a Fraction p/d takes one divmod of c p by d per coefficient, making a
+Fraction only where a remainder is left.  A fraction whose factors all come
 from normalized fractions (a product, negation, power or scalar multiple,
 the common denominator of a sum) is built without checking and
 sign-normalizing them again.  The kept sort key and hash rely on a term
@@ -108,6 +117,13 @@ _NARROW = 16
 # pairs per row pair plus _SLOT_COST per slot.
 _ROW_COST = 16
 _SLOT_COST = 3
+# A factor of a point evaluation with at most this many terms multiplies by
+# shifts, one shifted add per term; a longer one becomes one int, which
+# CPython multiplies faster.  It covers positivity's binomials and its
+# brackets [i]_q, i <= 8: by shifts the auxiliary identity of (1^8) took
+# 1.8 against 3.7 ms multiplying the brackets as ints (min of 200 alternated
+# runs in one process, Python 3.11, 2 vCPU).
+_SHIFT_TERMS = 8
 # The slot sizes memoryview.cast reads as unsigned ints in this byte order.
 _SLOT_FORMATS = {calcsize(f): f for f in "BHIQ"} if sys.byteorder == "little" else {}
 
@@ -211,13 +227,13 @@ def _bias(slots: int, size: int) -> tuple:
     return half, int.from_bytes(half.to_bytes(size, "little") * slots, "little")
 
 
-def _evaluate(row: dict, lo: int, hi: int, size: int) -> int:
-    """The int sum of c * X^(e - lo) over the terms c q^e of a row, at
-    X = 2^(8 size), lo <= e <= hi.  Each coefficient is written biased by
-    half a slot, so that every slot is non-negative."""
+def _evaluate(terms: Iterable, lo: int, hi: int, size: int) -> int:
+    """The int sum of c * X^(e - lo) over the (e, c) pairs of ``terms``, at
+    X = 2^(8 size), lo <= e <= hi; pairs that share an e add.  Each slot is
+    written biased by half a slot, so that every slot is non-negative."""
     half, bias = _bias(hi - lo + 1, size)
     coeffs = [half] * (hi - lo + 1)
-    for e, c in row.items():
+    for e, c in terms:
         coeffs[e - lo] += c
     raw = b"".join(map(int.to_bytes, coeffs, repeat(size), repeat("little")))
     return int.from_bytes(raw, "little") - bias
@@ -277,10 +293,10 @@ def _row_product(a: dict, b: dict, n: int, at: int, w: int):
         return None
     size = _slot_size(sum(map(abs, a.values())) * sum(map(abs, b.values())))
     bits = 8 * size
-    ints_b = [(r, lo, _evaluate(rows_b[r], lo, hi, size)) for r, lo, hi in spans_b]
+    ints_b = [(r, lo, _evaluate(rows_b[r].items(), lo, hi, size)) for r, lo, hi in spans_b]
     sums = {}
     for r1, lo1, hi1 in spans_a:
-        x1 = _evaluate(rows_a[r1], lo1, hi1, size)
+        x1 = _evaluate(rows_a[r1].items(), lo1, hi1, size)
         for r2, lo2, x2 in ints_b:
             r = r1 + r2
             sums[r] = sums.get(r, 0) + (x1 * x2 << bits * (lo1 + lo2 - out[r][0]))
@@ -309,6 +325,92 @@ class _Shifts(tuple):
                 part = -part if c == -1 else c * part
             total = part if total == 0 else total + part
         return total
+
+
+def _sides(left: Iterable, right: Iterable) -> tuple:
+    """Both sides of :func:`equal_at_point` as (polynomial, multiplicity)
+    pairs, a bare polynomial counting once."""
+    return tuple(
+        [(f, 1) if isinstance(f, Polynomial) else f for f in side] for side in (left, right)
+    )
+
+
+def _point_layout(sides: tuple, powers: Mapping[str, int]) -> tuple:
+    """(Q, slot bytes) of :func:`equal_at_point` for its :func:`_sides`: Q
+    one above either side's degree in q, the sum of its factors', and the
+    slot holding the sum of the two sides' l1 bounds, each the product of
+    its factors' l1 norms, a zero factor's taken as 1 so that the slot
+    holds every factor too."""
+    degrees, bounds = [], []
+    for side in sides:
+        degree, bound = 0, 1
+        for f, m in side:
+            names = set(f.universe) - {"q"}
+            if not names <= powers.keys():
+                raise UsageError(f"no power of t for {sorted(names - powers.keys())}")
+            if not f._int_valued():
+                raise UsageError("a point evaluation needs int coefficients")
+            if "q" in f.universe and f.terms:
+                n, w = len(f.universe), f._width
+                shift, mask = w * (n - 1 - f.universe.index("q")), (1 << w) - 1
+                degree += m * max((k >> shift) & mask for k in f.terms)
+            bound *= max(1, sum(map(abs, f.terms.values()))) ** m
+        degrees.append(degree)
+        bounds.append(bound)
+    return max(degrees) + 1, _slot_size(sum(bounds))
+
+
+def _side_at(side: list, powers: Mapping[str, int], Q: int, size: int) -> int:
+    """The int value of a product of (polynomial, multiplicity) pairs at
+    q = X = 2^(8 size), each other variable v at t^powers[v], t = X^Q.
+
+    Every factor of more than ``_SHIFT_TERMS`` terms is evaluated to one
+    int, and these multiply shortest first, so a short one in q alone meets
+    a long one in t once; every other factor, each binomial among them,
+    then multiplies the product by shifts, in time linear in its length."""
+    bits = 8 * size
+    ints, shifts = [], []
+    for f, m in side:
+        n, w = len(f.universe), f._width
+        mask, keys = (1 << w) - 1, list(f.terms)
+        exponents = [0] * len(keys)
+        for i, v in enumerate(f.universe):
+            shift, stride = w * (n - 1 - i), 1 if v == "q" else Q * powers[v]
+            if stride:
+                exponents = [e + ((k >> shift) & mask) * stride for e, k in zip(exponents, keys)]
+        terms = list(zip(exponents, f.terms.values()))
+        if len(terms) <= _SHIFT_TERMS:
+            groups = {}  # terms that share an exponent add
+            for e, c in terms:
+                groups.setdefault(c, []).append(e * bits)
+            shifts += [_Shifts(groups.items())] * m
+        else:
+            ints += [_evaluate(terms, 0, max(exponents), size)] * m
+    value = 1
+    for x in sorted(ints, key=int.bit_length):
+        value = value * x
+    for f in shifts:
+        value = value * f
+    return value
+
+
+def equal_at_point(left: Iterable, right: Iterable, powers: Mapping[str, int]) -> bool:
+    """Whether two products of polynomials with int coefficients are equal
+    once every variable v other than q is taken at t^powers[v] (at 1 for
+    0), each side a list of polynomials and (polynomial, multiplicity)
+    pairs, decided at one Kronecker point with nothing read back.
+
+    Both sides are evaluated at q = X = 2^(8K) and t = X^Q, with the
+    layout of :func:`_point_layout`; terms that land on one slot add.  The
+    images of the two products in Z[q, t] have q-degree below Q, so
+    q^i t^j -> X^(i + Q j) is one to one on their monomials, and every
+    coefficient of their difference is at most the two l1 bounds summed,
+    which the slot holds below half a slot.  A polynomial with such
+    coefficients is zero exactly when its value at X is, so the two ints
+    are equal exactly when the two products are."""
+    sides = _sides(left, right)
+    Q, size = _point_layout(sides, powers)
+    return _side_at(sides[0], powers, Q, size) == _side_at(sides[1], powers, Q, size)
 
 
 # The monomial strings of the text, kept per (universe, width) and keyed by
@@ -577,6 +679,8 @@ class Polynomial:
             if other == 0:
                 return Polynomial._raw(self.universe, {})
             other = _norm_coeff(other)
+            if type(other) is Fraction and self._int_valued():
+                return self._divided(other.numerator, other.denominator)
             return Polynomial._raw(
                 self.universe,
                 {e: _norm_coeff(c * other) for e, c in self.terms.items()},
@@ -602,6 +706,18 @@ class Polynomial:
         return Polynomial._raw(self.universe, terms, w, degree, ints or None)
 
     __rmul__ = __mul__
+
+    def _divided(self, p: int, d: int) -> "Polynomial":
+        """This int-valued polynomial times p/d, d > 1: each c p / d by one
+        divmod, a Fraction only where d does not divide c p."""
+        terms, ints = {}, True
+        for e, c in self.terms.items():
+            quotient, remainder = divmod(c * p, d)
+            if remainder:
+                terms[e], ints = Fraction(c * p, d), False
+            else:
+                terms[e] = quotient
+        return Polynomial._raw(self.universe, terms, self._width, self._degree, ints)
 
     def exact_quotient(self, d: "Polynomial"):
         """The polynomial q with q * d == self, or None when d does not

@@ -21,20 +21,33 @@ built as Nbar * L, never by inverting H.  Hence H / Hbar = N / Nbar as
 rational functions, and the verdict is the one the cross-multiplication
 with H and Hbar reaches.  L cancels from that identity either way; only
 the auxiliary identity, against the separately built P, tests it.
+
+Both identities are decided at one Kronecker point, cross-multiplied and
+with nothing read back (``algebra.equal_at_point``).  The factorization
+identity compares N_spec * prod_{i<=l} (1 - q^i) * Nbar with
+count * prod_{i<l} (q^i - t) * N * prod_{s in D} (1 - q^s)^m, N_spec / D
+the cached closed form over (a, b, q) taken at a = 1, b = t as it is
+evaluated, so no fraction is built, lifted or substituted; the auxiliary
+identity compares count * P with prod_i [i]_q * Hbar in q alone.  Each
+side is one int at q = X = 2^(8K), t = X^Q.  The point decides exactly:
+Q is above both sides' degree in q, so the strides keep distinct
+monomials in distinct slots, and the slot holds the two sides' l1 bounds
+summed below half a slot, so evaluation at X is injective on the
+difference of the two sides, which is zero exactly when its value is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FactoredFraction, Polynomial, frac_eq, geometric_sum, product
+from .algebra import Polynomial, equal_at_point, geometric_sum, product
 from .errors import (
     InternalConsistencyError,
     NotApplicableError,
     ResourceLimitError,
 )
 from .partitions import Partition, check_peel_cost, peel_polynomial, rearrangement_steps
-from .specialize import UNIVERSE_Q, UNIVERSE_QT, one_minus_q_power, spec_value_at
+from .specialize import UNIVERSE_Q, UNIVERSE_QT, monomial_spec, one_minus_q_power
 
 # The caps of the peel behind H, and of the degree of P, which bounds the
 # cost of P, of H = N * L and of the identity check (README "Caps").  P's
@@ -145,28 +158,32 @@ def positivity_report(mu: Partition) -> PositivityReport:
     output and read once, by the coefficient check, through its coefficients
     alone; Hbar is built as Nbar * L.  The factorization identity is decided
     as spec = count * prod_i (q^(i-1) - t) * N / (prod_i (1 - q^i) * Nbar),
-    the verdict of the cross-multiplication with H and Hbar (see the module
-    docstring); the auxiliary identity, against P built on its own, tests L."""
+    the verdict of the cross-multiplication with H and Hbar; the auxiliary
+    identity, against P built on its own, tests L.  Both are decided at one
+    Kronecker point (see the module docstring)."""
     counts = _check_cap(mu)
     P = _subset_product(counts, ())
     N, L = _numerator_and_leftover(mu, counts)
     H = N * L.substitute({}, universe=UNIVERSE_QT)
-    length = mu.length
+    length, count = mu.length, mu.rearrangement_count()
     Nbar = inverted_polynomial(N, mu.weight - length)
     Hbar = None if Nbar is None else Nbar * L
     nonneg = all(type(c) is int and c > 0 for c in H.coefficients())
     identity = auxiliary = False
     if Nbar is not None and not Nbar.is_zero:
+        spec = monomial_spec(mu).value
         t = Polynomial.variable(UNIVERSE_QT, "t")
-        lhs = spec_value_at(mu, 1, t)
-        q = [Polynomial.variable(UNIVERSE_QT, "q", i) for i in range(length)]
-        num = product([q[i] - t for i in range(length)], UNIVERSE_QT) * mu.rearrangement_count()
-        den = [one_minus_q_power(UNIVERSE_QT, i) for i in range(1, length + 1)]
-        den.append(Nbar.substitute({}, universe=UNIVERSE_QT))
-        identity = frac_eq(lhs, FactoredFraction(num * N, den))
+        one_minus = [one_minus_q_power(UNIVERSE_Q, i) for i in range(1, length + 1)]
+        q_minus_t = [Polynomial.variable(UNIVERSE_QT, "q", i) - t for i in range(length)]
+        identity = equal_at_point(
+            [spec.numerator, Nbar, *one_minus],
+            [Polynomial.constant(UNIVERSE_QT, count), N, *spec.denominator, *q_minus_t],
+            {"a": 0, "b": 1, "t": 1},
+        )
     if Hbar is not None:
         brackets = [geometric_sum(UNIVERSE_Q, "q", i) for i in range(1, length + 1)]
-        auxiliary = P * mu.rearrangement_count() == product(brackets, UNIVERSE_Q) * Hbar
+        scaled_P = [Polynomial.constant(UNIVERSE_Q, count), P]
+        auxiliary = equal_at_point(scaled_P, [*brackets, Hbar], {})
     return PositivityReport(mu, P, H, Hbar, nonneg, identity, auxiliary)
 
 

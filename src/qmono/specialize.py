@@ -60,10 +60,12 @@ PEEL_DEGREE_CAP = 600
 # The closed forms and their values at (a, b) are kept per process, each in
 # a memo of this many entries: values are immutable, so pool workers forked
 # later may share what the parent holds.  A queries pass of the benchmark
-# asks for 126 distinct (mu, form) and 113 distinct (mu, a, b), which take
-# 0.7 and 0.6 MB by tracemalloc, and selftest for 134 and 136; at 128
-# selftest rebuilds 54 closed forms, at 64 queries 38.  A value at the cap
-# edge takes about 7 MB.
+# (seed 1) asks for 126 distinct (mu, form) and 72 distinct (mu, a, b),
+# which take 0.7 and 0.2 MB by tracemalloc, and selftest for 134 and 95;
+# positivity asks for no (mu, 1, t), as it evaluates the closed form at
+# a = 1, b = t itself.  At 128 selftest rebuilds 54 closed forms, at 64
+# queries 40 closed forms and 43 values.  A value at the cap edge takes
+# about 7 MB.
 MEMO_BOUND = 256
 
 
@@ -84,8 +86,9 @@ def one_minus_q_power(universe: tuple, s: int) -> Polynomial:
 
 
 def one_minus_q_terms(s: int) -> dict:
-    """1 - q^s as a peel's term map, {(j, k): c} for c y^j q^k."""
-    return {(0, 0): 1, (0, s): -1}
+    """1 - q^s as a peel's term map, {(j, k): c} for c y^j q^k: empty at
+    s = 0, where 1 - q^0 = 0."""
+    return {(0, 0): 1, (0, s): -1} if s else {}
 
 
 def _ab_rows(weight: int) -> list:

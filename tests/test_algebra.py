@@ -17,6 +17,7 @@ from qmono.algebra import (
     _width_for,
     frac_eq,
     geometric_sum,
+    product,
 )
 from qmono.errors import InternalConsistencyError, InvalidValueError, PoleError, UsageError
 
@@ -1313,3 +1314,84 @@ def test_normalized_fractions_equal_the_public_constructor():
                 assert _same_fraction(got, rebuilt)
                 if expected is not None:
                     assert _same_fraction(got, expected)
+
+
+@pytest.mark.parametrize("scalar", [Fraction(1, 6), Fraction(-5, 4), Fraction(7, 3)])
+@pytest.mark.parametrize("multiple", [12, 1])
+def test_a_fraction_scales_an_int_valued_polynomial_by_exact_division(scalar, multiple):
+    # Each coefficient times p/d is one divmod, a Fraction only where d does
+    # not divide it: multiples of 12 divide exactly, others mostly do not.
+    rng = Random(multiple)
+    for universe in (Q, ABQ):
+        for spread in (3, 2 ** 70):
+            p = Polynomial(universe, {
+                tuple(rng.randint(0, 4) for _ in universe): multiple * (rng.randint(-spread, spread) or 1)
+                for _ in range(30)
+            })
+            got = p * scalar
+            expected = {k: algebra._norm_coeff(Fraction(c) * scalar) for k, c in p.terms.items()}
+            assert got.terms == expected
+            assert [type(c) for c in got.terms.values()] == [type(c) for c in expected.values()]
+            assert got._int_valued() == (multiple == 12)
+            _stored_right(got)
+
+
+def _point(*sides, powers=None):
+    return algebra.equal_at_point(*sides, {"a": 0, "b": 1, "t": 1} if powers is None else powers)
+
+
+def test_terms_that_land_on_one_slot_add(abq):
+    one, a, b, q = abq
+    t = var(QT, "t")
+    both_t = {"a": 1, "b": 1, "t": 1}
+    # a and b both at t: a + b is 2 t, and a q - b q is 0.
+    assert _point([a + b], [t * 2], powers=both_t)
+    assert not _point([a + b], [t], powers=both_t)
+    assert _point([a * q - b * q + one], [Polynomial.one(QT)], powers=both_t)
+    # At a = 1, b = t, a polynomial of more than two terms is one int.
+    p = a ** 2 * b + a * b * q + b * q ** 2 + a * q ** 2 * b
+    assert _point([p], [t, one + q + q ** 2 * 2])
+    assert not _point([p], [t, one + q * 2 + q ** 2])
+
+
+def test_a_point_needs_int_coefficients_and_a_power_for_every_variable(abq):
+    one, a, b, q = abq
+    with pytest.raises(UsageError, match="int coefficients"):
+        _point([a * Fraction(1, 2) + q], [one])
+    with pytest.raises(UsageError, match="no power of t"):
+        _point([a + b + q], [one], powers={"a": 0})
+
+
+def _small_qt(rng):
+    spread = rng.choice((1, 3, 2 ** 40))
+    return Polynomial(QT, {
+        (rng.randint(0, 6), rng.randint(0, 3)): rng.randint(-spread, spread)
+        for _ in range(rng.randint(1, 8))
+    })
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_equal_at_point_is_the_equality_of_the_products(seed):
+    # Regroup or repeat the same factors for an equal right side, or change
+    # one term of one factor for one that is almost always unequal; the
+    # verdict is the one the products' term maps give.
+    rng = Random(seed)
+    t = {"t": 1}
+    for _ in range(40):
+        factors = [_small_qt(rng) for _ in range(rng.randint(1, 5))]
+        left = [(f, 2) for f in factors[:1]] + factors[1:]
+        right = [factors[0] * factors[0]] + factors[1:]
+        rng.shuffle(right)
+        if rng.random() < 0.5:
+            right[0] = right[0] + Polynomial(QT, {(rng.randint(0, 6), rng.randint(0, 3)): 1})
+        expected = product(factors[:1] + factors, QT) == product(right, QT)
+        assert algebra.equal_at_point(left, right, t) == expected
+        assert algebra.equal_at_point(right, left, t) == expected
+
+
+def test_a_zero_factor_makes_its_side_zero():
+    q = var(QT, "q")
+    zero = Polynomial.zero(QT)
+    assert algebra.equal_at_point([q, zero], [zero], {"t": 1})
+    assert algebra.equal_at_point([q - q], [q * 0], {"t": 1})
+    assert not algebra.equal_at_point([q, zero], [q], {"t": 1})

@@ -143,6 +143,12 @@ cycle_ways_dropped = rewritten(("(rest, ways * math.factorial", "(rest, math.fac
 # prop5's factor 1 - q^((l - i) c) for 1 - q^((l - i + 1) c): at i = l it
 # reads 1 - q^0.
 prop5_exponent_one_short = rewritten(("(length - i + 1) * c", "(length - i) * c"))
+# The auxiliary identity without its last bracket [l]_q, and the
+# factorization identity with q^(i + 1) - t for q^i - t.
+auxiliary_bracket_dropped = rewritten(
+    ('"q", i) for i in range(1, length + 1)]', '"q", i) for i in range(1, length)]')
+)
+quotient_exponent_shifted = rewritten(('"q", i) - t', '"q", i + 1) - t'))
 
 
 def ways_dropped(f):
@@ -194,6 +200,12 @@ MUTANTS = {
             lambda L: L * (Polynomial.one(L.universe) + Polynomial.variable(L.universe, "q")),
         ),
         (9,),
+    ),
+    "auxiliary bracket [l] dropped": (
+        "positivity", "positivity_report", auxiliary_bracket_dropped, (9,)
+    ),
+    "(q^i - t) exponent shifted": (
+        "positivity", "positivity_report", quotient_exponent_shifted, (9,)
     ),
     "thm6-left x2": ("identities", "_symmetrized", side_doubled(identities.SIDE_LEFT), (6, 8)),
     "thm7-right x2": ("identities", "_symmetrized", side_doubled(identities.SIDE_CYCLE), (6, 8)),

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qmono import positivity
+from qmono import algebra, positivity
 from qmono.algebra import FactoredFraction, Polynomial, frac_eq, geometric_sum, product
 from qmono.errors import NotApplicableError, ResourceLimitError
 from qmono.partitions import Partition, partitions_of, partitions_up_to, subset_sum_counts
@@ -12,7 +12,7 @@ from qmono.positivity import (
     positivity_report,
     two_row_closed_form,
 )
-from qmono.specialize import UNIVERSE_Q, UNIVERSE_QT, monomial_spec
+from qmono.specialize import UNIVERSE_Q, UNIVERSE_QT, monomial_spec, one_minus_q_power
 
 
 def qt(terms):
@@ -63,8 +63,40 @@ def reference_identity(mu, H, Hbar):
     return frac_eq(lhs, FactoredFraction(num * H, den))
 
 
+def frac_eq_verdicts(mu, N, L):
+    """(factorization, auxiliary) by the route the Kronecker point replaced:
+    frac_eq of the specialization at a = 1, b = t against
+    count * prod_i (q^(i-1) - t) * N / (prod_i (1 - q^i) * Nbar), and the
+    two products of the auxiliary identity compared as polynomials."""
+    length, count = mu.length, mu.rearrangement_count()
+    Nbar = inverted_polynomial(N, mu.weight - length)
+    if Nbar is None:
+        return False, False
+    identity = False
+    if not Nbar.is_zero:
+        t = Polynomial.variable(UNIVERSE_QT, "t")
+        lhs = monomial_spec(mu).value.substitute({"a": 1, "b": t}, universe=UNIVERSE_QT)
+        q = [Polynomial.variable(UNIVERSE_QT, "q", i) for i in range(length)]
+        num = product([q[i] - t for i in range(length)], UNIVERSE_QT) * count
+        den = [one_minus_q_power(UNIVERSE_QT, i) for i in range(1, length + 1)]
+        den.append(Nbar.substitute({}, universe=UNIVERSE_QT))
+        identity = frac_eq(lhs, FactoredFraction(num * N, den))
+    brackets = [geometric_sum(UNIVERSE_Q, "q", i) for i in range(1, length + 1)]
+    auxiliary = auxiliary_product(mu) * count == product(brackets, UNIVERSE_Q) * (Nbar * L)
+    return identity, auxiliary
+
+
 # The slowest inputs the positivity caps admit (README "Caps").
 CAP_EDGE = [(18, 2, 2, 1, 1, 1, 1), (6, 5, 3, 2, 2, 2, 1), (6, 5, 4, 3, 2, 1)]
+# Those and the input whose P is all powers, the four CI pins by digest.
+CI_CAP_EDGE = CAP_EDGE + [(1,) * 8]
+# The positivity rows of the kill matrix, as maps of (N, L).
+SPLIT_MUTANTS = {
+    "as built": lambda N, L: (N, L),
+    "N x2": lambda N, L: (N * 2, L),
+    "N + t": lambda N, L: (N + Polynomial.variable(UNIVERSE_QT, "t"), L),
+    "L x (1 + q)": lambda N, L: (N, L * geometric_sum(UNIVERSE_Q, "q", 2)),
+}
 
 
 class TestAuxiliaryProduct:
@@ -250,6 +282,59 @@ class TestIdentityOnTheNumerator:
         assert report.identity_holds
         assert not report.auxiliary_identity_holds
         assert not report.passed()
+
+
+class TestIdentitiesAtThePoint:
+    """Both identities are decided at one Kronecker point."""
+
+    @pytest.mark.parametrize("mutant", SPLIT_MUTANTS)
+    @pytest.mark.parametrize(
+        "parts",
+        [tuple(mu.parts) for mu in partitions_up_to(8)] + CI_CAP_EDGE,
+        ids=lambda parts: ",".join(map(str, parts)),
+    )
+    def test_the_point_verdicts_are_the_frac_eq_verdicts(self, parts, mutant, monkeypatch):
+        mu = Partition(parts)
+        real, change = positivity._numerator_and_leftover, SPLIT_MUTANTS[mutant]
+        monkeypatch.setattr(positivity, "_numerator_and_leftover", lambda *a: change(*real(*a)))
+        N, L = split(mu)
+        report = positivity_report(mu)
+        assert (report.identity_holds, report.auxiliary_identity_holds) == frac_eq_verdicts(mu, N, L)
+
+    @pytest.mark.parametrize("weight", range(7))
+    def test_the_slot_and_stride_hold_both_products(self, weight, monkeypatch):
+        # The layout the kernel picks holds every coefficient of both
+        # products, built here by the kernel, below half a slot, and Q is
+        # above both of their degrees in q.
+        calls = []
+        real = positivity.equal_at_point
+        monkeypatch.setattr(
+            positivity, "equal_at_point", lambda *args: calls.append(args) or real(*args)
+        )
+        t = Polynomial.variable(UNIVERSE_QT, "t")
+        for mu in partitions_of(weight):
+            calls.clear()
+            assert positivity_report(mu).passed(), mu
+            assert len(calls) == 2, mu
+            for left, right, powers in calls:
+                sides = algebra._sides(left, right)
+                Q, size = algebra._point_layout(sides, powers)
+                for side in sides:
+                    image = product([
+                        f.substitute(
+                            {v: t ** powers[v] for v in f.universe if v not in "qt"},
+                            universe=UNIVERSE_QT,
+                        ) ** m
+                        for f, m in side
+                    ], UNIVERSE_QT)
+                    assert max((e for (e, _), _ in image.items()), default=0) < Q, mu
+                    assert max(map(abs, image.coefficients())) < 2 ** (8 * size - 1), mu
+
+    def test_positivity_builds_no_fraction(self):
+        # The identities are decided at the point: no fraction, lift or
+        # frac_eq, and no substitution into the specialization.
+        names = set(positivity.__dict__)
+        assert names.isdisjoint({"FactoredFraction", "frac_eq", "spec_value_at"})
 
 
 class TestTwoRowClosedForm:

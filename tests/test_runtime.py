@@ -268,11 +268,11 @@ def test_no_loop_accumulates_a_product():
 
 # The callers of each Kronecker codec helper: a dense product's rows and a
 # rearrangement peel's ints are read back by the one slot reader and sized
-# by the one slot bound.
+# by the one slot bound, which also sizes the point of equal_at_point.
 _CODEC_CALLERS = {
-    "_evaluate": {"_row_product"},
+    "_evaluate": {"_row_product", "_side_at"},
     "_read": {"_row_product", "PeelInts.polynomial"},
-    "_slot_size": {"_row_product", "PeelInts.__init__"},
+    "_slot_size": {"_row_product", "PeelInts.__init__", "_point_layout"},
     "_bias": {"_evaluate", "_read"},
 }
 
@@ -280,7 +280,8 @@ _CODEC_CALLERS = {
 @pytest.mark.parametrize("callee", _CODEC_CALLERS)
 def test_one_kronecker_codec(callee):
     # One dense path: a power squares through the product, so rows are
-    # evaluated in one place; a peel evaluates its factors by shifts.
+    # evaluated in one place, and a point evaluation's factors of more than
+    # two terms in one other; a peel evaluates its factors by shifts.
     callers = set().union(*(_callers(p, callee) for p in SOURCES))
     assert callers == {("algebra.py", owner) for owner in _CODEC_CALLERS[callee]}
 

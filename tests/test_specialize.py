@@ -19,6 +19,7 @@ from qmono.specialize import (
     UNIVERSE_QT,
     monomial_spec,
     oracle_direct,
+    one_minus_q_terms,
     oracle_powersum,
     spec_value_at,
 )
@@ -448,3 +449,11 @@ class TestMemos:
             info = memo.cache_info()
             assert info.misses == MEMO_BOUND + 19
             assert info.currsize == MEMO_BOUND
+
+
+def test_one_minus_q_terms_is_empty_at_zero():
+    # 1 - q^0 = 0: no term survives, where a dict literal would keep the
+    # later of its two entries at one key.
+    assert one_minus_q_terms(0) == {}
+    for s in (1, 5):
+        assert one_minus_q_terms(s) == {(0, 0): 1, (0, s): -1}
